@@ -497,12 +497,11 @@ fn run_mutation(
 /// series). Counter values are engine-lifetime; families are emitted in a
 /// fixed order and tenants sorted by name, so the exposition is
 /// deterministic for a given counter state.
-fn engine_series(shared: &Arc<Shared>) -> String {
-    let stats: Vec<TenantStats> = shared.registry.list().iter().map(|t| t.stats()).collect();
+fn engine_series(stats: &[TenantStats], a: AdmissionStats) -> String {
     let mut out = String::new();
 
     push_header(&mut out, "knn_engine_epoch", "gauge", "Current dataset version per tenant.");
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_epoch", &[("tenant", &s.name)]),
@@ -515,7 +514,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Region polyhedra yielded by the lazy enumerator.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_region_yields_total", &[("tenant", &s.name)]),
@@ -528,7 +527,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Candidate regions pruned, by rule.",
     );
-    for s in &stats {
+    for s in stats {
         for (rule, n) in [
             ("empty", s.engine.regions.pruned_empty),
             ("dominated", s.engine.regions.pruned_dominated),
@@ -550,7 +549,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Explanation-cache events, by kind.",
     );
-    for s in &stats {
+    for s in stats {
         for (event, n) in [
             ("hit", s.engine.cache.hits),
             ("miss", s.engine.cache.misses),
@@ -579,7 +578,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Cache entries installed by cross-replica fill pushes.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_cache_fill_total", &[("tenant", &s.name)]),
@@ -592,7 +591,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Artifact cells built fresh vs carried across epochs.",
     );
-    for s in &stats {
+    for s in stats {
         for (kind, n) in
             [("built", s.engine.artifacts_built_total), ("carried", s.engine.artifacts_carried)]
         {
@@ -612,7 +611,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Cumulative artifact build time, microseconds.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_artifact_build_us_total", &[("tenant", &s.name)]),
@@ -620,7 +619,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         );
     }
     push_header(&mut out, "knn_engine_mutations_total", "counter", "Applied mutations, by op.");
-    for s in &stats {
+    for s in stats {
         for (op, n) in [("insert", s.engine.inserts), ("remove", s.engine.removes)] {
             push_sample(
                 &mut out,
@@ -635,7 +634,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Estimated resident bytes per tenant, by component.",
     );
-    for s in &stats {
+    for s in stats {
         let r = &s.engine.resources;
         for (component, n) in [
             ("dataset", r.dataset_bytes),
@@ -657,7 +656,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Mutations retained in the compacted revalidation log.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_mutation_log_entries", &[("tenant", &s.name)]),
@@ -670,7 +669,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Region-memo occupancy (see knn_engine_region_memo_capacity).",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_region_memo_entries", &[("tenant", &s.name)]),
@@ -683,7 +682,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Region-memo capacity bound.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_engine_region_memo_capacity", &[("tenant", &s.name)]),
@@ -696,7 +695,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Solver-layer work per tenant and route, by kind.",
     );
-    for s in &stats {
+    for s in stats {
         for w in &s.work {
             for (kind, n) in [
                 ("compute", w.computes),
@@ -722,7 +721,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Cumulative solve CPU time per tenant and route, microseconds.",
     );
-    for s in &stats {
+    for s in stats {
         for w in &s.work {
             push_sample(
                 &mut out,
@@ -740,7 +739,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Shadow-audit re-executions compared against served bytes.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_audit_checked_total", &[("tenant", &s.name)]),
@@ -753,7 +752,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Shadow-audit re-executions whose bytes diverged from the served response.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_audit_diverged_total", &[("tenant", &s.name)]),
@@ -761,7 +760,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         );
     }
     push_header(&mut out, "knn_server_requests_total", "counter", "Queries completed per tenant.");
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_server_requests_total", &[("tenant", &s.name)]),
@@ -774,7 +773,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "counter",
         "Error responses among completed queries.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_server_errors_total", &[("tenant", &s.name)]),
@@ -787,7 +786,7 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Queries currently waiting for admission, per tenant.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_server_tenant_queued", &[("tenant", &s.name)]),
@@ -800,14 +799,13 @@ fn engine_series(shared: &Arc<Shared>) -> String {
         "gauge",
         "Queries currently executing, per tenant.",
     );
-    for s in &stats {
+    for s in stats {
         push_sample(
             &mut out,
             &series_key("knn_server_tenant_active", &[("tenant", &s.name)]),
             s.active,
         );
     }
-    let a = shared.admission.stats();
     push_header(&mut out, "knn_server_admission_budget", "gauge", "Global worker budget.");
     push_sample(&mut out, "knn_server_admission_budget", a.budget as u64);
     push_header(
@@ -832,6 +830,66 @@ fn engine_series(shared: &Arc<Shared>) -> String {
     );
     push_sample(&mut out, "knn_server_admission_granted_total", a.granted);
     out
+}
+
+/// The `admission` and `tenants` members of the `stats` verb — a pure
+/// function of the counter snapshots, so a fixed state renders fixed bytes.
+fn stats_members(stats: &[TenantStats], a: AdmissionStats) -> Vec<(String, Value)> {
+    let num = |n: usize| Value::Number(n as f64);
+    let num64 = |n: u64| Value::Number(n as f64);
+    let admission = Value::Object(vec![
+        ("budget".into(), num(a.budget)),
+        ("available".into(), num(a.available)),
+        ("waiting".into(), num(a.waiting)),
+        ("granted".into(), num64(a.granted)),
+    ]);
+    let tenants: Vec<Value> = stats
+        .iter()
+        .map(|s| {
+            let cache = Value::Object(vec![
+                ("hits".into(), num64(s.engine.cache.hits)),
+                ("misses".into(), num64(s.engine.cache.misses)),
+                ("coalesced".into(), num64(s.engine.coalesced)),
+                ("revalidated".into(), num64(s.engine.revalidated)),
+                ("filled".into(), num64(s.engine.filled)),
+                ("evictions".into(), num64(s.engine.cache.evictions)),
+                ("entries".into(), num(s.engine.cache.entries)),
+                ("capacity".into(), num(s.engine.cache.capacity)),
+            ]);
+            Value::Object(vec![
+                ("name".into(), Value::String(s.name.clone())),
+                ("version".into(), num64(s.engine.epoch)),
+                ("points".into(), num(s.points)),
+                ("points_pos".into(), num(s.points_pos)),
+                ("points_neg".into(), num(s.points_neg)),
+                ("inserts".into(), num64(s.engine.inserts)),
+                ("removes".into(), num64(s.engine.removes)),
+                ("requests".into(), num64(s.requests)),
+                ("errors".into(), num64(s.errors)),
+                ("queued".into(), num64(s.queued)),
+                ("active".into(), num64(s.active)),
+                ("cache".into(), cache),
+                ("inflight".into(), num(s.engine.inflight)),
+                ("artifacts_built".into(), num(s.engine.artifacts_built)),
+                ("artifacts_built_total".into(), num64(s.engine.artifacts_built_total)),
+                ("artifacts_carried".into(), num64(s.engine.artifacts_carried)),
+                ("artifact_build_us".into(), num64(s.engine.artifact_build_us)),
+                ("revalidation_failed".into(), num64(s.engine.revalidation_failed)),
+                ("audit_checked".into(), num64(s.engine.audit_checked)),
+                ("audit_diverged".into(), num64(s.engine.audit_diverged)),
+                (
+                    "regions".into(),
+                    Value::Object(vec![
+                        ("yields".into(), num64(s.engine.regions.yields)),
+                        ("pruned_empty".into(), num64(s.engine.regions.pruned_empty)),
+                        ("pruned_dominated".into(), num64(s.engine.regions.pruned_dominated)),
+                        ("memo_pruned".into(), num64(s.engine.regions.memo_pruned)),
+                    ]),
+                ),
+            ])
+        })
+        .collect();
+    vec![("admission".into(), admission), ("tenants".into(), Value::Array(tenants))]
 }
 
 /// One `top` row per tenant, ranked by estimated bytes (descending, then
@@ -1003,83 +1061,23 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
             (proto::ok_line(id, vec![("datasets".into(), Value::Array(datasets))]), false)
         }
         Command::Stats => {
-            let a = shared.admission.stats();
-            let uptime_ms = shared.started.elapsed().as_millis() as u64;
-            let admission = Value::Object(vec![
-                ("budget".into(), num(a.budget)),
-                ("available".into(), num(a.available)),
-                ("waiting".into(), num(a.waiting)),
-                ("granted".into(), num64(a.granted)),
-            ]);
-            let tenants: Vec<Value> = shared
-                .registry
-                .list()
-                .iter()
-                .map(|t| {
-                    let s = t.stats();
-                    let cache = Value::Object(vec![
-                        ("hits".into(), num64(s.engine.cache.hits)),
-                        ("misses".into(), num64(s.engine.cache.misses)),
-                        ("coalesced".into(), num64(s.engine.coalesced)),
-                        ("revalidated".into(), num64(s.engine.revalidated)),
-                        ("filled".into(), num64(s.engine.filled)),
-                        ("evictions".into(), num64(s.engine.cache.evictions)),
-                        ("entries".into(), num(s.engine.cache.entries)),
-                        ("capacity".into(), num(s.engine.cache.capacity)),
-                    ]);
-                    Value::Object(vec![
-                        ("name".into(), Value::String(s.name)),
-                        ("version".into(), num64(s.engine.epoch)),
-                        ("points".into(), num(s.points)),
-                        ("points_pos".into(), num(s.points_pos)),
-                        ("points_neg".into(), num(s.points_neg)),
-                        ("inserts".into(), num64(s.engine.inserts)),
-                        ("removes".into(), num64(s.engine.removes)),
-                        ("requests".into(), num64(s.requests)),
-                        ("errors".into(), num64(s.errors)),
-                        ("queued".into(), num64(s.queued)),
-                        ("active".into(), num64(s.active)),
-                        ("cache".into(), cache),
-                        ("inflight".into(), num(s.engine.inflight)),
-                        ("artifacts_built".into(), num(s.engine.artifacts_built)),
-                        ("artifacts_built_total".into(), num64(s.engine.artifacts_built_total)),
-                        ("artifacts_carried".into(), num64(s.engine.artifacts_carried)),
-                        ("artifact_build_us".into(), num64(s.engine.artifact_build_us)),
-                        ("revalidation_failed".into(), num64(s.engine.revalidation_failed)),
-                        ("audit_checked".into(), num64(s.engine.audit_checked)),
-                        ("audit_diverged".into(), num64(s.engine.audit_diverged)),
-                        (
-                            "regions".into(),
-                            Value::Object(vec![
-                                ("yields".into(), num64(s.engine.regions.yields)),
-                                ("pruned_empty".into(), num64(s.engine.regions.pruned_empty)),
-                                (
-                                    "pruned_dominated".into(),
-                                    num64(s.engine.regions.pruned_dominated),
-                                ),
-                                ("memo_pruned".into(), num64(s.engine.regions.memo_pruned)),
-                            ]),
-                        ),
-                    ])
-                })
-                .collect();
-            let line = proto::ok_line(
-                id,
-                vec![
-                    ("health".into(), Value::String("ok".into())),
-                    ("uptime_ms".into(), num64(uptime_ms)),
-                    ("admission".into(), admission),
-                    ("tenants".into(), Value::Array(tenants)),
-                ],
-            );
-            (line, false)
+            let tenants: Vec<TenantStats> =
+                shared.registry.list().iter().map(|t| t.stats()).collect();
+            let mut members = vec![
+                ("health".into(), Value::String("ok".into())),
+                ("uptime_ms".into(), num64(shared.started.elapsed().as_millis() as u64)),
+            ];
+            members.extend(stats_members(&tenants, shared.admission.stats()));
+            (proto::ok_line(id, members), false)
         }
         Command::Metrics => {
             // Scrapes drive the SLO windows: each `metrics` (or `top`) call
             // diffs the cumulative histograms into one observation window.
             shared.telemetry.observe_slo_all();
             let mut text = shared.telemetry.render();
-            text.push_str(&engine_series(shared));
+            let tenants: Vec<TenantStats> =
+                shared.registry.list().iter().map(|t| t.stats()).collect();
+            text.push_str(&engine_series(&tenants, shared.admission.stats()));
             (proto::ok_line(id, vec![("metrics".into(), Value::String(text))]), false)
         }
         Command::Top => {
@@ -1282,6 +1280,139 @@ mod tests {
     use super::*;
 
     const BOOL: &str = "+ 1 1 1\n+ 1 1 0\n- 0 0 0\n- 0 0 1\n";
+
+    /// A fixed synthetic registry state: two tenants (two routes each) and
+    /// an admission queue, every counter holding a value no other counter
+    /// holds, so a member rendered from the wrong field cannot pass.
+    pub(crate) fn synthetic_state() -> (Vec<TenantStats>, AdmissionStats) {
+        let mut next = 0u64;
+        let mut v = || {
+            next += 7;
+            next
+        };
+        let mut tenants = Vec::new();
+        for name in ["alpha", "beta"] {
+            let mut s = TenantStats {
+                name: name.into(),
+                points: v() as usize,
+                points_pos: v() as usize,
+                points_neg: v() as usize,
+                dim: v() as usize,
+                requests: v(),
+                errors: v(),
+                queued: v(),
+                active: v(),
+                engine: knn_engine::EngineStats::default(),
+                work: Vec::new(),
+            };
+            let e = &mut s.engine;
+            e.cache.hits = v();
+            e.cache.misses = v();
+            e.cache.evictions = v();
+            e.cache.entries = v() as usize;
+            e.cache.capacity = v() as usize;
+            e.cache.bytes = v();
+            e.coalesced = v();
+            e.inflight = v() as usize;
+            e.artifacts_built = v() as usize;
+            e.epoch = v();
+            e.inserts = v();
+            e.removes = v();
+            e.revalidated = v();
+            e.revalidation_failed = v();
+            e.filled = v();
+            e.regions.yields = v();
+            e.regions.pruned_empty = v();
+            e.regions.pruned_dominated = v();
+            e.regions.memo_pruned = v();
+            e.artifact_build_us = v();
+            e.artifacts_built_total = v();
+            e.artifacts_carried = v();
+            e.audit_checked = v();
+            e.audit_diverged = v();
+            let r = &mut e.resources;
+            r.dataset_bytes = v();
+            r.log_bytes = v();
+            r.log_len = v();
+            r.artifact_bytes = v();
+            r.memo_bytes = v();
+            r.memo_len = v();
+            r.memo_cap = v();
+            r.cache_bytes = v();
+            for route in ["hamming-index", "l2-lp-regions"] {
+                s.work.push(knn_engine::RouteWorkSnapshot {
+                    route: route.into(),
+                    computes: v(),
+                    lp_solves: v(),
+                    qp_solves: v(),
+                    kd_visits: v(),
+                    region_yields: v(),
+                    solve_us: v(),
+                });
+            }
+            tenants.push(s);
+        }
+        let admission = AdmissionStats {
+            budget: v() as usize,
+            available: v() as usize,
+            waiting: v() as usize,
+            granted: v(),
+        };
+        (tenants, admission)
+    }
+
+    /// Flattens a JSON value to `path → leaf`: object members by name,
+    /// arrays of named objects by their `name`, other arrays by index.
+    fn flatten(prefix: &str, v: &Value, out: &mut BTreeMap<String, Value>) {
+        match v {
+            Value::Object(members) => {
+                for (k, m) in members {
+                    flatten(&format!("{prefix}.{k}"), m, out);
+                }
+            }
+            Value::Array(items) => {
+                for (i, m) in items.iter().enumerate() {
+                    let key =
+                        m.get("name").and_then(Value::as_str).map_or(i.to_string(), str::to_string);
+                    flatten(&format!("{prefix}[{key}]"), m, out);
+                }
+            }
+            leaf => {
+                out.insert(prefix.to_string(), leaf.clone());
+            }
+        }
+    }
+
+    /// Output compatibility: every `stats` member and every exposition
+    /// sample the renderers produced for the synthetic state when this
+    /// golden was recorded is still produced, with the same value. Order
+    /// may change; the only sample allowed to disappear is the deleted
+    /// `knn_server_admission_queue_depth` alias.
+    #[test]
+    fn stats_and_metrics_keep_every_golden_member_and_sample() {
+        let (tenants, admission) = synthetic_state();
+        let stats = Value::Object(stats_members(&tenants, admission));
+        let golden =
+            knn_engine::json::parse_bytes(include_bytes!("../testdata/stats.json")).unwrap();
+        let (mut want, mut got) = (BTreeMap::new(), BTreeMap::new());
+        flatten("", &golden, &mut want);
+        flatten("", &stats, &mut got);
+        assert!(!want.is_empty());
+        for (path, v) in &want {
+            assert_eq!(got.get(path), Some(v), "stats member {path}");
+        }
+
+        let text = engine_series(&tenants, admission);
+        let now = knn_telemetry::exposition::parse(&text);
+        let golden = knn_telemetry::exposition::parse(include_str!("../testdata/metrics.txt"));
+        assert!(!golden.is_empty());
+        for (key, v) in &golden {
+            if knn_telemetry::exposition::family_of(key) == "knn_server_admission_queue_depth" {
+                continue;
+            }
+            assert_eq!(now.get(key), Some(v), "exposition sample {key}");
+        }
+    }
 
     fn spawn_server() -> ServerHandle {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
