@@ -68,7 +68,8 @@ pub use pool::{Backend, BackendPool, BackendSnapshot};
 
 use knn_engine::json::{parse_bytes, Value};
 use knn_server::proto::{self, Command};
-use knn_telemetry::{exposition, SloObjective, Telemetry};
+use knn_telemetry::exposition::{self, Merge};
+use knn_telemetry::{SloObjective, Telemetry};
 use scatter::{Dispatcher, PendingQuery};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -594,7 +595,7 @@ fn roundtrip_acked(backend: &Backend, line: &str) -> bool {
         .control_roundtrip(line)
         .ok()
         .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-        .is_some_and(|v| matches!(v.get("ok"), Some(Value::Bool(true))))
+        .is_some_and(|v| is_ok(&v))
 }
 
 /// The wire line that rebuilds `name` on a backend: the seed text plus the
@@ -911,6 +912,7 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
                             start_us,
                             affinity,
                             version,
+                            not_loaded: None,
                         });
                         dispatched += 1;
                     } else {
@@ -1157,39 +1159,86 @@ fn mutation_response(
     }
 }
 
-/// The cluster `metrics` verb: one `metrics` roundtrip per live backend,
-/// the expositions **merged key-wise** (histogram buckets and counters
-/// sum; `_max` series take the max — exact because every backend emits
-/// the identical fixed bucket set), then the router's own series appended
-/// (`knn_router_*`: dispatches, failovers, demotions, reconciles, the
-/// probe-round histogram — names disjoint from anything a backend emits).
-/// A backend answering garbage contributes nothing; the merge is total —
-/// but not silent: every live backend whose scrape fails (roundtrip error,
-/// unparseable response, missing `metrics` member) bumps
-/// `knn_router_scrape_failures_total`, and the
-/// `knn_router_backends_scraped` gauge says how many expositions this
-/// merge actually covers, so a partial scrape cannot masquerade as a
-/// cluster-wide one.
-fn cluster_metrics_line(shared: &Arc<RouterShared>, id: &str) -> String {
-    let mut texts: Vec<String> = Vec::new();
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue; // down, not a scrape failure: nothing was expected
-        }
-        let text = backend
-            .control_roundtrip(r#"{"id":"agg","verb":"metrics"}"#)
-            .ok()
-            .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-            .and_then(|v| match v.get("metrics") {
-                Some(Value::String(text)) => Some(text.clone()),
-                _ => None,
-            });
-        match text {
-            Some(text) => texts.push(text),
-            None => shared.telemetry.add("knn_router_scrape_failures_total", 1),
+/// Sends one control line to every healthy backend and returns each parsed
+/// reply with its backend id, in pool order — the one fan-out behind every
+/// cluster control verb. Unhealthy backends are skipped (nothing was
+/// expected of them); a healthy backend whose roundtrip fails or whose
+/// reply does not parse bumps `knn_router_scrape_failures_total`, so a
+/// partial answer never passes silently for a cluster-wide one.
+fn fan_out(shared: &RouterShared, line: &str) -> Vec<(usize, Value)> {
+    shared
+        .pool
+        .backends()
+        .iter()
+        .filter(|backend| backend.is_healthy())
+        .filter_map(|backend| {
+            let reply = backend
+                .control_roundtrip(line)
+                .ok()
+                .and_then(|resp| parse_bytes(resp.as_bytes()).ok());
+            if reply.is_none() {
+                shared.telemetry.add("knn_router_scrape_failures_total", 1);
+            }
+            reply.map(|v| (backend.id, v))
+        })
+        .collect()
+}
+
+/// Whether a reply answered `"ok":true`.
+fn is_ok(v: &Value) -> bool {
+    v.get("ok") == Some(&Value::Bool(true))
+}
+
+/// Folds `reply`'s numeric members into `acc` by their declared rule
+/// ([`knn_server::series::reply_merge`]), recursing into nested objects;
+/// any other member keeps its first-seen value.
+fn fold_members(acc: &mut Vec<(String, Value)>, reply: &[(String, Value)]) {
+    for (key, v) in reply {
+        match (acc.iter_mut().find(|(k, _)| k == key), v) {
+            (None, _) => acc.push((key.clone(), v.clone())),
+            (Some((_, Value::Number(cur))), Value::Number(n)) => {
+                *cur = knn_server::series::reply_merge(key).fold(*cur, *n)
+            }
+            (Some((_, Value::Object(inner))), Value::Object(m)) => fold_members(inner, m),
+            _ => {}
         }
     }
-    let mut text = exposition::merge(&texts);
+}
+
+/// The `ok:true` replies to `line` folded into one reply body (without
+/// `id`/`ok`) plus a `replicas` count; `None` when no live backend
+/// answered ok.
+fn merged_reply(shared: &RouterShared, line: &str) -> Option<Vec<(String, Value)>> {
+    let mut acc = Vec::new();
+    let mut replicas = 0usize;
+    for (_, v) in fan_out(shared, line) {
+        if let (true, Value::Object(members)) = (is_ok(&v), &v) {
+            fold_members(&mut acc, members);
+            replicas += 1;
+        }
+    }
+    acc.retain(|(k, _)| k != "id" && k != "ok");
+    acc.push(("replicas".into(), Value::Number(replicas as f64)));
+    (replicas > 0).then_some(acc)
+}
+
+/// The cluster `metrics` verb: the backends' expositions **merged
+/// key-wise**, each family by its declared rule
+/// ([`knn_server::series::merge_rule`]: histogram buckets and counters
+/// sum, `_max` companions and per-replica gauges such as the epoch and the
+/// SLO burn take the max — exact for the histograms because every backend
+/// emits the identical fixed bucket set), then the router's own series
+/// appended (`knn_router_*`: dispatches, failovers, demotions, reconciles,
+/// scrape failures, the probe-round histogram — names disjoint from
+/// anything a backend emits). The `knn_router_backends_scraped` gauge says
+/// how many expositions this merge actually covers.
+fn cluster_metrics_line(shared: &Arc<RouterShared>, id: &str) -> String {
+    let texts: Vec<String> = fan_out(shared, r#"{"id":"agg","verb":"metrics"}"#)
+        .into_iter()
+        .filter_map(|(_, v)| v.get("metrics").and_then(Value::as_str).map(str::to_string))
+        .collect();
+    let rule = |family: &str| knn_server::series::merge_rule(family).unwrap_or(Merge::Sum);
+    let mut text = exposition::merge(&texts, rule);
     text.push_str(&shared.telemetry.render());
     exposition::push_header(
         &mut text,
@@ -1201,83 +1250,41 @@ fn cluster_metrics_line(shared: &Arc<RouterShared>, id: &str) -> String {
     proto::ok_line(id, vec![("metrics".into(), Value::String(text))])
 }
 
-/// The cluster `top` verb: one `top` roundtrip per live backend, rows
-/// merged per tenant — bytes / requests / QPS **sum** (each backend holds
-/// its own replica of the data and serves its own share of the traffic),
-/// burn rates **max-merge** (the worst replica defines the tenant's SLO
-/// health; averaging would let a healthy replica mask a burning one), and
-/// violation counts sum. Rows come back ranked by merged bytes descending,
-/// then tenant name.
+/// The cluster `top` verb: every live backend's rows merged per tenant —
+/// bytes / requests / QPS / violations **sum** (each backend holds its own
+/// replica of the data and serves its own share of the traffic), burn
+/// rates **max-merge** (the worst replica defines the tenant's SLO health;
+/// averaging would let a healthy replica mask a burning one). Rows come
+/// back ranked by merged bytes descending, then tenant name.
 fn cluster_top_line(shared: &Arc<RouterShared>, id: &str) -> String {
-    let num64 = |n: u64| Value::Number(n as f64);
-    #[derive(Default)]
-    struct Row {
-        bytes: BTreeMap<String, u64>,
-        bytes_total: u64,
-        requests: u64,
-        qps: f64,
-        slo_burn: f64,
-        slo_violations: u64,
-    }
-    let mut merged: BTreeMap<String, Row> = BTreeMap::new();
+    let mut merged: Vec<Value> = Vec::new();
     let mut scraped = 0usize;
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
-        }
-        let rows = backend
-            .control_roundtrip(r#"{"id":"agg","verb":"top"}"#)
-            .ok()
-            .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-            .and_then(|v| match v.get("top") {
-                Some(Value::Array(rows)) => Some(rows.clone()),
-                _ => None,
-            });
-        let Some(rows) = rows else {
-            shared.telemetry.add("knn_router_scrape_failures_total", 1);
-            continue;
-        };
+    for (_, v) in fan_out(shared, r#"{"id":"agg","verb":"top"}"#) {
+        let Some(rows) = v.get("top").and_then(Value::as_array) else { continue };
         scraped += 1;
-        for row in &rows {
-            let Some(tenant) = row.get("tenant").and_then(Value::as_str) else { continue };
-            let slot = merged.entry(tenant.to_string()).or_default();
-            slot.bytes_total += row.get("bytes_total").and_then(Value::as_u64).unwrap_or(0);
-            slot.requests += row.get("requests").and_then(Value::as_u64).unwrap_or(0);
-            slot.qps += row.get("qps").and_then(Value::as_f64).unwrap_or(0.0);
-            slot.slo_burn =
-                slot.slo_burn.max(row.get("slo_burn").and_then(Value::as_f64).unwrap_or(0.0));
-            slot.slo_violations += row.get("slo_violations").and_then(Value::as_u64).unwrap_or(0);
-            if let Some(Value::Object(components)) = row.get("bytes") {
-                for (component, v) in components {
-                    *slot.bytes.entry(component.clone()).or_default() += v.as_u64().unwrap_or(0);
+        for row in rows {
+            match (merged.iter_mut().find(|m| m.get("tenant") == row.get("tenant")), row) {
+                (Some(Value::Object(acc)), Value::Object(members)) => fold_members(acc, members),
+                _ => merged.push(row.clone()),
+            }
+        }
+    }
+    for row in &mut merged {
+        if let Value::Object(members) = row {
+            for (k, v) in members.iter_mut() {
+                if let ("qps", Value::Number(q)) = (k.as_str(), v) {
+                    *q = (*q * 100.0).round() / 100.0;
                 }
             }
         }
     }
-    let mut rows: Vec<(u64, String, Row)> =
-        merged.into_iter().map(|(name, row)| (row.bytes_total, name, row)).collect();
-    rows.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let rows: Vec<Value> = rows
-        .into_iter()
-        .map(|(_, tenant, row)| {
-            Value::Object(vec![
-                ("tenant".into(), Value::String(tenant)),
-                ("bytes_total".into(), num64(row.bytes_total)),
-                (
-                    "bytes".into(),
-                    Value::Object(row.bytes.into_iter().map(|(k, v)| (k, num64(v))).collect()),
-                ),
-                ("requests".into(), num64(row.requests)),
-                ("qps".into(), Value::Number((row.qps * 100.0).round() / 100.0)),
-                ("slo_burn".into(), Value::Number(row.slo_burn)),
-                ("slo_violations".into(), num64(row.slo_violations)),
-            ])
-        })
-        .collect();
+    let bytes = |row: &Value| row.get("bytes_total").and_then(Value::as_u64).unwrap_or(0);
+    let tenant = |row: &Value| row.get("tenant").and_then(Value::as_str).map(str::to_string);
+    merged.sort_by_key(|row| (std::cmp::Reverse(bytes(row)), tenant(row)));
     proto::ok_line(
         id,
         vec![
-            ("top".into(), Value::Array(rows)),
+            ("top".into(), Value::Array(merged)),
             ("backends_scraped".into(), Value::Number(scraped as f64)),
         ],
     )
@@ -1286,8 +1293,8 @@ fn cluster_top_line(shared: &Arc<RouterShared>, id: &str) -> String {
 /// The cluster `slo` verb. **Set** fans the objective to every live
 /// backend (setting it on a backend that doesn't host the tenant is
 /// harmless — no traffic, no windows) and reports how many acknowledged.
-/// **Get** scrapes each backend's status and merges: good/total/violations
-/// sum, burn rates and the attained quantile max-merge — the same
+/// **Get** merges each backend's status: good/total/violations sum, burn
+/// rates and the attained quantile max-merge — the same
 /// worst-replica-wins rule as `top`.
 fn cluster_slo_line(
     shared: &Arc<RouterShared>,
@@ -1295,97 +1302,40 @@ fn cluster_slo_line(
     name: &str,
     objective: Option<SloObjective>,
 ) -> String {
-    let num64 = |n: u64| Value::Number(n as f64);
-    match objective {
-        Some(o) => {
-            let line = Value::Object(vec![
-                ("id".into(), Value::String("fanout".into())),
-                ("verb".into(), Value::String("slo".into())),
-                ("name".into(), Value::String(name.to_string())),
-                ("quantile".into(), Value::Number(o.quantile)),
-                ("threshold_us".into(), num64(o.threshold_us)),
-                ("windows".into(), Value::Number(o.windows as f64)),
-            ])
-            .to_json();
-            let mut acked = 0usize;
-            for backend in shared.pool.backends() {
-                if !backend.is_healthy() {
-                    continue;
-                }
-                let ok = backend
-                    .control_roundtrip(&line)
-                    .ok()
-                    .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-                    .is_some_and(|v| v.get("ok") == Some(&Value::Bool(true)));
-                if ok {
-                    acked += 1;
-                }
+    let Some(o) = objective else {
+        let req = Value::Object(vec![
+            ("id".into(), Value::String("agg".into())),
+            ("verb".into(), Value::String("slo".into())),
+            ("name".into(), Value::String(name.to_string())),
+        ])
+        .to_json();
+        return match merged_reply(shared, &req) {
+            Some(members) => proto::ok_line(id, members),
+            None => {
+                proto::error_line(id, &format!("no slo objective for `{name}` on any live backend"))
             }
-            if acked == 0 {
-                return proto::error_line(id, "no live backend accepted the slo objective");
-            }
-            proto::ok_line(
-                id,
-                vec![
-                    ("slo".into(), Value::String(name.to_string())),
-                    ("quantile".into(), Value::Number(o.quantile)),
-                    ("threshold_us".into(), num64(o.threshold_us)),
-                    ("windows".into(), Value::Number(o.windows as f64)),
-                    ("replicas".into(), Value::Number(acked as f64)),
-                ],
-            )
-        }
-        None => {
-            let req = Value::Object(vec![
-                ("id".into(), Value::String("agg".into())),
-                ("verb".into(), Value::String("slo".into())),
-                ("name".into(), Value::String(name.to_string())),
-            ])
-            .to_json();
-            let (mut good, mut total, mut violations) = (0u64, 0u64, 0u64);
-            let (mut short_burn, mut long_burn, mut burn) = (0.0f64, 0.0f64, 0.0f64);
-            let mut quantile_us = 0u64;
-            let mut statuses = 0usize;
-            for backend in shared.pool.backends() {
-                if !backend.is_healthy() {
-                    continue;
-                }
-                let Ok(resp) = backend.control_roundtrip(&req) else { continue };
-                let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
-                if v.get("ok") != Some(&Value::Bool(true)) {
-                    continue; // backend has no objective for this tenant
-                }
-                statuses += 1;
-                let f = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-                let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-                good += u("good");
-                total += u("total");
-                violations += u("violations");
-                quantile_us = quantile_us.max(u("quantile_us"));
-                short_burn = short_burn.max(f("short_burn"));
-                long_burn = long_burn.max(f("long_burn"));
-                burn = burn.max(f("burn"));
-            }
-            if statuses == 0 {
-                let msg = format!("no slo objective for `{name}` on any live backend");
-                return proto::error_line(id, &msg);
-            }
-            proto::ok_line(
-                id,
-                vec![
-                    ("slo".into(), Value::String(name.to_string())),
-                    ("replicas".into(), Value::Number(statuses as f64)),
-                    ("good".into(), num64(good)),
-                    ("total".into(), num64(total)),
-                    ("quantile_us".into(), num64(quantile_us)),
-                    ("short_burn".into(), Value::Number(short_burn)),
-                    ("long_burn".into(), Value::Number(long_burn)),
-                    ("burn".into(), Value::Number(burn)),
-                    ("violations".into(), num64(violations)),
-                ],
-            )
-        }
+        };
+    };
+    let objective = vec![
+        ("quantile".into(), Value::Number(o.quantile)),
+        ("threshold_us".into(), Value::Number(o.threshold_us as f64)),
+        ("windows".into(), Value::Number(o.windows as f64)),
+    ];
+    let mut line = vec![
+        ("id".into(), Value::String("fanout".into())),
+        ("verb".into(), Value::String("slo".into())),
+        ("name".into(), Value::String(name.to_string())),
+    ];
+    line.extend(objective.iter().cloned());
+    let acked =
+        fan_out(shared, &Value::Object(line).to_json()).iter().filter(|(_, v)| is_ok(v)).count();
+    if acked == 0 {
+        return proto::error_line(id, "no live backend accepted the slo objective");
     }
+    let mut members = vec![("slo".into(), Value::String(name.to_string()))];
+    members.extend(objective);
+    members.push(("replicas".into(), Value::Number(acked as f64)));
+    proto::ok_line(id, members)
 }
 
 /// The cluster `trace` verb: the router's local span tree for `trace`
@@ -1404,17 +1354,13 @@ fn cluster_trace_line(shared: &Arc<RouterShared>, id: &str, trace: &str) -> Stri
     ])
     .to_json();
     let mut roots = knn_server::span_tree(&shared.telemetry.recorder().spans_for(trace));
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
+    for (backend, v) in fan_out(shared, &req) {
+        match v.get("spans") {
+            Some(Value::Array(spans)) if !spans.is_empty() => {
+                graft_backend_spans(&mut roots, backend, spans.clone())
+            }
+            _ => {}
         }
-        let Ok(resp) = backend.control_roundtrip(&req) else { continue };
-        let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
-        let Some(Value::Array(spans)) = v.get("spans") else { continue };
-        if spans.is_empty() {
-            continue;
-        }
-        graft_backend_spans(&mut roots, backend.id, spans.clone());
     }
     proto::ok_line(
         id,
@@ -1469,19 +1415,14 @@ fn cluster_dump_line(shared: &Arc<RouterShared>, id: &str) -> String {
         Ok(Value::Array(events)) => events,
         _ => Vec::new(),
     };
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
-        }
-        let Ok(resp) = backend.control_roundtrip(r#"{"id":"agg","verb":"dump"}"#) else { continue };
-        let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
-        let Some(Value::String(chrome)) = v.get("chrome") else { continue };
+    for (backend, v) in fan_out(shared, r#"{"id":"agg","verb":"dump"}"#) {
+        let Some(chrome) = v.get("chrome").and_then(Value::as_str) else { continue };
         let Ok(Value::Array(events)) = parse_bytes(chrome.as_bytes()) else { continue };
         for mut ev in events {
             if let Value::Object(members) = &mut ev {
                 for (k, val) in members.iter_mut() {
                     if k == "pid" {
-                        *val = Value::Number((backend.id + 1) as f64);
+                        *val = Value::Number((backend + 1) as f64);
                     }
                 }
             }
@@ -1509,18 +1450,11 @@ fn cluster_slow_line(shared: &Arc<RouterShared>, id: &str) -> String {
     // it is what serializes concurrent scrapes so each backend entry is
     // drained by exactly one of them — and then retained for all.
     let mut retained = shared.slow_retained.lock().unwrap();
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
-        }
-        let Ok(resp) = backend.control_roundtrip(r#"{"id":"agg","verb":"slow"}"#) else {
-            continue;
-        };
-        let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
+    for (backend, v) in fan_out(shared, r#"{"id":"agg","verb":"slow"}"#) {
         for entry in v.get("slow").and_then(Value::as_array).unwrap_or(&[]) {
             let Value::Object(members) = entry else { continue };
             let mut members = members.clone();
-            members.push(("backend".into(), Value::Number(backend.id as f64)));
+            members.push(("backend".into(), Value::Number(backend as f64)));
             retained.push(Value::Object(members));
         }
     }
@@ -1568,16 +1502,11 @@ fn cluster_repro_line(
     let mut tenant: Option<String> = name.map(str::to_string);
     let mut config = None;
     let mut entries: Vec<knn_engine::bundle::BundleEntry> = Vec::new();
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
-        }
-        let Ok(resp) = backend.control_roundtrip(&req) else { continue };
-        let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
-        if v.get("ok") != Some(&Value::Bool(true)) {
+    for (backend, v) in fan_out(shared, &req) {
+        if !is_ok(&v) {
             continue; // nothing captured there for this selector
         }
-        let Some(Value::String(text)) = v.get("bundle") else { continue };
+        let Some(text) = v.get("bundle").and_then(Value::as_str) else { continue };
         let Ok(bundle) = knn_engine::bundle::ReproBundle::from_json(text) else { continue };
         let target = tenant.get_or_insert_with(|| bundle.tenant.clone());
         if bundle.tenant != *target {
@@ -1585,7 +1514,7 @@ fn cluster_repro_line(
         }
         config.get_or_insert(bundle.config);
         entries.extend(bundle.entries.into_iter().map(|mut e| {
-            e.backend = Some(backend.id as u64);
+            e.backend = Some(backend as u64);
             e
         }));
     }
@@ -1627,182 +1556,112 @@ fn cluster_repro_line(
 }
 
 /// The cluster `audit` verb: fans the sample rate (if given) to every live
-/// backend and aggregates their shadow-audit counters — checked/diverged
-/// sums, queue depth and drop counts summed, the configured rate echoed.
+/// backend and merges their shadow-audit counters — checked/diverged,
+/// queue depth and drop counts summed, the configured rate echoed.
 fn cluster_audit_line(shared: &Arc<RouterShared>, id: &str, sample: Option<u64>) -> String {
-    let num64 = |n: u64| Value::Number(n as f64);
     let line = match sample {
         Some(rate) => format!(r#"{{"id":"fanout","verb":"audit","sample":{rate}}}"#),
         None => r#"{"id":"agg","verb":"audit"}"#.to_string(),
     };
-    let (mut checked, mut diverged, mut queued, mut dropped) = (0u64, 0u64, 0u64, 0u64);
-    let mut rate = 0u64;
-    let mut replicas = 0usize;
-    for backend in shared.pool.backends() {
-        if !backend.is_healthy() {
-            continue;
-        }
-        let Ok(resp) = backend.control_roundtrip(&line) else { continue };
-        let Ok(v) = parse_bytes(resp.as_bytes()) else { continue };
-        if v.get("ok") != Some(&Value::Bool(true)) {
-            continue;
-        }
-        replicas += 1;
-        let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        checked += u("checked");
-        diverged += u("diverged");
-        queued += u("queued");
-        dropped += u("dropped");
-        rate = rate.max(u("sample"));
+    match merged_reply(shared, &line) {
+        Some(members) => proto::ok_line(id, members),
+        None => proto::error_line(id, "no live backend answered the audit verb"),
     }
-    if replicas == 0 {
-        return proto::error_line(id, "no live backend answered the audit verb");
-    }
-    proto::ok_line(
-        id,
-        vec![
-            ("sample".into(), num64(rate)),
-            ("checked".into(), num64(checked)),
-            ("diverged".into(), num64(diverged)),
-            ("queued".into(), num64(queued)),
-            ("dropped".into(), num64(dropped)),
-            ("replicas".into(), Value::Number(replicas as f64)),
-        ],
-    )
 }
 
-/// Per-tenant counters summed over backends, plus the version picture the
-/// replica-divergence satellite wants visible: the router's expected
-/// version, the desired replica set, and each desired replica's reported
-/// version (absent while a replica is down or amnesiac).
-#[derive(Default)]
-struct TenantAgg {
-    replicas: Vec<usize>,
-    desired: Vec<usize>,
-    expected_version: u64,
-    versions: BTreeMap<usize, u64>,
-    requests: u64,
-    errors: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    /// Summed separately from hits/misses: a filled entry was neither
-    /// looked up nor computed on that replica, so folding it into either
-    /// counter would corrupt cluster-wide hit-rate math once fill
-    /// propagates entries.
-    cache_filled: u64,
-    artifacts_built: u64,
-}
-
-/// The cluster `stats` verb: one `stats` roundtrip per live backend,
-/// aggregated into a cluster view (admission totals, per-tenant counters
-/// summed over replicas, per-replica versions) plus per-backend health.
-/// Parsing is total — a backend answering garbage just contributes nothing.
+/// The cluster `stats` verb: every live backend's `stats` merged into a
+/// cluster view — admission and per-tenant counters folded by the rules
+/// their [`knn_server::series`] rows declare, flattened (`cache_hits`), plus
+/// the version picture: the router's expected version, the desired replica
+/// set, and each desired replica's reported version (`null` while a replica
+/// is down or amnesiac) — and per-backend health. Parsing is total: a
+/// backend answering garbage just contributes nothing.
 fn cluster_stats_line(shared: &Arc<RouterShared>, id: &str) -> String {
+    use knn_server::series::{merge_stats, ADMISSION_ROWS, TENANT_ROWS};
     let num = |n: usize| Value::Number(n as f64);
-    let num64 = |n: u64| Value::Number(n as f64);
-    let u = |v: Option<&Value>| v.and_then(Value::as_u64).unwrap_or(0);
-
-    let mut tenants: BTreeMap<String, TenantAgg> = shared
-        .placement
-        .list()
+    let ids = |v: &[usize]| Value::Array(v.iter().map(|&i| num(i)).collect());
+    let replies: Vec<(usize, Value)> = fan_out(shared, r#"{"id":"agg","verb":"stats"}"#)
         .into_iter()
-        .map(|t| (t.name, TenantAgg { replicas: t.replicas, ..TenantAgg::default() }))
+        .filter(|(_, v)| is_ok(v))
         .collect();
-    for (name, src) in shared.sources.lock().unwrap().iter() {
-        let agg = tenants.entry(name.clone()).or_default();
-        agg.desired = src.desired.clone();
-        agg.expected_version = src.version();
-    }
-    let mut budget = 0u64;
-    let mut granted = 0u64;
-    let mut answering = 0usize;
-    let mut backends_json = Vec::new();
-    for backend in shared.pool.backends() {
-        let stats = if backend.is_healthy() {
-            backend
-                .control_roundtrip(r#"{"id":"agg","verb":"stats"}"#)
-                .ok()
-                .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-                .filter(|v| matches!(v.get("ok"), Some(Value::Bool(true))))
-        } else {
-            None
-        };
-        if let Some(v) = &stats {
-            answering += 1;
-            let adm = v.get("admission");
-            budget += u(adm.and_then(|a| a.get("budget")));
-            granted += u(adm.and_then(|a| a.get("granted")));
-            for t in v.get("tenants").and_then(Value::as_array).unwrap_or(&[]) {
-                let Some(name) = t.get("name").and_then(Value::as_str) else { continue };
-                // Only tenants the router placed: a backend may serve others.
-                let Some(agg) = tenants.get_mut(name) else { continue };
-                if let Some(version) = t.get("version").and_then(Value::as_u64) {
-                    agg.versions.insert(backend.id, version);
-                }
-                agg.requests += u(t.get("requests"));
-                agg.errors += u(t.get("errors"));
-                let cache = t.get("cache");
-                agg.cache_hits += u(cache.and_then(|c| c.get("hits")));
-                agg.cache_misses += u(cache.and_then(|c| c.get("misses")));
-                agg.cache_filled += u(cache.and_then(|c| c.get("filled")));
-                agg.artifacts_built += u(t.get("artifacts_built"));
-            }
-        }
-        let snap = backend.snapshot();
-        backends_json.push(Value::Object(vec![
-            ("id".into(), num(snap.id)),
-            ("addr".into(), Value::String(snap.addr.to_string())),
-            ("healthy".into(), Value::Bool(snap.healthy)),
-            ("spawned".into(), Value::Bool(snap.spawned)),
-            ("probes_ok".into(), num64(snap.probes_ok)),
-            ("probes_failed".into(), num64(snap.probes_failed)),
-        ]));
-    }
-    let tenants_json: Vec<Value> = tenants
+    let admission: Vec<&Value> = replies.iter().filter_map(|(_, v)| v.get("admission")).collect();
+    let placed: BTreeMap<String, Vec<usize>> =
+        shared.placement.list().into_iter().map(|t| (t.name, t.replicas)).collect();
+    let sources = shared.sources.lock().unwrap();
+    let names: std::collections::BTreeSet<&String> = placed.keys().chain(sources.keys()).collect();
+    let tenants: Vec<Value> = names
         .into_iter()
-        .map(|(name, agg)| {
+        .map(|name| {
+            // Only tenants the router placed: a backend may serve others.
+            let held: Vec<(usize, &Value)> = replies
+                .iter()
+                .flat_map(|(backend, v)| {
+                    let rows = v.get("tenants").and_then(Value::as_array).unwrap_or(&[]);
+                    let mine =
+                        rows.iter().filter(|t| t.get("name").and_then(Value::as_str) == Some(name));
+                    mine.map(move |t| (*backend, t))
+                })
+                .collect();
+            let (desired, version) =
+                sources.get(name).map_or((&[][..], 0), |src| (&src.desired[..], src.version()));
             // One version slot per *desired* replica, aligned by position:
             // a demoted or silent replica shows `null`, a stale one shows a
             // number below `version` — divergence is visible either way.
-            let versions: Vec<Value> = agg
-                .desired
+            let versions = desired
                 .iter()
-                .map(|id| agg.versions.get(id).map_or(Value::Null, |&v| num64(v)))
+                .map(|id| {
+                    let held = held.iter().find(|(backend, _)| backend == id);
+                    held.and_then(|(_, t)| t.get("version")).cloned().unwrap_or(Value::Null)
+                })
                 .collect();
-            Value::Object(vec![
-                ("name".into(), Value::String(name)),
-                ("version".into(), num64(agg.expected_version)),
-                ("replicas".into(), Value::Array(agg.replicas.iter().map(|&i| num(i)).collect())),
-                ("desired".into(), Value::Array(agg.desired.iter().map(|&i| num(i)).collect())),
+            let mut members = vec![
+                ("name".into(), Value::String(name.clone())),
+                ("version".into(), Value::Number(version as f64)),
+                ("replicas".into(), ids(placed.get(name).map_or(&[][..], |r| &r[..]))),
+                ("desired".into(), ids(desired)),
                 ("replica_versions".into(), Value::Array(versions)),
-                ("requests".into(), num64(agg.requests)),
-                ("errors".into(), num64(agg.errors)),
-                ("cache_hits".into(), num64(agg.cache_hits)),
-                ("cache_misses".into(), num64(agg.cache_misses)),
-                ("cache_filled".into(), num64(agg.cache_filled)),
-                ("artifacts_built".into(), num64(agg.artifacts_built)),
+            ];
+            // The router's own `version` (the expected one) wins over the
+            // replicas' merged epoch, which `replica_versions` already shows.
+            let rows: Vec<&Value> = held.iter().map(|(_, t)| *t).collect();
+            for (k, v) in merge_stats(TENANT_ROWS, &rows) {
+                if !members.iter().any(|(m, _)| *m == k) {
+                    members.push((k, v));
+                }
+            }
+            Value::Object(members)
+        })
+        .collect();
+    drop(sources);
+    let backends: Vec<Value> = shared
+        .pool
+        .backends()
+        .iter()
+        .map(|backend| {
+            let snap = backend.snapshot();
+            Value::Object(vec![
+                ("id".into(), num(snap.id)),
+                ("addr".into(), Value::String(snap.addr.to_string())),
+                ("healthy".into(), Value::Bool(snap.healthy)),
+                ("spawned".into(), Value::Bool(snap.spawned)),
+                ("probes_ok".into(), Value::Number(snap.probes_ok as f64)),
+                ("probes_failed".into(), Value::Number(snap.probes_failed as f64)),
             ])
         })
         .collect();
     let cluster = Value::Object(vec![
         ("backends".into(), num(shared.pool.len())),
-        ("answering".into(), num(answering)),
-        ("uptime_ms".into(), num64(shared.started.elapsed().as_millis() as u64)),
+        ("answering".into(), num(replies.len())),
+        ("uptime_ms".into(), Value::Number(shared.started.elapsed().as_millis() as f64)),
     ]);
     proto::ok_line(
         id,
         vec![
             ("health".into(), Value::String("ok".into())),
             ("cluster".into(), cluster),
-            (
-                "admission".into(),
-                Value::Object(vec![
-                    ("budget".into(), num64(budget)),
-                    ("granted".into(), num64(granted)),
-                ]),
-            ),
-            ("backends".into(), Value::Array(backends_json)),
-            ("tenants".into(), Value::Array(tenants_json)),
+            ("admission".into(), Value::Object(merge_stats(ADMISSION_ROWS, &admission))),
+            ("backends".into(), Value::Array(backends)),
+            ("tenants".into(), Value::Array(tenants)),
         ],
     )
 }
@@ -2228,6 +2087,57 @@ mod tests {
 
         let s = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
         assert!(s.contains(r#""backend":"#) && s.contains(r#""total_us":"#), "{s}");
+
+        handle.shutdown();
+        b0.shutdown();
+        b1.shutdown();
+    }
+
+    /// Per-replica gauges merge by their declared rule, not by sum: after
+    /// one insert through a router over two replicas, the merged epoch and
+    /// insert count are what every replica reports (1, not 2), and the
+    /// merged SLO burn is the worst replica's — the same number the `top`
+    /// row reports.
+    #[test]
+    fn metrics_merge_max_merges_per_replica_gauges() {
+        let (b0, b1) = (backend(), backend());
+        let handle = router_over(&[&b0, &b1]);
+        let mut c = Client::connect(handle.addr()).unwrap();
+        let set = c
+            .roundtrip(
+                r#"{"verb":"slo","name":"toy","quantile":0.5,"threshold_us":0,"windows":64}"#,
+            )
+            .unwrap();
+        assert!(set.contains(r#""replicas":2"#), "{set}");
+        let ins =
+            c.roundtrip(r#"{"verb":"insert","name":"toy","label":"-","point":[0,1,0]}"#).unwrap();
+        assert!(ins.contains(r#""version":1"#) && ins.contains(r#""replicas":[0,1]"#), "{ins}");
+        // Distinct keys, so affinity routing spreads them over both replicas.
+        for i in 0..8 {
+            let q = format!(
+                r#"{{"dataset":"toy","id":"q{i}","cmd":"classify","metric":"hamming","point":[{},{},{}]}}"#,
+                i % 2,
+                (i / 2) % 2,
+                (i / 4) % 2
+            );
+            assert!(c.roundtrip(&q).unwrap().contains(r#""ok":true"#));
+        }
+
+        let m = c.roundtrip(r#"{"id":"m","verb":"metrics"}"#).unwrap();
+        let parsed = parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
+        exposition::validate(text).unwrap();
+        let samples = exposition::parse(text);
+        assert_eq!(samples.get(r#"knn_engine_epoch{tenant="toy"}"#), Some(&1.0), "{text}");
+        let inserts = r#"knn_engine_mutations_total{tenant="toy",op="insert"}"#;
+        assert_eq!(samples.get(inserts), Some(&1.0), "{text}");
+        let burn = samples.get(r#"knn_slo_burn{tenant="toy"}"#).copied().expect("burn series");
+
+        let t = c.roundtrip(r#"{"id":"t","verb":"top"}"#).unwrap();
+        let parsed = parse_bytes(t.as_bytes()).unwrap();
+        let Some(Value::Array(rows)) = parsed.get("top") else { panic!("{t}") };
+        let top_burn = rows[0].get("slo_burn").and_then(Value::as_f64).unwrap();
+        assert!(burn > 0.0 && burn == top_burn, "metrics burn {burn} vs top {top_burn}");
 
         handle.shutdown();
         b0.shutdown();

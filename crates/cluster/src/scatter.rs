@@ -71,6 +71,10 @@ pub(crate) struct PendingQuery {
     /// computed concurrently with a mutation fan-out can never be installed
     /// under the wrong epoch.
     pub version: u64,
+    /// The replica that last answered "no dataset" for this query (it lost
+    /// the tenant): redispatch tries it last until the reconciler repairs
+    /// it, instead of bouncing off it until the attempt cap.
+    pub not_loaded: Option<usize>,
 }
 
 /// Rendezvous score of `replica` for affinity key `key`: FNV-1a over the
@@ -397,7 +401,8 @@ impl Dispatcher {
             .into_iter()
             .map(|id| (id, self.pool.get(id).map(|b| b.is_healthy()).unwrap_or(false)))
             .collect();
-        candidates.sort_by_key(|&(_, healthy)| !healthy); // stable: order kept per group
+        // Stable: order kept per group.
+        candidates.sort_by_key(|&(id, healthy)| (q.not_loaded == Some(id), !healthy));
 
         let rr_tenant = q.affinity.is_none().then(|| q.tenant.clone());
         for (id, _) in candidates {
@@ -482,6 +487,8 @@ fn receiver_loop(disp: Arc<Dispatcher>, chan: Arc<Chan>, reader: TcpStream) {
                     // probe loop's reconciler re-loads this one. The
                     // attempts cap still bounds the loop.
                     if is_not_loaded_error(&buf, &q) {
+                        let mut q = q;
+                        q.not_loaded = Some(chan.backend.id);
                         disp.telemetry.add("knn_router_failovers_total", 1);
                         emit_query_span(&disp, &q, "failover", chan.backend.id, "failover");
                         disp.dispatch(q);

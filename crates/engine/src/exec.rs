@@ -23,47 +23,14 @@ use knn_space::{BitVec, Label, LpMetric, OddK};
 
 /// Runs `req` to completion. `effort_budget` is the engine-level logical
 /// budget (`None` = exact everywhere). The ℓ2 region routes run on the lazy,
-/// pruned enumerator; [`execute_opts`] exposes the eager oracle mode.
+/// pruned enumerator; [`execute_phased`] exposes the eager oracle mode.
 pub fn execute(
     data: &EngineData,
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
 ) -> Response {
-    execute_opts(data, artifacts, req, effort_budget, false)
-}
-
-/// [`execute`] with an explicit region-path selector. `eager_l2_regions`
-/// materializes the full Prop 1 decomposition up front ([`RegionCache`]-
-/// backed `*_in` paths) instead of streaming it; the two paths are
-/// byte-identical by construction (same ordering, same pruning), which is
-/// exactly what the oracle tests pin down. Serving should always pass
-/// `false`: eager is `O(n^k)` memory before the first answer.
-pub fn execute_opts(
-    data: &EngineData,
-    artifacts: &ArtifactStore,
-    req: &Request,
-    effort_budget: Option<u64>,
-    eager_l2_regions: bool,
-) -> Response {
-    execute_traced(data, artifacts, req, effort_budget, eager_l2_regions).0
-}
-
-/// [`execute_opts`], also returning the cache-survival guard for answers
-/// that have one (successful `classify` responses carry the per-class
-/// majority order statistics their label was decided by — see
-/// [`knn_delta::guard`]). The engine's cache stores the guard next to the
-/// response so a later epoch can revalidate instead of recomputing.
-pub fn execute_traced(
-    data: &EngineData,
-    artifacts: &ArtifactStore,
-    req: &Request,
-    effort_budget: Option<u64>,
-    eager_l2_regions: bool,
-) -> (Response, Option<ClassifyGuard>) {
-    let (resp, guard, _) =
-        execute_phased(data, artifacts, req, effort_budget, eager_l2_regions, false);
-    (resp, guard)
+    execute_phased(data, artifacts, req, effort_budget, false, false).0
 }
 
 /// Where one execution's time went, as measured by [`execute_phased`].
@@ -83,10 +50,24 @@ pub struct PhaseTimes {
     pub demoted: bool,
 }
 
-/// [`execute_traced`] with the phase clock: when `timed`, the returned
-/// [`PhaseTimes`] carries the planner and solver wall times (zeros
-/// otherwise — the untimed path never reads the clock, keeping disabled
-/// telemetry free).
+/// [`execute`] with an explicit region-path selector, the cache-survival
+/// guard, and the phase clock.
+///
+/// `eager_l2_regions` materializes the full Prop 1 decomposition up front
+/// ([`RegionCache`](knn_core::regions::RegionCache)-backed `*_in` paths)
+/// instead of streaming it; the two paths are byte-identical by
+/// construction (same ordering, same pruning), which is exactly what the
+/// oracle tests pin down. Serving should always pass `false`: eager is
+/// `O(n^k)` memory before the first answer.
+///
+/// The guard is returned for answers that have one (successful `classify`
+/// responses carry the per-class majority order statistics their label was
+/// decided by — see [`knn_delta::guard`]); the engine's cache stores it next
+/// to the response so a later epoch can revalidate instead of recomputing.
+///
+/// When `timed`, the returned [`PhaseTimes`] carries the planner and solver
+/// wall times (zeros otherwise — the untimed path never reads the clock,
+/// keeping disabled telemetry free).
 pub fn execute_phased(
     data: &EngineData,
     artifacts: &ArtifactStore,

@@ -54,6 +54,7 @@ pub mod admission;
 pub mod client;
 pub mod proto;
 pub mod registry;
+pub mod series;
 
 pub use admission::{Admission, AdmissionStats};
 pub use client::Client;
@@ -62,7 +63,6 @@ pub use registry::{Registry, Tenant, TenantStats};
 use knn_engine::bundle::BundleEntry;
 use knn_engine::json::Value;
 use knn_engine::{AuditOutcome, EngineConfig, Request};
-use knn_telemetry::exposition::{push_header, push_sample, series_key};
 use knn_telemetry::{AuditJob, SpanEvent, Telemetry};
 use proto::Command;
 use std::collections::BTreeMap;
@@ -489,409 +489,6 @@ fn run_mutation(
     }
 }
 
-/// Renders the per-tenant engine counters (region enumeration, cache
-/// events, artifact economy, mutations, memory gauges, work accounting,
-/// admission) as Prometheus text series, appended after the telemetry
-/// registry's histograms by the `metrics` verb. Every family carries its
-/// `# HELP` / `# TYPE` headers (the exposition validator rejects headerless
-/// series). Counter values are engine-lifetime; families are emitted in a
-/// fixed order and tenants sorted by name, so the exposition is
-/// deterministic for a given counter state.
-fn engine_series(stats: &[TenantStats], a: AdmissionStats) -> String {
-    let mut out = String::new();
-
-    push_header(&mut out, "knn_engine_epoch", "gauge", "Current dataset version per tenant.");
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_epoch", &[("tenant", &s.name)]),
-            s.engine.epoch,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_region_yields_total",
-        "counter",
-        "Region polyhedra yielded by the lazy enumerator.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_region_yields_total", &[("tenant", &s.name)]),
-            s.engine.regions.yields,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_region_pruned_total",
-        "counter",
-        "Candidate regions pruned, by rule.",
-    );
-    for s in stats {
-        for (rule, n) in [
-            ("empty", s.engine.regions.pruned_empty),
-            ("dominated", s.engine.regions.pruned_dominated),
-            ("memo", s.engine.regions.memo_pruned),
-        ] {
-            push_sample(
-                &mut out,
-                &series_key(
-                    "knn_engine_region_pruned_total",
-                    &[("tenant", &s.name), ("rule", rule)],
-                ),
-                n,
-            );
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_engine_cache_events_total",
-        "counter",
-        "Explanation-cache events, by kind.",
-    );
-    for s in stats {
-        for (event, n) in [
-            ("hit", s.engine.cache.hits),
-            ("miss", s.engine.cache.misses),
-            ("coalesced", s.engine.coalesced),
-            ("revalidated", s.engine.revalidated),
-            ("revalidation_failed", s.engine.revalidation_failed),
-            ("eviction", s.engine.cache.evictions),
-        ] {
-            push_sample(
-                &mut out,
-                &series_key(
-                    "knn_engine_cache_events_total",
-                    &[("tenant", &s.name), ("event", event)],
-                ),
-                n,
-            );
-        }
-    }
-    // Fill installs are deliberately NOT an event kind above: a filled entry
-    // is not a hit (the replica never saw the query) and not a miss (nothing
-    // was computed), so folding it into the hit/miss family would corrupt
-    // hit-rate math once cross-replica fill propagates entries.
-    push_header(
-        &mut out,
-        "knn_engine_cache_fill_total",
-        "counter",
-        "Cache entries installed by cross-replica fill pushes.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_cache_fill_total", &[("tenant", &s.name)]),
-            s.engine.filled,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_artifact_cells_total",
-        "counter",
-        "Artifact cells built fresh vs carried across epochs.",
-    );
-    for s in stats {
-        for (kind, n) in
-            [("built", s.engine.artifacts_built_total), ("carried", s.engine.artifacts_carried)]
-        {
-            push_sample(
-                &mut out,
-                &series_key(
-                    "knn_engine_artifact_cells_total",
-                    &[("tenant", &s.name), ("kind", kind)],
-                ),
-                n,
-            );
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_engine_artifact_build_us_total",
-        "counter",
-        "Cumulative artifact build time, microseconds.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_artifact_build_us_total", &[("tenant", &s.name)]),
-            s.engine.artifact_build_us,
-        );
-    }
-    push_header(&mut out, "knn_engine_mutations_total", "counter", "Applied mutations, by op.");
-    for s in stats {
-        for (op, n) in [("insert", s.engine.inserts), ("remove", s.engine.removes)] {
-            push_sample(
-                &mut out,
-                &series_key("knn_engine_mutations_total", &[("tenant", &s.name), ("op", op)]),
-                n,
-            );
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_engine_bytes",
-        "gauge",
-        "Estimated resident bytes per tenant, by component.",
-    );
-    for s in stats {
-        let r = &s.engine.resources;
-        for (component, n) in [
-            ("dataset", r.dataset_bytes),
-            ("mutation_log", r.log_bytes),
-            ("artifacts", r.artifact_bytes),
-            ("region_memo", r.memo_bytes),
-            ("cache", r.cache_bytes),
-        ] {
-            push_sample(
-                &mut out,
-                &series_key("knn_engine_bytes", &[("tenant", &s.name), ("component", component)]),
-                n,
-            );
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_engine_mutation_log_entries",
-        "gauge",
-        "Mutations retained in the compacted revalidation log.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_mutation_log_entries", &[("tenant", &s.name)]),
-            s.engine.resources.log_len,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_region_memo_entries",
-        "gauge",
-        "Region-memo occupancy (see knn_engine_region_memo_capacity).",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_region_memo_entries", &[("tenant", &s.name)]),
-            s.engine.resources.memo_len,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_region_memo_capacity",
-        "gauge",
-        "Region-memo capacity bound.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_engine_region_memo_capacity", &[("tenant", &s.name)]),
-            s.engine.resources.memo_cap,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_engine_work_total",
-        "counter",
-        "Solver-layer work per tenant and route, by kind.",
-    );
-    for s in stats {
-        for w in &s.work {
-            for (kind, n) in [
-                ("compute", w.computes),
-                ("lp_solve", w.lp_solves),
-                ("qp_solve", w.qp_solves),
-                ("kd_visit", w.kd_visits),
-                ("region_yield", w.region_yields),
-            ] {
-                push_sample(
-                    &mut out,
-                    &series_key(
-                        "knn_engine_work_total",
-                        &[("tenant", &s.name), ("route", &w.route), ("kind", kind)],
-                    ),
-                    n,
-                );
-            }
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_engine_solve_us_total",
-        "counter",
-        "Cumulative solve CPU time per tenant and route, microseconds.",
-    );
-    for s in stats {
-        for w in &s.work {
-            push_sample(
-                &mut out,
-                &series_key(
-                    "knn_engine_solve_us_total",
-                    &[("tenant", &s.name), ("route", &w.route)],
-                ),
-                w.solve_us,
-            );
-        }
-    }
-    push_header(
-        &mut out,
-        "knn_audit_checked_total",
-        "counter",
-        "Shadow-audit re-executions compared against served bytes.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_audit_checked_total", &[("tenant", &s.name)]),
-            s.engine.audit_checked,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_audit_diverged_total",
-        "counter",
-        "Shadow-audit re-executions whose bytes diverged from the served response.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_audit_diverged_total", &[("tenant", &s.name)]),
-            s.engine.audit_diverged,
-        );
-    }
-    push_header(&mut out, "knn_server_requests_total", "counter", "Queries completed per tenant.");
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_server_requests_total", &[("tenant", &s.name)]),
-            s.requests,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_server_errors_total",
-        "counter",
-        "Error responses among completed queries.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_server_errors_total", &[("tenant", &s.name)]),
-            s.errors,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_server_tenant_queued",
-        "gauge",
-        "Queries currently waiting for admission, per tenant.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_server_tenant_queued", &[("tenant", &s.name)]),
-            s.queued,
-        );
-    }
-    push_header(
-        &mut out,
-        "knn_server_tenant_active",
-        "gauge",
-        "Queries currently executing, per tenant.",
-    );
-    for s in stats {
-        push_sample(
-            &mut out,
-            &series_key("knn_server_tenant_active", &[("tenant", &s.name)]),
-            s.active,
-        );
-    }
-    push_header(&mut out, "knn_server_admission_budget", "gauge", "Global worker budget.");
-    push_sample(&mut out, "knn_server_admission_budget", a.budget as u64);
-    push_header(
-        &mut out,
-        "knn_server_admission_waiting",
-        "gauge",
-        "Queries waiting in the global admission queue.",
-    );
-    push_sample(&mut out, "knn_server_admission_waiting", a.waiting as u64);
-    push_header(
-        &mut out,
-        "knn_server_admission_queue_depth",
-        "gauge",
-        "Admission queue depth (waiting; alias of knn_server_admission_waiting).",
-    );
-    push_sample(&mut out, "knn_server_admission_queue_depth", a.waiting as u64);
-    push_header(
-        &mut out,
-        "knn_server_admission_granted_total",
-        "counter",
-        "Admission slots granted over the process lifetime.",
-    );
-    push_sample(&mut out, "knn_server_admission_granted_total", a.granted);
-    out
-}
-
-/// The `admission` and `tenants` members of the `stats` verb — a pure
-/// function of the counter snapshots, so a fixed state renders fixed bytes.
-fn stats_members(stats: &[TenantStats], a: AdmissionStats) -> Vec<(String, Value)> {
-    let num = |n: usize| Value::Number(n as f64);
-    let num64 = |n: u64| Value::Number(n as f64);
-    let admission = Value::Object(vec![
-        ("budget".into(), num(a.budget)),
-        ("available".into(), num(a.available)),
-        ("waiting".into(), num(a.waiting)),
-        ("granted".into(), num64(a.granted)),
-    ]);
-    let tenants: Vec<Value> = stats
-        .iter()
-        .map(|s| {
-            let cache = Value::Object(vec![
-                ("hits".into(), num64(s.engine.cache.hits)),
-                ("misses".into(), num64(s.engine.cache.misses)),
-                ("coalesced".into(), num64(s.engine.coalesced)),
-                ("revalidated".into(), num64(s.engine.revalidated)),
-                ("filled".into(), num64(s.engine.filled)),
-                ("evictions".into(), num64(s.engine.cache.evictions)),
-                ("entries".into(), num(s.engine.cache.entries)),
-                ("capacity".into(), num(s.engine.cache.capacity)),
-            ]);
-            Value::Object(vec![
-                ("name".into(), Value::String(s.name.clone())),
-                ("version".into(), num64(s.engine.epoch)),
-                ("points".into(), num(s.points)),
-                ("points_pos".into(), num(s.points_pos)),
-                ("points_neg".into(), num(s.points_neg)),
-                ("inserts".into(), num64(s.engine.inserts)),
-                ("removes".into(), num64(s.engine.removes)),
-                ("requests".into(), num64(s.requests)),
-                ("errors".into(), num64(s.errors)),
-                ("queued".into(), num64(s.queued)),
-                ("active".into(), num64(s.active)),
-                ("cache".into(), cache),
-                ("inflight".into(), num(s.engine.inflight)),
-                ("artifacts_built".into(), num(s.engine.artifacts_built)),
-                ("artifacts_built_total".into(), num64(s.engine.artifacts_built_total)),
-                ("artifacts_carried".into(), num64(s.engine.artifacts_carried)),
-                ("artifact_build_us".into(), num64(s.engine.artifact_build_us)),
-                ("revalidation_failed".into(), num64(s.engine.revalidation_failed)),
-                ("audit_checked".into(), num64(s.engine.audit_checked)),
-                ("audit_diverged".into(), num64(s.engine.audit_diverged)),
-                (
-                    "regions".into(),
-                    Value::Object(vec![
-                        ("yields".into(), num64(s.engine.regions.yields)),
-                        ("pruned_empty".into(), num64(s.engine.regions.pruned_empty)),
-                        ("pruned_dominated".into(), num64(s.engine.regions.pruned_dominated)),
-                        ("memo_pruned".into(), num64(s.engine.regions.memo_pruned)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    vec![("admission".into(), admission), ("tenants".into(), Value::Array(tenants))]
-}
-
 /// One `top` row per tenant, ranked by estimated bytes (descending, then
 /// name): memory by component, request rate since the previous `top`
 /// scrape, and SLO burn. Feeds the registered SLO objectives a fresh
@@ -913,19 +510,20 @@ fn top_rows(shared: &Arc<Shared>) -> Vec<Value> {
             let dt = now.duration_since(t0).as_secs_f64().max(1e-6);
             let qps = (s.requests.saturating_sub(req0)) as f64 / dt;
             let slo = shared.telemetry.observe_slo(&s.name);
+            // One column per `knn_engine_bytes` component row.
+            let bytes = series::TENANT_ROWS
+                .iter()
+                .filter_map(|row| match row.series {
+                    Some((f, &[(_, component)])) if f.name == series::BYTES.name => {
+                        Some((component.to_string(), num64((row.get)(&s))))
+                    }
+                    _ => None,
+                })
+                .collect();
             let row = Value::Object(vec![
                 ("tenant".into(), Value::String(s.name.clone())),
                 ("bytes_total".into(), num64(r.total_bytes())),
-                (
-                    "bytes".into(),
-                    Value::Object(vec![
-                        ("dataset".into(), num64(r.dataset_bytes)),
-                        ("mutation_log".into(), num64(r.log_bytes)),
-                        ("artifacts".into(), num64(r.artifact_bytes)),
-                        ("region_memo".into(), num64(r.memo_bytes)),
-                        ("cache".into(), num64(r.cache_bytes)),
-                    ]),
-                ),
+                ("bytes".into(), Value::Object(bytes)),
                 ("requests".into(), num64(s.requests)),
                 ("qps".into(), Value::Number((qps * 100.0).round() / 100.0)),
                 (
@@ -1067,7 +665,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                 ("health".into(), Value::String("ok".into())),
                 ("uptime_ms".into(), num64(shared.started.elapsed().as_millis() as u64)),
             ];
-            members.extend(stats_members(&tenants, shared.admission.stats()));
+            members.extend(series::stats_members(&tenants, &shared.admission.stats()));
             (proto::ok_line(id, members), false)
         }
         Command::Metrics => {
@@ -1077,7 +675,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
             let mut text = shared.telemetry.render();
             let tenants: Vec<TenantStats> =
                 shared.registry.list().iter().map(|t| t.stats()).collect();
-            text.push_str(&engine_series(&tenants, shared.admission.stats()));
+            text.push_str(&series::render_metrics(&tenants, &shared.admission.stats()));
             (proto::ok_line(id, vec![("metrics".into(), Value::String(text))]), false)
         }
         Command::Top => {
@@ -1391,7 +989,7 @@ mod tests {
     #[test]
     fn stats_and_metrics_keep_every_golden_member_and_sample() {
         let (tenants, admission) = synthetic_state();
-        let stats = Value::Object(stats_members(&tenants, admission));
+        let stats = Value::Object(series::stats_members(&tenants, &admission));
         let golden =
             knn_engine::json::parse_bytes(include_bytes!("../testdata/stats.json")).unwrap();
         let (mut want, mut got) = (BTreeMap::new(), BTreeMap::new());
@@ -1402,7 +1000,7 @@ mod tests {
             assert_eq!(got.get(path), Some(v), "stats member {path}");
         }
 
-        let text = engine_series(&tenants, admission);
+        let text = series::render_metrics(&tenants, &admission);
         let now = knn_telemetry::exposition::parse(&text);
         let golden = knn_telemetry::exposition::parse(include_str!("../testdata/metrics.txt"));
         assert!(!golden.is_empty());
@@ -1728,7 +1326,7 @@ mod tests {
             r#"knn_engine_bytes{tenant="toy",component="cache"}"#,
             r#"knn_engine_work_total{tenant="toy",route="#,
             r#"knn_engine_mutation_log_entries{tenant="toy"}"#,
-            "knn_server_admission_queue_depth",
+            "knn_server_admission_waiting",
             r#"knn_server_tenant_active{tenant="toy"}"#,
             r#"knn_slo_burn{tenant="toy"}"#,
             "# HELP knn_engine_bytes",
@@ -1739,6 +1337,29 @@ mod tests {
 
         // Accounting is out-of-band: the warmed query answers byte-identically.
         assert_eq!(c.roundtrip(q).unwrap(), before);
+        handle.shutdown();
+    }
+
+    /// Every family a live server exposes declares how the router merges
+    /// it — a new series cannot ship without a rule.
+    #[test]
+    fn every_served_family_declares_a_merge_rule() {
+        let handle = spawn_server();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        c.roundtrip(r#"{"verb":"slo","name":"toy","quantile":0.5,"threshold_us":1}"#).unwrap();
+        let q = r#"{"dataset":"toy","cmd":"counterfactual","metric":"hamming","point":[1,0,1]}"#;
+        assert!(c.roundtrip(q).unwrap().contains(r#""ok":true"#));
+        let m = c.roundtrip(r#"{"verb":"metrics"}"#).unwrap();
+        let parsed = knn_engine::json::parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
+        let families: Vec<&str> =
+            text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        for family in ["knn_request_duration_us_max", "knn_slo_burn", "knn_engine_epoch"] {
+            assert!(families.contains(&family), "{family} missing:\n{text}");
+        }
+        for family in families {
+            assert!(series::merge_rule(family).is_some(), "{family} declares no merge rule");
+        }
         handle.shutdown();
     }
 

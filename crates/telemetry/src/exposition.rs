@@ -1,18 +1,76 @@
-//! Prometheus text exposition: rendering, a total parser, and the
-//! bucket-wise merge the router uses.
+//! Prometheus text exposition: family declarations, rendering, a total
+//! parser, and the key-wise merge the router uses.
 //!
 //! The format subset used here is one line per sample —
 //! `name{label="value",...} number` (labels optional) — plus `# `-prefixed
-//! comments. Because every histogram in the stack has the same 32 log2
-//! buckets and always renders **all** of them (cumulative, with identical
-//! `le` edges), merging expositions from several processes reduces to a
-//! key-wise fold over series lines: sum everything, except series whose
-//! metric name ends in `_max`, which take the max. That fold is exact —
-//! the merged text equals what one process observing all the traffic
-//! would have rendered.
+//! comments. Every family is declared once as a [`Family`]: its name, TYPE,
+//! HELP, and the [`Merge`] rule that folds its samples across processes.
+//! Because every histogram in the stack has the same 32 log2 buckets and
+//! always renders **all** of them (cumulative, with identical `le` edges),
+//! merging expositions reduces to a key-wise fold over series lines by each
+//! family's declared rule. For counters and histograms that fold is exact —
+//! the merged text equals what one process observing all the traffic would
+//! have rendered.
 
 use crate::{bucket_upper, HistogramSnapshot, BUCKETS};
 use std::collections::BTreeMap;
+
+/// How one family's samples from several processes fold into one value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// Add them: counters, histogram buckets, and gauges whose replicas
+    /// each hold a share (resident bytes, queue depths).
+    Sum,
+    /// Keep the largest: gauges every replica reports about the same thing
+    /// (a dataset version, an SLO burn rate, an exact maximum).
+    Max,
+}
+
+impl Merge {
+    /// Folds `v` into the accumulated `acc`.
+    pub fn fold(self, acc: f64, v: f64) -> f64 {
+        match self {
+            Merge::Sum => acc + v,
+            Merge::Max => acc.max(v),
+        }
+    }
+}
+
+/// One metric family, declared once: the single source of its exposition
+/// headers and of its cross-process merge rule.
+#[derive(Clone, Copy, Debug)]
+pub struct Family {
+    /// The metric name (histogram sample suffixes excluded).
+    pub name: &'static str,
+    /// The `# TYPE` kind: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// How the router folds this family's samples across backends.
+    pub merge: Merge,
+}
+
+impl Family {
+    /// A monotonic counter (sums across processes).
+    pub const fn counter(name: &'static str, help: &'static str) -> Family {
+        Family { name, kind: "counter", help, merge: Merge::Sum }
+    }
+
+    /// A point-in-time gauge with an explicit merge rule.
+    pub const fn gauge(name: &'static str, help: &'static str, merge: Merge) -> Family {
+        Family { name, kind: "gauge", help, merge }
+    }
+
+    /// A log2 histogram (buckets, sum and count sum across processes).
+    pub const fn histogram(name: &'static str, help: &'static str) -> Family {
+        Family { name, kind: "histogram", help, merge: Merge::Sum }
+    }
+
+    /// Appends this family's `# HELP` / `# TYPE` header pair.
+    pub fn push_header(&self, out: &mut String) {
+        push_header(out, self.name, self.kind, self.help);
+    }
+}
 
 /// Escapes a label value per the exposition format (`\` → `\\`, `"` →
 /// `\"`, newline → `\n`).
@@ -192,14 +250,14 @@ pub fn push_header(out: &mut String, family: &str, kind: &str, help: &str) {
     out.push('\n');
 }
 
-/// Merges several expositions key-wise: series whose metric name ends in
-/// `_max` take the max, everything else sums. Output is one sorted sample
-/// line per key (whole numbers render without a decimal point), with each
-/// family's `# HELP` / `# TYPE` headers — first-seen across the inputs —
-/// emitted exactly once, immediately before the family's first sample.
-/// Families whose inputs carried no headers stay headerless (the merge
-/// never invents metadata).
-pub fn merge(texts: &[String]) -> String {
+/// Merges several expositions key-wise, each series folded by
+/// `rule(family)` — the family's declared [`Merge`]; the rule is never
+/// inferred from the name. Output is one sorted sample line per key (whole
+/// numbers render without a decimal point), with each family's `# HELP` /
+/// `# TYPE` headers — first-seen across the inputs — emitted exactly once,
+/// immediately before the family's first sample. Families whose inputs
+/// carried no headers stay headerless (the merge never invents metadata).
+pub fn merge(texts: &[String], rule: impl Fn(&str) -> Merge) -> String {
     let mut acc: BTreeMap<String, f64> = BTreeMap::new();
     let mut help: BTreeMap<String, String> = BTreeMap::new();
     let mut kind: BTreeMap<String, String> = BTreeMap::new();
@@ -216,15 +274,8 @@ pub fn merge(texts: &[String]) -> String {
             }
         }
         for (key, v) in parse(text) {
-            acc.entry(key.clone())
-                .and_modify(|cur| {
-                    if metric_name(&key).ends_with("_max") {
-                        *cur = cur.max(v);
-                    } else {
-                        *cur += v;
-                    }
-                })
-                .or_insert(v);
+            let merge = rule(family_of(&key));
+            acc.entry(key).and_modify(|cur| *cur = merge.fold(*cur, v)).or_insert(v);
         }
     }
     let mut out = String::new();
@@ -252,6 +303,16 @@ pub fn merge(texts: &[String]) -> String {
 mod tests {
     use super::*;
     use crate::Histogram;
+
+    /// The rule the tests declare: histogram `_max` companions keep the
+    /// max, everything else sums.
+    fn rule(family: &str) -> Merge {
+        if family.ends_with("_max") {
+            Merge::Max
+        } else {
+            Merge::Sum
+        }
+    }
 
     #[test]
     fn series_keys_escape_labels() {
@@ -329,7 +390,7 @@ mod tests {
             render_histogram(&mut s, "knn_request_duration_us", &[("tenant", "d")], &h.snapshot());
             s
         };
-        let merged = merge(&[render(&a), render(&b)]);
+        let merged = merge(&[render(&a), render(&b)], rule);
         // `merge` normalizes to sorted order, so compare through `parse`.
         assert_eq!(parse(&merged), parse(&render(&all)));
         validate(&merged).unwrap();
@@ -339,8 +400,12 @@ mod tests {
         assert_eq!(merged.matches("# TYPE knn_request_duration_us_max gauge").count(), 1);
         // And counters sum while _max takes the max; headerless inputs
         // merge to headerless output (the merge invents no metadata).
-        let m = merge(&["c_total 2\nm_max 9\n".into(), "c_total 3\nm_max 4\n".into()]);
+        let m = merge(&["c_total 2\nm_max 9\n".into(), "c_total 3\nm_max 4\n".into()], rule);
         assert_eq!(m, "c_total 5\nm_max 9\n");
+        // The rule is the declared one, not the name: a gauge declared Max
+        // keeps the max even without the suffix.
+        let epoch = |f: &str| if f == "epoch" { Merge::Max } else { rule(f) };
+        assert_eq!(merge(&["epoch 3\n".into(), "epoch 3\n".into()], epoch), "epoch 3\n");
     }
 
     #[test]
@@ -362,15 +427,15 @@ mod tests {
             mk(&[7, 7, 40_000], "# HELP c_total other help\n# TYPE c_total counter\nc_total 5\n");
         let z = mk(&[1_000_000], "");
         // Commutative: any permutation parses identically.
-        let base = parse(&merge(&[x.clone(), y.clone(), z.clone()]));
+        let base = parse(&merge(&[x.clone(), y.clone(), z.clone()], rule));
         for perm in [[&y, &x, &z], [&z, &y, &x], [&x, &z, &y]] {
-            let m = merge(&[perm[0].clone(), perm[1].clone(), perm[2].clone()]);
+            let m = merge(&[perm[0].clone(), perm[1].clone(), perm[2].clone()], rule);
             assert_eq!(parse(&m), base);
             validate(&m).unwrap();
         }
         // Associative: merge(merge(x, y), z) == merge(x, merge(y, z)).
-        let left = merge(&[merge(&[x.clone(), y.clone()]), z.clone()]);
-        let right = merge(&[x.clone(), merge(&[y.clone(), z.clone()])]);
+        let left = merge(&[merge(&[x.clone(), y.clone()], rule), z.clone()], rule);
+        let right = merge(&[x.clone(), merge(&[y.clone(), z.clone()], rule)], rule);
         assert_eq!(parse(&left), parse(&right));
         assert_eq!(parse(&left), base);
     }

@@ -47,6 +47,7 @@ pub use recorder::Recorder;
 pub use slo::{SloObjective, SloRegistry, SloStatus};
 pub use span::{SpanCtx, SpanEvent};
 
+use exposition::{Family, Merge};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -338,6 +339,46 @@ pub struct SlowQuery {
 
 type LabeledHists = RwLock<BTreeMap<String, BTreeMap<String, Arc<Histogram>>>>;
 
+/// End-to-end latency histogram, per (tenant, route).
+pub const REQUEST_DURATION: Family = Family::histogram(
+    "knn_request_duration_us",
+    "End-to-end request latency by tenant and route, microseconds.",
+);
+/// Per-phase latency histogram, per (tenant, phase).
+pub const PHASE_DURATION: Family =
+    Family::histogram("knn_phase_duration_us", "Per-phase execution time by tenant, microseconds.");
+/// Help text of every histogram's `_max` companion gauge.
+const MAX_HELP: &str = "Exact maximum of the observations in the sibling histogram.";
+/// The exact-max companion of [`REQUEST_DURATION`]: a maximum merges by max.
+pub const REQUEST_DURATION_MAX: Family =
+    Family::gauge("knn_request_duration_us_max", MAX_HELP, Merge::Max);
+/// The exact-max companion of [`PHASE_DURATION`].
+pub const PHASE_DURATION_MAX: Family =
+    Family::gauge("knn_phase_duration_us_max", MAX_HELP, Merge::Max);
+/// Headline SLO burn per tenant. Every replica burns against the same
+/// objective, so the worst one defines the tenant's health: max, as the
+/// `top` and `slo` verbs merge it.
+pub const SLO_BURN: Family = Family::gauge(
+    "knn_slo_burn",
+    "Error-budget burn rate, max of short and long windows (1.0 = on budget).",
+    Merge::Max,
+);
+/// Observation windows that broke a tenant's SLO objective.
+pub const SLO_VIOLATIONS: Family = Family::counter(
+    "knn_slo_violations_total",
+    "Observation windows whose attained quantile broke the objective.",
+);
+/// Every family a serving process's [`Telemetry::render`] can emit (the
+/// free-form histograms and counters are the router's own, never merged).
+pub const FAMILIES: &[Family] = &[
+    REQUEST_DURATION,
+    REQUEST_DURATION_MAX,
+    PHASE_DURATION,
+    PHASE_DURATION_MAX,
+    SLO_BURN,
+    SLO_VIOLATIONS,
+];
+
 /// The per-process telemetry registry. See the crate docs.
 ///
 /// All recording methods early-return when the registry is disabled (the
@@ -575,58 +616,34 @@ impl Telemetry {
     /// first sample (the `_max` companion of each histogram is its own
     /// gauge family); an empty registry still renders to the empty string.
     pub fn render(&self) -> String {
-        let histogram_headers = |out: &mut String, name: &str, help: &str| {
-            exposition::push_header(out, name, "histogram", help);
-            exposition::push_header(
-                out,
-                &format!("{name}_max"),
-                "gauge",
-                "Exact maximum of the observations in the sibling histogram.",
-            );
+        let labeled = |out: &mut String,
+                       map: &LabeledHists,
+                       (family, max): (&Family, &Family),
+                       label: &str| {
+            let map = map.read().unwrap();
+            if map.values().all(BTreeMap::is_empty) {
+                return;
+            }
+            family.push_header(out);
+            max.push_header(out);
+            for (tenant, m) in map.iter() {
+                for (value, h) in m.iter() {
+                    let labels = [("tenant", tenant.as_str()), (label, value.as_str())];
+                    exposition::render_histogram(out, family.name, &labels, &h.snapshot());
+                }
+            }
         };
         let mut out = String::new();
-        {
-            let routes = self.routes.read().unwrap();
-            if routes.values().any(|m| !m.is_empty()) {
-                histogram_headers(
-                    &mut out,
-                    "knn_request_duration_us",
-                    "End-to-end request latency by tenant and route, microseconds.",
-                );
-                for (tenant, m) in routes.iter() {
-                    for (route, h) in m.iter() {
-                        exposition::render_histogram(
-                            &mut out,
-                            "knn_request_duration_us",
-                            &[("tenant", tenant), ("route", route)],
-                            &h.snapshot(),
-                        );
-                    }
-                }
-            }
-        }
-        {
-            let phases = self.phases.read().unwrap();
-            if phases.values().any(|m| !m.is_empty()) {
-                histogram_headers(
-                    &mut out,
-                    "knn_phase_duration_us",
-                    "Per-phase execution time by tenant, microseconds.",
-                );
-                for (tenant, m) in phases.iter() {
-                    for (phase, h) in m.iter() {
-                        exposition::render_histogram(
-                            &mut out,
-                            "knn_phase_duration_us",
-                            &[("tenant", tenant), ("phase", phase)],
-                            &h.snapshot(),
-                        );
-                    }
-                }
-            }
-        }
+        labeled(&mut out, &self.routes, (&REQUEST_DURATION, &REQUEST_DURATION_MAX), "route");
+        labeled(&mut out, &self.phases, (&PHASE_DURATION, &PHASE_DURATION_MAX), "phase");
         for (name, h) in self.named.read().unwrap().iter() {
-            histogram_headers(&mut out, name, "Free-form latency histogram, microseconds.");
+            exposition::push_header(
+                &mut out,
+                name,
+                "histogram",
+                "Free-form latency histogram, microseconds.",
+            );
+            exposition::push_header(&mut out, &format!("{name}_max"), "gauge", MAX_HELP);
             exposition::render_histogram(&mut out, name, &[], &h.snapshot());
         }
         {
@@ -657,34 +674,16 @@ impl Telemetry {
         {
             let statuses = self.slo.all_status();
             if !statuses.is_empty() {
-                exposition::push_header(
-                    &mut out,
-                    "knn_slo_burn",
-                    "gauge",
-                    "Error-budget burn rate, max of short and long windows (1.0 = on budget).",
-                );
+                SLO_BURN.push_header(&mut out);
                 for st in &statuses {
-                    out.push_str(&exposition::series_key(
-                        "knn_slo_burn",
-                        &[("tenant", &st.tenant)],
-                    ));
-                    out.push_str(&format!(" {:.4}\n", st.burn));
+                    let key = exposition::series_key(SLO_BURN.name, &[("tenant", &st.tenant)]);
+                    out.push_str(&format!("{key} {:.4}\n", st.burn));
                 }
-                exposition::push_header(
-                    &mut out,
-                    "knn_slo_violations_total",
-                    "counter",
-                    "Observation windows whose attained quantile broke the objective.",
-                );
+                SLO_VIOLATIONS.push_header(&mut out);
                 for st in &statuses {
-                    exposition::push_sample(
-                        &mut out,
-                        &exposition::series_key(
-                            "knn_slo_violations_total",
-                            &[("tenant", &st.tenant)],
-                        ),
-                        st.violations,
-                    );
+                    let key =
+                        exposition::series_key(SLO_VIOLATIONS.name, &[("tenant", &st.tenant)]);
+                    exposition::push_sample(&mut out, &key, st.violations);
                 }
             }
         }
@@ -819,7 +818,7 @@ mod tests {
         t.record_phase("demo", "solve", 17);
         t.record_named("knn_router_probe_round_us", 5);
         t.add("knn_router_dispatches_total", 2);
-        t.add("knn_server_admission_queue_depth", 3);
+        t.add("knn_test_queue_depth", 3);
         t.slo().set("demo", SloObjective { quantile: 0.5, threshold_us: 1, windows: 2 }).unwrap();
         t.observe_slo("demo").unwrap();
         let text = t.render();
@@ -836,7 +835,7 @@ mod tests {
             "knn_phase_duration_us",
             "knn_router_probe_round_us",
             "knn_router_dispatches_total",
-            "knn_server_admission_queue_depth",
+            "knn_test_queue_depth",
             "knn_slo_burn",
             "knn_slo_violations_total",
         ] {
@@ -844,7 +843,7 @@ mod tests {
             assert_eq!(text.matches(&format!("# TYPE {family} ")).count(), 1, "{family}");
         }
         assert!(text.contains("# TYPE knn_router_dispatches_total counter"));
-        assert!(text.contains("# TYPE knn_server_admission_queue_depth gauge"));
+        assert!(text.contains("# TYPE knn_test_queue_depth gauge"));
         // The 42µs observation broke the 1µs p50 objective.
         assert!(text.contains("knn_slo_violations_total{tenant=\"demo\"} 1"));
         assert!(text.contains("knn_slo_burn{tenant=\"demo\"} 2.0000"));

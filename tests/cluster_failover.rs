@@ -227,7 +227,9 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
     use std::net::TcpListener;
 
     // Protocol-shaped impostor: acks control verbs (so load/probes accept
-    // it), then hangs up on the first query line without answering it.
+    // it, and its `stats` shows the tenant at the router's version, so the
+    // reconciler never demotes it mid-test), then hangs up on the first
+    // query line without answering it.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let fake_addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
@@ -244,7 +246,8 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
                         Ok(_) => {}
                     }
                     if line.windows(6).any(|w| w == b"\"verb\"") {
-                        if out.write_all(b"{\"id\":\"x\",\"ok\":true}\n").is_err() {
+                        let ack = b"{\"id\":\"x\",\"ok\":true,\"tenants\":[{\"name\":\"hot\",\"version\":0}]}\n";
+                        if out.write_all(ack).is_err() {
                             return;
                         }
                     } else {
