@@ -2144,6 +2144,52 @@ mod tests {
         b1.shutdown();
     }
 
+    /// Every control verb goes through the one fan-out, so a healthy
+    /// backend answering garbage is counted as a failed scrape whichever
+    /// verb asked — not just `metrics`.
+    #[test]
+    fn every_control_verb_counts_failed_scrapes() {
+        use std::io::{BufRead, Write};
+        let garbage = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let garbage_addr = garbage.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in garbage.incoming() {
+                let Ok(stream) = stream else { break };
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(stream.try_clone().unwrap());
+                    let mut out = stream;
+                    let mut line = String::new();
+                    while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                        line.clear();
+                        if out.write_all(b"not json\n").is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        let b0 = backend();
+        let config = RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() };
+        let router = Router::bind("127.0.0.1:0", config).unwrap();
+        router.attach(b0.addr());
+        router.attach(garbage_addr);
+        router.load("toy", LoadSource::Text(BOOL), None).unwrap();
+        let handle = router.spawn();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for verb in ["stats", "top", "slow", "dump", "audit"] {
+            let resp = c.roundtrip(&format!(r#"{{"verb":"{verb}"}}"#)).unwrap();
+            assert!(resp.contains(r#""ok":true"#), "{verb}: {resp}");
+        }
+        let m = c.roundtrip(r#"{"verb":"metrics"}"#).unwrap();
+        let parsed = parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
+        let failures = exposition::parse(text).get("knn_router_scrape_failures_total").copied();
+        // The five verbs above, plus this metrics scrape itself.
+        assert_eq!(failures, Some(6.0), "{text}");
+        handle.shutdown();
+        b0.shutdown();
+    }
+
     /// The distributed forensics plane: a traced query answers
     /// byte-identically to an untraced one, and `trace <id>` through the
     /// router returns ONE stitched tree — the router's `dispatch` span,
