@@ -13,31 +13,29 @@
 //! exhaustive tests at the bottom of this module.
 
 use knn_num::Field;
-use knn_space::{BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, OddK};
+use knn_space::{BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, OddK, SmallestK};
 
 /// Picks the label according to the optimistic rule given per-point
 /// `(distance key, label)` pairs. Distance keys only need `PartialOrd`, so
-/// p-th powers of distances (exact over `Rat`) are fine.
-pub(crate) fn optimistic_label<D: PartialOrd + Clone>(
+/// p-th powers of distances (exact over `Rat`) are fine. One pass keeps the
+/// `maj` smallest keys per class ([`SmallestK`]); nothing else is stored or
+/// sorted.
+pub(crate) fn optimistic_label<D: PartialOrd>(
     dists: impl Iterator<Item = (D, Label)>,
     k: OddK,
 ) -> Label {
     let maj = k.majority();
-    let mut pos: Vec<D> = Vec::new();
-    let mut neg: Vec<D> = Vec::new();
+    let mut pos = SmallestK::new(maj);
+    let mut neg = SmallestK::new(maj);
     for (d, l) in dists {
         match l {
             Label::Positive => pos.push(d),
             Label::Negative => neg.push(d),
         }
     }
-    let sort =
-        |v: &mut Vec<D>| v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    sort(&mut pos);
-    sort(&mut neg);
-    match (pos.get(maj - 1), neg.get(maj - 1)) {
+    match (pos.kth(), neg.kth()) {
         (Some(rp), Some(rn)) => {
-            if rp.partial_cmp(rn) != Some(std::cmp::Ordering::Greater) {
+            if rp.partial_cmp(&rn) != Some(std::cmp::Ordering::Greater) {
                 Label::Positive
             } else {
                 Label::Negative

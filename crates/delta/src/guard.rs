@@ -40,7 +40,7 @@ use knn_space::{Label, LpMetric};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GuardMetric {
     /// ℓp with the given exponent; statistics are p-th *powers* of
-    /// distances (the KD-tree's comparison key).
+    /// distances (the class scans' comparison key).
     LpPow(u32),
     /// Hamming over {0,1}ⁿ; statistics are bit-flip counts.
     Hamming,

@@ -10,7 +10,7 @@ use knn_space::{ContinuousDataset, Label};
 /// at every epoch, [`VersionedDataset::to_text`] serializes to a dataset
 /// file whose fresh parse is point-for-point, order-for-order identical to
 /// the live dataset. Inserts append; removals shift later points down.
-/// Every order-sensitive computation downstream (KD-tree construction,
+/// Every order-sensitive computation downstream (class-index rows,
 /// region enumeration, witness selection) therefore sees the same input a
 /// freshly loaded engine would, which is what makes a fresh load the
 /// byte-level oracle for a mutated engine.

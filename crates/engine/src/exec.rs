@@ -348,27 +348,25 @@ fn bits_to_f64(bits: &BitVec) -> Vec<f64> {
     bits.iter().map(|b| if b { 1.0 } else { 0.0 }).collect()
 }
 
-/// The optimistic rule via per-class maj-NN probes: positive wins iff its
-/// maj-th order statistic is ≤ the negative one (ties positive, §2). The
-/// statistics are returned with the label — they are exactly the survival
-/// certificate the cache's [`ClassifyGuard`] revalidates against.
+/// The optimistic rule via per-class order statistics: positive wins iff
+/// its maj-th smallest distance is ≤ the negative one (ties positive, §2).
+/// A class with fewer than `maj` points — its size read off its index —
+/// has no statistic. The statistics are returned with the label — they are
+/// exactly the survival certificate the cache's [`ClassifyGuard`]
+/// revalidates against.
 fn classify_hamming_indexed(
     data: &EngineData,
     artifacts: &ArtifactStore,
     bx: &BitVec,
     k: OddK,
 ) -> (Label, Option<usize>, Option<usize>) {
-    let maj = k.majority();
-    let ds = data.boolean.as_ref().expect("checked by caller");
-    let pos_stat = (ds.count_of(Label::Positive) >= maj)
-        .then(|| artifacts.hamming_class_index(data, Label::Positive).knn(bx, maj)[maj - 1].1);
-    let neg_stat = (ds.count_of(Label::Negative) >= maj)
-        .then(|| artifacts.hamming_class_index(data, Label::Negative).knn(bx, maj)[maj - 1].1);
+    let stat = |label| artifacts.hamming_class_index(data, label).kth_smallest(bx, k.majority());
+    let (pos_stat, neg_stat) = (stat(Label::Positive), stat(Label::Negative));
     (optimistic_from_stats(pos_stat, neg_stat), pos_stat, neg_stat)
 }
 
 /// Continuous analogue of [`classify_hamming_indexed`], comparing p-th-power
-/// distance keys from the per-class KD-trees.
+/// distance keys from the per-class ℓp scans.
 fn classify_continuous_indexed(
     data: &EngineData,
     artifacts: &ArtifactStore,
@@ -376,11 +374,8 @@ fn classify_continuous_indexed(
     p: u32,
     k: OddK,
 ) -> (Label, Option<f64>, Option<f64>) {
-    let maj = k.majority();
-    let pos_stat = (data.continuous.count_of(Label::Positive) >= maj)
-        .then(|| artifacts.kd_class_index(data, p, Label::Positive).knn(x, maj)[maj - 1].1);
-    let neg_stat = (data.continuous.count_of(Label::Negative) >= maj)
-        .then(|| artifacts.kd_class_index(data, p, Label::Negative).knn(x, maj)[maj - 1].1);
+    let stat = |label| artifacts.kd_class_index(data, p, label).kth_smallest(x, k.majority());
+    let (pos_stat, neg_stat) = (stat(Label::Positive), stat(Label::Negative));
     (optimistic_from_stats(pos_stat, neg_stat), pos_stat, neg_stat)
 }
 

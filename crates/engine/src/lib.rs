@@ -42,8 +42,9 @@
 //! differential contract `prop_mutation.rs` pins), because mutations
 //! preserve point order and invalidation is conservative:
 //!
-//! * per-class neighbor indexes are carried across the epoch for the class
-//!   the mutation did not touch ([`ArtifactStore::carry_over`]);
+//! * per-class neighbor indexes are carried across the epoch: the untouched
+//!   class's as they are, the mutated class's patched by one row
+//!   ([`ArtifactStore::carry_over`]);
 //! * region artifacts drop on any mutation (they mix both classes);
 //! * cached explanations are epoch-tagged and lazily evicted; cached
 //!   `classify` answers carry a [`knn_delta::ClassifyGuard`] and are
@@ -311,7 +312,7 @@ pub struct RouteWorkSnapshot {
     pub lp_solves: u64,
     /// QP projections onto Prop 1 polyhedra.
     pub qp_solves: u64,
-    /// KD-tree nodes visited.
+    /// KD-tree nodes visited (0 on the classify routes, which scan).
     pub kd_visits: u64,
     /// Region polyhedra yielded by the lazy enumerator.
     pub region_yields: u64,
@@ -617,14 +618,15 @@ impl ExplanationEngine {
 
     /// Applies one mutation, bumping the epoch. Acts as a barrier against
     /// batches: a batch snapshots its serving view once, so it sees this
-    /// mutation entirely or not at all. Invalidation is selective — the
-    /// untouched class's neighbor indexes carry over; region artifacts
-    /// drop; epoch-tagged cache entries revalidate or lazily evict.
+    /// mutation entirely or not at all. Invalidation is selective — class
+    /// indexes carry over (the mutated class's patched by one row); region
+    /// artifacts drop; epoch-tagged cache entries revalidate or lazily
+    /// evict.
     pub fn apply(&self, m: Mutation) -> Result<MutationReceipt, String> {
         let apply_started = self.telemetry.is_enabled().then(Instant::now);
         let mut st = self.state.lock().unwrap();
         m.validate(&st.data.continuous)?;
-        // Incremental epoch-view derivation (O(n) clone + O(d) update) —
+        // Incremental epoch-view derivation (O(n) copy + O(d) update) —
         // `with_*` semantics are pinned to `from_continuous` re-derivation.
         // Removals capture the departing point *before* the view swings: the
         // log (and through it guard revalidation) needs it afterwards.
@@ -641,7 +643,7 @@ impl ExplanationEngine {
             }
         };
         let data = Arc::new(data);
-        st.artifacts = Arc::new(st.artifacts.carry_over(applied.label()));
+        st.artifacts = Arc::new(st.artifacts.carry_over(&st.data, &applied));
         st.data = data.clone();
         st.log.push(applied);
         // Nothing reads farther back than the revalidation window; dropping
@@ -1493,27 +1495,42 @@ mod tests {
         assert_eq!((s.epoch, s.inserts, s.removes), (4, 2, 2));
     }
 
-    /// Selective invalidation: mutating one class never rebuilds the other
-    /// class's neighbor indexes — pinned via the `artifacts_built` counter.
+    /// Patched class indexes: a mutation carries every class index into the
+    /// next epoch — the untouched class's as is, the mutated class's with
+    /// one row appended or removed — so the next classify builds nothing.
+    /// Pinned via the live `artifacts_built` gauge and the lifetime
+    /// built/carried counters.
     #[test]
     fn mutation_invalidates_only_the_touched_class_indexes() {
         // Cache off: a revalidated classify hit would (correctly) dodge the
-        // index rebuild this test wants to observe.
+        // index lookups this test wants to observe.
         let e = engine(EngineConfig { cache_capacity: 0, ..EngineConfig::default() });
-        e.run(&req(r#"{"cmd":"classify","metric":"l2","point":[0.9,0.2,0.4]}"#));
-        e.run(&req(r#"{"cmd":"classify","metric":"hamming","point":[1,0,0]}"#));
-        assert_eq!(e.stats().artifacts_built, 4, "both classes' KD + Hamming indexes warm");
+        let l2 = req(r#"{"cmd":"classify","metric":"l2","point":[0.9,0.2,0.4]}"#);
+        let hamming = req(r#"{"cmd":"classify","metric":"hamming","point":[1,0,0]}"#);
+        e.run(&l2);
+        e.run(&hamming);
+        let s = e.stats();
+        assert_eq!(s.artifacts_built, 4, "both classes' ℓ2 + Hamming scans warm");
+        assert_eq!((s.artifacts_built_total, s.artifacts_carried), (4, 0));
 
         e.apply(Mutation::Insert { point: vec![1.0, 1.0, 1.0], label: knn_space::Label::Positive })
             .unwrap();
-        assert_eq!(
-            e.stats().artifacts_built,
-            2,
-            "the negative class's indexes survive the positive-class insert"
-        );
-        e.run(&req(r#"{"cmd":"classify","metric":"l2","point":[0.9,0.2,0.4]}"#));
-        e.run(&req(r#"{"cmd":"classify","metric":"hamming","point":[1,0,0]}"#));
-        assert_eq!(e.stats().artifacts_built, 4, "only the positive-class indexes rebuilt");
+        let s = e.stats();
+        assert_eq!(s.artifacts_built, 4, "every class index crosses the epoch");
+        assert_eq!((s.artifacts_built_total, s.artifacts_carried), (4, 4));
+        e.run(&l2);
+        e.run(&hamming);
+        assert_eq!(e.stats().artifacts_built_total, 4, "the next classify builds nothing");
+
+        // A non-0/1 insert takes the boolean view, and the Hamming scans
+        // with it; the ℓ2 scans are patched as before.
+        e.apply(Mutation::Insert { point: vec![0.5, 1.0, 1.0], label: knn_space::Label::Negative })
+            .unwrap();
+        let s = e.stats();
+        assert_eq!(s.artifacts_built, 2);
+        assert_eq!((s.artifacts_built_total, s.artifacts_carried), (4, 6));
+        e.run(&l2);
+        assert_eq!(e.stats().artifacts_built_total, 4);
     }
 
     /// Guarded classify entries cross benign epochs as cache hits; entries
@@ -1622,7 +1639,7 @@ mod tests {
 
         let s = e.stats().resources;
         assert!(s.cache_bytes > 0, "cached entry weighs in");
-        assert!(s.artifact_bytes > 0, "built KD artifacts weigh in");
+        assert!(s.artifact_bytes > 0, "built artifacts weigh in");
         assert!(s.total_bytes() >= s.dataset_bytes + s.cache_bytes);
         let work = e.work_stats();
         assert_eq!(work.len(), 1, "one route exercised: {work:?}");

@@ -20,9 +20,9 @@ use crate::request::{Metric, QueryKind, Request};
 /// A concrete algorithm choice for one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Route {
-    /// Optimistic label via the per-class Hamming indexes.
+    /// Optimistic label via the per-class Hamming scans.
     ClassifyHamming,
-    /// Optimistic label via the per-class KD-trees (any ℓp).
+    /// Optimistic label via the per-class ℓp scans (any ℓp).
     ClassifyContinuous,
     /// Check-SR(ℝ, ℓ2): LP feasibility over the lazily-enumerated Prop 1
     /// regions (nearest-anchor-first, pruned, memoized per visit).

@@ -12,6 +12,9 @@
 //!   closure, pruning through the triangle inequality.
 //! * [`HammingIndex`] — bit-packed linear scan with per-word popcount and
 //!   early abort; the discrete-setting workhorse.
+//! * [`LpScan`] / [`HammingScan`] — flat per-class scans answering one
+//!   order statistic by bounded selection, patchable one row at a time;
+//!   the serving engine's classification indexes (see [`flat`]).
 //!
 //! All structures return `(point index, distance key)` pairs sorted by
 //! distance, ties broken by index, so every caller observes identical,
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod brute;
+pub mod flat;
 pub mod hamming;
 pub mod kdtree;
 pub mod vptree;
@@ -63,6 +67,7 @@ pub mod tally {
 }
 
 pub use brute::BruteForceIndex;
+pub use flat::{HammingScan, LpScan};
 pub use hamming::HammingIndex;
 pub use kdtree::KdTree;
 pub use vptree::VpTree;

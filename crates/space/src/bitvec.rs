@@ -58,6 +58,12 @@ impl BitVec {
         std::mem::size_of::<Self>() + self.words.len() * std::mem::size_of::<u64>()
     }
 
+    /// The packed words, 64 components per word (component `i` is bit
+    /// `i % 64` of word `i / 64`); bits past the dimension are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// True iff the dimension is zero.
     pub fn is_empty(&self) -> bool {
         self.len == 0

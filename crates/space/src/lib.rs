@@ -9,7 +9,9 @@
 //!
 //! This crate defines the points, labels, datasets (`S⁺`, `S⁻`) and the odd-`k`
 //! parameter shared by the classifier, the explanation algorithms, the search
-//! indexes and the benchmark workloads. It deliberately contains no algorithms.
+//! indexes and the benchmark workloads. Beyond the distance kernels, its one
+//! algorithm is the bounded order-statistic selection ([`kth_smallest`]) that
+//! the optimistic rule and the serving indexes share.
 
 #![warn(missing_docs)]
 
@@ -18,9 +20,11 @@ pub mod dataset;
 pub mod label;
 pub mod metric;
 pub mod oddk;
+pub mod select;
 
 pub use bitvec::BitVec;
 pub use dataset::{BooleanDataset, ContinuousDataset};
 pub use label::Label;
 pub use metric::LpMetric;
 pub use oddk::OddK;
+pub use select::{kth_smallest, SmallestK};

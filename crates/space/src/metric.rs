@@ -31,20 +31,32 @@ impl LpMetric {
     }
 
     /// `Σᵢ |aᵢ − bᵢ|^p` — the p-th power of the distance, exact over any field.
+    ///
+    /// ℓ1 and ℓ2 take the power inline (`d` and `d·d`, the values
+    /// `pow_u32` computes as `1·d` and `1·(d·d)`), so the key is the same to
+    /// the last bit while the hot loop stays branch-free.
     pub fn dist_pow<F: Field>(&self, a: &[F], b: &[F]) -> F {
         assert_eq!(a.len(), b.len(), "ℓp distance of mismatched dimensions");
-        let mut acc = F::zero();
-        for (x, y) in a.iter().zip(b) {
-            let d = (x.clone() - y.clone()).abs();
-            acc = acc + pow_u32(d, self.p);
+        match self.p {
+            1 => sum_terms(a, b, |d| d),
+            2 => sum_terms(a, b, |d| d.clone() * d),
+            p => sum_terms(a, b, |d| pow_u32(d, p)),
         }
-        acc
     }
 
     /// The real distance as `f64` (for reporting / plotting only).
     pub fn dist_f64<F: Field>(&self, a: &[F], b: &[F]) -> f64 {
         self.dist_pow(a, b).to_f64().powf(1.0 / self.p as f64)
     }
+}
+
+/// `Σᵢ term(|aᵢ − bᵢ|)`, summed left to right from zero.
+fn sum_terms<F: Field>(a: &[F], b: &[F], term: impl Fn(F) -> F) -> F {
+    let mut acc = F::zero();
+    for (x, y) in a.iter().zip(b) {
+        acc = acc + term((x.clone() - y.clone()).abs());
+    }
+    acc
 }
 
 fn pow_u32<F: Field>(base: F, mut e: u32) -> F {
@@ -108,6 +120,22 @@ mod tests {
             let bv: Vec<Rat> = b[..n].iter().map(|&v| Rat::from_int(v)).collect();
             let m = LpMetric::new(p);
             prop_assert_eq!(m.dist_pow(&av, &bv), m.dist_pow(&bv, &av));
+        }
+
+        #[test]
+        fn prop_inline_powers_match_pow_u32(a in prop::collection::vec(-50.0f64..50.0, 1..40),
+                                            b in prop::collection::vec(-50.0f64..50.0, 1..40),
+                                            p in 1u32..3) {
+            let n = a.len().min(b.len());
+            let (a, b) = (&a[..n], &b[..n]);
+            let generic = sum_terms(a, b, |d| pow_u32(d, p));
+            prop_assert_eq!(LpMetric::new(p).dist_pow(a, b).to_bits(), generic.to_bits());
+            let ra: Vec<Rat> = a.iter().map(|&v| Rat::from_f64(v)).collect();
+            let rb: Vec<Rat> = b.iter().map(|&v| Rat::from_f64(v)).collect();
+            prop_assert_eq!(
+                LpMetric::new(p).dist_pow(&ra, &rb),
+                sum_terms(&ra, &rb, |d| pow_u32(d, p))
+            );
         }
 
         #[test]
