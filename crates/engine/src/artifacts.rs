@@ -232,18 +232,17 @@ impl<K: Eq + Hash + Clone, V> Family<K, V> {
     }
 
     /// A new family holding `next(key, artifact)` for each *completed*
-    /// artifact, each behind a fresh cell; `None` drops the key. Copying
-    /// only finished builds matters: an in-flight build shares its old cell
+    /// artifact, each behind a fresh cell. Copying only finished builds
+    /// matters: an in-flight build shares its old cell
     /// and must complete into the *old* family only — it is computing over
     /// the pre-mutation dataset, and the new family must never serve it.
-    fn carry(&self, next: impl Fn(&K, &Arc<V>) -> Option<Arc<V>>) -> Family<K, V> {
+    fn carry(&self, next: impl Fn(&K, &Arc<V>) -> Arc<V>) -> Family<K, V> {
         let cells = self.cells.lock().unwrap();
         let kept = cells
             .iter()
             .filter_map(|(k, cell)| {
-                let v = next(k, cell.get()?)?;
                 let fresh = OnceLock::new();
-                let _ = fresh.set(v);
+                let _ = fresh.set(next(k, cell.get()?));
                 Some((k.clone(), Arc::new(fresh)))
             })
             .collect();
@@ -374,22 +373,18 @@ impl ArtifactStore {
             AppliedMutation::Insert { .. } => None,
             AppliedMutation::Remove { id, .. } => Some(before.continuous.class_position(*id)),
         };
-        let kd_class = self.kd_class.carry(|&(_, label), scan| {
-            Some(match removed_at {
-                _ if label != mutated => scan.clone(),
-                Some(at) => Arc::new(scan.without_row(at)),
-                None => Arc::new(scan.with_row(applied.point())),
-            })
+        let kd_class = self.kd_class.carry(|&(_, label), scan| match removed_at {
+            _ if label != mutated => scan.clone(),
+            Some(at) => Arc::new(scan.without_row(at)),
+            None => Arc::new(scan.with_row(applied.point())),
         });
         let hamming_in_step = before.boolean_in_step().is_some()
             && (removed_at.is_some() || is_binary(applied.point()));
         let hamming_class = if hamming_in_step {
-            self.hamming_class.carry(|&label, scan| {
-                Some(match removed_at {
-                    _ if label != mutated => scan.clone(),
-                    Some(at) => Arc::new(scan.without_row(at)),
-                    None => Arc::new(scan.with_row(&to_bits(applied.point()))),
-                })
+            self.hamming_class.carry(|&label, scan| match removed_at {
+                _ if label != mutated => scan.clone(),
+                Some(at) => Arc::new(scan.without_row(at)),
+                None => Arc::new(scan.with_row(&to_bits(applied.point()))),
             })
         } else {
             Family::default()

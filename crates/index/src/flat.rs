@@ -10,54 +10,14 @@
 //! exact-size copy instead of a rebuild.
 //!
 //! Keys are computed with the same kernels as every other structure here
-//! ([`LpMetric::dist_pow`], word-wise XOR/popcount), so a scan's order
+//! ([`LpMetric::dist_pow`], [`hamming_words`]), so a scan's order
 //! statistic is bit-identical to the one a KD-tree or [`HammingIndex`]
 //! reports.
 //!
 //! [`HammingIndex`]: crate::HammingIndex
 
-use knn_space::{kth_smallest, BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric};
-
-/// `len` rows of `width` elements each, row-major in one buffer.
-#[derive(Clone, Debug, PartialEq)]
-struct Rows<T> {
-    width: usize,
-    len: usize,
-    data: Vec<T>,
-}
-
-impl<T: Copy> Rows<T> {
-    fn row(&self, i: usize) -> &[T] {
-        &self.data[i * self.width..(i + 1) * self.width]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[T]> + '_ {
-        (0..self.len).map(|i| self.row(i))
-    }
-
-    /// A copy with `row` appended, allocated at its exact size.
-    fn with_row(&self, row: &[T]) -> Rows<T> {
-        assert_eq!(row.len(), self.width, "row width mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + self.width);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(row);
-        Rows { width: self.width, len: self.len + 1, data }
-    }
-
-    /// A copy without row `i` (later rows shift down), at its exact size.
-    fn without_row(&self, i: usize) -> Rows<T> {
-        assert!(i < self.len, "row {i} out of range for {} rows", self.len);
-        let at = i * self.width;
-        let mut data = Vec::with_capacity(self.data.len() - self.width);
-        data.extend_from_slice(&self.data[..at]);
-        data.extend_from_slice(&self.data[at + self.width..]);
-        Rows { width: self.width, len: self.len - 1, data }
-    }
-
-    fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
-    }
-}
+use knn_space::bitvec::hamming_words;
+use knn_space::{kth_smallest, BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, Rows};
 
 /// One class's points under one ℓp metric, as a flat scan.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,24 +29,23 @@ pub struct LpScan {
 impl LpScan {
     /// The points of class `label` in `ds`, in dataset order.
     pub fn of_class(ds: &ContinuousDataset<f64>, label: Label, metric: LpMetric) -> Self {
-        let rows = Rows { width: ds.dim(), len: ds.count_of(label), data: ds.rows_of(label) };
-        LpScan { rows, metric }
+        LpScan { rows: ds.rows_of(label), metric }
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.rows.len
+        self.rows.len()
     }
 
     /// True iff the class is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.len == 0
+        self.rows.is_empty()
     }
 
     /// The `k`-th smallest `dist^p` from `q` to the class, or `None` when it
     /// has fewer than `k` points. Panics when `q` has the wrong dimension.
     pub fn kth_smallest(&self, q: &[f64], k: usize) -> Option<f64> {
-        assert_eq!(q.len(), self.rows.width, "query dimension mismatch");
+        assert_eq!(q.len(), self.rows.width(), "query dimension mismatch");
         kth_smallest(self.rows.iter().map(|p| self.metric.dist_pow(q, p)), k)
     }
 
@@ -102,7 +61,7 @@ impl LpScan {
 
     /// Heap footprint in bytes: the coordinate buffer.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.bytes()
+        self.rows.approx_bytes()
     }
 }
 
@@ -117,23 +76,21 @@ pub struct HammingScan {
 impl HammingScan {
     /// The points of class `label` in `ds`, in dataset order.
     pub fn of_class(ds: &BooleanDataset, label: Label) -> Self {
-        let mut rows = Rows { width: ds.dim().div_ceil(64), len: 0, data: Vec::new() };
-        rows.data.reserve_exact(ds.count_of(label) * rows.width);
+        let mut rows = Rows::with_capacity(ds.dim().div_ceil(64), ds.count_of(label));
         for (p, _) in ds.iter().filter(|&(_, l)| l == label) {
-            rows.data.extend_from_slice(p.words());
-            rows.len += 1;
+            rows.push(p.words());
         }
         HammingScan { dim: ds.dim(), rows }
     }
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.rows.len
+        self.rows.len()
     }
 
     /// True iff the class is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.len == 0
+        self.rows.is_empty()
     }
 
     /// The `k`-th smallest Hamming distance from `q` to the class, or `None`
@@ -141,10 +98,7 @@ impl HammingScan {
     /// dimension.
     pub fn kth_smallest(&self, q: &BitVec, k: usize) -> Option<usize> {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let q = q.words();
-        let dist =
-            |p: &[u64]| p.iter().zip(q).map(|(a, b)| (a ^ b).count_ones() as usize).sum::<usize>();
-        kth_smallest(self.rows.iter().map(dist), k)
+        kth_smallest(self.rows.iter().map(|p| hamming_words(p, q.words())), k)
     }
 
     /// The scan after appending `point` to the class.
@@ -160,7 +114,7 @@ impl HammingScan {
 
     /// Heap footprint in bytes: the packed word buffer.
     pub fn approx_bytes(&self) -> usize {
-        self.rows.bytes()
+        self.rows.approx_bytes()
     }
 }
 
@@ -224,15 +178,10 @@ mod tests {
         let scan = LpScan::of_class(&ds, Label::Positive, LpMetric::L2);
         ds.push(vec![3.0, 3.0], Label::Positive);
         let grown = scan.with_row(&[3.0, 3.0]);
-        let fresh = LpScan::of_class(&ds, Label::Positive, LpMetric::L2);
-        assert_eq!(grown.rows.data, fresh.rows.data);
-        assert_eq!(grown.rows.data.capacity(), grown.rows.data.len());
+        assert_eq!(grown, LpScan::of_class(&ds, Label::Positive, LpMetric::L2));
         ds.remove(0);
         let shrunk = grown.without_row(0);
-        assert_eq!(
-            shrunk.rows.data,
-            LpScan::of_class(&ds, Label::Positive, LpMetric::L2).rows.data
-        );
+        assert_eq!(shrunk, LpScan::of_class(&ds, Label::Positive, LpMetric::L2));
         assert_eq!(shrunk.len(), 2);
     }
 

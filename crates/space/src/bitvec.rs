@@ -106,7 +106,7 @@ impl BitVec {
     /// Hamming distance `d_H(self, other)`; panics on dimension mismatch.
     pub fn hamming(&self, other: &BitVec) -> usize {
         assert_eq!(self.len, other.len, "hamming distance of mismatched dimensions");
-        self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones() as usize).sum()
+        hamming_words(&self.words, &other.words)
     }
 
     /// Iterator over components as booleans.
@@ -144,6 +144,12 @@ impl BitVec {
         v.set(i, true);
         v
     }
+}
+
+/// The XOR/popcount kernel behind [`BitVec::hamming`], over packed words
+/// (see [`BitVec::words`]) — for structures that store points as words.
+pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
 }
 
 impl fmt::Debug for BitVec {

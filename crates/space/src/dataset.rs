@@ -2,28 +2,26 @@
 
 use crate::bitvec::BitVec;
 use crate::label::Label;
+use crate::rows::Rows;
 use knn_num::Field;
 use serde::{Deserialize, Serialize};
 
 /// A labeled dataset of real vectors (the continuous setting).
 ///
-/// Points are stored densely, row-major in one coordinate vector (point `i`
-/// is `coords[i·dim .. (i+1)·dim]`), so a copy of the dataset is one
-/// contiguous copy and a scan over it walks memory in order; `S⁺`/`S⁻` are
-/// recovered through the labels. The paper allows `S⁺ ∩ S⁻ ≠ ∅` only
-/// implicitly (distinct points); duplicated points are permitted here and
-/// behave like multiplicities.
+/// Points are stored densely, row-major in one coordinate buffer
+/// ([`Rows`]); `S⁺`/`S⁻` are recovered through the labels. The paper allows
+/// `S⁺ ∩ S⁻ ≠ ∅` only implicitly (distinct points); duplicated points are
+/// permitted here and behave like multiplicities.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ContinuousDataset<F> {
-    dim: usize,
-    coords: Vec<F>,
+    points: Rows<F>,
     labels: Vec<Label>,
 }
 
 impl<F: Field> ContinuousDataset<F> {
     /// An empty dataset of the given dimension.
     pub fn new(dim: usize) -> Self {
-        ContinuousDataset { dim, coords: Vec::new(), labels: Vec::new() }
+        ContinuousDataset { points: Rows::with_capacity(dim, 0), labels: Vec::new() }
     }
 
     /// Builds a dataset from explicit positive and negative example sets.
@@ -45,8 +43,7 @@ impl<F: Field> ContinuousDataset<F> {
 
     /// Appends a labeled point; panics on dimension mismatch.
     pub fn push(&mut self, point: Vec<F>, label: Label) {
-        assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.coords.extend(point);
+        self.points.push(&point);
         self.labels.push(label);
     }
 
@@ -55,37 +52,31 @@ impl<F: Field> ContinuousDataset<F> {
     /// dataset stays identical to a fresh parse of its serialized text —
     /// the mutation layers' oracle invariant). Panics when out of range.
     pub fn remove(&mut self, i: usize) -> (Vec<F>, Label) {
-        let label = self.labels.remove(i);
-        (self.coords.drain(i * self.dim..(i + 1) * self.dim).collect(), label)
+        (self.points.remove(i), self.labels.remove(i))
     }
 
     /// A copy with one labeled point appended — [`push`](Self::push) on a
-    /// clone, but allocated at its exact final size (a clone followed by a
-    /// push would double the coordinate buffer's capacity).
+    /// clone, at its exact final size ([`Rows::with_row`]).
     pub fn with_pushed(&self, point: &[F], label: Label) -> Self {
-        assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        ContinuousDataset {
-            dim: self.dim,
-            coords: concat_exact(&[&self.coords, point]),
-            labels: concat_exact(&[&self.labels, &[label]]),
-        }
+        let mut labels = Vec::with_capacity(self.len() + 1);
+        labels.extend_from_slice(&self.labels);
+        labels.push(label);
+        ContinuousDataset { points: self.points.with_row(point), labels }
     }
 
     /// A copy without the `i`-th point — [`remove`](Self::remove) on a
-    /// clone, allocated at its exact final size. Panics when out of range.
+    /// clone, at its exact final size ([`Rows::without_row`]).
     pub fn with_removed(&self, i: usize) -> Self {
-        assert!(i < self.len(), "point index {i} out of range for {} points", self.len());
-        let (d, at) = (self.dim, i * self.dim);
-        ContinuousDataset {
-            dim: d,
-            coords: concat_exact(&[&self.coords[..at], &self.coords[at + d..]]),
-            labels: concat_exact(&[&self.labels[..i], &self.labels[i + 1..]]),
-        }
+        let points = self.points.without_row(i);
+        let mut labels = Vec::with_capacity(self.len() - 1);
+        labels.extend_from_slice(&self.labels[..i]);
+        labels.extend_from_slice(&self.labels[i + 1..]);
+        ContinuousDataset { points, labels }
     }
 
     /// The feature dimension `n`.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.points.width()
     }
 
     /// Total number of points `|S⁺ ∪ S⁻|` (with multiplicity).
@@ -100,8 +91,7 @@ impl<F: Field> ContinuousDataset<F> {
 
     /// The `i`-th point.
     pub fn point(&self, i: usize) -> &[F] {
-        assert!(i < self.len(), "point index {i} out of range for {} points", self.len());
-        &self.coords[i * self.dim..(i + 1) * self.dim]
+        self.points.row(i)
     }
 
     /// The `i`-th label.
@@ -111,7 +101,7 @@ impl<F: Field> ContinuousDataset<F> {
 
     /// Iterator over `(point, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[F], Label)> + '_ {
-        (0..self.len()).map(|i| self.point(i)).zip(self.labels.iter().copied())
+        self.points.iter().zip(self.labels.iter().copied())
     }
 
     /// Indices of points with the given label.
@@ -124,12 +114,12 @@ impl<F: Field> ContinuousDataset<F> {
         self.iter().filter(|&(_, l)| l == label).map(|(p, _)| p.to_vec()).collect()
     }
 
-    /// The coordinates of the points with the given label, row-major in
-    /// dataset order (the flat counterpart of [`points_of`](Self::points_of)).
-    pub fn rows_of(&self, label: Label) -> Vec<F> {
-        let mut rows = Vec::with_capacity(self.count_of(label) * self.dim);
+    /// The points with the given label as flat rows, in dataset order (the
+    /// row-major counterpart of [`points_of`](Self::points_of)).
+    pub fn rows_of(&self, label: Label) -> Rows<F> {
+        let mut rows = Rows::with_capacity(self.dim(), self.count_of(label));
         for (p, _) in self.iter().filter(|&(_, l)| l == label) {
-            rows.extend_from_slice(p);
+            rows.push(p);
         }
         rows
     }
@@ -140,37 +130,24 @@ impl<F: Field> ContinuousDataset<F> {
     }
 
     /// The position of point `i` among the points of its own class, in
-    /// dataset order (what [`rows_of`](Self::rows_of) would place it at).
+    /// dataset order (its row in [`rows_of`](Self::rows_of)).
     pub fn class_position(&self, i: usize) -> usize {
         let label = self.labels[i];
         self.labels[..i].iter().filter(|&&l| l == label).count()
     }
 
     /// Approximate heap footprint in bytes: the flat coordinate buffer plus
-    /// the label array. Feeds the `knn_engine_bytes{component="dataset"}`
-    /// gauge; an estimate, not an allocator-exact measurement.
+    /// the label array, nothing per point. Feeds the
+    /// `knn_engine_bytes{component="dataset"}` gauge; an estimate, not an
+    /// allocator-exact measurement.
     pub fn approx_bytes(&self) -> usize {
-        self.coords.len() * std::mem::size_of::<F>()
-            + self.labels.len() * std::mem::size_of::<Label>()
+        self.points.approx_bytes() + self.labels.len() * std::mem::size_of::<Label>()
     }
 
     /// Converts all coordinates to another field (e.g. `Rat → f64`).
     pub fn map_field<G: Field>(&self, f: impl Fn(&F) -> G) -> ContinuousDataset<G> {
-        ContinuousDataset {
-            dim: self.dim,
-            coords: self.coords.iter().map(f).collect(),
-            labels: self.labels.clone(),
-        }
+        ContinuousDataset { points: self.points.map(f), labels: self.labels.clone() }
     }
-}
-
-/// The concatenation of `parts` in a vector of exactly the combined length.
-fn concat_exact<T: Clone>(parts: &[&[T]]) -> Vec<T> {
-    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    out
 }
 
 /// A labeled dataset of boolean vectors (the discrete setting).
@@ -310,19 +287,18 @@ mod tests {
         let mut pushed = ds.clone();
         pushed.push(vec![4.0, 5.0], Label::Positive);
         assert_eq!(grown.iter().collect::<Vec<_>>(), pushed.iter().collect::<Vec<_>>());
-        assert_eq!(grown.coords.capacity(), grown.coords.len(), "no doubled buffer");
 
         let shrunk = grown.with_removed(1);
         let mut removed = grown.clone();
         assert_eq!(removed.remove(1), (vec![1.0, 1.0], Label::Positive));
         assert_eq!(shrunk.iter().collect::<Vec<_>>(), removed.iter().collect::<Vec<_>>());
-        assert_eq!(shrunk.coords.capacity(), shrunk.coords.len());
 
         // Class-local positions and rows follow dataset order.
         assert_eq!(grown.class_position(4), 2);
         assert_eq!(grown.class_position(3), 1);
-        assert_eq!(grown.rows_of(Label::Positive), vec![0.0, 1.0, 1.0, 1.0, 4.0, 5.0]);
-        assert_eq!(grown.rows_of(Label::Negative), vec![0.0, 0.0, 2.0, 3.0]);
+        let rows = |l| grown.rows_of(l).iter().flatten().copied().collect::<Vec<f64>>();
+        assert_eq!(rows(Label::Positive), vec![0.0, 1.0, 1.0, 1.0, 4.0, 5.0]);
+        assert_eq!(rows(Label::Negative), vec![0.0, 0.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod dataset;
 pub mod label;
 pub mod metric;
 pub mod oddk;
+pub mod rows;
 pub mod select;
 
 pub use bitvec::BitVec;
@@ -27,4 +28,5 @@ pub use dataset::{BooleanDataset, ContinuousDataset};
 pub use label::Label;
 pub use metric::LpMetric;
 pub use oddk::OddK;
+pub use rows::Rows;
 pub use select::{kth_smallest, SmallestK};
