@@ -44,7 +44,7 @@ fn cardinality_ablation(c: &mut Criterion) {
                         }
                         let bound = (clean.len() / 2 + 1) as u32;
                         if native {
-                            s.add_card_ge(Some(*g), &clean, bound);
+                            s.add_card_ge(&[*g], &clean, bound);
                         } else {
                             add_card_ge_cnf(&mut s, Some(*g), &clean, bound);
                         }

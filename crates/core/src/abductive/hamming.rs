@@ -14,7 +14,7 @@
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
 use crate::classifier::BooleanKnn;
-use crate::satenc::DiscreteModel;
+use crate::satenc::{DiscreteInstance, DiscreteModel};
 use crate::SrCheck;
 use knn_space::{BitVec, BooleanDataset, OddK};
 
@@ -36,13 +36,9 @@ impl<'a> HammingAbductive<'a> {
     }
 
     /// Check Sufficient Reason. Polynomial for k = 1 (Prop 6); SAT-backed
-    /// coNP computation for k ≥ 3 (Thm 7).
+    /// coNP computation for k ≥ 3 (Thm 7) on a model built for the call.
     pub fn check(&self, x: &BitVec, fixed: &[usize]) -> SrCheck<BitVec> {
-        if self.k == OddK::ONE {
-            self.check_k1(x, fixed)
-        } else {
-            self.check_sat(x, fixed)
-        }
+        self.check_in(x, fixed, None)
     }
 
     /// The polynomial k = 1 checker (Proposition 6).
@@ -65,11 +61,16 @@ impl<'a> HammingAbductive<'a> {
         SrCheck::Sufficient
     }
 
-    /// The SAT-backed checker for any odd k (builds a fresh model per call;
-    /// use [`HammingAbductive::session`] for repeated queries on the same x̄).
-    pub fn check_sat(&self, x: &BitVec, fixed: &[usize]) -> SrCheck<BitVec> {
-        let mut session = self.session(x);
-        session.check(fixed)
+    /// [`HammingAbductive::check`] answering from `model` at k ≥ 3 (see
+    /// [`HammingAbductive::session_in`]; use [`HammingAbductive::session`]
+    /// for repeated queries on the same x̄).
+    pub fn check_in(
+        &self,
+        x: &BitVec,
+        fixed: &[usize],
+        model: Option<&DiscreteModel>,
+    ) -> SrCheck<BitVec> {
+        self.session_in(x, model).check(fixed)
     }
 
     /// Convenience boolean form of [`HammingAbductive::check`].
@@ -80,19 +81,37 @@ impl<'a> HammingAbductive<'a> {
     /// An incremental checking session for repeated queries on one `x̄`
     /// (greedy minimal-SR and the IHS loop reuse learned clauses this way).
     pub fn session(&self, x: &BitVec) -> CheckSession<'a, '_> {
-        let label = self.classifier().classify(x);
-        let model = if self.k == OddK::ONE {
-            None
-        } else {
-            Some(DiscreteModel::build(self.ds, self.k, x, label.flip()))
-        };
-        CheckSession { owner: self, x: x.clone(), model }
+        self.session_in(x, None)
+    }
+
+    /// [`HammingAbductive::session`] on a prebuilt SAT model. At k ≥ 3 the
+    /// session instantiates `model` — which must encode this dataset, `k`
+    /// and the opposite of `f(x)` — or, when `None`, a model built for the
+    /// call. The k = 1 checker needs no model and ignores it.
+    pub fn session_in(&self, x: &BitVec, model: Option<&DiscreteModel>) -> CheckSession<'a, '_> {
+        let instance = (self.k != OddK::ONE).then(|| {
+            let target = self.classifier().classify(x).flip();
+            match model {
+                Some(m) => {
+                    assert_eq!((m.k(), m.target()), (self.k, target), "model for another query");
+                    m.instantiate(x)
+                }
+                None => DiscreteModel::build(self.ds, self.k, x, target),
+            }
+        });
+        CheckSession { owner: self, x: x.clone(), model: instance }
     }
 
     /// A minimal sufficient reason: polynomial for k = 1 (Cor 4), coNP-oracle
     /// greedy for k ≥ 3 (still n oracle calls, each a SAT solve).
     pub fn minimal(&self, x: &BitVec) -> Vec<usize> {
-        let mut session = self.session(x);
+        self.minimal_in(x, None)
+    }
+
+    /// [`HammingAbductive::minimal`] on a prebuilt SAT model (see
+    /// [`HammingAbductive::session_in`]).
+    pub fn minimal_in(&self, x: &BitVec, model: Option<&DiscreteModel>) -> Vec<usize> {
+        let mut session = self.session_in(x, model);
         super::greedy_minimal(self.ds.dim(), None, |s| session.check(s).is_sufficient())
     }
 
@@ -104,7 +123,18 @@ impl<'a> HammingAbductive<'a> {
 
     /// Minimum-SR with a selectable hitting-set mode.
     pub fn minimum_with(&self, x: &BitVec, mode: HittingSetMode) -> Vec<usize> {
-        let mut session = self.session(x);
+        self.minimum_in(x, mode, None)
+    }
+
+    /// [`HammingAbductive::minimum_with`] on a prebuilt SAT model (see
+    /// [`HammingAbductive::session_in`]).
+    pub fn minimum_in(
+        &self,
+        x: &BitVec,
+        mode: HittingSetMode,
+        model: Option<&DiscreteModel>,
+    ) -> Vec<usize> {
+        let mut session = self.session_in(x, model);
         let xc = x.clone();
         minimum_sufficient_reason(
             self.ds.dim(),
@@ -125,7 +155,7 @@ impl<'a> HammingAbductive<'a> {
 pub struct CheckSession<'a, 'b> {
     owner: &'b HammingAbductive<'a>,
     x: BitVec,
-    model: Option<DiscreteModel>,
+    model: Option<DiscreteInstance>,
 }
 
 impl CheckSession<'_, '_> {

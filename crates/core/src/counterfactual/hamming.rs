@@ -2,7 +2,10 @@
 //! the paper's two solver routes (§9.2) plus a brute-force validator:
 //!
 //! * [`closest_sat`]: the novel guarded-cardinality SAT encoding with
-//!   incremental binary search on the distance (cardinality-cadical role);
+//!   incremental descending search on the distance (cardinality-cadical
+//!   role). The `*_in` forms answer from a prebuilt [`DiscreteModel`] — the
+//!   serving path, where one model per (dataset, k, target) serves every
+//!   query; the plain forms build one for the call;
 //! * [`closest_milp`]: the IQP model, linearized exactly over binary `ȳ`
 //!   (`(x̄ᵢ−ȳᵢ)²` is linear in `ȳᵢ` for fixed `x̄ᵢ ∈ {0,1}`) and solved by
 //!   branch & bound (Gurobi role); k = 1 as in the paper's experiments;
@@ -14,19 +17,29 @@ use knn_lp::Rel;
 use knn_milp::{MilpConfig, MilpOutcome, MilpProblem};
 use knn_space::{BitVec, BooleanDataset, Label, OddK};
 
+/// The model [`closest_sat`] and friends need for `x`: target = the
+/// opposite of `f(x)`.
+fn model_for(ds: &BooleanDataset, k: OddK, x: &BitVec) -> DiscreteModel {
+    DiscreteModel::new(ds, k, BooleanKnn::new(ds, k).classify(x).flip())
+}
+
 /// Closest counterfactual via the SAT encoding (any odd k).
 /// Returns the witness and its Hamming distance, or `None` if the opposite
 /// region is empty.
 pub fn closest_sat(ds: &BooleanDataset, k: OddK, x: &BitVec) -> Option<(BitVec, usize)> {
-    let knn = BooleanKnn::new(ds, k);
-    let target = knn.classify(x).flip();
-    let mut model = DiscreteModel::build(ds, k, x, target);
-    let out = model.closest();
+    let out = closest_sat_in(&model_for(ds, k, x), x);
     if let Some((z, d)) = &out {
-        debug_assert_eq!(knn.classify(z), target);
+        let knn = BooleanKnn::new(ds, k);
+        debug_assert_ne!(knn.classify(z), knn.classify(x));
         debug_assert_eq!(x.hamming(z), *d);
     }
     out
+}
+
+/// [`closest_sat`] from a prebuilt model, whose target must be the opposite
+/// of `f(x)`.
+pub fn closest_sat_in(model: &DiscreteModel, x: &BitVec) -> Option<(BitVec, usize)> {
+    model.instantiate(x).closest()
 }
 
 /// Anytime variant of [`closest_sat`]: spends at most `max_conflicts` CDCL
@@ -40,23 +53,32 @@ pub fn closest_sat_budgeted(
     x: &BitVec,
     max_conflicts: u64,
 ) -> Option<(BitVec, usize, bool)> {
-    let knn = BooleanKnn::new(ds, k);
-    let target = knn.classify(x).flip();
-    let mut model = DiscreteModel::build(ds, k, x, target);
-    let out = model.closest_budgeted(max_conflicts);
+    let out = closest_sat_budgeted_in(&model_for(ds, k, x), x, max_conflicts);
     if let Some((z, d, _)) = &out {
-        debug_assert_eq!(knn.classify(z), target);
+        let knn = BooleanKnn::new(ds, k);
+        debug_assert_ne!(knn.classify(z), knn.classify(x));
         debug_assert_eq!(x.hamming(z), *d);
     }
     out
 }
 
+/// [`closest_sat_budgeted`] from a prebuilt model (see [`closest_sat_in`]).
+pub fn closest_sat_budgeted_in(
+    model: &DiscreteModel,
+    x: &BitVec,
+    max_conflicts: u64,
+) -> Option<(BitVec, usize, bool)> {
+    model.instantiate(x).closest_budgeted(max_conflicts)
+}
+
 /// Decision form via SAT: counterfactual within distance `l`?
 pub fn within_sat(ds: &BooleanDataset, k: OddK, x: &BitVec, l: usize) -> bool {
-    let knn = BooleanKnn::new(ds, k);
-    let target = knn.classify(x).flip();
-    let mut model = DiscreteModel::build(ds, k, x, target);
-    model.solve_within(l).is_some()
+    within_sat_in(&model_for(ds, k, x), x, l)
+}
+
+/// [`within_sat`] from a prebuilt model (see [`closest_sat_in`]).
+pub fn within_sat_in(model: &DiscreteModel, x: &BitVec, l: usize) -> bool {
+    model.instantiate(x).solve_within(l).is_some()
 }
 
 /// Closest counterfactual via the linearized IQP model (k = 1, as in §9.2).

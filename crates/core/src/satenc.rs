@@ -9,53 +9,66 @@
 //!
 //! expressing `d_H(z̄, ō) < d_H(z̄, s̄)`. We generalize it to any odd k via
 //! Proposition 1: selectors `s_a` over the witness class A (`Σ s_a ≥ (k+1)/2`),
-//! exclusion selectors `t_c` over the other class B (`Σ t_c ≤ (k−1)/2`), and a
-//! guard `g_{a,c}` per pair activated by `s_a ∧ ¬t_c`.
+//! exclusion selectors `t_c` over the other class B (`Σ t_c ≤ (k−1)/2`), and
+//! per pair the constraint guarded by the conjunction `s_a ∧ ¬t_c` — two
+//! guard literals of one native constraint, no per-pair variable or clause.
 //!
-//! Two lazily-added families of *assumption* literals make the one solver
-//! instance serve every query incrementally:
+//! All of that depends on the dataset, `k` and the target only. It is built
+//! once into a [`DiscreteModel`], whose constraints the solver seals into a
+//! shared prefix; [`DiscreteModel::instantiate`] clones it for one anchor
+//! point `x̄` into a [`DiscreteInstance`] (`O(n + |S|)` variables and one
+//! counter per constraint of its own) and adds what depends on `x̄`, as
+//! assumption-guarded literals, so one instance serves every question about
+//! that `x̄` incrementally:
 //! * `e_i ⇒ z_i = x̄_i` — fixing coordinate `i` (sufficient-reason checks);
-//! * `g_r ⇒ d_H(z̄, x̄) ≤ r` — distance bounds (counterfactual binary search).
+//! * `g_r ⇒ d_H(z̄, x̄) ≤ r` — distance bounds (counterfactual search).
+//!
+//! Each instance starts from the pristine model, so no learnt clause,
+//! activity or phase crosses from one query to the next, and
+//! [`DiscreteModel::build`] (`new` then `instantiate`) answers exactly as a
+//! shared model does.
 
 use knn_sat::{Lit, SolveResult, Solver, Var};
 use knn_space::{BitVec, BooleanDataset, Label, OddK};
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
-/// Incremental SAT model for "`z̄` is classified `target`".
+/// The point-independent SAT model for "`z̄` is classified `target`" under
+/// `f^k` on one dataset: build once, [`instantiate`](Self::instantiate) per
+/// query. Only `&self` methods — nothing can solve (and so mutate) the
+/// shared model itself.
 pub struct DiscreteModel {
+    /// Sealed template: `z` then `e` variables, then the encoding.
     solver: Solver,
-    z: Vec<Var>,
-    x: BitVec,
-    eq_lits: Vec<Lit>,
-    dist_guards: BTreeMap<usize, Lit>,
+    dim: usize,
+    k: OddK,
+    target: Label,
     /// Whether the constraint set is trivially unsatisfiable (no witness
     /// candidates at all).
     trivially_unsat: bool,
 }
 
+/// One query's model: a clone of a [`DiscreteModel`] sharing its sealed
+/// constraints, anchored at `x̄`.
+pub struct DiscreteInstance {
+    solver: Solver,
+    z: Vec<Var>,
+    x: BitVec,
+    eq_lits: Vec<Lit>,
+    dist_guards: BTreeMap<usize, Lit>,
+    trivially_unsat: bool,
+}
+
 impl DiscreteModel {
-    /// Builds the model for dataset `ds`, neighborhood size `k`, anchor point
-    /// `x` (used for the `e_i` and distance literals) and target label.
-    pub fn build(ds: &BooleanDataset, k: OddK, x: &BitVec, target: Label) -> Self {
-        assert_eq!(x.len(), ds.dim());
+    /// Encodes "`z̄` is classified `target`" for dataset `ds` and
+    /// neighborhood size `k`, and seals it.
+    pub fn new(ds: &BooleanDataset, k: OddK, target: Label) -> Self {
         let n = ds.dim();
         let mut solver = Solver::new();
+        // Variables 0..n are z, n..2n the e_i of `instantiate` — created
+        // here so the numbering does not depend on the anchor.
         let z = solver.new_vars(n);
-        // Bias the search toward the anchor: close counterfactuals are found
-        // early, which the descending distance search then only has to prove
-        // optimal.
-        for (i, &v) in z.iter().enumerate() {
-            solver.set_phase(v, x.get(i));
-        }
-
-        // Equality-assumption literals e_i ⇒ (z_i = x_i).
-        let eq_lits: Vec<Lit> = (0..n)
-            .map(|i| {
-                let e = solver.new_var().pos();
-                solver.add_clause(&[e.negate(), z[i].lit(x.get(i))]);
-                e
-            })
-            .collect();
+        solver.new_vars(n);
 
         // Witness class A and excluded class B per Proposition 1.
         let (a_label, strict) = match target {
@@ -72,10 +85,10 @@ impl DiscreteModel {
             trivially_unsat = true;
         } else {
             let s_a: Vec<Lit> = a_idx.iter().map(|_| solver.new_var().pos()).collect();
-            solver.add_card_ge(None, &s_a, maj as u32);
+            solver.add_card_ge(&[], &s_a, maj as u32);
             // Exclusion selectors are only materialized when the budget is
             // positive; with min_sz = 0 (k = 1) the guard of a pair constraint
-            // is the witness selector itself — the paper's exact encoding.
+            // is the witness selector alone — the paper's exact encoding.
             let t_c: Vec<Lit> = if min_sz == 0 {
                 Vec::new()
             } else {
@@ -84,7 +97,7 @@ impl DiscreteModel {
             if !t_c.is_empty() && min_sz < t_c.len() {
                 // At most min_sz exclusions: Σ ¬t_c ≥ |B| − min_sz.
                 let neg_t: Vec<Lit> = t_c.iter().map(|l| l.negate()).collect();
-                solver.add_card_ge(None, &neg_t, (t_c.len() - min_sz) as u32);
+                solver.add_card_ge(&[], &neg_t, (t_c.len() - min_sz) as u32);
             }
             for (ai, &a) in a_idx.iter().enumerate() {
                 for (ci, &c) in b_idx.iter().enumerate() {
@@ -100,41 +113,88 @@ impl DiscreteModel {
                     // differing set ≥ ⌊d/2⌋+1; non-strict: ≥ ⌈d/2⌉.
                     let bound = if strict { d / 2 + 1 } else { d.div_ceil(2) };
                     let lits: Vec<Lit> = diff.iter().map(|&i| z[i].lit(a_pt.get(i))).collect();
-                    // Guard: s_a ∧ ¬t_c ⇒ constraint. With |B| = 0 or when the
-                    // pair constraint is trivial we can simplify.
-                    if bound == 0 {
-                        continue; // constraint trivially true
-                    }
-                    if bound > d {
-                        // Constraint unsatisfiable: forbid s_a ∧ ¬t_c.
-                        let mut clause = vec![s_a[ai].negate()];
-                        if !t_c.is_empty() {
-                            clause.push(t_c[ci]);
-                        }
-                        solver.add_clause(&clause);
-                        continue;
-                    }
-                    if t_c.is_empty() {
-                        // k = 1 shape: guard is the selector itself (the
-                        // paper's encoding).
-                        solver.add_card_ge(Some(s_a[ai]), &lits, bound as u32);
-                    } else {
-                        let g = solver.new_var().pos();
-                        solver.add_clause(&[g, s_a[ai].negate(), t_c[ci]]);
-                        solver.add_card_ge(Some(g), &lits, bound as u32);
-                    }
+                    // Guard: s_a ∧ ¬t_c ⇒ constraint (s_a alone at k = 1).
+                    // The solver folds the guards into a clause when the
+                    // bound is 1 or unreachable, and drops a zero bound.
+                    let guards: &[Lit] =
+                        if t_c.is_empty() { &[s_a[ai]] } else { &[s_a[ai], t_c[ci].negate()] };
+                    solver.add_card_ge(guards, &lits, bound as u32);
                 }
             }
         }
+        solver.seal();
+        DiscreteModel { solver, dim: n, k, target, trivially_unsat }
+    }
 
-        DiscreteModel {
+    /// Builds the model and instantiates it at `x` in one step — exactly
+    /// `DiscreteModel::new(ds, k, target).instantiate(x)`.
+    pub fn build(ds: &BooleanDataset, k: OddK, x: &BitVec, target: Label) -> DiscreteInstance {
+        DiscreteModel::new(ds, k, target).instantiate(x)
+    }
+
+    /// A fresh instance anchored at `x`: a clone sharing the sealed
+    /// constraints, its search biased toward `x` (close counterfactuals are
+    /// found early, so the descending distance search only has to prove
+    /// them optimal), plus the fix clauses `e_i ⇒ z_i = x_i`.
+    pub fn instantiate(&self, x: &BitVec) -> DiscreteInstance {
+        let n = self.dim;
+        assert_eq!(x.len(), n, "anchor dimension differs from the model's");
+        let mut solver = self.solver.clone();
+        let z: Vec<Var> = (0..n as u32).map(Var).collect();
+        let eq_lits: Vec<Lit> = (n as u32..2 * n as u32).map(|v| Var(v).pos()).collect();
+        for (i, &v) in z.iter().enumerate() {
+            solver.set_phase(v, x.get(i));
+        }
+        for i in 0..n {
+            solver.add_clause(&[eq_lits[i].negate(), z[i].lit(x.get(i))]);
+        }
+        DiscreteInstance {
             solver,
             z,
             x: x.clone(),
             eq_lits,
             dist_guards: BTreeMap::new(),
-            trivially_unsat,
+            trivially_unsat: self.trivially_unsat,
         }
+    }
+
+    /// The neighborhood size the model encodes.
+    pub fn k(&self) -> OddK {
+        self.k
+    }
+
+    /// The label the model's solutions are classified as.
+    pub fn target(&self) -> Label {
+        self.target
+    }
+
+    /// Estimated bytes of the model: the sealed constraints every instance
+    /// shares, plus the template state each instance copies.
+    pub fn approx_bytes(&self) -> usize {
+        size_of::<Self>() + self.solver.sealed_bytes() + self.solver.local_bytes()
+    }
+}
+
+impl std::fmt::Debug for DiscreteModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiscreteModel")
+            .field("dim", &self.dim)
+            .field("k", &self.k)
+            .field("target", &self.target)
+            .field("vars", &self.solver.num_vars())
+            .finish_non_exhaustive()
+    }
+}
+
+impl DiscreteInstance {
+    /// Estimated bytes this instance owns alone — the shared sealed
+    /// constraints are counted once, in [`DiscreteModel::approx_bytes`].
+    pub fn approx_bytes(&self) -> usize {
+        size_of::<Self>()
+            + self.solver.local_bytes()
+            + self.x.approx_bytes()
+            + (self.z.len() + self.eq_lits.len()) * size_of::<Var>()
+            + self.dist_guards.len() * size_of::<(usize, Lit)>()
     }
 
     /// The guard literal for `d_H(z, x) ≤ r`, creating it on first use.
@@ -146,7 +206,7 @@ impl DiscreteModel {
         let g = self.solver.new_var().pos();
         // Σ agreements with x ≥ n − r.
         let agree: Vec<Lit> = (0..n).map(|i| self.z[i].lit(self.x.get(i))).collect();
-        self.solver.add_card_ge(Some(g), &agree, (n - r) as u32);
+        self.solver.add_card_ge(&[g], &agree, (n - r) as u32);
         self.dist_guards.insert(r, g);
         g
     }
@@ -182,7 +242,7 @@ impl DiscreteModel {
         }
     }
 
-    /// Budgeted variant of [`DiscreteModel::solve_within`]: `None` when the
+    /// Budgeted variant of [`DiscreteInstance::solve_within`]: `None` when the
     /// conflict budget ran out before an answer.
     pub fn solve_within_limited(&mut self, r: usize, max_conflicts: u64) -> Option<Option<BitVec>> {
         if self.trivially_unsat {
@@ -197,7 +257,7 @@ impl DiscreteModel {
     }
 
     /// Anytime closest-counterfactual search: descends from the first model
-    /// like [`DiscreteModel::closest`], but spends at most `max_conflicts`
+    /// like [`DiscreteInstance::closest`], but spends at most `max_conflicts`
     /// CDCL conflicts per step. Returns the best witness found and whether it
     /// was **proven** optimal (`true`) or is only budget-best (`false`).
     pub fn closest_budgeted(&mut self, max_conflicts: u64) -> Option<(BitVec, usize, bool)> {
@@ -247,7 +307,7 @@ impl DiscreteModel {
         Some((best, best_d))
     }
 
-    /// [`DiscreteModel::closest`] with classic binary search (kept for the
+    /// [`DiscreteInstance::closest`] with classic binary search (kept for the
     /// search-strategy comparison in the benchmark suite).
     pub fn closest_binary_search(&mut self) -> Option<(BitVec, usize)> {
         let n = self.z.len();
@@ -389,6 +449,37 @@ mod tests {
                 sat_says_counterexample, !brute_sufficient,
                 "round {round}: fixed={fixed:?}"
             );
+        }
+    }
+
+    #[test]
+    fn instances_own_little_and_answer_as_fresh_builds() {
+        use knn_datasets::random::{random_boolean_dataset, random_boolean_point};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(57);
+        let ds = random_boolean_dataset(&mut rng, 300, 16, 0.5);
+        let small = random_boolean_dataset(&mut rng, 40, 10, 0.5);
+        for k in [OddK::ONE, OddK::THREE] {
+            // The pair constraints stay in the shared prefix: an instance
+            // owns its variables, clauses and one counter per constraint.
+            let model = DiscreteModel::new(&ds, k, Label::Positive);
+            let inst = model.instantiate(&random_boolean_point(&mut rng, 16));
+            assert!(
+                inst.approx_bytes() * 20 < model.approx_bytes(),
+                "k={}: instance {} B vs model {} B",
+                k.get(),
+                inst.approx_bytes(),
+                model.approx_bytes()
+            );
+            // Instances of one model, solved in turn, answer exactly as
+            // models built per query do: nothing carries between them.
+            let model = DiscreteModel::new(&small, k, Label::Negative);
+            for _ in 0..4 {
+                let x = random_boolean_point(&mut rng, 10);
+                let fresh = DiscreteModel::build(&small, k, &x, Label::Negative).closest();
+                assert_eq!(model.instantiate(&x).closest(), fresh, "k={}", k.get());
+            }
         }
     }
 }

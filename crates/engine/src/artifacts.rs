@@ -1,6 +1,6 @@
 //! Shared, lazily-built artifacts over the engine's immutable dataset.
 //!
-//! Three families, all built at most once per engine and shared (via `Arc`)
+//! Four families, all built at most once per epoch and shared (via `Arc`)
 //! by every worker:
 //!
 //! * **per-class neighbor indexes** — a flat ℓp scan per `(ℓp, class)`
@@ -25,6 +25,11 @@
 //! * **eager Prop 1 region caches** — the fully materialized [`RegionCache`]
 //!   per `k`, kept as the differential-testing oracle behind
 //!   `EngineConfig::eager_l2_regions`;
+//! * **Hamming SAT models** — the point-independent §9.2 encoding per
+//!   `(k, target)` ([`DiscreteModel`]), its `O(|S⁺|·|S⁻|)` pair constraints
+//!   sealed into a shared prefix. Every Hamming SAT route instantiates a
+//!   fresh per-query clone of it (own clauses, counters and search state),
+//!   so nothing learnt on one query reaches another;
 //! * the **boolean view** of a 0/1 continuous dataset, owned by
 //!   [`EngineData`] itself.
 //!
@@ -35,6 +40,7 @@
 //! in parallel.
 
 use knn_core::regions::{LazyRegions, RegionCache, RegionCounters};
+use knn_core::satenc::DiscreteModel;
 use knn_delta::AppliedMutation;
 use knn_index::{HammingScan, LpScan};
 use knn_space::{BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, OddK};
@@ -88,8 +94,8 @@ impl StoreMetrics {
 /// (see [`ArtifactStore::resources`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactResources {
-    /// Estimated bytes of completed index/region artifacts (class scans,
-    /// eager region caches, lazy views' dataset copies).
+    /// Estimated bytes of completed index/region/SAT artifacts (class
+    /// scans, eager region caches, lazy views' dataset copies, SAT models).
     pub artifact_bytes: usize,
     /// Estimated bytes of the lazy views' bounded region memos.
     pub memo_bytes: usize,
@@ -257,6 +263,7 @@ pub struct ArtifactStore {
     hamming_class: Family<Label, HammingScan>,
     l2_regions: Family<u32, RegionCache<f64>>,
     l2_lazy: Family<u32, LazyRegions<f64>>,
+    hamming_sat: Family<(u32, Label), DiscreteModel>,
     /// Build-time accounting, shared across carry-over generations.
     metrics: Arc<StoreMetrics>,
     /// Region-enumeration counters every lazy view (any `k`, any
@@ -308,6 +315,23 @@ impl ArtifactStore {
         })
     }
 
+    /// The Hamming SAT model for "classified `target`" at `k`, building it
+    /// on first use. The caller must have checked that the boolean view
+    /// exists. Query with [`DiscreteModel::instantiate`].
+    pub fn hamming_sat_model(
+        &self,
+        data: &EngineData,
+        k: OddK,
+        target: Label,
+    ) -> Arc<DiscreteModel> {
+        self.hamming_sat.get_or_build((k.get(), target), || {
+            self.metrics.time(|| {
+                let ds = data.boolean.as_ref().expect("hamming artifact needs the boolean view");
+                DiscreteModel::new(ds, k, target)
+            })
+        })
+    }
+
     /// Build-time accounting (engine-lifetime — survives carry-overs).
     pub fn metrics(&self) -> &Arc<StoreMetrics> {
         &self.metrics
@@ -328,6 +352,7 @@ impl ArtifactStore {
             + self.hamming_class.built_count()
             + self.l2_regions.built_count()
             + self.l2_lazy.built_count()
+            + self.hamming_sat.built_count()
     }
 
     /// Estimated bytes and memo occupancy of the completed artifacts — the
@@ -340,6 +365,9 @@ impl ArtifactStore {
         r.artifact_bytes += self.kd_class.built_bytes(|t| t.approx_bytes());
         r.artifact_bytes += self.hamming_class.built_bytes(|h| h.approx_bytes());
         r.artifact_bytes += self.l2_regions.built_bytes(|c| c.approx_bytes());
+        // Per-query instances are transient and never counted; their shared
+        // sealed prefix is counted here, once.
+        r.artifact_bytes += self.hamming_sat.built_bytes(|m| m.approx_bytes());
         // Lazy views split: the owned dataset copy counts as artifact, the
         // bounded memos as the separately-capped memo component.
         r.artifact_bytes += self.l2_lazy.built_bytes(|l| l.approx_bytes() - l.memo_bytes());
@@ -364,9 +392,9 @@ impl ArtifactStore {
     ///   with it), as does a boolean view out of step with the continuous
     ///   one (hand-built test data).
     ///
-    /// Every region artifact is dropped: Prop 1 regions are built from
-    /// cross-class point pairs, so any mutation invalidates them for every
-    /// `k`. (The invalidation matrix lives in DESIGN.md §3d.)
+    /// Every region artifact and every Hamming SAT model is dropped: both
+    /// are built from cross-class point pairs, so any mutation invalidates
+    /// them for every `k`. (The invalidation matrix lives in DESIGN.md §3d.)
     pub fn carry_over(&self, before: &EngineData, applied: &AppliedMutation) -> ArtifactStore {
         let mutated = applied.label();
         let removed_at = match applied {
@@ -394,6 +422,7 @@ impl ArtifactStore {
             hamming_class,
             l2_regions: Family::default(),
             l2_lazy: Family::default(),
+            hamming_sat: Family::default(),
             metrics: self.metrics.clone(),
             region_counters: self.region_counters.clone(),
         };
@@ -445,6 +474,25 @@ mod tests {
     }
 
     #[test]
+    fn sat_models_are_shared_per_target_and_weighed_once() {
+        let d = toy();
+        let store = ArtifactStore::new();
+        let before = store.resources().artifact_bytes;
+        let a = store.hamming_sat_model(&d, OddK::ONE, Label::Positive);
+        let b = store.hamming_sat_model(&d, OddK::ONE, Label::Positive);
+        assert!(Arc::ptr_eq(&a, &b), "same model on the second request");
+        assert_eq!((a.k(), a.target()), (OddK::ONE, Label::Positive));
+        assert!(!Arc::ptr_eq(&a, &store.hamming_sat_model(&d, OddK::ONE, Label::Negative)));
+        assert_eq!(store.built_count(), 2);
+        // Instances are per query and never weighed; each model once.
+        let _instance = a.instantiate(&BitVec::zeros(2));
+        let weighed = store.resources().artifact_bytes - before;
+        let models = a.approx_bytes()
+            + store.hamming_sat_model(&d, OddK::ONE, Label::Negative).approx_bytes();
+        assert_eq!(weighed, models);
+    }
+
+    #[test]
     fn incremental_views_match_full_rederivation() {
         let mut ds = ContinuousDataset::from_sets(vec![vec![1.0, 0.0]], vec![vec![0.0, 1.0]]);
         ds.push(vec![0.5, 0.5], Label::Positive); // non-binary
@@ -475,13 +523,19 @@ mod tests {
         store.hamming_class_index(&d, Label::Positive);
         store.l2_regions(&d, OddK::ONE);
         store.l2_lazy_regions(&d, OddK::ONE);
-        assert_eq!(store.built_count(), 6);
+        store.hamming_sat_model(&d, OddK::ONE, Label::Positive);
+        store.hamming_sat_model(&d, OddK::ONE, Label::Negative);
+        assert_eq!(store.built_count(), 8);
         let built = store.metrics().snapshot().built;
 
         let applied = AppliedMutation::Insert { point: vec![0.0, 1.0], label: Label::Positive };
         let d1 = d.with_insert(applied.point(), applied.label());
         let next = store.carry_over(&d, &applied);
-        assert_eq!(next.built_count(), 4, "all four class indexes carried, regions dropped");
+        assert_eq!(
+            next.built_count(),
+            4,
+            "all four class indexes carried, regions and SAT dropped"
+        );
         assert_eq!(next.metrics().snapshot().carried, 4);
         // The untouched class keeps the same instances.
         assert!(Arc::ptr_eq(&neg_kd, &next.kd_class_index(&d1, 2, Label::Negative)));
@@ -495,11 +549,15 @@ mod tests {
         );
         assert_eq!(next.metrics().snapshot().built, built, "the next classify builds nothing");
 
-        // A removal drops the departing point's class-local row.
+        // A removal drops the departing point's class-local row, and the
+        // SAT models again.
+        next.hamming_sat_model(&d1, OddK::THREE, Label::Negative);
+        assert_eq!(next.built_count(), 5);
         let applied =
             AppliedMutation::Remove { id: 1, point: vec![1.0, 0.0], label: Label::Positive };
         let d2 = d1.with_remove(1);
         let after = next.carry_over(&d1, &applied);
+        assert_eq!(after.built_count(), 4, "the SAT model is dropped on removal");
         assert_eq!(*after.kd_class_index(&d2, 2, Label::Positive), *fresh(&d2));
         assert_eq!(after.kd_class_index(&d2, 2, Label::Positive).len(), 2);
 
@@ -507,6 +565,6 @@ mod tests {
         let applied = AppliedMutation::Insert { point: vec![0.5, 1.0], label: Label::Negative };
         let dropped = after.carry_over(&d2, &applied);
         assert_eq!(dropped.built_count(), 2, "only the two ℓ2 scans survive");
-        assert_eq!(next.metrics().snapshot().built, built);
+        assert_eq!(next.metrics().snapshot().built, built + 1, "one build: the k = 3 model");
     }
 }

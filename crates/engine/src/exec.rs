@@ -13,6 +13,7 @@ use knn_core::abductive::hamming::HammingAbductive;
 use knn_core::abductive::l1::L1Abductive;
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::abductive::minimum::HittingSetMode;
+use knn_core::classifier::BooleanKnn;
 use knn_core::counterfactual::hamming as hamming_cf;
 use knn_core::counterfactual::l1::L1Counterfactual;
 use knn_core::counterfactual::l2::L2Counterfactual;
@@ -160,6 +161,14 @@ fn execute_planned(
         }
         Ok((ds, BitVec::from_bools(&x.iter().map(|&v| v == 1.0).collect::<Vec<_>>())))
     };
+    // The epoch's SAT model whose solutions flip `bx`'s label, for the
+    // routes that search for counterexamples or counterfactuals.
+    let flip_model = |ds, bx: &BitVec| {
+        let target = BooleanKnn::new(ds, k).classify(bx).flip();
+        artifacts.hamming_sat_model(data, k, target)
+    };
+    // Abductive routes need it only at k ≥ 3 (k = 1 is polynomial).
+    let sr_model = |ds, bx: &BitVec| (k != OddK::ONE).then(|| flip_model(ds, bx));
 
     match planned.route {
         Route::ClassifyHamming => {
@@ -270,7 +279,7 @@ fn execute_planned(
         Route::HammingCheckK1 | Route::HammingCheckSat => {
             let (ds, bx) = need_bool()?;
             let ab = HammingAbductive::new(ds, k);
-            Ok(match ab.check(&bx, fixed) {
+            Ok(match ab.check_in(&bx, fixed, sr_model(ds, &bx).as_deref()) {
                 SrCheck::Sufficient => Outcome::Check { sufficient: true, witness: None },
                 SrCheck::NotSufficient { witness } => {
                     Outcome::Check { sufficient: false, witness: Some(bits_to_f64(&witness)) }
@@ -279,23 +288,26 @@ fn execute_planned(
         }
         Route::HammingMinimal => {
             let (ds, bx) = need_bool()?;
+            let model = sr_model(ds, &bx);
             Ok(Outcome::Reason {
-                features: HammingAbductive::new(ds, k).minimal(&bx),
+                features: HammingAbductive::new(ds, k).minimal_in(&bx, model.as_deref()),
                 optimal: true,
             })
         }
         Route::HammingMinimum => {
             let (ds, bx) = need_bool()?;
             let mode = ihs_mode(planned);
+            let model = sr_model(ds, &bx);
             Ok(Outcome::Reason {
-                features: HammingAbductive::new(ds, k).minimum_with(&bx, mode),
+                features: HammingAbductive::new(ds, k).minimum_in(&bx, mode, model.as_deref()),
                 optimal: mode == HittingSetMode::Exact,
             })
         }
         Route::HammingCf => {
             let (ds, bx) = need_bool()?;
+            let model = flip_model(ds, &bx);
             match effort_budget {
-                None => match hamming_cf::closest_sat(ds, k, &bx) {
+                None => match hamming_cf::closest_sat_in(&model, &bx) {
                     None => Ok(Outcome::NoCounterfactual),
                     Some((point, d)) => Ok(Outcome::Counterfactual {
                         point: bits_to_f64(&point),
@@ -303,7 +315,7 @@ fn execute_planned(
                         proven: true,
                     }),
                 },
-                Some(budget) => match hamming_cf::closest_sat_budgeted(ds, k, &bx, budget) {
+                Some(budget) => match hamming_cf::closest_sat_budgeted_in(&model, &bx, budget) {
                     None => Ok(Outcome::NoCounterfactual),
                     Some((point, d, proven)) => Ok(Outcome::Counterfactual {
                         point: bits_to_f64(&point),

@@ -140,7 +140,7 @@ mod tests {
                 let v = s.new_vars(n);
                 let lits: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
                 if native {
-                    s.add_card_ge(None, &lits, bound);
+                    s.add_card_ge(&[], &lits, bound);
                 } else {
                     add_card_ge_cnf(&mut s, None, &lits, bound);
                 }

@@ -11,8 +11,12 @@
 //!   minimization, VSIDS branching with phase saving, Luby restarts and
 //!   activity-based learned-clause deletion;
 //! * counter-based propagation for guarded at-least-`b` cardinality
-//!   constraints, with lazily materialized reason clauses so learning works
-//!   across both constraint types;
+//!   constraints — up to two conjoined guard literals each — with lazily
+//!   materialized reason clauses so learning works across both constraint
+//!   types;
+//! * a sealed, `Arc`-shared prefix of cardinality constraints
+//!   ([`Solver::seal`]), so a solver built once can be cloned per query for
+//!   the cost of its clauses and counters;
 //! * incremental solving under assumptions, which the counterfactual search
 //!   uses to binary-search the explanation distance with one solver instance;
 //! * a CNF *sequential-counter* fallback encoding ([`encode`]) used by the
@@ -26,7 +30,7 @@
 //! // (v0 ∨ v1) and a guarded cardinality constraint g ⇒ (Σ vᵢ ≥ 3).
 //! s.add_clause(&[v[0].pos(), v[1].pos()]);
 //! let g = s.new_var().pos();
-//! s.add_card_ge(Some(g), &[v[0].pos(), v[1].pos(), v[2].pos(), v[3].pos()], 3);
+//! s.add_card_ge(&[g], &[v[0].pos(), v[1].pos(), v[2].pos(), v[3].pos()], 3);
 //! assert_eq!(s.solve_with(&[g]), SolveResult::Sat);           // guard on
 //! let trues = (0..4).filter(|&i| s.value(v[i]) == Some(true)).count();
 //! assert!(trues >= 3);

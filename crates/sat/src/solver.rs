@@ -1,6 +1,8 @@
 //! The CDCL engine with native guarded cardinality constraints.
 
 use crate::lit::{LBool, Lit, Var};
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// Outcome of a solve call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,14 +21,37 @@ struct Clause {
     deleted: bool,
 }
 
-/// A guarded at-least-`bound` constraint: `guard ⇒ Σ lits ≥ bound`
-/// (unconditionally enforced when `guard` is `None`).
+/// Most guard literals one cardinality constraint may carry.
+pub const MAX_GUARDS: usize = 2;
+
+/// A guarded at-least-`bound` constraint: `g₁ ∧ g₂ ⇒ Σ lits ≥ bound`
+/// (unconditionally enforced without guards). Immutable once added: its
+/// false-literal counter lives in [`Solver::nfalse`], so a sealed card can
+/// be shared by every clone of the solver.
 #[derive(Clone, Debug)]
 struct Card {
-    guard: Option<Lit>,
+    guards: [Option<Lit>; MAX_GUARDS],
     lits: Vec<Lit>,
     bound: u32,
-    nfalse: u32,
+}
+
+impl Card {
+    fn guards(&self) -> impl Iterator<Item = Lit> + '_ {
+        self.guards.iter().flatten().copied()
+    }
+}
+
+/// The cardinality constraints frozen by [`Solver::seal`], with their
+/// occurrence lists: read-only, shared by `Arc` between a solver and its
+/// clones. Card `i < cards.len()` of a solver is `cards[i]` here; later
+/// cards live in the solver itself.
+#[derive(Clone, Debug, Default)]
+struct Sealed {
+    cards: Vec<Card>,
+    /// `card_occ[l]`, `guard_occ[l]` as in [`Solver`], for the literals of
+    /// the variables that existed at sealing time.
+    card_occ: Vec<Vec<u32>>,
+    guard_occ: Vec<Vec<u32>>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,16 +73,29 @@ enum Conflict {
 /// [`Solver::add_clause`] and [`Solver::add_card_ge`]; incremental use is
 /// supported (add constraints, solve, add more, solve again) as long as
 /// solving happened at decision level zero, which this API guarantees.
+///
+/// `Clone` copies the whole search state. After [`Solver::seal`] the
+/// cardinality constraints added so far are shared instead of copied, so a
+/// clone costs its clauses and per-variable/per-card counters only.
+#[derive(Clone)]
 pub struct Solver {
     n_vars: usize,
     clauses: Vec<Clause>,
     learned_ids: Vec<u32>,
     /// `watches[l]` = clause ids watching literal `¬l` (inspected when `l` becomes true).
     watches: Vec<Vec<u32>>,
+    /// Cards frozen by [`Solver::seal`] (ids `0..sealed.cards.len()`).
+    sealed: Arc<Sealed>,
+    /// Cards added since the last seal (ids from `sealed.cards.len()` on).
     cards: Vec<Card>,
-    /// `card_occ[l]` = card ids containing literal `¬l` (their `nfalse` bumps when `l` becomes true).
+    /// `nfalse[ci]` = literals of card `ci` currently false.
+    nfalse: Vec<u32>,
+    /// `card_occ[l]` = unsealed card ids containing literal `¬l` (their
+    /// `nfalse` bumps when `l` becomes true). Grown on demand: a literal
+    /// past the end has no unsealed occurrences.
     card_occ: Vec<Vec<u32>>,
-    /// `guard_occ[l]` = card ids whose guard is `l` (activated when `l` becomes true).
+    /// `guard_occ[l]` = unsealed card ids guarded by `l` (checked when `l`
+    /// becomes true). Grown on demand, like `card_occ`.
     guard_occ: Vec<Vec<u32>>,
 
     assigns: Vec<LBool>,
@@ -100,7 +138,9 @@ impl Solver {
             clauses: Vec::new(),
             learned_ids: Vec::new(),
             watches: Vec::new(),
+            sealed: Arc::default(),
             cards: Vec::new(),
+            nfalse: Vec::new(),
             card_occ: Vec::new(),
             guard_occ: Vec::new(),
             assigns: Vec::new(),
@@ -130,10 +170,6 @@ impl Solver {
         self.n_vars += 1;
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.card_occ.push(Vec::new());
-        self.card_occ.push(Vec::new());
-        self.guard_occ.push(Vec::new());
-        self.guard_occ.push(Vec::new());
         self.assigns.push(LBool::Undef);
         self.phase.push(false);
         self.levels.push(0);
@@ -217,11 +253,13 @@ impl Solver {
         }
     }
 
-    /// Adds the guarded cardinality constraint `guard ⇒ Σ lits ≥ bound`
-    /// (unconditional when `guard` is `None`). Literals must be distinct.
-    /// Returns `false` if the solver became inconsistent at the root level.
-    /// Incremental: may be called after a solve.
-    pub fn add_card_ge(&mut self, guard: Option<Lit>, lits: &[Lit], bound: u32) -> bool {
+    /// Adds the guarded cardinality constraint `g₁ ∧ … ⇒ Σ lits ≥ bound`
+    /// over at most [`MAX_GUARDS`] conjoined guard literals (unconditional
+    /// when `guards` is empty). Literals must be distinct. Returns `false`
+    /// if the solver became inconsistent at the root level. Incremental: may
+    /// be called after a solve.
+    pub fn add_card_ge(&mut self, guards: &[Lit], lits: &[Lit], bound: u32) -> bool {
+        assert!(guards.len() <= MAX_GUARDS, "at most {MAX_GUARDS} guard literals");
         self.cancel_until(0);
         if !self.ok {
             return false;
@@ -229,40 +267,147 @@ impl Solver {
         if bound == 0 {
             return true;
         }
+        // The clause that switches the constraint off: ¬g₁ ∨ ¬g₂.
+        let off: Vec<Lit> = guards.iter().map(|g| g.negate()).collect();
         if bound as usize > lits.len() {
-            return match guard {
-                Some(g) => self.add_clause(&[g.negate()]),
-                None => {
-                    self.ok = false;
-                    false
-                }
-            };
+            return self.add_clause(&off);
         }
         if bound == 1 {
-            // Degenerates to a clause (with the guard folded in).
+            // Degenerates to a clause (with the guards folded in).
             let mut c: Vec<Lit> = lits.to_vec();
-            if let Some(g) = guard {
-                c.push(g.negate());
-            }
+            c.extend(off);
             return self.add_clause(&c);
         }
-        let ci = self.cards.len() as u32;
+        let mut card = Card { guards: [None; MAX_GUARDS], lits: lits.to_vec(), bound };
+        for (i, &g) in guards.iter().enumerate() {
+            if guards.contains(&g.negate()) {
+                return true; // g ∧ ¬g never activates it
+            }
+            if !guards[..i].contains(&g) {
+                card.guards[i] = Some(g);
+            }
+        }
+        let ci = (self.sealed.cards.len() + self.cards.len()) as u32;
         let mut nfalse = 0;
         for &l in lits {
-            self.card_occ[l.negate().index()].push(ci);
+            occurrences_of(&mut self.card_occ, l.negate()).push(ci);
             if self.lit_value(l) == LBool::False {
                 nfalse += 1;
             }
         }
-        if let Some(g) = guard {
-            self.guard_occ[g.index()].push(ci);
+        for g in card.guards() {
+            occurrences_of(&mut self.guard_occ, g).push(ci);
         }
-        self.cards.push(Card { guard, lits: lits.to_vec(), bound, nfalse });
+        self.cards.push(card);
+        self.nfalse.push(nfalse);
         if self.check_card(ci).is_some() {
             self.ok = false;
             return false;
         }
         self.root_propagate()
+    }
+
+    /// Freezes every cardinality constraint added so far, with its
+    /// occurrence lists, into the prefix this solver shares with its
+    /// clones. A later `clone()` copies clauses, assignment, per-variable
+    /// state and one counter per card, but not the cards themselves.
+    /// Search behaves exactly as without sealing: card ids and the order
+    /// every occurrence list is visited in are unchanged.
+    pub fn seal(&mut self) {
+        if self.cards.is_empty() {
+            return;
+        }
+        let sealed = Arc::make_mut(&mut self.sealed);
+        sealed.cards.append(&mut std::mem::take(&mut self.cards));
+        sealed.cards.shrink_to_fit();
+        for (shared, local) in [
+            (&mut sealed.card_occ, &mut self.card_occ),
+            (&mut sealed.guard_occ, &mut self.guard_occ),
+        ] {
+            if shared.len() < local.len() {
+                shared.resize_with(local.len(), Vec::new);
+            }
+            for (s, mut l) in shared.iter_mut().zip(std::mem::take(local)) {
+                s.append(&mut l);
+                s.shrink_to_fit();
+            }
+        }
+    }
+
+    /// Estimated heap bytes of the sealed prefix (see [`Solver::seal`]).
+    /// Every clone shares it, so count it once, not per clone.
+    pub fn sealed_bytes(&self) -> usize {
+        let s = &self.sealed;
+        cards_bytes(&s.cards) + lists_bytes(&s.card_occ) + lists_bytes(&s.guard_occ)
+    }
+
+    /// Estimated heap bytes this solver owns alone: everything but the
+    /// sealed prefix. Per-variable state is `O(n_vars)`, and each card,
+    /// sealed or not, has one counter here.
+    pub fn local_bytes(&self) -> usize {
+        let per_var = size_of::<LBool>()
+            + size_of::<bool>() * 2
+            + size_of::<u32>() * 2
+            + size_of::<Reason>()
+            + size_of::<f64>()
+            + size_of::<Var>()
+            + size_of::<i32>();
+        let clauses: usize = self
+            .clauses
+            .iter()
+            .map(|c| size_of::<Clause>() + c.lits.len() * size_of::<Lit>())
+            .sum();
+        clauses
+            + self.learned_ids.len() * size_of::<u32>()
+            + lists_bytes(&self.watches)
+            + cards_bytes(&self.cards)
+            + self.nfalse.len() * size_of::<u32>()
+            + lists_bytes(&self.card_occ)
+            + lists_bytes(&self.guard_occ)
+            + self.n_vars * per_var
+            + self.trail.len() * size_of::<Lit>()
+            + self.trail_lim.len() * size_of::<usize>()
+    }
+
+    /// Card `ci`, sealed or not.
+    fn card(&self, ci: u32) -> &Card {
+        let ci = ci as usize;
+        match self.sealed.cards.get(ci) {
+            Some(card) => card,
+            None => &self.cards[ci - self.sealed.cards.len()],
+        }
+    }
+
+    /// The `i`-th card id in `p`'s occurrence list (`guard_occ` when
+    /// `guarded`, else `card_occ`): sealed ids first, then unsealed — the
+    /// order the cards were added in.
+    fn occurrence(&self, p: Lit, guarded: bool, i: usize) -> Option<u32> {
+        let (sealed, local) = if guarded {
+            (&self.sealed.guard_occ, &self.guard_occ)
+        } else {
+            (&self.sealed.card_occ, &self.card_occ)
+        };
+        let shared = sealed.get(p.index()).map_or(&[][..], Vec::as_slice);
+        match shared.get(i) {
+            Some(&ci) => Some(ci),
+            None => local.get(p.index())?.get(i - shared.len()).copied(),
+        }
+    }
+
+    /// Bumps (`assigned`) or drops the false-literal counter of every card
+    /// containing `¬l` — the cards whose count moves when `l` is assigned
+    /// or unassigned.
+    fn shift_nfalse(&mut self, l: Lit, assigned: bool) {
+        let sealed = self.sealed.card_occ.get(l.index()).map_or(&[][..], Vec::as_slice);
+        let local = self.card_occ.get(l.index()).map_or(&[][..], Vec::as_slice);
+        for &ci in sealed.iter().chain(local) {
+            let n = &mut self.nfalse[ci as usize];
+            if assigned {
+                *n += 1;
+            } else {
+                *n -= 1;
+            }
+        }
     }
 
     fn root_propagate(&mut self) -> bool {
@@ -299,10 +444,7 @@ impl Solver {
         // Cardinality counters are maintained eagerly at assignment time so
         // they stay symmetric with `cancel_until` even when propagation is
         // aborted early by a conflict.
-        for i in 0..self.card_occ[l.index()].len() {
-            let ci = self.card_occ[l.index()][i] as usize;
-            self.cards[ci].nfalse += 1;
-        }
+        self.shift_nfalse(l, true);
         self.propagations += 1;
     }
 
@@ -317,10 +459,7 @@ impl Solver {
             self.phase[v.index()] = l.is_positive();
             self.assigns[v.index()] = LBool::Undef;
             self.reasons[v.index()] = Reason::None;
-            for i in 0..self.card_occ[l.index()].len() {
-                let ci = self.card_occ[l.index()][i] as usize;
-                self.cards[ci].nfalse -= 1;
-            }
+            self.shift_nfalse(l, false);
             if self.heap_pos[v.index()] < 0 {
                 self.heap_insert(v);
             }
@@ -388,54 +527,56 @@ impl Solver {
             // --- Cardinality: p just became true ---------------------------
             // 1. cards containing ¬p gained a false literal (the counter was
             //    already bumped at enqueue time; here we only check);
-            for i in 0..self.card_occ[p.index()].len() {
-                let ci = self.card_occ[p.index()][i];
-                if let Some(c) = self.check_card(ci) {
-                    self.qhead = self.trail.len();
-                    return Some(c);
-                }
-            }
-            // 2. cards guarded by p became active.
-            for i in 0..self.guard_occ[p.index()].len() {
-                let ci = self.guard_occ[p.index()][i];
-                if let Some(c) = self.check_card(ci) {
-                    self.qhead = self.trail.len();
-                    return Some(c);
+            // 2. cards guarded by p moved toward activation.
+            for guarded in [false, true] {
+                let mut i = 0;
+                while let Some(ci) = self.occurrence(p, guarded, i) {
+                    if let Some(c) = self.check_card(ci) {
+                        self.qhead = self.trail.len();
+                        return Some(c);
+                    }
+                    i += 1;
                 }
             }
         }
         None
     }
 
-    /// Counter-based propagation check for one cardinality constraint.
+    /// Counter-based propagation check for one cardinality constraint. A
+    /// false guard disables it; with every guard true it is active; with
+    /// exactly one guard open and the rest true, a violated count refutes
+    /// that guard.
     fn check_card(&mut self, ci: u32) -> Option<Conflict> {
-        let card = &self.cards[ci as usize];
-        let slack = card.lits.len() as i64 - card.nfalse as i64 - card.bound as i64;
-        let guard_state = card.guard.map(|g| self.lit_value(g));
-        match guard_state {
-            Some(LBool::False) => None,
-            Some(LBool::Undef) => {
-                if slack < 0 {
-                    let g = card.guard.unwrap();
-                    self.enqueue(g.negate(), Reason::Card(ci));
-                }
-                None
-            }
-            Some(LBool::True) | None => {
-                if slack < 0 {
-                    return Some(Conflict::Card(ci));
-                }
-                if slack == 0 {
-                    let lits = self.cards[ci as usize].lits.clone();
-                    for l in lits {
-                        if self.lit_value(l) == LBool::Undef {
-                            self.enqueue(l, Reason::Card(ci));
-                        }
-                    }
-                }
-                None
+        let card = self.card(ci);
+        let len = card.lits.len();
+        let slack = len as i64 - self.nfalse[ci as usize] as i64 - card.bound as i64;
+        let mut open = None;
+        for g in card.guards() {
+            match self.lit_value(g) {
+                LBool::False => return None,
+                LBool::True => {}
+                LBool::Undef if open.is_none() => open = Some(g),
+                LBool::Undef => return None,
             }
         }
+        if let Some(g) = open {
+            if slack < 0 {
+                self.enqueue(g.negate(), Reason::Card(ci));
+            }
+            return None;
+        }
+        if slack < 0 {
+            return Some(Conflict::Card(ci));
+        }
+        if slack == 0 {
+            for j in 0..len {
+                let l = self.card(ci).lits[j];
+                if self.lit_value(l) == LBool::Undef {
+                    self.enqueue(l, Reason::Card(ci));
+                }
+            }
+        }
+        None
     }
 
     /// Premise literals (all currently false) that forced `implied`, for a
@@ -452,10 +593,10 @@ impl Solver {
                 .filter(|l| l.var() != implied)
                 .collect(),
             Reason::Card(ci) => {
-                let card = &self.cards[ci as usize];
+                let card = self.card(ci);
                 let cutoff = self.trail_pos[implied.index()];
                 let mut out = Vec::new();
-                if let Some(g) = card.guard {
+                for g in card.guards() {
                     if g.var() != implied {
                         debug_assert_eq!(self.lit_value(g), LBool::True);
                         out.push(g.negate());
@@ -479,9 +620,9 @@ impl Solver {
         match conflict {
             Conflict::Clause(cid) => self.clauses[cid as usize].lits.clone(),
             Conflict::Card(ci) => {
-                let card = &self.cards[ci as usize];
+                let card = self.card(ci);
                 let mut out = Vec::new();
-                if let Some(g) = card.guard {
+                for g in card.guards() {
                     debug_assert_eq!(self.lit_value(g), LBool::True);
                     out.push(g.negate());
                 }
@@ -828,6 +969,24 @@ impl Solver {
     }
 }
 
+/// The occurrence list of `l` in `lists`, growing `lists` to reach it.
+fn occurrences_of(lists: &mut Vec<Vec<u32>>, l: Lit) -> &mut Vec<u32> {
+    if lists.len() <= l.index() {
+        lists.resize_with(l.index() + 1, Vec::new);
+    }
+    &mut lists[l.index()]
+}
+
+/// Estimated heap bytes of `cards` (headers plus literals).
+fn cards_bytes(cards: &[Card]) -> usize {
+    cards.iter().map(|c| size_of::<Card>() + c.lits.len() * size_of::<Lit>()).sum()
+}
+
+/// Estimated heap bytes of per-literal id lists (headers plus ids).
+fn lists_bytes(lists: &[Vec<u32>]) -> usize {
+    lists.iter().map(|l| size_of::<Vec<u32>>() + l.len() * size_of::<u32>()).sum()
+}
+
 /// The Luby restart sequence 1,1,2,1,1,2,4,…
 fn luby(i: u32) -> u32 {
     let mut k = 1u32;
@@ -906,7 +1065,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 5);
         let all: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-        assert!(s.add_card_ge(None, &all, 3));
+        assert!(s.add_card_ge(&[], &all, 3));
         assert_eq!(s.solve(), SolveResult::Sat);
         let count = v.iter().filter(|&&x| s.value(x) == Some(true)).count();
         assert!(count >= 3, "model has only {count} true literals");
@@ -917,7 +1076,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 4);
         let all: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-        s.add_card_ge(None, &all, 3);
+        s.add_card_ge(&[], &all, 3);
         // Force three of them false: 3 true out of remaining 1 impossible.
         s.add_clause(&[v[0].neg()]);
         s.add_clause(&[v[1].neg()]);
@@ -929,7 +1088,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 3);
         let all: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-        s.add_card_ge(None, &all, 3);
+        s.add_card_ge(&[], &all, 3);
         assert_eq!(s.solve(), SolveResult::Sat);
         for x in &v {
             assert_eq!(s.value(*x), Some(true));
@@ -942,7 +1101,7 @@ mod tests {
         let g = s.new_var();
         let v = lits(&mut s, 3);
         let all: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-        s.add_card_ge(Some(g.pos()), &all, 3);
+        s.add_card_ge(&[g.pos()], &all, 3);
         s.add_clause(&[v[0].neg()]); // makes the card unsatisfiable if active
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.value(g), Some(false), "guard must be forced off");
@@ -954,7 +1113,7 @@ mod tests {
         let g = s.new_var();
         let v = lits(&mut s, 4);
         let all: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-        s.add_card_ge(Some(g.pos()), &all, 2);
+        s.add_card_ge(&[g.pos()], &all, 2);
         s.add_clause(&[v[0].neg()]);
         s.add_clause(&[v[1].neg()]);
         // Active guard: need 2 true among v[2], v[3].
@@ -983,8 +1142,8 @@ mod tests {
         let pos: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
         let neg: Vec<Lit> = v.iter().map(|x| x.neg()).collect();
         // At least 4 true and at least 4 false among 6: impossible.
-        s.add_card_ge(None, &pos, 4);
-        assert!(!s.add_card_ge(None, &neg, 4) || s.solve() == SolveResult::Unsat);
+        s.add_card_ge(&[], &pos, 4);
+        assert!(!s.add_card_ge(&[], &neg, 4) || s.solve() == SolveResult::Unsat);
     }
 
     #[test]
@@ -995,8 +1154,8 @@ mod tests {
         let v = lits(&mut s, 4);
         let pos: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
         let neg: Vec<Lit> = v.iter().map(|x| x.neg()).collect();
-        s.add_card_ge(Some(g1.pos()), &pos, 3); // g1 ⇒ ≥3 true
-        s.add_card_ge(Some(g2.pos()), &neg, 3); // g2 ⇒ ≥3 false
+        s.add_card_ge(&[g1.pos()], &pos, 3); // g1 ⇒ ≥3 true
+        s.add_card_ge(&[g2.pos()], &neg, 3); // g2 ⇒ ≥3 false
         s.add_clause(&[g1.pos(), g2.pos()]);
         assert_eq!(s.solve(), SolveResult::Sat);
         let trues = v.iter().filter(|&&x| s.value(x) == Some(true)).count();
@@ -1099,7 +1258,7 @@ mod tests {
             let vars = s.new_vars(n);
             for (lits, bound) in &cards {
                 let ls: Vec<Lit> = lits.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-                s.add_card_ge(None, &ls, *bound);
+                s.add_card_ge(&[], &ls, *bound);
             }
             for cl in &clauses {
                 let ls: Vec<Lit> = cl.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
