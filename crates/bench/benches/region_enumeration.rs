@@ -5,8 +5,8 @@
 //!
 //! * **eager** — `RegionCache::build` materializes the whole `O(n^k)`
 //!   decomposition before the first answer (the former serving model), then
-//!   the query set runs against the `*_in` oracle paths, which replay the
-//!   lazy ordering over the cache (per-query key sort, build-time prune
+//!   the query set runs on engines built over the cache, which replay the
+//!   lazy ordering over it (per-query key sort, build-time prune
 //!   flags) so both sides perform the same LP sequence. Skipped, and
 //!   recorded as `"eager_feasible": false`, when the decomposition estimate
 //!   exceeds the materialization limit — which is exactly what made k ≥ 7
@@ -87,21 +87,21 @@ fn queries(ds: &ContinuousDataset<f64>, n: usize) -> Queries {
     Queries { points, radius_sq }
 }
 
-fn run_eager(ds: &ContinuousDataset<f64>, k: OddK, q: &Queries, cache: &RegionCache<f64>) {
-    let cf = L2Counterfactual::new(ds, k);
-    let ab = L2Abductive::new(ds, k);
+fn run_eager(ds: &ContinuousDataset<f64>, q: &Queries, cache: &RegionCache<f64>) {
+    let cf = L2Counterfactual::with_region_cache(ds, cache);
+    let ab = L2Abductive::with_region_cache(ds, cache);
     for (x, r) in q.points.iter().zip(&q.radius_sq) {
-        std::hint::black_box(cf.within_in(x, r, cache));
-        std::hint::black_box(ab.check_in(x, &[ds.dim() - 1], cache));
+        std::hint::black_box(cf.within(x, r));
+        std::hint::black_box(ab.check(x, &[ds.dim() - 1]));
     }
 }
 
-fn run_lazy(ds: &ContinuousDataset<f64>, k: OddK, q: &Queries, lazy: &LazyRegions<f64>) {
-    let cf = L2Counterfactual::new(ds, k);
-    let ab = L2Abductive::new(ds, k);
+fn run_lazy(ds: &ContinuousDataset<f64>, q: &Queries, lazy: &LazyRegions<f64>) {
+    let cf = L2Counterfactual::with_lazy_regions(ds, lazy);
+    let ab = L2Abductive::with_lazy_regions(ds, lazy);
     for (x, r) in q.points.iter().zip(&q.radius_sq) {
-        std::hint::black_box(cf.within_lazy(x, r, lazy));
-        std::hint::black_box(ab.check_lazy(x, &[ds.dim() - 1], lazy));
+        std::hint::black_box(cf.within(x, r));
+        std::hint::black_box(ab.check(x, &[ds.dim() - 1]));
     }
 }
 
@@ -145,7 +145,7 @@ fn main() {
     // measure region enumeration, not first-touch allocator/code-path costs.
     {
         let warm = LazyRegions::new(&ds, OddK::ONE);
-        run_lazy(&ds, OddK::ONE, &q, &warm);
+        run_lazy(&ds, &q, &warm);
     }
 
     let ks = [1u32, 3, 5, 7];
@@ -170,15 +170,15 @@ fn main() {
         // heap churn (hundreds of MB of freshly-faulted pages at k = 5).
         let lazy = LazyRegions::new(&ds, k);
         let t2 = Instant::now();
-        run_lazy(&ds, k, &q, &lazy);
+        run_lazy(&ds, &q, &lazy);
         let lazy_cold = t2.elapsed().as_secs_f64();
-        let lazy_warm = best_of_3(&|| run_lazy(&ds, k, &q, &lazy));
+        let lazy_warm = best_of_3(&|| run_lazy(&ds, &q, &lazy));
 
         let (eager_build, eager_query) = if eager_feasible {
             let t0 = Instant::now();
             let cache = RegionCache::build(&ds, k);
             let build = t0.elapsed().as_secs_f64();
-            let query = best_of_3(&|| run_eager(&ds, k, &q, &cache));
+            let query = best_of_3(&|| run_eager(&ds, &q, &cache));
             (Some(build), Some(query))
         } else {
             (None, None)

@@ -9,8 +9,7 @@
 //! Defaults are scaled down so the sweep completes in minutes; `--full`
 //! restores the paper's parameters (dims 50..350, N up to 2000/900, 30
 //! repeats). Our MILP is a from-scratch branch & bound, not Gurobi on 8
-//! threads, so the IQP panel is expected to be slower in absolute terms
-//! (EXPERIMENTS.md discusses the comparison).
+//! threads, so the IQP panel is expected to be slower in absolute terms.
 
 use knn_bench::{arg_flag, arg_value, parse_list, print_row, time_runs};
 use knn_core::counterfactual::hamming::{closest_milp_with, closest_sat};

@@ -22,13 +22,23 @@ use knn_space::{BitVec, BooleanDataset, OddK};
 pub struct HammingAbductive<'a> {
     ds: &'a BooleanDataset,
     k: OddK,
+    model: Option<&'a DiscreteModel>,
 }
 
 impl<'a> HammingAbductive<'a> {
-    /// Builds the engine for `f^k_{S⁺,S⁻}` under the Hamming distance.
+    /// Builds the engine for `f^k_{S⁺,S⁻}` under the Hamming distance. At
+    /// k ≥ 3 each session builds its own SAT model.
     pub fn new(ds: &'a BooleanDataset, k: OddK) -> Self {
+        Self::with_model(ds, k, None)
+    }
+
+    /// [`HammingAbductive::new`] answering k ≥ 3 sessions from a prebuilt
+    /// SAT model, which must encode this dataset, `k` and the opposite of
+    /// the session point's label (asserted per session). `None` builds a
+    /// model per session; the k = 1 checker needs none and ignores it.
+    pub fn with_model(ds: &'a BooleanDataset, k: OddK, model: Option<&'a DiscreteModel>) -> Self {
         assert!(ds.len() >= k.get() as usize);
-        HammingAbductive { ds, k }
+        HammingAbductive { ds, k, model }
     }
 
     fn classifier(&self) -> BooleanKnn<'a> {
@@ -36,9 +46,9 @@ impl<'a> HammingAbductive<'a> {
     }
 
     /// Check Sufficient Reason. Polynomial for k = 1 (Prop 6); SAT-backed
-    /// coNP computation for k ≥ 3 (Thm 7) on a model built for the call.
+    /// coNP computation for k ≥ 3 (Thm 7).
     pub fn check(&self, x: &BitVec, fixed: &[usize]) -> SrCheck<BitVec> {
-        self.check_in(x, fixed, None)
+        self.session(x).check(fixed)
     }
 
     /// The polynomial k = 1 checker (Proposition 6).
@@ -61,18 +71,6 @@ impl<'a> HammingAbductive<'a> {
         SrCheck::Sufficient
     }
 
-    /// [`HammingAbductive::check`] answering from `model` at k ≥ 3 (see
-    /// [`HammingAbductive::session_in`]; use [`HammingAbductive::session`]
-    /// for repeated queries on the same x̄).
-    pub fn check_in(
-        &self,
-        x: &BitVec,
-        fixed: &[usize],
-        model: Option<&DiscreteModel>,
-    ) -> SrCheck<BitVec> {
-        self.session_in(x, model).check(fixed)
-    }
-
     /// Convenience boolean form of [`HammingAbductive::check`].
     pub fn is_sufficient(&self, x: &BitVec, fixed: &[usize]) -> bool {
         self.check(x, fixed).is_sufficient()
@@ -80,18 +78,12 @@ impl<'a> HammingAbductive<'a> {
 
     /// An incremental checking session for repeated queries on one `x̄`
     /// (greedy minimal-SR and the IHS loop reuse learned clauses this way).
+    /// At k ≥ 3 the session instantiates the engine's model, or a model
+    /// built for the call.
     pub fn session(&self, x: &BitVec) -> CheckSession<'a, '_> {
-        self.session_in(x, None)
-    }
-
-    /// [`HammingAbductive::session`] on a prebuilt SAT model. At k ≥ 3 the
-    /// session instantiates `model` — which must encode this dataset, `k`
-    /// and the opposite of `f(x)` — or, when `None`, a model built for the
-    /// call. The k = 1 checker needs no model and ignores it.
-    pub fn session_in(&self, x: &BitVec, model: Option<&DiscreteModel>) -> CheckSession<'a, '_> {
         let instance = (self.k != OddK::ONE).then(|| {
             let target = self.classifier().classify(x).flip();
-            match model {
+            match self.model {
                 Some(m) => {
                     assert_eq!((m.k(), m.target()), (self.k, target), "model for another query");
                     m.instantiate(x)
@@ -105,13 +97,7 @@ impl<'a> HammingAbductive<'a> {
     /// A minimal sufficient reason: polynomial for k = 1 (Cor 4), coNP-oracle
     /// greedy for k ≥ 3 (still n oracle calls, each a SAT solve).
     pub fn minimal(&self, x: &BitVec) -> Vec<usize> {
-        self.minimal_in(x, None)
-    }
-
-    /// [`HammingAbductive::minimal`] on a prebuilt SAT model (see
-    /// [`HammingAbductive::session_in`]).
-    pub fn minimal_in(&self, x: &BitVec, model: Option<&DiscreteModel>) -> Vec<usize> {
-        let mut session = self.session_in(x, model);
+        let mut session = self.session(x);
         super::greedy_minimal(self.ds.dim(), None, |s| session.check(s).is_sufficient())
     }
 
@@ -123,18 +109,7 @@ impl<'a> HammingAbductive<'a> {
 
     /// Minimum-SR with a selectable hitting-set mode.
     pub fn minimum_with(&self, x: &BitVec, mode: HittingSetMode) -> Vec<usize> {
-        self.minimum_in(x, mode, None)
-    }
-
-    /// [`HammingAbductive::minimum_with`] on a prebuilt SAT model (see
-    /// [`HammingAbductive::session_in`]).
-    pub fn minimum_in(
-        &self,
-        x: &BitVec,
-        mode: HittingSetMode,
-        model: Option<&DiscreteModel>,
-    ) -> Vec<usize> {
-        let mut session = self.session_in(x, model);
+        let mut session = self.session(x);
         let xc = x.clone();
         minimum_sufficient_reason(
             self.ds.dim(),

@@ -8,7 +8,7 @@
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
 use crate::classifier::ContinuousKnn;
-use crate::regions::{anchor_order, LazyRegions, RegionCache, RegionStream};
+use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource};
 use crate::SrCheck;
 use knn_num::Field;
 use knn_qp::Polyhedron;
@@ -16,60 +16,59 @@ use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
 use std::borrow::Borrow;
 
 /// Sufficient-reason engine for the ℓ2 setting.
+///
+/// The constructor fixes where the Prop 1 polyhedra come from; every
+/// operation enumerates them nearest-anchor-first and pruned
+/// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
+/// so a failing check usually terminates after a handful of LPs instead of
+/// scanning the whole decomposition.
 #[derive(Clone, Debug)]
 pub struct L2Abductive<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
+    source: RegionSource<'a, F>,
 }
 
 impl<'a, F: Field> L2Abductive<'a, F> {
-    /// Builds the engine for `f^k_{S⁺,S⁻}` under ℓ2.
+    /// Builds the engine for `f^k_{S⁺,S⁻}` under ℓ2, enumerating a fresh
+    /// region stream per call.
     pub fn new(ds: &'a ContinuousDataset<F>, k: OddK) -> Self {
+        Self::over(ds, k, RegionSource::Stream)
+    }
+
+    /// The engine over a shared [`LazyRegions`] view of `ds` (the batch
+    /// engine's serving path): warm queries replay memoized polyhedra, cold
+    /// ones enumerate and memoize.
+    pub fn with_lazy_regions(ds: &'a ContinuousDataset<F>, regions: &'a LazyRegions<F>) -> Self {
+        Self::over(ds, regions.k(), RegionSource::Lazy(regions))
+    }
+
+    /// The engine over the eager [`RegionCache`] of `ds` — the differential
+    /// oracle. The cache is replayed in the stream's order with the
+    /// stream's prune decisions, so the answers equal the other sources'.
+    pub fn with_region_cache(ds: &'a ContinuousDataset<F>, cache: &'a RegionCache<F>) -> Self {
+        Self::over(ds, cache.k(), RegionSource::Cache(cache))
+    }
+
+    fn over(ds: &'a ContinuousDataset<F>, k: OddK, source: RegionSource<'a, F>) -> Self {
         assert!(ds.len() >= k.get() as usize);
-        L2Abductive { ds, k }
+        L2Abductive { ds, k, source }
     }
 
     fn classifier(&self) -> ContinuousKnn<'a, F> {
         ContinuousKnn::new(self.ds, LpMetric::L2, self.k)
     }
 
+    /// The polyhedra a counterexample for `x` must lie in, ordered once for
+    /// every check on `x`.
+    fn regions_for(&self, x: &[F]) -> QueryRegions<'a, F> {
+        self.source.for_query(self.ds, self.k, x)
+    }
+
     /// `k`-Check Sufficient Reason(ℝ, D₂) — polynomial for fixed k (Prop 3).
-    ///
-    /// Regions are enumerated lazily, nearest-anchor-first and pruned
-    /// ([`RegionStream::for_query`]), so a failing check usually terminates
-    /// after a handful of LPs instead of scanning the whole decomposition.
     pub fn check(&self, x: &[F], fixed: &[usize]) -> SrCheck<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        let target = self.classifier().classify(x).flip();
-        let stream = RegionStream::for_query(self.ds, self.k, target, x, None);
-        self.check_over(x, fixed, target, stream.map(|(p, _)| p))
-    }
-
-    /// [`L2Abductive::check`] against a shared [`LazyRegions`] view (built
-    /// for the same dataset and `k`): the batch engine's serving path. Warm
-    /// queries replay memoized polyhedra; cold ones enumerate and memoize.
-    pub fn check_lazy(
-        &self,
-        x: &[F],
-        fixed: &[usize],
-        regions: &LazyRegions<F>,
-    ) -> SrCheck<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "lazy regions built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.check_over(x, fixed, target, regions.stream(target, x).map(|(p, _)| p))
-    }
-
-    /// [`L2Abductive::check`] against the eager, pre-materialized
-    /// [`RegionCache`] — the differential-testing oracle. Iterates the
-    /// cache through [`RegionCache::ordered_pruned`], i.e. in exactly the
-    /// order and with exactly the prune decisions of the lazy path, so the
-    /// two produce identical witnesses.
-    pub fn check_in(&self, x: &[F], fixed: &[usize], regions: &RegionCache<F>) -> SrCheck<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "region cache built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.check_over(x, fixed, target, regions.ordered_pruned(self.ds, target, x))
+        let regions = self.regions_for(x);
+        self.check_over(x, fixed, regions.target(), regions.polyhedra())
     }
 
     /// The shared LP loop: first region of `polys` admitting a point of
@@ -119,36 +118,9 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     /// The nearest-anchor-first order depends only on `x`, so it is computed
     /// once and shared by every greedy-deletion check.
     pub fn minimal(&self, x: &[F]) -> Vec<usize> {
-        let target = self.classifier().classify(x).flip();
-        let order = anchor_order(self.ds, self.k, target, Some(x));
+        let regions = self.regions_for(x);
         super::greedy_minimal(self.ds.dim(), None, |s| {
-            let stream =
-                RegionStream::with_order(self.ds, self.k, target, order.clone(), true, None);
-            self.check_over(x, s, target, stream.map(|(p, _)| p)).is_sufficient()
-        })
-    }
-
-    /// [`L2Abductive::minimal`] over a shared [`LazyRegions`] view (one
-    /// anchor ordering for the whole greedy loop).
-    pub fn minimal_lazy(&self, x: &[F], regions: &LazyRegions<F>) -> Vec<usize> {
-        assert_eq!(regions.k(), self.k, "lazy regions built for a different k");
-        let target = self.classifier().classify(x).flip();
-        let order = regions.order_for(target, x);
-        super::greedy_minimal(self.ds.dim(), None, |s| {
-            let stream = regions.stream_with_order(target, order.clone());
-            self.check_over(x, s, target, stream.map(|(p, _)| p)).is_sufficient()
-        })
-    }
-
-    /// [`L2Abductive::minimal`] over the eager [`RegionCache`] oracle (one
-    /// entry permutation for the whole greedy loop, mirroring the lazy twin).
-    pub fn minimal_in(&self, x: &[F], regions: &RegionCache<F>) -> Vec<usize> {
-        assert_eq!(regions.k(), self.k, "region cache built for a different k");
-        let target = self.classifier().classify(x).flip();
-        let order = regions.query_order(self.ds, target, x);
-        super::greedy_minimal(self.ds.dim(), None, |s| {
-            self.check_over(x, s, target, regions.ordered_pruned_with(target, order.clone()))
-                .is_sufficient()
+            self.check_over(x, s, regions.target(), regions.polyhedra()).is_sufficient()
         })
     }
 
@@ -162,57 +134,11 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     /// polynomial upper-bound heuristic of §10's approximation question).
     /// One anchor ordering serves every counterexample check in the loop.
     pub fn minimum_with(&self, x: &[F], mode: HittingSetMode) -> Vec<usize> {
-        let target = self.classifier().classify(x).flip();
-        let order = anchor_order(self.ds, self.k, target, Some(x));
+        let regions = self.regions_for(x);
         minimum_sufficient_reason(
             self.ds.dim(),
             mode,
-            |s| {
-                let stream =
-                    RegionStream::with_order(self.ds, self.k, target, order.clone(), true, None);
-                self.check_over(x, s, target, stream.map(|(p, _)| p))
-            },
-            |w| Self::deviation(x, w),
-        )
-    }
-
-    /// [`L2Abductive::minimum_with`] over a shared [`LazyRegions`] view (one
-    /// anchor ordering for the whole hitting-set loop).
-    pub fn minimum_lazy(
-        &self,
-        x: &[F],
-        mode: HittingSetMode,
-        regions: &LazyRegions<F>,
-    ) -> Vec<usize> {
-        assert_eq!(regions.k(), self.k, "lazy regions built for a different k");
-        let target = self.classifier().classify(x).flip();
-        let order = regions.order_for(target, x);
-        minimum_sufficient_reason(
-            self.ds.dim(),
-            mode,
-            |s| {
-                let stream = regions.stream_with_order(target, order.clone());
-                self.check_over(x, s, target, stream.map(|(p, _)| p))
-            },
-            |w| Self::deviation(x, w),
-        )
-    }
-
-    /// [`L2Abductive::minimum_with`] over the eager [`RegionCache`] oracle
-    /// (one entry permutation for the whole hitting-set loop).
-    pub fn minimum_in(
-        &self,
-        x: &[F],
-        mode: HittingSetMode,
-        regions: &RegionCache<F>,
-    ) -> Vec<usize> {
-        assert_eq!(regions.k(), self.k, "region cache built for a different k");
-        let target = self.classifier().classify(x).flip();
-        let order = regions.query_order(self.ds, target, x);
-        minimum_sufficient_reason(
-            self.ds.dim(),
-            mode,
-            |s| self.check_over(x, s, target, regions.ordered_pruned_with(target, order.clone())),
+            |s| self.check_over(x, s, regions.target(), regions.polyhedra()),
             |w| Self::deviation(x, w),
         )
     }

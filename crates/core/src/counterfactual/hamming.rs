@@ -3,9 +3,10 @@
 //!
 //! * [`closest_sat`]: the novel guarded-cardinality SAT encoding with
 //!   incremental descending search on the distance (cardinality-cadical
-//!   role). The `*_in` forms answer from a prebuilt [`DiscreteModel`] — the
-//!   serving path, where one model per (dataset, k, target) serves every
-//!   query; the plain forms build one for the call;
+//!   role). These functions build a [`DiscreteModel`] for the call; a
+//!   caller holding a prebuilt model (the batch engine keeps one per
+//!   dataset epoch, k and target) calls
+//!   [`DiscreteModel::instantiate`]`(x).closest()` on it directly;
 //! * [`closest_milp`]: the IQP model, linearized exactly over binary `ȳ`
 //!   (`(x̄ᵢ−ȳᵢ)²` is linear in `ȳᵢ` for fixed `x̄ᵢ ∈ {0,1}`) and solved by
 //!   branch & bound (Gurobi role); k = 1 as in the paper's experiments;
@@ -27,7 +28,7 @@ fn model_for(ds: &BooleanDataset, k: OddK, x: &BitVec) -> DiscreteModel {
 /// Returns the witness and its Hamming distance, or `None` if the opposite
 /// region is empty.
 pub fn closest_sat(ds: &BooleanDataset, k: OddK, x: &BitVec) -> Option<(BitVec, usize)> {
-    let out = closest_sat_in(&model_for(ds, k, x), x);
+    let out = model_for(ds, k, x).instantiate(x).closest();
     if let Some((z, d)) = &out {
         let knn = BooleanKnn::new(ds, k);
         debug_assert_ne!(knn.classify(z), knn.classify(x));
@@ -36,24 +37,18 @@ pub fn closest_sat(ds: &BooleanDataset, k: OddK, x: &BitVec) -> Option<(BitVec, 
     out
 }
 
-/// [`closest_sat`] from a prebuilt model, whose target must be the opposite
-/// of `f(x)`.
-pub fn closest_sat_in(model: &DiscreteModel, x: &BitVec) -> Option<(BitVec, usize)> {
-    model.instantiate(x).closest()
-}
-
 /// Anytime variant of [`closest_sat`]: spends at most `max_conflicts` CDCL
 /// conflicts per descending step. The third component reports whether the
 /// returned distance was proven optimal (`true`) or is only the best witness
-/// found within budget (`false`). Intended for large structured instances
-/// where the final optimality proof dominates (see EXPERIMENTS.md).
+/// found within budget (`false`). Intended for large structured instances,
+/// where proving the last distance optimal costs the most.
 pub fn closest_sat_budgeted(
     ds: &BooleanDataset,
     k: OddK,
     x: &BitVec,
     max_conflicts: u64,
 ) -> Option<(BitVec, usize, bool)> {
-    let out = closest_sat_budgeted_in(&model_for(ds, k, x), x, max_conflicts);
+    let out = model_for(ds, k, x).instantiate(x).closest_budgeted(max_conflicts);
     if let Some((z, d, _)) = &out {
         let knn = BooleanKnn::new(ds, k);
         debug_assert_ne!(knn.classify(z), knn.classify(x));
@@ -62,23 +57,9 @@ pub fn closest_sat_budgeted(
     out
 }
 
-/// [`closest_sat_budgeted`] from a prebuilt model (see [`closest_sat_in`]).
-pub fn closest_sat_budgeted_in(
-    model: &DiscreteModel,
-    x: &BitVec,
-    max_conflicts: u64,
-) -> Option<(BitVec, usize, bool)> {
-    model.instantiate(x).closest_budgeted(max_conflicts)
-}
-
 /// Decision form via SAT: counterfactual within distance `l`?
 pub fn within_sat(ds: &BooleanDataset, k: OddK, x: &BitVec, l: usize) -> bool {
-    within_sat_in(&model_for(ds, k, x), x, l)
-}
-
-/// [`within_sat`] from a prebuilt model (see [`closest_sat_in`]).
-pub fn within_sat_in(model: &DiscreteModel, x: &BitVec, l: usize) -> bool {
-    model.instantiate(x).solve_within(l).is_some()
+    model_for(ds, k, x).instantiate(x).solve_within(l).is_some()
 }
 
 /// Closest counterfactual via the linearized IQP model (k = 1, as in §9.2).

@@ -11,7 +11,7 @@
 //!   interior-pointing direction found by LP (Corollary 2).
 
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, RegionCache, RegionStream};
+use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource};
 use knn_lp::{LpProblem, Rel};
 use knn_num::field::{dot, norm_sq};
 use knn_num::Field;
@@ -31,54 +31,56 @@ pub struct CfInfimum<F> {
 }
 
 /// Counterfactual engine for the ℓ2 setting.
+///
+/// The constructor fixes where the Prop 1 polyhedra come from; every
+/// operation enumerates them nearest-anchor-first and pruned
+/// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
+/// and runs projection QPs only on regions the cheap halfspace lower bound
+/// cannot rule out.
 #[derive(Clone, Debug)]
 pub struct L2Counterfactual<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
+    source: RegionSource<'a, F>,
 }
 
 impl<'a, F: Field> L2Counterfactual<'a, F> {
-    /// Builds the engine.
+    /// Builds the engine, enumerating a fresh region stream per call.
     pub fn new(ds: &'a ContinuousDataset<F>, k: OddK) -> Self {
+        Self::over(ds, k, RegionSource::Stream)
+    }
+
+    /// The engine over a shared [`LazyRegions`] view of `ds`: the batch
+    /// engine's serving path.
+    pub fn with_lazy_regions(ds: &'a ContinuousDataset<F>, regions: &'a LazyRegions<F>) -> Self {
+        Self::over(ds, regions.k(), RegionSource::Lazy(regions))
+    }
+
+    /// The engine over the eager [`RegionCache`] of `ds` — the differential
+    /// oracle, replayed in the stream's order with its prune decisions.
+    pub fn with_region_cache(ds: &'a ContinuousDataset<F>, cache: &'a RegionCache<F>) -> Self {
+        Self::over(ds, cache.k(), RegionSource::Cache(cache))
+    }
+
+    fn over(ds: &'a ContinuousDataset<F>, k: OddK, source: RegionSource<'a, F>) -> Self {
         assert!(ds.len() >= k.get() as usize);
-        L2Counterfactual { ds, k }
+        L2Counterfactual { ds, k, source }
     }
 
     fn classifier(&self) -> ContinuousKnn<'a, F> {
         ContinuousKnn::new(self.ds, LpMetric::L2, self.k)
     }
 
+    /// The polyhedra of the region `x` is not in, ordered for `x`.
+    fn regions_for(&self, x: &[F]) -> QueryRegions<'a, F> {
+        self.source.for_query(self.ds, self.k, x)
+    }
+
     /// The infimum counterfactual distance (squared), with a closure witness.
     /// `None` if the opposite region is empty.
-    ///
-    /// Regions are enumerated lazily, nearest-anchor-first and pruned
-    /// ([`RegionStream::for_query`]); projection QPs run only on regions the
-    /// cheap halfspace lower bound cannot rule out against the incumbent.
     pub fn infimum(&self, x: &[F]) -> Option<CfInfimum<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        let target = self.classifier().classify(x).flip();
-        let stream = RegionStream::for_query(self.ds, self.k, target, x, None);
-        self.infimum_over(x, target, stream.map(|(p, _)| p))
-    }
-
-    /// [`L2Counterfactual::infimum`] against a shared [`LazyRegions`] view
-    /// (built for the same dataset and `k`): the batch engine's serving path.
-    pub fn infimum_lazy(&self, x: &[F], regions: &LazyRegions<F>) -> Option<CfInfimum<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "lazy regions built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.infimum_over(x, target, regions.stream(target, x).map(|(p, _)| p))
-    }
-
-    /// [`L2Counterfactual::infimum`] against the eager [`RegionCache`]
-    /// oracle, replayed in the lazy path's order with the lazy path's prune
-    /// decisions ([`RegionCache::ordered_pruned`]) so the two produce
-    /// identical witnesses.
-    pub fn infimum_in(&self, x: &[F], regions: &RegionCache<F>) -> Option<CfInfimum<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "region cache built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.infimum_over(x, target, regions.ordered_pruned(self.ds, target, x))
+        let regions = self.regions_for(x);
+        self.infimum_over(x, regions.target(), regions.polyhedra())
     }
 
     fn infimum_over<B: std::borrow::Borrow<Polyhedron<F>>>(
@@ -131,32 +133,13 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
 
     /// `k`-Counterfactual Explanation(ℝ, D₂): is there `ȳ` with
     /// `f(ȳ) ≠ f(x̄)` and `‖x̄ − ȳ‖ ≤ ℓ`? Returns a witness (Cor 2).
+    /// Nearest-anchor-first ordering makes this the showcase short-circuit:
+    /// the first region whose projection fits the ball answers the query.
     ///
     /// `radius_sq` is `ℓ²` (squared, to stay in the field).
     pub fn within(&self, x: &[F], radius_sq: &F) -> Option<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        let target = self.classifier().classify(x).flip();
-        let stream = RegionStream::for_query(self.ds, self.k, target, x, None);
-        self.within_over(x, radius_sq, target, stream.map(|(p, _)| p))
-    }
-
-    /// [`L2Counterfactual::within`] against a shared [`LazyRegions`] view.
-    /// Nearest-anchor-first ordering makes this the showcase short-circuit:
-    /// the first region whose projection fits the ball answers the query.
-    pub fn within_lazy(&self, x: &[F], radius_sq: &F, regions: &LazyRegions<F>) -> Option<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "lazy regions built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.within_over(x, radius_sq, target, regions.stream(target, x).map(|(p, _)| p))
-    }
-
-    /// [`L2Counterfactual::within`] against the eager [`RegionCache`] oracle
-    /// (lazy-path order and prune decisions).
-    pub fn within_in(&self, x: &[F], radius_sq: &F, regions: &RegionCache<F>) -> Option<Vec<F>> {
-        assert_eq!(x.len(), self.ds.dim());
-        assert_eq!(regions.k(), self.k, "region cache built for a different k");
-        let target = self.classifier().classify(x).flip();
-        self.within_over(x, radius_sq, target, regions.ordered_pruned(self.ds, target, x))
+        let regions = self.regions_for(x);
+        self.within_over(x, radius_sq, regions.target(), regions.polyhedra())
     }
 
     fn within_over<B: std::borrow::Borrow<Polyhedron<F>>>(
@@ -221,7 +204,7 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
 /// `P` can be skipped whenever `(g·x̄ − h)² > bound_sq·‖g‖²` for some row.
 /// The comparison is made through the field's sign test (tolerance-guarded
 /// for `f64`), so the skip is conservative, and it is the same deterministic
-/// decision on the lazy and eager paths.
+/// decision over every region source.
 fn lower_bound_exceeds<F: Field>(x: &[F], poly: &Polyhedron<F>, bound_sq: &F) -> bool {
     for (g, h) in poly.ineqs() {
         let viol = dot(g, x) - h.clone();

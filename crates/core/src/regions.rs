@@ -34,9 +34,13 @@
 //!   its artifact store.
 //!
 //! The eager [`RegionCache`] remains as the differential-testing oracle; its
-//! [`RegionCache::ordered_pruned`] view applies the *same* ordering and
+//! [`RegionCache::ordered_pruned_with`] view applies the *same* ordering and
 //! pruning decisions as the stream, so the two paths are byte-compatible by
 //! construction (property-tested in `tests/prop_regions_lazy.rs`).
+//!
+//! The ℓ2 explanation engines pick one of these sources when they are built
+//! (a fresh stream per call, a shared [`LazyRegions`] view, or the eager
+//! cache) and run every operation through it.
 
 use knn_num::field::norm_sq;
 use knn_num::Field;
@@ -163,7 +167,7 @@ pub struct RegionSpec {
 
 /// `Σ_{ā∈A} d²(x̄, ā)`, accumulated in ascending-index order so the float
 /// value is identical however the anchor set was produced — the ordering key
-/// shared by [`RegionStream`] and [`RegionCache::ordered_pruned`].
+/// shared by [`RegionStream`] and [`RegionCache::query_order`].
 pub fn anchor_key<F: Field>(ds: &ContinuousDataset<F>, x: &[F], anchors: &[usize]) -> F {
     let mut sum = F::zero();
     for &a in anchors {
@@ -837,7 +841,7 @@ pub fn region_polyhedra_with_anchors<'a, F: Field>(
 /// This is the `O(n^k)`-memory eager construction: every polyhedron is built
 /// before the first query can be answered. The serving path now runs on
 /// [`LazyRegions`]; the cache remains as the differential-testing oracle,
-/// and [`RegionCache::ordered_pruned`] replays the lazy path's ordering and
+/// and [`RegionCache::ordered_pruned_with`] replays the lazy path's ordering and
 /// pruning over the materialized entries so the two stay byte-compatible.
 #[derive(Clone, Debug)]
 pub struct RegionCache<F> {
@@ -847,7 +851,7 @@ pub struct RegionCache<F> {
     /// Per-entry prune verdicts, parallel to `positive` / `negative`.
     /// Decisions are query-independent, so they are computed once here
     /// (reusing each entry's already-materialized rows) instead of on every
-    /// [`RegionCache::ordered_pruned`] iteration.
+    /// [`RegionCache::ordered_pruned_with`] iteration.
     positive_pruned: Vec<bool>,
     negative_pruned: Vec<bool>,
 }
@@ -915,25 +919,10 @@ impl<F: Field> RegionCache<F> {
         self.entries(target).iter().map(|(p, _)| p)
     }
 
-    /// The `target` entries reordered nearest-anchor-first for `x` and
-    /// filtered by [`prune_region`] — the eager twin of
-    /// [`RegionStream::for_query`]. The ordering key, tie-breaking (stable
-    /// sort ≡ canonical order within equal keys) and prune decisions are the
-    /// same functions the stream uses, so iterating this view performs the
-    /// LP sequence the lazy path performs.
-    pub fn ordered_pruned<'s>(
-        &'s self,
-        ds: &ContinuousDataset<F>,
-        target: Label,
-        x: &[F],
-    ) -> impl Iterator<Item = &'s Polyhedron<F>> + 's {
-        self.ordered_pruned_with(target, self.query_order(ds, target, x))
-    }
-
-    /// The entry permutation [`RegionCache::ordered_pruned`] iterates for
-    /// `x` — compute once per query point when a greedy / hitting-set loop
-    /// re-checks the same point many times (the eager twin of
-    /// [`anchor_order`]).
+    /// The permutation that puts the `target` entries nearest-anchor-first
+    /// for `x` — the eager twin of [`anchor_order`]. The ordering key and
+    /// tie-breaking (canonical order within equal keys) are the ones the
+    /// stream uses.
     pub fn query_order(&self, ds: &ContinuousDataset<F>, target: Label, x: &[F]) -> Vec<usize> {
         let entries = self.entries(target);
         let keys: Vec<F> = entries.iter().map(|(_, s)| anchor_key(ds, x, &s.anchors)).collect();
@@ -944,8 +933,10 @@ impl<F: Field> RegionCache<F> {
         order
     }
 
-    /// [`RegionCache::ordered_pruned`] over a precomputed
-    /// [`RegionCache::query_order`] permutation.
+    /// The `target` entries in a [`RegionCache::query_order`] permutation,
+    /// filtered by [`prune_region`]'s decisions — the eager twin of
+    /// [`RegionStream::for_query`]: iterating it performs the LP sequence
+    /// the lazy path performs.
     pub fn ordered_pruned_with(
         &self,
         target: Label,
@@ -972,6 +963,99 @@ impl<F: Field> RegionCache<F> {
             + self.negative.iter().map(entry).sum::<usize>()
             + self.positive_pruned.len()
             + self.negative_pruned.len()
+    }
+}
+
+/// Where an ℓ2 explanation engine takes the Prop 1 polyhedra from, fixed
+/// when the engine is built. All three sources emit the same polyhedra in
+/// the same order with the same prune decisions, so every operation gives
+/// the same answer over each (property-tested in
+/// `tests/prop_regions_lazy.rs`).
+#[derive(Clone, Debug)]
+pub(crate) enum RegionSource<'a, F> {
+    /// A fresh pruned, nearest-anchor-first stream per call.
+    Stream,
+    /// A shared [`LazyRegions`] view: the batch engine's serving path.
+    Lazy(&'a LazyRegions<F>),
+    /// The eager [`RegionCache`]: the differential oracle.
+    Cache(&'a RegionCache<F>),
+}
+
+impl<'a, F: Field> RegionSource<'a, F> {
+    /// The polyhedra of the decision region `x` is *not* in, ordered for
+    /// `x`. The order is computed here, once; every
+    /// [`QueryRegions::polyhedra`] call replays it.
+    pub(crate) fn for_query(
+        &self,
+        ds: &'a ContinuousDataset<F>,
+        k: OddK,
+        x: &[F],
+    ) -> QueryRegions<'a, F> {
+        assert_eq!(x.len(), ds.dim());
+        let target = crate::ContinuousKnn::new(ds, knn_space::LpMetric::L2, k).classify(x).flip();
+        let order = match *self {
+            RegionSource::Stream => Order::Stream(anchor_order(ds, k, target, Some(x))),
+            RegionSource::Lazy(lazy) => Order::Lazy(lazy, lazy.order_for(target, x)),
+            RegionSource::Cache(cache) => Order::Cache(cache, cache.query_order(ds, target, x)),
+        };
+        QueryRegions { ds, k, target, order }
+    }
+}
+
+/// One source's emission order for one query point.
+enum Order<'a, F> {
+    Stream(AnchorOrder),
+    Lazy(&'a LazyRegions<F>, AnchorOrder),
+    Cache(&'a RegionCache<F>, Vec<usize>),
+}
+
+/// The target region's polyhedra for one query point (see
+/// [`RegionSource::for_query`]). Greedy-deletion and hitting-set loops
+/// re-check the same point many times and iterate this once per check.
+pub(crate) struct QueryRegions<'a, F> {
+    ds: &'a ContinuousDataset<F>,
+    k: OddK,
+    target: Label,
+    order: Order<'a, F>,
+}
+
+impl<F: Field> QueryRegions<'_, F> {
+    /// The label every yielded polyhedron's points take: the flip of `f(x)`.
+    pub(crate) fn target(&self) -> Label {
+        self.target
+    }
+
+    /// The polyhedra in the query's order, prune decisions applied.
+    pub(crate) fn polyhedra(&self) -> Box<dyn Iterator<Item = SourcedPoly<'_, F>> + '_> {
+        let target = self.target;
+        match &self.order {
+            Order::Stream(order) => Box::new(
+                RegionStream::with_order(self.ds, self.k, target, order.clone(), true, None)
+                    .map(|(p, _)| SourcedPoly::Shared(p)),
+            ),
+            Order::Lazy(lazy, order) => Box::new(
+                lazy.stream_with_order(target, order.clone()).map(|(p, _)| SourcedPoly::Shared(p)),
+            ),
+            Order::Cache(cache, order) => Box::new(
+                cache.ordered_pruned_with(target, order.clone()).map(SourcedPoly::Borrowed),
+            ),
+        }
+    }
+}
+
+/// A polyhedron from a [`QueryRegions`]: shared with a stream or memo, or
+/// borrowed from the eager cache.
+pub(crate) enum SourcedPoly<'s, F> {
+    Shared(Arc<Polyhedron<F>>),
+    Borrowed(&'s Polyhedron<F>),
+}
+
+impl<F> std::borrow::Borrow<Polyhedron<F>> for SourcedPoly<'_, F> {
+    fn borrow(&self) -> &Polyhedron<F> {
+        match self {
+            SourcedPoly::Shared(p) => p,
+            SourcedPoly::Borrowed(p) => p,
+        }
     }
 }
 

@@ -11,12 +11,18 @@
 //!   `Dominated` verdict means the polyhedron is contained in its named
 //!   dominator. A pruner that drops a feasible, uncovered region fails here;
 //! * [`Combinations`] is exactly the lexicographic `r`-subset enumeration:
-//!   `C(n, r)` items, strictly increasing, no duplicates.
+//!   `C(n, r)` items, strictly increasing, no duplicates;
+//! * every ℓ2 explanation operation answers the same over each region
+//!   source an engine can be built on: a fresh stream per call, a shared
+//!   [`LazyRegions`] view (cold and warm), and the [`RegionCache`] oracle.
 
+use knn_core::abductive::l2::L2Abductive;
+use knn_core::abductive::minimum::HittingSetMode;
+use knn_core::counterfactual::l2::L2Counterfactual;
 use knn_core::regions::{
     prune_region, Combinations, LazyRegions, PruneReason, RegionCache, RegionSpec, RegionStream,
 };
-use knn_core::ContinuousKnn;
+use knn_core::{ContinuousKnn, SrCheck};
 use knn_lp::Rel;
 use knn_num::Rat;
 use knn_qp::Polyhedron;
@@ -91,8 +97,71 @@ fn contained_in(p: &Polyhedron<Rat>, q: &Polyhedron<Rat>, strict: bool) -> bool 
     })
 }
 
+/// Every ℓ2 operation's answer at one query point, over one region source.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    check: SrCheck<Vec<Rat>>,
+    minimal: Vec<usize>,
+    minimum: Vec<usize>,
+    greedy_minimum: Vec<usize>,
+    /// The infimum's squared distance, closure witness and attainment.
+    infimum: Option<(Rat, Vec<Rat>, bool)>,
+    within: Vec<Option<Vec<Rat>>>,
+}
+
+fn answers(
+    ab: &L2Abductive<'_, Rat>,
+    cf: &L2Counterfactual<'_, Rat>,
+    x: &[Rat],
+    fixed: &[usize],
+    radii: &[Rat],
+) -> Answers {
+    Answers {
+        check: ab.check(x, fixed),
+        minimal: ab.minimal(x),
+        minimum: ab.minimum_with(x, HittingSetMode::Exact),
+        greedy_minimum: ab.minimum_with(x, HittingSetMode::Greedy),
+        infimum: cf.infimum(x).map(|i| (i.dist_sq, i.closure_witness, i.attained)),
+        within: radii.iter().map(|r| cf.within(x, r)).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The three region sources give equal answers to every operation at
+    /// k ∈ {1, 3}: check on a random fixed set, minimal, exact and greedy
+    /// minimum, infimum, and within at radii below, on and past the
+    /// infimum. The lazy view answers twice, cold then warm.
+    #[test]
+    fn region_sources_give_equal_answers(inst in instance_strategy(), mask in any::<u8>()) {
+        let ds = dataset(&inst);
+        let k = OddK::of(k_of(&inst).get().min(3));
+        let fixed: Vec<usize> = (0..ds.dim()).filter(|i| mask >> i & 1 == 1).collect();
+        let cache = RegionCache::build(&ds, k);
+        let oracle_ab = L2Abductive::with_region_cache(&ds, &cache);
+        let oracle_cf = L2Counterfactual::with_region_cache(&ds, &cache);
+        for q in &inst.queries {
+            let x = to_rat(q);
+            let stream_cf = L2Counterfactual::new(&ds, k);
+            let mut radii = vec![Rat::frac(1, 4), Rat::from_int(1), Rat::from_int(4)];
+            if let Some(inf) = stream_cf.infimum(&x) {
+                radii.push(inf.dist_sq.clone());
+                radii.push(inf.dist_sq + Rat::frac(1, 64));
+            }
+            let stream =
+                answers(&L2Abductive::new(&ds, k), &stream_cf, &x, &fixed, &radii);
+            let oracle = answers(&oracle_ab, &oracle_cf, &x, &fixed, &radii);
+            prop_assert_eq!(&stream, &oracle, "stream vs oracle at {:?}, k = {:?}", x, k);
+            let lazy = LazyRegions::new(&ds, k);
+            let lazy_ab = L2Abductive::with_lazy_regions(&ds, &lazy);
+            let lazy_cf = L2Counterfactual::with_lazy_regions(&ds, &lazy);
+            for pass in ["cold", "warm"] {
+                let got = answers(&lazy_ab, &lazy_cf, &x, &fixed, &radii);
+                prop_assert_eq!(&got, &oracle, "{} lazy view vs oracle at {:?}", pass, x);
+            }
+        }
+    }
 
     /// Lazy enumeration (canonical and query-ordered, unpruned) produces
     /// exactly the eager oracle's region set, polyhedron for polyhedron.

@@ -9,7 +9,7 @@
 //! exactly the workload properties the experiments exercise: high dimension
 //! (`side²` features), per-class cluster structure, sparse between-class
 //! differences, and a natural side-length sweep. The substitution is recorded
-//! in DESIGN.md §1 and EXPERIMENTS.md.
+//! in DESIGN.md §4.
 //!
 //! The crate also generates the combinatorial instances that feed the
 //! hardness-reduction tests: random graphs (Vertex Cover, Clique), knapsack

@@ -1,6 +1,6 @@
 //! Shared, lazily-built artifacts over the engine's immutable dataset.
 //!
-//! Four families, all built at most once per epoch and shared (via `Arc`)
+//! Three families, all built at most once per epoch and shared (via `Arc`)
 //! by every worker:
 //!
 //! * **per-class neighbor indexes** — a flat ℓp scan per `(ℓp, class)`
@@ -17,14 +17,11 @@
 //!   decomposer calls them; the route tags `kdtree-class-index` /
 //!   `hamming-index` stay because they are response bytes; and
 //!   `knn_engine_work_total{kind="kd_visit"}` now reads 0 on these routes;
-//! * **lazy Prop 1 region views** — a [`LazyRegions`] per `k`, feeding the
-//!   `*_lazy` fast paths of the ℓ2 abductive and counterfactual engines.
+//! * **lazy Prop 1 region views** — a [`LazyRegions`] per `k`, the region
+//!   source every ℓ2 abductive and counterfactual route is built over.
 //!   Construction is `O(n)`; regions are enumerated nearest-anchor-first per
 //!   query and memoized (bounded) as they are visited, which is what lets
 //!   the engine serve k ≥ 5 where the eager decomposition is infeasible;
-//! * **eager Prop 1 region caches** — the fully materialized [`RegionCache`]
-//!   per `k`, kept as the differential-testing oracle behind
-//!   `EngineConfig::eager_l2_regions`;
 //! * **Hamming SAT models** — the point-independent §9.2 encoding per
 //!   `(k, target)` ([`DiscreteModel`]), its `O(|S⁺|·|S⁻|)` pair constraints
 //!   sealed into a shared prefix. Every Hamming SAT route instantiates a
@@ -36,10 +33,10 @@
 //! Each family's map mutex is held only long enough to fetch (or create) the
 //! per-key cell; the build itself runs under the cell's `OnceLock`, so
 //! concurrent requesters of the *same* artifact block and share one build
-//! while distinct artifacts (e.g. region caches for k = 1 and k = 3) build
+//! while distinct artifacts (e.g. region views for k = 1 and k = 3) build
 //! in parallel.
 
-use knn_core::regions::{LazyRegions, RegionCache, RegionCounters};
+use knn_core::regions::{LazyRegions, RegionCounters};
 use knn_core::satenc::DiscreteModel;
 use knn_delta::AppliedMutation;
 use knn_index::{HammingScan, LpScan};
@@ -95,7 +92,7 @@ impl StoreMetrics {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArtifactResources {
     /// Estimated bytes of completed index/region/SAT artifacts (class
-    /// scans, eager region caches, lazy views' dataset copies, SAT models).
+    /// scans, lazy views' dataset copies, SAT models).
     pub artifact_bytes: usize,
     /// Estimated bytes of the lazy views' bounded region memos.
     pub memo_bytes: usize,
@@ -261,7 +258,6 @@ impl<K: Eq + Hash + Clone, V> Family<K, V> {
 pub struct ArtifactStore {
     kd_class: Family<(u32, Label), LpScan>,
     hamming_class: Family<Label, HammingScan>,
-    l2_regions: Family<u32, RegionCache<f64>>,
     l2_lazy: Family<u32, LazyRegions<f64>>,
     hamming_sat: Family<(u32, Label), DiscreteModel>,
     /// Build-time accounting, shared across carry-over generations.
@@ -294,14 +290,6 @@ impl ArtifactStore {
                 HammingScan::of_class(ds, label)
             })
         })
-    }
-
-    /// The eager Prop 1 ℓ2 region cache for `k`, building it on first use.
-    /// `O(n^k)` memory — the test-oracle path; serving uses
-    /// [`ArtifactStore::l2_lazy_regions`].
-    pub fn l2_regions(&self, data: &EngineData, k: OddK) -> Arc<RegionCache<f64>> {
-        self.l2_regions
-            .get_or_build(k.get(), || self.metrics.time(|| RegionCache::build(&data.continuous, k)))
     }
 
     /// The lazy Prop 1 ℓ2 region view for `k`. Cheap to build; visited
@@ -350,7 +338,6 @@ impl ArtifactStore {
     pub fn built_count(&self) -> usize {
         self.kd_class.built_count()
             + self.hamming_class.built_count()
-            + self.l2_regions.built_count()
             + self.l2_lazy.built_count()
             + self.hamming_sat.built_count()
     }
@@ -364,7 +351,6 @@ impl ArtifactStore {
         let mut r = ArtifactResources::default();
         r.artifact_bytes += self.kd_class.built_bytes(|t| t.approx_bytes());
         r.artifact_bytes += self.hamming_class.built_bytes(|h| h.approx_bytes());
-        r.artifact_bytes += self.l2_regions.built_bytes(|c| c.approx_bytes());
         // Per-query instances are transient and never counted; their shared
         // sealed prefix is counted here, once.
         r.artifact_bytes += self.hamming_sat.built_bytes(|m| m.approx_bytes());
@@ -392,7 +378,7 @@ impl ArtifactStore {
     ///   with it), as does a boolean view out of step with the continuous
     ///   one (hand-built test data).
     ///
-    /// Every region artifact and every Hamming SAT model is dropped: both
+    /// Every lazy region view and every Hamming SAT model is dropped: both
     /// are built from cross-class point pairs, so any mutation invalidates
     /// them for every `k`. (The invalidation matrix lives in DESIGN.md §3d.)
     pub fn carry_over(&self, before: &EngineData, applied: &AppliedMutation) -> ArtifactStore {
@@ -420,7 +406,6 @@ impl ArtifactStore {
         let next = ArtifactStore {
             kd_class,
             hamming_class,
-            l2_regions: Family::default(),
             l2_lazy: Family::default(),
             hamming_sat: Family::default(),
             metrics: self.metrics.clone(),
@@ -463,10 +448,6 @@ mod tests {
         let b = store.kd_class_index(&d, 2, Label::Positive);
         assert_eq!(a.kth_smallest(&[1.0, 1.0], 1), Some(0.0));
         assert!(Arc::ptr_eq(&a, &b), "same artifact instance on the second request");
-        let r1 = store.l2_regions(&d, OddK::ONE);
-        let r2 = store.l2_regions(&d, OddK::ONE);
-        assert!(Arc::ptr_eq(&r1, &r2));
-        assert!(!r1.entries(Label::Positive).is_empty());
         let l1 = store.l2_lazy_regions(&d, OddK::ONE);
         let l2 = store.l2_lazy_regions(&d, OddK::ONE);
         assert!(Arc::ptr_eq(&l1, &l2));
@@ -521,11 +502,10 @@ mod tests {
         let neg_ham = store.hamming_class_index(&d, Label::Negative);
         store.kd_class_index(&d, 2, Label::Positive);
         store.hamming_class_index(&d, Label::Positive);
-        store.l2_regions(&d, OddK::ONE);
         store.l2_lazy_regions(&d, OddK::ONE);
         store.hamming_sat_model(&d, OddK::ONE, Label::Positive);
         store.hamming_sat_model(&d, OddK::ONE, Label::Negative);
-        assert_eq!(store.built_count(), 8);
+        assert_eq!(store.built_count(), 7);
         let built = store.metrics().snapshot().built;
 
         let applied = AppliedMutation::Insert { point: vec![0.0, 1.0], label: Label::Positive };

@@ -223,7 +223,6 @@ impl ReproBundle {
                             None => Value::Null,
                         },
                     ),
-                    ("eager_l2_regions".to_string(), Value::Bool(self.config.eager_l2_regions)),
                 ]),
             ),
             ("seed".to_string(), Value::String(self.seed.clone())),
@@ -248,6 +247,8 @@ impl ReproBundle {
             None => return Err("missing `xknn_bundle` version tag".into()),
         }
         let cfg = v.get("config").ok_or("missing `config`")?;
+        // Unknown members are ignored, among them the ℓ2 region-source switch
+        // older bundles carry: its two settings served identical bytes.
         let config = EngineConfig {
             workers: member_u64(cfg, "workers")? as usize,
             cache_capacity: member_u64(cfg, "cache_capacity")? as usize,
@@ -256,10 +257,6 @@ impl ReproBundle {
                 Some(x) => Some(
                     x.as_u64().ok_or("`effort_budget` must be null or a non-negative integer")?,
                 ),
-            },
-            eager_l2_regions: match cfg.get("eager_l2_regions") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("`eager_l2_regions` must be a boolean".into()),
             },
         };
         let replay = match v.get("replay") {
@@ -395,6 +392,20 @@ mod tests {
         assert_eq!(parsed, b);
         assert_eq!(parsed.to_json(), text);
         assert!(text.starts_with(r#"{"xknn_bundle":1,"tenant":"hot","config":{"workers":0"#));
+    }
+
+    #[test]
+    fn legacy_region_switch_parses_and_is_dropped() {
+        let current = sample_bundle().to_json();
+        let without = r#""effort_budget":null}"#;
+        assert!(current.contains(without));
+        for legacy in ["true", "false"] {
+            let with = format!(r#""effort_budget":null,"eager_l2_regions":{legacy}}}"#);
+            let text = current.replace(without, &with);
+            let parsed = ReproBundle::from_json(&text).unwrap();
+            assert_eq!(parsed, sample_bundle());
+            assert_eq!(parsed.to_json(), current);
+        }
     }
 
     #[test]

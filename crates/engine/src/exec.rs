@@ -14,7 +14,6 @@ use knn_core::abductive::l1::L1Abductive;
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::abductive::minimum::HittingSetMode;
 use knn_core::classifier::BooleanKnn;
-use knn_core::counterfactual::hamming as hamming_cf;
 use knn_core::counterfactual::l1::L1Counterfactual;
 use knn_core::counterfactual::l2::L2Counterfactual;
 use knn_core::counterfactual::lp_general::LpGeneralCounterfactual;
@@ -23,15 +22,15 @@ use knn_delta::{ClassifyGuard, GuardMetric};
 use knn_space::{BitVec, Label, LpMetric, OddK};
 
 /// Runs `req` to completion. `effort_budget` is the engine-level logical
-/// budget (`None` = exact everywhere). The ℓ2 region routes run on the lazy,
-/// pruned enumerator; [`execute_phased`] exposes the eager oracle mode.
+/// budget (`None` = exact everywhere). The ℓ2 region routes run on the
+/// epoch's shared lazy, pruned region view.
 pub fn execute(
     data: &EngineData,
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
 ) -> Response {
-    execute_phased(data, artifacts, req, effort_budget, false, false).0
+    execute_phased(data, artifacts, req, effort_budget, false).0
 }
 
 /// Where one execution's time went, as measured by [`execute_phased`].
@@ -51,15 +50,7 @@ pub struct PhaseTimes {
     pub demoted: bool,
 }
 
-/// [`execute`] with an explicit region-path selector, the cache-survival
-/// guard, and the phase clock.
-///
-/// `eager_l2_regions` materializes the full Prop 1 decomposition up front
-/// ([`RegionCache`](knn_core::regions::RegionCache)-backed `*_in` paths)
-/// instead of streaming it; the two paths are byte-identical by
-/// construction (same ordering, same pruning), which is exactly what the
-/// oracle tests pin down. Serving should always pass `false`: eager is
-/// `O(n^k)` memory before the first answer.
+/// [`execute`] with the cache-survival guard and the phase clock.
 ///
 /// The guard is returned for answers that have one (successful `classify`
 /// responses carry the per-class majority order statistics their label was
@@ -74,7 +65,6 @@ pub fn execute_phased(
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
-    eager_l2_regions: bool,
     timed: bool,
 ) -> (Response, Option<ClassifyGuard>, PhaseTimes) {
     let mut phases = PhaseTimes::default();
@@ -89,15 +79,7 @@ pub fn execute_phased(
     phases.demoted = planned.budgeted;
     let mut guard = None;
     let solve_started = timed.then(std::time::Instant::now);
-    let outcome = execute_planned(
-        data,
-        artifacts,
-        req,
-        &planned,
-        effort_budget,
-        eager_l2_regions,
-        &mut guard,
-    );
+    let outcome = execute_planned(data, artifacts, req, &planned, effort_budget, &mut guard);
     if let Some(t0) = solve_started {
         phases.solve_us = t0.elapsed().as_micros() as u64;
     }
@@ -121,7 +103,6 @@ fn execute_planned(
     req: &Request,
     planned: &Plan,
     effort_budget: Option<u64>,
-    eager_l2_regions: bool,
     guard: &mut Option<ClassifyGuard>,
 ) -> Result<Outcome, String> {
     let dim = data.continuous.dim();
@@ -197,49 +178,28 @@ fn execute_planned(
         }
 
         Route::L2Check => {
-            let ab = L2Abductive::new(&data.continuous, k);
-            let check = if eager_l2_regions {
-                ab.check_in(x, fixed, &artifacts.l2_regions(data, k))
-            } else {
-                ab.check_lazy(x, fixed, &artifacts.l2_lazy_regions(data, k))
-            };
-            Ok(check_outcome(check))
+            let regions = artifacts.l2_lazy_regions(data, k);
+            let ab = L2Abductive::with_lazy_regions(&data.continuous, &regions);
+            Ok(check_outcome(ab.check(x, fixed)))
         }
         Route::L2Minimal => {
-            let ab = L2Abductive::new(&data.continuous, k);
-            let features = if eager_l2_regions {
-                ab.minimal_in(x, &artifacts.l2_regions(data, k))
-            } else {
-                ab.minimal_lazy(x, &artifacts.l2_lazy_regions(data, k))
-            };
-            Ok(Outcome::Reason { features, optimal: true })
+            let regions = artifacts.l2_lazy_regions(data, k);
+            let ab = L2Abductive::with_lazy_regions(&data.continuous, &regions);
+            Ok(Outcome::Reason { features: ab.minimal(x), optimal: true })
         }
         Route::L2Minimum => {
-            let ab = L2Abductive::new(&data.continuous, k);
+            let regions = artifacts.l2_lazy_regions(data, k);
+            let ab = L2Abductive::with_lazy_regions(&data.continuous, &regions);
             let mode = ihs_mode(planned);
-            let features = if eager_l2_regions {
-                ab.minimum_in(x, mode, &artifacts.l2_regions(data, k))
-            } else {
-                ab.minimum_lazy(x, mode, &artifacts.l2_lazy_regions(data, k))
-            };
-            Ok(Outcome::Reason { features, optimal: mode == HittingSetMode::Exact })
+            Ok(Outcome::Reason {
+                features: ab.minimum_with(x, mode),
+                optimal: mode == HittingSetMode::Exact,
+            })
         }
         Route::L2Cf => {
-            let cf = L2Counterfactual::new(&data.continuous, k);
-            let (eager, lazy) = if eager_l2_regions {
-                (Some(artifacts.l2_regions(data, k)), None)
-            } else {
-                (None, Some(artifacts.l2_lazy_regions(data, k)))
-            };
-            let infimum = |x: &[f64]| match &lazy {
-                Some(regions) => cf.infimum_lazy(x, regions),
-                None => cf.infimum_in(x, eager.as_ref().expect("eager path selected")),
-            };
-            let within = |x: &[f64], r: &f64| match &lazy {
-                Some(regions) => cf.within_lazy(x, r, regions),
-                None => cf.within_in(x, r, eager.as_ref().expect("eager path selected")),
-            };
-            match infimum(x) {
+            let regions = artifacts.l2_lazy_regions(data, k);
+            let cf = L2Counterfactual::with_lazy_regions(&data.continuous, &regions);
+            match cf.infimum(x) {
                 None => Ok(Outcome::NoCounterfactual),
                 Some(inf) => {
                     let dist = inf.dist_sq.sqrt();
@@ -248,7 +208,8 @@ fn execute_planned(
                     // path, and the additive slack must clear the f64 field's
                     // 1e-9 comparison tolerance for boundary queries.
                     let radius = inf.dist_sq * 1.0001 + 1e-6;
-                    let point = within(x, &radius)
+                    let point = cf
+                        .within(x, &radius)
                         .ok_or("internal: witness missing just past the infimum")?;
                     Ok(Outcome::Counterfactual { point, dist, proven: true })
                 }
@@ -278,8 +239,8 @@ fn execute_planned(
 
         Route::HammingCheckK1 | Route::HammingCheckSat => {
             let (ds, bx) = need_bool()?;
-            let ab = HammingAbductive::new(ds, k);
-            Ok(match ab.check_in(&bx, fixed, sr_model(ds, &bx).as_deref()) {
+            let model = sr_model(ds, &bx);
+            Ok(match HammingAbductive::with_model(ds, k, model.as_deref()).check(&bx, fixed) {
                 SrCheck::Sufficient => Outcome::Check { sufficient: true, witness: None },
                 SrCheck::NotSufficient { witness } => {
                     Outcome::Check { sufficient: false, witness: Some(bits_to_f64(&witness)) }
@@ -290,7 +251,7 @@ fn execute_planned(
             let (ds, bx) = need_bool()?;
             let model = sr_model(ds, &bx);
             Ok(Outcome::Reason {
-                features: HammingAbductive::new(ds, k).minimal_in(&bx, model.as_deref()),
+                features: HammingAbductive::with_model(ds, k, model.as_deref()).minimal(&bx),
                 optimal: true,
             })
         }
@@ -298,31 +259,26 @@ fn execute_planned(
             let (ds, bx) = need_bool()?;
             let mode = ihs_mode(planned);
             let model = sr_model(ds, &bx);
+            let ab = HammingAbductive::with_model(ds, k, model.as_deref());
             Ok(Outcome::Reason {
-                features: HammingAbductive::new(ds, k).minimum_in(&bx, mode, model.as_deref()),
+                features: ab.minimum_with(&bx, mode),
                 optimal: mode == HittingSetMode::Exact,
             })
         }
         Route::HammingCf => {
             let (ds, bx) = need_bool()?;
-            let model = flip_model(ds, &bx);
-            match effort_budget {
-                None => match hamming_cf::closest_sat_in(&model, &bx) {
-                    None => Ok(Outcome::NoCounterfactual),
-                    Some((point, d)) => Ok(Outcome::Counterfactual {
-                        point: bits_to_f64(&point),
-                        dist: d as f64,
-                        proven: true,
-                    }),
-                },
-                Some(budget) => match hamming_cf::closest_sat_budgeted_in(&model, &bx, budget) {
-                    None => Ok(Outcome::NoCounterfactual),
-                    Some((point, d, proven)) => Ok(Outcome::Counterfactual {
-                        point: bits_to_f64(&point),
-                        dist: d as f64,
-                        proven,
-                    }),
-                },
+            let mut instance = flip_model(ds, &bx).instantiate(&bx);
+            let found = match effort_budget {
+                None => instance.closest().map(|(point, d)| (point, d, true)),
+                Some(budget) => instance.closest_budgeted(budget),
+            };
+            match found {
+                None => Ok(Outcome::NoCounterfactual),
+                Some((point, d, proven)) => Ok(Outcome::Counterfactual {
+                    point: bits_to_f64(&point),
+                    dist: d as f64,
+                    proven,
+                }),
             }
         }
 

@@ -137,22 +137,11 @@ pub struct EngineConfig {
     /// for the SAT counterfactual; greedy hitting sets for minimum-SR).
     /// `None` runs everything exact. Never wall-clock: see the crate docs.
     pub effort_budget: Option<u64>,
-    /// Serve the ℓ2 region routes from the eagerly materialized
-    /// [`knn_core::regions::RegionCache`] instead of the lazy, pruned
-    /// enumerator. The two paths are byte-identical by construction; this
-    /// exists so the oracle tests can pin that down. Eager is `O(n^k)` time
-    /// and memory before the first answer — never enable it for serving.
-    pub eager_l2_regions: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig {
-            workers: 0,
-            cache_capacity: 4096,
-            effort_budget: None,
-            eager_l2_regions: false,
-        }
+        EngineConfig { workers: 0, cache_capacity: 4096, effort_budget: None }
     }
 }
 
@@ -366,8 +355,8 @@ pub struct EngineStats {
     pub coalesced: u64,
     /// Keys currently being computed (size of the single-flight table).
     pub inflight: usize,
-    /// Shared artifacts (per-class indexes, region caches) built so far —
-    /// how "warm" this engine's one-time costs are.
+    /// Shared artifacts (per-class indexes, region views, SAT models) built
+    /// so far — how "warm" this engine's one-time costs are.
     pub artifacts_built: usize,
     /// The current epoch (mutations applied since load).
     pub epoch: u64,
@@ -809,14 +798,7 @@ impl ExplanationEngine {
         timed: bool,
     ) -> (Response, Option<ClassifyGuard>, exec::PhaseTimes) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec::execute_phased(
-                &snap.data,
-                &snap.artifacts,
-                req,
-                self.config.effort_budget,
-                self.config.eager_l2_regions,
-                timed,
-            )
+            exec::execute_phased(&snap.data, &snap.artifacts, req, self.config.effort_budget, timed)
         }));
         match outcome {
             Ok(traced) => traced,

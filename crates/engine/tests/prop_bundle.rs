@@ -30,12 +30,11 @@ fn text_strategy() -> impl Strategy<Value = String> {
 }
 
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
-    (0..4usize, 0..5000usize, prop::option::of(0..100u64), any::<bool>()).prop_map(
-        |(workers, cache_capacity, effort_budget, eager_l2_regions)| EngineConfig {
+    (0..4usize, 0..5000usize, prop::option::of(0..100u64)).prop_map(
+        |(workers, cache_capacity, effort_budget)| EngineConfig {
             workers,
             cache_capacity,
             effort_budget,
-            eager_l2_regions,
         },
     )
 }

@@ -58,8 +58,7 @@ fn engine(dim: usize, points: &[(u16, bool)], effort_budget: Option<u64>) -> Exp
     for &(bits, positive) in points {
         ds.push(coords(bits, dim), if positive { Label::Positive } else { Label::Negative });
     }
-    let config =
-        EngineConfig { workers: 1, cache_capacity: 0, effort_budget, ..Default::default() };
+    let config = EngineConfig { workers: 1, cache_capacity: 0, effort_budget };
     ExplanationEngine::new(EngineData::from_continuous(ds), config)
 }
 

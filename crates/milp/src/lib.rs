@@ -10,9 +10,9 @@
 //! Algorithm: branch & bound over the `f64` simplex relaxation of `knn-lp`
 //! with configurable node order (depth-first diving or best-bound), a
 //! fix-and-repair rounding heuristic, priority-guided most-fractional
-//! branching and incumbent pruning. Exact for the model class; slower than a
-//! commercial solver, which EXPERIMENTS.md accounts for when comparing
-//! against the paper's Figure 5a.
+//! branching and incumbent pruning. Exact for the model class, but slower
+//! than a commercial solver, so absolute times in a Figure 5a comparison
+//! run above the paper's.
 //!
 //! ```
 //! use knn_milp::{MilpProblem, MilpOutcome};

@@ -190,7 +190,6 @@ pub fn batch_engine(data: &ParsedData, opts: BatchOptions) -> knn_engine::Explan
             workers: opts.workers,
             cache_capacity: opts.cache_capacity,
             effort_budget: opts.budget,
-            ..knn_engine::EngineConfig::default()
         },
     )
 }

@@ -102,7 +102,8 @@ fn digits_explanations_work() {
     let bq = knn_datasets::digits::binarize(&query, 0.5);
     let before = bknn.classify(&bq);
     // Structured digit data makes the final SAT *optimality proofs* explode
-    // (the cardinality-UNSAT pathology EXPERIMENTS.md documents), so the
+    // (proving no witness exists one step closer is a hard cardinality
+    // UNSAT instance), so the
     // anytime API is the right tool here: the best-found witness is still a
     // guaranteed-valid counterfactual even when not proven closest.
     if let Some((cf, d, _proven)) =
