@@ -37,7 +37,7 @@ fn main() {
 
                 let t0 = Instant::now();
                 let mut m = DiscreteModel::build(&ds, OddK::ONE, &x, target);
-                let a = m.closest();
+                let a = m.closest(0);
                 t_desc.push(t0.elapsed().as_secs_f64());
                 c_desc += m.conflicts();
 

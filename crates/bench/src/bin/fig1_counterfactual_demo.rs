@@ -26,8 +26,9 @@ fn main() {
         let test = binarize(&render_digit(&mut rng, 4, &cfg), 0.5);
         let knn = BooleanKnn::new(&ds, OddK::ONE);
         let before = knn.classify(&test);
-        let (cf, d, proven) =
-            closest_sat_budgeted(&ds, OddK::ONE, &test, 100_000).expect("counterfactual exists");
+        let (cf, d, proven) = closest_sat_budgeted(&ds, OddK::ONE, &test, 100_000)
+            .expect("budget too small for a first witness")
+            .expect("counterfactual exists");
         assert_ne!(knn.classify(&cf), before);
         println!(
             "trial {trial}: classified {before}; closest counterfactual flips {d} of {} pixels{}",

@@ -5,38 +5,51 @@
 //!   (x̄ on `X`, the data point elsewhere); Proposition 6's proof shows that
 //!   flipping a counterexample's free coordinates toward its witness point
 //!   only strengthens it.
-//! * k ≥ 3: Check-SR is coNP-complete (Thm 7); we search for counterexamples
-//!   with the incremental SAT model of [`crate::satenc`].
+//! * k ≥ 3: Check-SR is coNP-complete (Thm 7). A check first enumerates the
+//!   completions of the free coordinates nearest first
+//!   ([`crate::ball::first_flip`]): the first label flip is the closest
+//!   counterexample, and an exhausted space proves sufficiency. Only when
+//!   the space exceeds [`crate::ball::ENUMERATION_CAP`] does the session
+//!   search for a counterexample with the incremental SAT model of
+//!   [`crate::satenc`], instantiated on that first need; its witnesses are
+//!   its own, not the canonical ones.
 //! * Minimum-SR is NP-complete for k = 1 (Cor 6) and Σ₂ᵖ-complete for k ≥ 3
 //!   (Thm 8); both run through the implicit-hitting-set loop whose oracle is
 //!   the respective checker — exactly the oracle structure of the paper's
 //!   upper-bound arguments.
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
+use crate::ball::{first_flip, Flip};
 use crate::classifier::BooleanKnn;
 use crate::satenc::{DiscreteInstance, DiscreteModel};
 use crate::SrCheck;
-use knn_space::{BitVec, BooleanDataset, OddK};
+use knn_space::{BitVec, BooleanDataset, Label, OddK};
+use std::sync::Arc;
+
+/// Where a k ≥ 3 session gets the SAT model whose solutions are labelled
+/// `target` (e.g. the batch engine's per-epoch artifact).
+pub type ModelSource<'a> = &'a dyn Fn(Label) -> Arc<DiscreteModel>;
 
 /// Sufficient-reason engine for the discrete setting.
 pub struct HammingAbductive<'a> {
     ds: &'a BooleanDataset,
     k: OddK,
-    model: Option<&'a DiscreteModel>,
+    model: Option<ModelSource<'a>>,
 }
 
 impl<'a> HammingAbductive<'a> {
     /// Builds the engine for `f^k_{S⁺,S⁻}` under the Hamming distance. At
-    /// k ≥ 3 each session builds its own SAT model.
+    /// k ≥ 3 a session that needs the SAT fallback builds its own model.
     pub fn new(ds: &'a BooleanDataset, k: OddK) -> Self {
         Self::with_model(ds, k, None)
     }
 
-    /// [`HammingAbductive::new`] answering k ≥ 3 sessions from a prebuilt
-    /// SAT model, which must encode this dataset, `k` and the opposite of
-    /// the session point's label (asserted per session). `None` builds a
-    /// model per session; the k = 1 checker needs none and ignores it.
-    pub fn with_model(ds: &'a BooleanDataset, k: OddK, model: Option<&'a DiscreteModel>) -> Self {
+    /// [`HammingAbductive::new`] taking the k ≥ 3 SAT fallback's model from
+    /// `model`, called with the opposite of the session point's label only
+    /// when a check first needs SAT; the model must encode this dataset,
+    /// `k` and that label (asserted). `None` builds a model per session;
+    /// the k = 1 checker needs none and ignores it.
+    pub fn with_model(ds: &'a BooleanDataset, k: OddK, model: Option<ModelSource<'a>>) -> Self {
         assert!(ds.len() >= k.get() as usize);
         HammingAbductive { ds, k, model }
     }
@@ -45,8 +58,8 @@ impl<'a> HammingAbductive<'a> {
         BooleanKnn::new(self.ds, self.k)
     }
 
-    /// Check Sufficient Reason. Polynomial for k = 1 (Prop 6); SAT-backed
-    /// coNP computation for k ≥ 3 (Thm 7).
+    /// Check Sufficient Reason. Polynomial for k = 1 (Prop 6); enumeration,
+    /// then SAT past the cap, for k ≥ 3 (Thm 7).
     pub fn check(&self, x: &BitVec, fixed: &[usize]) -> SrCheck<BitVec> {
         self.session(x).check(fixed)
     }
@@ -78,24 +91,28 @@ impl<'a> HammingAbductive<'a> {
 
     /// An incremental checking session for repeated queries on one `x̄`
     /// (greedy minimal-SR and the IHS loop reuse learned clauses this way).
-    /// At k ≥ 3 the session instantiates the engine's model, or a model
-    /// built for the call.
+    /// At k ≥ 3 the first check the enumeration cannot settle instantiates
+    /// the source's model, or a model built for the session.
     pub fn session(&self, x: &BitVec) -> CheckSession<'a, '_> {
-        let instance = (self.k != OddK::ONE).then(|| {
-            let target = self.classifier().classify(x).flip();
-            match self.model {
-                Some(m) => {
-                    assert_eq!((m.k(), m.target()), (self.k, target), "model for another query");
-                    m.instantiate(x)
-                }
-                None => DiscreteModel::build(self.ds, self.k, x, target),
+        let target = (self.k != OddK::ONE).then(|| self.classifier().classify(x).flip());
+        CheckSession { owner: self, x: x.clone(), target, instance: None }
+    }
+
+    /// The SAT fallback's instance for `x`, whose solutions are `target`.
+    fn instantiate(&self, x: &BitVec, target: Label) -> DiscreteInstance {
+        match self.model {
+            Some(source) => {
+                let m = source(target);
+                assert_eq!((m.k(), m.target()), (self.k, target), "model for another query");
+                m.instantiate(x)
             }
-        });
-        CheckSession { owner: self, x: x.clone(), model: instance }
+            None => DiscreteModel::build(self.ds, self.k, x, target),
+        }
     }
 
     /// A minimal sufficient reason: polynomial for k = 1 (Cor 4), coNP-oracle
-    /// greedy for k ≥ 3 (still n oracle calls, each a SAT solve).
+    /// greedy for k ≥ 3 (still n oracle calls, each an enumeration or, past
+    /// the cap, a SAT solve).
     pub fn minimal(&self, x: &BitVec) -> Vec<usize> {
         let mut session = self.session(x);
         super::greedy_minimal(self.ds.dim(), None, |s| session.check(s).is_sufficient())
@@ -130,18 +147,29 @@ impl<'a> HammingAbductive<'a> {
 pub struct CheckSession<'a, 'b> {
     owner: &'b HammingAbductive<'a>,
     x: BitVec,
-    model: Option<DiscreteInstance>,
+    /// The label a counterexample has, at k ≥ 3 (`None` at k = 1).
+    target: Option<Label>,
+    /// The SAT fallback, instantiated when a check first needs it.
+    instance: Option<DiscreteInstance>,
 }
 
 impl CheckSession<'_, '_> {
     /// Checks whether `fixed` is a sufficient reason for the session's `x̄`.
     pub fn check(&mut self, fixed: &[usize]) -> SrCheck<BitVec> {
-        match &mut self.model {
-            None => self.owner.check_k1(&self.x, fixed),
-            Some(model) => match model.solve_with_fixed(fixed) {
-                Some(witness) => SrCheck::NotSufficient { witness },
-                None => SrCheck::Sufficient,
-            },
+        let owner = self.owner;
+        let Some(target) = self.target else { return owner.check_k1(&self.x, fixed) };
+        let free: Vec<usize> = (0..self.x.len()).filter(|i| !fixed.contains(i)).collect();
+        match first_flip(&owner.classifier(), &self.x, &free) {
+            Flip::Found { y, .. } => SrCheck::NotSufficient { witness: y },
+            Flip::Exhausted => SrCheck::Sufficient,
+            Flip::Capped { .. } => {
+                let x = &self.x;
+                let instance = self.instance.get_or_insert_with(|| owner.instantiate(x, target));
+                match instance.solve_with_fixed(fixed) {
+                    Some(witness) => SrCheck::NotSufficient { witness },
+                    None => SrCheck::Sufficient,
+                }
+            }
         }
     }
 }

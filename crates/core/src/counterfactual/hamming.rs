@@ -3,10 +3,15 @@
 //!
 //! * [`closest_sat`]: the novel guarded-cardinality SAT encoding with
 //!   incremental descending search on the distance (cardinality-cadical
-//!   role). These functions build a [`DiscreteModel`] for the call; a
-//!   caller holding a prebuilt model (the batch engine keeps one per
-//!   dataset epoch, k and target) calls
-//!   [`DiscreteModel::instantiate`]`(x).closest()` on it directly;
+//!   role). These functions build a [`DiscreteModel`] for the call and
+//!   always solve by SAT, as the paper's experiments do. The batch engine
+//!   serves a counterfactual by [`crate::ball::first_flip`] first, which
+//!   answers exactly whenever the answer's radius fits under
+//!   [`crate::ball::ENUMERATION_CAP`]; only past the cap does it call
+//!   [`DiscreteModel::instantiate`]`(x).closest(floor)` on the epoch's
+//!   prebuilt model, from the radius enumeration has ruled out. The SAT
+//!   fallback keeps its own witnesses: it does not adopt enumeration's
+//!   canonical (nearest, lexicographically first) rule;
 //! * [`closest_milp`]: the IQP model, linearized exactly over binary `ȳ`
 //!   (`(x̄ᵢ−ȳᵢ)²` is linear in `ȳᵢ` for fixed `x̄ᵢ ∈ {0,1}`) and solved by
 //!   branch & bound (Gurobi role); k = 1 as in the paper's experiments;
@@ -28,7 +33,7 @@ fn model_for(ds: &BooleanDataset, k: OddK, x: &BitVec) -> DiscreteModel {
 /// Returns the witness and its Hamming distance, or `None` if the opposite
 /// region is empty.
 pub fn closest_sat(ds: &BooleanDataset, k: OddK, x: &BitVec) -> Option<(BitVec, usize)> {
-    let out = model_for(ds, k, x).instantiate(x).closest();
+    let out = model_for(ds, k, x).instantiate(x).closest(0);
     if let Some((z, d)) = &out {
         let knn = BooleanKnn::new(ds, k);
         debug_assert_ne!(knn.classify(z), knn.classify(x));
@@ -38,18 +43,20 @@ pub fn closest_sat(ds: &BooleanDataset, k: OddK, x: &BitVec) -> Option<(BitVec, 
 }
 
 /// Anytime variant of [`closest_sat`]: spends at most `max_conflicts` CDCL
-/// conflicts per descending step. The third component reports whether the
-/// returned distance was proven optimal (`true`) or is only the best witness
-/// found within budget (`false`). Intended for large structured instances,
-/// where proving the last distance optimal costs the most.
+/// conflicts per descending step, the first included. `None` when the
+/// budget ran out before any witness was found; otherwise the third
+/// component reports whether the returned distance was proven optimal
+/// (`true`) or is only the best witness found within budget (`false`).
+/// Intended for large structured instances, where proving the last
+/// distance optimal costs the most.
 pub fn closest_sat_budgeted(
     ds: &BooleanDataset,
     k: OddK,
     x: &BitVec,
     max_conflicts: u64,
-) -> Option<(BitVec, usize, bool)> {
-    let out = model_for(ds, k, x).instantiate(x).closest_budgeted(max_conflicts);
-    if let Some((z, d, _)) = &out {
+) -> Option<Option<(BitVec, usize, bool)>> {
+    let out = model_for(ds, k, x).instantiate(x).closest_budgeted(max_conflicts, 0);
+    if let Some(Some((z, d, _))) = &out {
         let knn = BooleanKnn::new(ds, k);
         debug_assert_ne!(knn.classify(z), knn.classify(x));
         debug_assert_eq!(x.hamming(z), *d);

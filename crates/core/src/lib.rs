@@ -9,7 +9,8 @@
 //!     (Prop 3) and minimal SR by greedy deletion (Prop 2 / Cor 1);
 //!   * ℓ1, k = 1: the witness-substitution algorithm of Prop 4 / Cor 3;
 //!   * Hamming, k = 1: the projected-witness algorithm of Prop 6 / Cor 4;
-//!   * Hamming, any odd k: Check-SR by SAT counterexample search (the
+//!   * Hamming, any odd k: Check-SR by exact enumeration of the free
+//!     completions, with SAT counterexample search as the fallback (the
 //!     problem is coNP-complete, Thm 7);
 //!   * minimum SR everywhere via an exact implicit-hitting-set loop with a
 //!     per-setting counterexample oracle (NP-hard / Σ₂ᵖ-complete: Thm 1,
@@ -23,6 +24,8 @@
 //!   * Hamming: the paper's novel guarded-cardinality SAT encoding (§9.2)
 //!     with incremental distance search, the linearized IQP model on the
 //!     MILP solver, and a brute-force oracle (NP-complete, Thm 6);
+//! * [`ball`] — exact Hamming-ball enumeration up to a logical work cap,
+//!   the serving routes' first resort before the SAT search;
 //! * [`brute`] — exponential reference oracles for the discrete setting used
 //!   throughout the test suite;
 //! * [`multilabel`] — the k = 1 multi-label reduction sketched in §10;
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod abductive;
+pub mod ball;
 pub mod brute;
 pub mod classifier;
 pub mod counterfactual;

@@ -256,17 +256,25 @@ impl DiscreteInstance {
         }
     }
 
-    /// Anytime closest-counterfactual search: descends from the first model
-    /// like [`DiscreteInstance::closest`], but spends at most `max_conflicts`
-    /// CDCL conflicts per step. Returns the best witness found and whether it
-    /// was **proven** optimal (`true`) or is only budget-best (`false`).
-    pub fn closest_budgeted(&mut self, max_conflicts: u64) -> Option<(BitVec, usize, bool)> {
+    /// Anytime closest-counterfactual search: descends like
+    /// [`DiscreteInstance::closest`], but spends at most `max_conflicts` CDCL
+    /// conflicts per step, the first included. Returns `None` when the
+    /// budget ran out before any witness was found; otherwise the best
+    /// witness (`None` if there is none) and whether it was **proven**
+    /// optimal (`true`) or is only budget-best (`false`).
+    pub fn closest_budgeted(
+        &mut self,
+        max_conflicts: u64,
+        floor: usize,
+    ) -> Option<Option<(BitVec, usize, bool)>> {
         let n = self.z.len();
-        let first = self.solve_within(n)?;
+        let Some(first) = self.solve_within_limited(n, max_conflicts)? else {
+            return Some(None);
+        };
         let mut best_d = self.x.hamming(&first);
         let mut best = first;
         let proven = loop {
-            if best_d == 0 {
+            if best_d <= floor {
                 break true;
             }
             match self.solve_within_limited(best_d - 1, max_conflicts) {
@@ -278,22 +286,24 @@ impl DiscreteInstance {
                 None => break false,
             }
         };
-        Some((best, best_d, proven))
+        Some(Some((best, best_d, proven)))
     }
 
-    /// The closest `z` with `f(z) = target`.
+    /// The closest `z` with `f(z) = target`, given that none lies closer
+    /// than `floor` (0 when nothing is known).
     ///
     /// §9.2 suggests binary or linear search on the distance bound. UNSAT
     /// queries (bounds below the optimum) are by far the hardest for a CDCL
     /// solver, so the default is a **descending** search: start from the
     /// trivial bound, repeatedly ask for something strictly better than the
-    /// incumbent, and stop at the single final UNSAT proof of optimality.
-    pub fn closest(&mut self) -> Option<(BitVec, usize)> {
+    /// incumbent, and stop at the single final UNSAT proof of optimality —
+    /// or without one, once the incumbent reaches `floor`.
+    pub fn closest(&mut self, floor: usize) -> Option<(BitVec, usize)> {
         let n = self.z.len();
         let first = self.solve_within(n)?;
         let mut best_d = self.x.hamming(&first);
         let mut best = first;
-        while best_d > 0 {
+        while best_d > floor {
             match self.solve_within(best_d - 1) {
                 Some(z) => {
                     let d = self.x.hamming(&z);
@@ -385,7 +395,7 @@ mod tests {
         let knn = BooleanKnn::new(&ds, OddK::ONE);
         assert_eq!(knn.classify(&x), Label::Negative);
         let mut m = DiscreteModel::build(&ds, OddK::ONE, &x, Label::Positive);
-        let (z, d) = m.closest().expect("counterfactual exists");
+        let (z, d) = m.closest(0).expect("counterfactual exists");
         assert_eq!(d, 2, "brute force says the closest positive point is at 2");
         assert_eq!(knn.classify(&z), Label::Positive);
         assert_eq!(x.hamming(&z), 2);
@@ -412,7 +422,7 @@ mod tests {
             let target = fx.flip();
             let mut m = DiscreteModel::build(&ds, k, &x, target);
             let brute = crate::brute::closest_counterfactual(&knn, &x);
-            let sat = m.closest();
+            let sat = m.closest(0);
             match (brute, sat) {
                 (None, None) => {}
                 (Some((_, bd)), Some((z, sd))) => {
@@ -422,6 +432,46 @@ mod tests {
                 (b, s) => panic!("round {round}: brute {b:?} vs sat {s:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_floor_at_or_below_the_optimum_keeps_the_distance() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(58);
+        for round in 0..20 {
+            let dim = rng.gen_range(4..9usize);
+            let k = if round % 2 == 0 { OddK::ONE } else { OddK::THREE };
+            let mut ds = BooleanDataset::new(dim);
+            for i in 0..8 {
+                let l = if i % 2 == 0 { Label::Positive } else { Label::Negative };
+                ds.push((0..dim).map(|_| rng.gen_bool(0.5)).collect(), l);
+            }
+            let x: BitVec = (0..dim).map(|_| rng.gen_bool(0.5)).collect();
+            let model = DiscreteModel::new(&ds, k, BooleanKnn::new(&ds, k).classify(&x).flip());
+            let Some((_, best)) = model.instantiate(&x).closest(0) else { continue };
+            for floor in 0..=best {
+                let (z, d) = model.instantiate(&x).closest(floor).unwrap();
+                assert_eq!((d, x.hamming(&z)), (best, best), "round {round}, floor {floor}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tiny_budget_also_limits_the_first_step() {
+        use knn_datasets::random::{random_boolean_dataset, random_boolean_point};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // At this seed the first (unbounded-distance) solve needs 9 conflicts.
+        let mut rng = StdRng::seed_from_u64(0);
+        let ds = random_boolean_dataset(&mut rng, 300, 16, 0.5);
+        let x = random_boolean_point(&mut rng, 16);
+        let k = OddK::THREE;
+        let model = DiscreteModel::new(&ds, k, BooleanKnn::new(&ds, k).classify(&x).flip());
+        assert_eq!(model.instantiate(&x).closest_budgeted(2, 0), None);
+        let (_, d, proven) = model.instantiate(&x).closest_budgeted(u64::MAX, 0).unwrap().unwrap();
+        assert!(proven);
+        assert_eq!(Some(d), model.instantiate(&x).closest(0).map(|(_, d)| d));
     }
 
     #[test]
@@ -477,8 +527,8 @@ mod tests {
             let model = DiscreteModel::new(&small, k, Label::Negative);
             for _ in 0..4 {
                 let x = random_boolean_point(&mut rng, 10);
-                let fresh = DiscreteModel::build(&small, k, &x, Label::Negative).closest();
-                assert_eq!(model.instantiate(&x).closest(), fresh, "k={}", k.get());
+                let fresh = DiscreteModel::build(&small, k, &x, Label::Negative).closest(0);
+                assert_eq!(model.instantiate(&x).closest(0), fresh, "k={}", k.get());
             }
         }
     }

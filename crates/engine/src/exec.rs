@@ -1,10 +1,12 @@
 //! Executes one planned request against the shared dataset and artifacts.
 //!
 //! Everything here is deterministic: the SAT, MILP, LP, QP and greedy engines
-//! below contain no randomness, and the only "budget" the executor honors is
-//! the engine's *logical* effort budget (CDCL conflicts, greedy hitting
-//! sets), so a response depends solely on `(dataset, config, request)` — not
-//! on the worker that ran it, the batch it arrived in, or the cache state.
+//! below contain no randomness, and the only limits the executor honors are
+//! *logical* — the engine's effort budget (CDCL conflicts, greedy hitting
+//! sets) and the Hamming routes' constant enumeration cap (distance
+//! evaluations, [`knn_core::ball::ENUMERATION_CAP`]) — so a response depends
+//! solely on `(dataset, config, request)` — not on the worker that ran it,
+//! the batch it arrived in, or the cache state.
 
 use crate::artifacts::{ArtifactStore, EngineData};
 use crate::plan::{plan, Plan, Route};
@@ -13,6 +15,7 @@ use knn_core::abductive::hamming::HammingAbductive;
 use knn_core::abductive::l1::L1Abductive;
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::abductive::minimum::HittingSetMode;
+use knn_core::ball::{first_flip, Flip};
 use knn_core::classifier::BooleanKnn;
 use knn_core::counterfactual::l1::L1Counterfactual;
 use knn_core::counterfactual::l2::L2Counterfactual;
@@ -142,14 +145,9 @@ fn execute_planned(
         }
         Ok((ds, BitVec::from_bools(&x.iter().map(|&v| v == 1.0).collect::<Vec<_>>())))
     };
-    // The epoch's SAT model whose solutions flip `bx`'s label, for the
-    // routes that search for counterexamples or counterfactuals.
-    let flip_model = |ds, bx: &BitVec| {
-        let target = BooleanKnn::new(ds, k).classify(bx).flip();
-        artifacts.hamming_sat_model(data, k, target)
-    };
-    // Abductive routes need it only at k ≥ 3 (k = 1 is polynomial).
-    let sr_model = |ds, bx: &BitVec| (k != OddK::ONE).then(|| flip_model(ds, bx));
+    // The epoch's SAT model whose solutions are labelled `target`, fetched
+    // (and so built) only by a Hamming route whose enumeration hit the cap.
+    let sat_model = |target: Label| artifacts.hamming_sat_model(data, k, target);
 
     match planned.route {
         Route::ClassifyHamming => {
@@ -239,8 +237,7 @@ fn execute_planned(
 
         Route::HammingCheckK1 | Route::HammingCheckSat => {
             let (ds, bx) = need_bool()?;
-            let model = sr_model(ds, &bx);
-            Ok(match HammingAbductive::with_model(ds, k, model.as_deref()).check(&bx, fixed) {
+            Ok(match HammingAbductive::with_model(ds, k, Some(&sat_model)).check(&bx, fixed) {
                 SrCheck::Sufficient => Outcome::Check { sufficient: true, witness: None },
                 SrCheck::NotSufficient { witness } => {
                     Outcome::Check { sufficient: false, witness: Some(bits_to_f64(&witness)) }
@@ -249,17 +246,15 @@ fn execute_planned(
         }
         Route::HammingMinimal => {
             let (ds, bx) = need_bool()?;
-            let model = sr_model(ds, &bx);
             Ok(Outcome::Reason {
-                features: HammingAbductive::with_model(ds, k, model.as_deref()).minimal(&bx),
+                features: HammingAbductive::with_model(ds, k, Some(&sat_model)).minimal(&bx),
                 optimal: true,
             })
         }
         Route::HammingMinimum => {
             let (ds, bx) = need_bool()?;
             let mode = ihs_mode(planned);
-            let model = sr_model(ds, &bx);
-            let ab = HammingAbductive::with_model(ds, k, model.as_deref());
+            let ab = HammingAbductive::with_model(ds, k, Some(&sat_model));
             Ok(Outcome::Reason {
                 features: ab.minimum_with(&bx, mode),
                 optimal: mode == HittingSetMode::Exact,
@@ -267,10 +262,22 @@ fn execute_planned(
         }
         Route::HammingCf => {
             let (ds, bx) = need_bool()?;
-            let mut instance = flip_model(ds, &bx).instantiate(&bx);
-            let found = match effort_budget {
-                None => instance.closest().map(|(point, d)| (point, d, true)),
-                Some(budget) => instance.closest_budgeted(budget),
+            let all: Vec<usize> = (0..bx.len()).collect();
+            // Enumeration answers exactly, budget or not; SAT searches only
+            // past the cap, from the radius enumeration has ruled out.
+            let knn = BooleanKnn::new(ds, k);
+            let found = match first_flip(&knn, &bx, &all) {
+                Flip::Found { y, d } => Some((y, d, true)),
+                Flip::Exhausted => None,
+                Flip::Capped { floor } => {
+                    let mut instance = sat_model(knn.classify(&bx).flip()).instantiate(&bx);
+                    match effort_budget {
+                        None => instance.closest(floor).map(|(point, d)| (point, d, true)),
+                        Some(budget) => instance
+                            .closest_budgeted(budget, floor)
+                            .ok_or("effort budget exhausted before any counterfactual was found")?,
+                    }
+                }
             };
             match found {
                 None => Ok(Outcome::NoCounterfactual),

@@ -44,14 +44,21 @@ pub enum Route {
     L1CfMilp,
     /// Check-SR({0,1}, Hamming), k = 1: projected witness (Prop 6).
     HammingCheckK1,
-    /// Check-SR({0,1}, Hamming), k ≥ 3: SAT counterexample search (Thm 7).
+    /// Check-SR({0,1}, Hamming), k ≥ 3 (coNP-complete, Thm 7): enumerates
+    /// the free completions nearest first, and searches for a counterexample
+    /// by SAT only when they exceed the enumeration cap.
     HammingCheckSat,
-    /// Minimal-SR({0,1}, Hamming): greedy deletion over the per-k checker.
+    /// Minimal-SR({0,1}, Hamming): greedy deletion over the per-k checker —
+    /// Prop 6 at k = 1, enumeration with the SAT fallback at k ≥ 3.
     HammingMinimal,
-    /// Minimum-SR({0,1}, Hamming): implicit hitting set (Thm 1 / Thm 8).
+    /// Minimum-SR({0,1}, Hamming): implicit hitting set (Thm 1 / Thm 8)
+    /// over the same per-k checker.
     HammingMinimum,
-    /// Hamming counterfactual: guarded-cardinality SAT (§9.2), optionally
-    /// conflict-budgeted (anytime).
+    /// Hamming counterfactual (NP-complete, Thm 6): enumerates the Hamming
+    /// ball around x̄ radius by radius; only past the enumeration cap does
+    /// it run the guarded-cardinality SAT search (§9.2) from the radius
+    /// ruled out, optionally conflict-budgeted (anytime). The tag names the
+    /// Table 1 cell, whichever of the two answered.
     HammingCf,
     /// ℓp counterfactual heuristic (upper bound; complexity open, §10).
     LpHeuristicCf,

@@ -202,16 +202,41 @@ proptest! {
     }
 }
 
+/// The cap-boundary tenant: 512 points in 12 dimensions, copies of `0¹²`
+/// (positive) and of the weight-`w` point `1ʷ0¹²⁻ʷ` (negative). The ball
+/// fits under `ENUMERATION_CAP` up to radius 5, not radius 6, and the
+/// counterfactual of either centre flips ⌊w/2⌋ + 1 coordinates: radius 5
+/// at w = 9 (enumerated), radius 6 at w = 11 (SAT from floor 6).
+fn cap_boundary_engine(w: u32) -> (usize, u16, ExplanationEngine) {
+    use knn_core::ball::ENUMERATION_CAP;
+    let (dim, n) = (12, 512);
+    let ball = |radius: usize| (0..=radius).map(|r| binomial(dim, r)).sum::<usize>() * n;
+    assert!(ball(5) <= ENUMERATION_CAP && ball(6) > ENUMERATION_CAP);
+    let far = (1u16 << w) - 1;
+    let points: Vec<(u16, bool)> =
+        (0..n).map(|i| if i % 2 == 0 { (0, true) } else { (far, false) }).collect();
+    (dim, far, engine(dim, &points, None))
+}
+
+fn binomial(m: usize, r: usize) -> usize {
+    (1..=r).fold(1, |acc, i| acc * (m - r + i) / i)
+}
+
 /// The routes share one model per (k, target) within an epoch: many
 /// queries, few builds — and a mutation drops the models, so the next
-/// epoch builds its own.
+/// epoch builds its own. Every counterfactual here lies past the
+/// enumeration cap (a route fetches its model only then).
 #[test]
 fn one_model_per_target_serves_an_epoch() {
-    let dim = 6;
-    let points: Vec<(u16, bool)> = (0..12u16).map(|i| (i * 37 % 64, i % 2 == 0)).collect();
-    let served = engine(dim, &points, None);
-    let queries: Vec<QuerySpec> =
-        (0..16u16).map(|b| QuerySpec { cmd: 0, k: 1, bits: b * 5 % 64, features: 0 }).collect();
+    let (dim, far, served) = cap_boundary_engine(11);
+    // Each centre, and each with the coordinate outside `far` set: 6 flips
+    // from a counterfactual, two per target.
+    let queries: Vec<QuerySpec> = [0, 1 << 11, far, far | 1 << 11]
+        .iter()
+        .cycle()
+        .take(8)
+        .map(|&bits| QuerySpec { cmd: 0, k: 1, bits, features: 0 })
+        .collect();
     for (i, q) in queries.iter().enumerate() {
         served.run(&request(q, dim, i));
     }
@@ -221,4 +246,58 @@ fn one_model_per_target_serves_an_epoch() {
     assert_eq!(served.stats().artifacts_built, 0, "the mutation drops the models");
     served.run(&request(&queries[0], dim, 0));
     assert_eq!(served.stats().artifacts_built, 1);
+}
+
+/// A tenant whose Hamming counterfactuals all fit under the enumeration
+/// cap never builds a SAT model: at 300 × 16 every radius up to 4 fits, and
+/// every answer here lies within it.
+#[test]
+fn enumerated_counterfactuals_build_no_model() {
+    use knn_datasets::random::{random_boolean_dataset, random_boolean_point};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let (n, dim) = (300, 16);
+    let mut rng = StdRng::seed_from_u64(16);
+    let ds = random_boolean_dataset(&mut rng, n, dim, 0.5);
+    let bits = |p: &BitVec| (0..dim).filter(|&j| p.get(j)).map(|j| 1u16 << j).sum::<u16>();
+    let points: Vec<(u16, bool)> =
+        ds.iter().map(|(p, l)| (bits(p), l == Label::Positive)).collect();
+    for budget in [None, Some(2)] {
+        let served = engine(dim, &points, budget);
+        for i in 0..40 {
+            let q = QuerySpec {
+                cmd: 0,
+                k: [1, 3][i % 2],
+                bits: bits(&random_boolean_point(&mut rng, dim)),
+                features: 0,
+            };
+            let req = request(&q, dim, i);
+            let resp = served.run(&req);
+            match &resp.result {
+                Ok(Outcome::Counterfactual { dist, proven: true, .. }) => assert!(*dist <= 4.0),
+                other => panic!("{}: {other:?}", req.to_json_line()),
+            }
+        }
+        assert_eq!(served.stats().artifacts_built, 0, "budget {budget:?}");
+    }
+}
+
+/// An answer at the last radius that fits under the cap, and one a radius
+/// beyond it, are both proven at the brute-force distance; only the second
+/// builds the SAT model.
+#[test]
+fn answers_on_both_sides_of_the_cap_are_proven() {
+    for (w, radius) in [(9, 5), (11, 6)] {
+        let (dim, _, served) = cap_boundary_engine(w);
+        let req = request(&QuerySpec { cmd: 0, k: 1, bits: 0, features: 0 }, dim, 0);
+        let resp = served.run(&req);
+        match &resp.result {
+            Ok(Outcome::Counterfactual { dist, proven: true, .. }) => {
+                assert_eq!(*dist, radius as f64, "w = {w}")
+            }
+            other => panic!("w = {w}: {other:?}"),
+        }
+        check_answer(&served, &req, &resp).unwrap();
+        assert_eq!(served.stats().artifacts_built, usize::from(radius == 6), "w = {w}");
+    }
 }

@@ -41,6 +41,7 @@ fn main() {
     // final optimality proof completed within it.
     let (cf, cf_d, proven) =
         hamming_counterfactual::closest_sat_budgeted(&ds, OddK::ONE, &test, 150_000)
+            .expect("budget too small for a first witness")
             .expect("counterfactual exists");
     assert_ne!(knn.classify(&cf), label);
     println!(

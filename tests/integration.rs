@@ -106,7 +106,7 @@ fn digits_explanations_work() {
     // UNSAT instance), so the
     // anytime API is the right tool here: the best-found witness is still a
     // guaranteed-valid counterfactual even when not proven closest.
-    if let Some((cf, d, _proven)) =
+    if let Some(Some((cf, d, _proven))) =
         counterfactual::hamming::closest_sat_budgeted(&bin, OddK::ONE, &bq, 50_000)
     {
         assert_ne!(bknn.classify(&cf), before);
