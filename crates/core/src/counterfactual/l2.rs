@@ -7,16 +7,31 @@
 //! * negative target (open polyhedron): per Theorem 2's closure argument,
 //!   the open piece `P` meets the ball `B_ℓ(x̄)` iff `P ≠ ∅` and the
 //!   projection onto the *closure* has distance **strictly** below `ℓ`; a
-//!   witness is produced by nudging the projection along an
-//!   interior-pointing direction found by LP (Corollary 2).
+//!   witness is produced by nudging the projection into the interior
+//!   (Corollary 2).
+//!
+//! Every projection starts from the region's anchor point, the centroid of
+//! its anchor set `A`. At k = 1 a region is the Voronoi cell of its anchor,
+//! which lies strictly inside it, so:
+//!
+//! * the QP skips its phase-1 LP (a k ≥ 3 centroid that misses the region
+//!   falls back to phase 1), and the solver's KKT polish keeps the answer
+//!   independent of the start;
+//! * a negative target's nonemptiness is the O(rows) test "is the anchor
+//!   strictly inside", with the strict-feasibility LP only as the fallback;
+//! * the nudge walks toward the anchor, and the tight-row LP direction is
+//!   the fallback. A positive-target witness is nudged too whenever the
+//!   radius leaves room, so that it flips the label in `f64` as well, not
+//!   only under the exact tie rule.
 
 use crate::classifier::ContinuousKnn;
 use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource};
 use knn_lp::{LpProblem, Rel};
 use knn_num::field::{dot, norm_sq};
 use knn_num::Field;
-use knn_qp::{project_onto_polyhedron, Polyhedron, QpOutcome};
+use knn_qp::{project_onto_polyhedron_from, Polyhedron, QpOutcome};
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
+use std::borrow::Borrow;
 
 /// The infimum of the counterfactual distance and how it is realized.
 #[derive(Clone, Debug)]
@@ -80,18 +95,10 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
     /// `None` if the opposite region is empty.
     pub fn infimum(&self, x: &[F]) -> Option<CfInfimum<F>> {
         let regions = self.regions_for(x);
-        self.infimum_over(x, regions.target(), regions.polyhedra())
-    }
-
-    fn infimum_over<B: std::borrow::Borrow<Polyhedron<F>>>(
-        &self,
-        x: &[F],
-        target: Label,
-        polys: impl IntoIterator<Item = B>,
-    ) -> Option<CfInfimum<F>> {
+        let target = regions.target();
         let mut best: Option<CfInfimum<F>> = None;
-        for poly in polys {
-            let poly = poly.borrow();
+        for region in regions.polyhedra() {
+            let poly: &Polyhedron<F> = region.borrow();
             // Incumbent pruning: if a single violated halfspace already puts
             // the whole region farther than the best distance found, the QP
             // cannot improve it (ties keep the earlier incumbent anyway).
@@ -100,31 +107,17 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
                     continue;
                 }
             }
-            let candidate = match target {
-                Label::Positive => match project_onto_polyhedron(x, poly) {
-                    QpOutcome::Optimal { y, dist_sq } => {
-                        Some(CfInfimum { dist_sq, closure_witness: y, attained: true })
-                    }
-                    QpOutcome::Infeasible => None,
-                },
-                Label::Negative => {
-                    // The open piece contributes only if nonempty.
-                    if poly.strict_feasible_point().is_none() {
-                        None
-                    } else {
-                        match project_onto_polyhedron(x, poly) {
-                            QpOutcome::Optimal { y, dist_sq } => {
-                                let attained = poly.contains_strictly(&y);
-                                Some(CfInfimum { dist_sq, closure_witness: y, attained })
-                            }
-                            QpOutcome::Infeasible => None,
-                        }
-                    }
-                }
-            };
-            if let Some(c) = candidate {
-                if best.as_ref().is_none_or(|b| c.dist_sq < b.dist_sq) {
-                    best = Some(c);
+            let anchor = self.anchor_point(region.anchors());
+            // The open piece of a negative target contributes only if nonempty.
+            if target == Label::Negative && !has_interior(poly, &anchor) {
+                continue;
+            }
+            if let QpOutcome::Optimal { y, dist_sq } =
+                project_onto_polyhedron_from(x, poly, Some(&anchor))
+            {
+                if best.as_ref().is_none_or(|b| dist_sq < b.dist_sq) {
+                    let attained = target == Label::Positive || poly.contains_strictly(&y);
+                    best = Some(CfInfimum { dist_sq, closure_witness: y, attained });
                 }
             }
         }
@@ -139,64 +132,72 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
     /// `radius_sq` is `ℓ²` (squared, to stay in the field).
     pub fn within(&self, x: &[F], radius_sq: &F) -> Option<Vec<F>> {
         let regions = self.regions_for(x);
-        self.within_over(x, radius_sq, regions.target(), regions.polyhedra())
-    }
-
-    fn within_over<B: std::borrow::Borrow<Polyhedron<F>>>(
-        &self,
-        x: &[F],
-        radius_sq: &F,
-        target: Label,
-        polys: impl IntoIterator<Item = B>,
-    ) -> Option<Vec<F>> {
-        for poly in polys {
-            let poly = poly.borrow();
+        let target = regions.target();
+        for region in regions.polyhedra() {
+            let poly: &Polyhedron<F> = region.borrow();
             // A single violated halfspace farther than the radius rules the
             // region out without a QP.
             if lower_bound_exceeds(x, poly, radius_sq) {
                 continue;
             }
-            match target {
-                Label::Positive => {
-                    if let QpOutcome::Optimal { y, dist_sq } = project_onto_polyhedron(x, poly) {
-                        if !(dist_sq.clone() - radius_sq.clone()).is_positive() {
-                            // The projection may sit exactly on the cell
-                            // boundary. That is a *correct* witness: the
-                            // optimistic rule classifies boundary ties
-                            // positively (§2). Note for `f64` callers: at an
-                            // exact tie, re-classifying the witness with
-                            // floating-point distances is rounding-sensitive;
-                            // use the exact `Rat` instantiation or step
-                            // slightly past the boundary when a strict
-                            // witness is needed downstream.
-                            debug_assert!(
-                                !F::exact() || self.classifier().classify(&y) == target,
-                                "exact witness must classify as target"
-                            );
-                            return Some(y);
-                        }
-                    }
+            let anchor = self.anchor_point(region.anchors());
+            if target == Label::Negative && !has_interior(poly, &anchor) {
+                continue;
+            }
+            let QpOutcome::Optimal { y, dist_sq } =
+                project_onto_polyhedron_from(x, poly, Some(&anchor))
+            else {
+                continue;
+            };
+            let fits = !(dist_sq.clone() - radius_sq.clone()).is_positive();
+            let room = (radius_sq.clone() - dist_sq).is_positive();
+            let witness = match target {
+                // The projection onto the closed region is a witness once it
+                // fits the ball, but it sits on a bisector, where a rounding
+                // error can leave an `f64` point on the wrong side. When the
+                // radius leaves room, step strictly inside; without room or
+                // interior the boundary point stands, which the optimistic
+                // rule classifies positively (§2).
+                Label::Positive if room => {
+                    Some(nudge_into_interior(x, poly, &y, &anchor, radius_sq).unwrap_or(y))
                 }
-                Label::Negative => {
-                    if poly.strict_feasible_point().is_none() {
-                        continue;
-                    }
-                    if let QpOutcome::Optimal { y, dist_sq } = project_onto_polyhedron(x, poly) {
-                        // Strictly inside the ball is required (Thm 2 proof).
-                        if (radius_sq.clone() - dist_sq).is_positive() {
-                            let w = nudge_into_interior(x, poly, y, radius_sq);
-                            debug_assert!(
-                                !F::exact() || self.classifier().classify(&w) == target,
-                                "exact witness must classify as target"
-                            );
-                            return Some(w);
-                        }
-                    }
-                }
+                Label::Positive if fits => Some(y),
+                // Strictly inside the ball is required (Thm 2 proof).
+                Label::Negative if room => nudge_into_interior(x, poly, &y, &anchor, radius_sq),
+                _ => None,
+            };
+            if let Some(w) = witness {
+                debug_assert!(
+                    !F::exact() || self.classifier().classify(&w) == target,
+                    "exact witness must classify as target"
+                );
+                return Some(w);
             }
         }
         None
     }
+
+    /// The centroid of the anchor set `A`. At k = 1 that is the anchor point
+    /// itself, strictly inside its Voronoi cell unless it duplicates a point
+    /// of the other class; at k ≥ 3 it is only a candidate, which the QP and
+    /// the nudge test before they use it.
+    fn anchor_point(&self, anchors: &[usize]) -> Vec<F> {
+        let mut sum = vec![F::zero(); self.ds.dim()];
+        for &a in anchors {
+            for (s, p) in sum.iter_mut().zip(self.ds.point(a)) {
+                *s = s.clone() + p.clone();
+            }
+        }
+        let count = F::from_i64(anchors.len() as i64);
+        sum.into_iter().map(|s| s / count.clone()).collect()
+    }
+}
+
+/// Whether the open polyhedron is nonempty: the O(rows) test of the anchor
+/// decides every k = 1 cell, and the strict-feasibility LP runs only when it
+/// fails.
+fn has_interior<F: Field>(poly: &Polyhedron<F>, anchor: &[F]) -> bool {
+    poly.contains_strictly(anchor) || poly.strict_feasible_point().is_some()
 }
 
 /// A cheap lower bound on `d²(x̄, P)`: for any inequality row `g·y ≤ h` that
@@ -219,41 +220,58 @@ fn lower_bound_exceeds<F: Field>(x: &[F], poly: &Polyhedron<F>, bound_sq: &F) ->
     false
 }
 
-/// Corollary 2's witness construction: starting from a closure point `y` of an
-/// open polyhedron at distance strictly below the radius, find `β` pointing
-/// into the interior (an LP over strict inequalities) and walk `y + εβ`,
-/// halving `ε` until all strict rows hold and the ball constraint is kept.
+/// Corollary 2's witness construction: from a closure point `y` at distance
+/// strictly below the radius, walk `y + εβ` toward the interior, halving `ε`
+/// until every inequality holds strictly and the ball constraint is kept.
+/// The direction is `anchor − y` when the anchor is strictly inside (every
+/// point of that open segment is, by convexity); otherwise `β` comes from an
+/// LP asking `a·β < 0` of every row tight at `y`. `None` when neither
+/// direction reaches the interior, e.g. for a closed region without one.
 fn nudge_into_interior<F: Field>(
     x: &[F],
     poly: &Polyhedron<F>,
-    y: Vec<F>,
+    y: &[F],
+    anchor: &[F],
     radius_sq: &F,
-) -> Vec<F> {
-    // Already interior?
-    if poly.contains_strictly(&y) {
-        return y;
+) -> Option<Vec<F>> {
+    if poly.contains_strictly(y) {
+        return Some(y.to_vec());
     }
-    let n = y.len();
-    // β must satisfy a·β < 0 for every row tight at y (a·y = b).
-    let mut lp: LpProblem<F> = LpProblem::new(n);
+    if poly.contains_strictly(anchor) {
+        let toward: Vec<F> = anchor.iter().zip(y).map(|(a, b)| a.clone() - b.clone()).collect();
+        if let Some(w) = walk_into_interior(x, poly, y, &toward, radius_sq) {
+            return Some(w);
+        }
+    }
+    let mut lp: LpProblem<F> = LpProblem::new(y.len());
     for (a, b) in poly.ineqs() {
-        if (dot(a, &y) - b.clone()).is_zero() {
+        if (dot(a, y) - b.clone()).is_zero() {
             lp.add_dense(a, Rel::Lt, F::zero());
         }
     }
-    let beta = lp.strict_feasible().expect("nonempty open polyhedron admits an interior direction");
+    walk_into_interior(x, poly, y, &lp.strict_feasible()?, radius_sq)
+}
+
+/// The first `y + εβ`, `ε = 1, 1/2, 1/4, …`, strictly inside both `poly`
+/// and the ball; `None` after 256 halvings.
+fn walk_into_interior<F: Field>(
+    x: &[F],
+    poly: &Polyhedron<F>,
+    y: &[F],
+    beta: &[F],
+    radius_sq: &F,
+) -> Option<Vec<F>> {
     let mut eps = F::one();
     for _ in 0..256 {
         let cand: Vec<F> =
-            y.iter().zip(&beta).map(|(yi, bi)| yi.clone() + eps.clone() * bi.clone()).collect();
+            y.iter().zip(beta).map(|(yi, bi)| yi.clone() + eps.clone() * bi.clone()).collect();
         let d: Vec<F> = x.iter().zip(&cand).map(|(a, b)| a.clone() - b.clone()).collect();
-        let dist_ok = !(knn_num::field::norm_sq(&d) - radius_sq.clone()).is_positive();
-        if dist_ok && poly.contains_strictly(&cand) {
-            return cand;
+        if (radius_sq.clone() - norm_sq(&d)).is_positive() && poly.contains_strictly(&cand) {
+            return Some(cand);
         }
         eps = eps / F::from_i64(2);
     }
-    panic!("interior nudge failed to converge (should be impossible with exact arithmetic)");
+    None
 }
 
 #[cfg(test)]
@@ -303,6 +321,10 @@ mod tests {
         // Radius exactly 1 is now a YES (the tie point classifies positive).
         let w = cf.within(&x, &r(1)).unwrap();
         assert_eq!(w, vec![r(1)]);
+        // With room in the ball, the witness steps strictly inside, toward
+        // the anchor at 0, and stays within ℓ = 3/2 of x.
+        let w = cf.within(&x, &rq(9, 4)).unwrap();
+        assert!(w[0] < r(1) && w[0] >= rq(1, 2), "witness {w:?}");
     }
 
     #[test]

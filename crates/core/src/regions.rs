@@ -823,19 +823,6 @@ pub fn region_polyhedra<'a, F: Field>(
         .map(|(p, _)| Arc::try_unwrap(p).unwrap_or_else(|a| (*a).clone()))
 }
 
-/// Like [`region_polyhedra`], additionally yielding the dataset indices of
-/// the witness set `A` — useful as warm starts for projection QPs (any point
-/// of `A` lies in the **closed** polyhedron when `A` is a singleton, and is a
-/// candidate feasible point in general).
-pub fn region_polyhedra_with_anchors<'a, F: Field>(
-    ds: &'a ContinuousDataset<F>,
-    k: OddK,
-    target: Label,
-) -> impl Iterator<Item = (Polyhedron<F>, Vec<usize>)> + 'a {
-    RegionStream::canonical(ds, k, target)
-        .map(|(p, spec)| (Arc::try_unwrap(p).unwrap_or_else(|a| (*a).clone()), spec.anchors))
-}
-
 /// The Prop 1 decomposition of **both** decision regions, materialized once.
 ///
 /// This is the `O(n^k)`-memory eager construction: every polyhedron is built
@@ -941,13 +928,13 @@ impl<F: Field> RegionCache<F> {
         &self,
         target: Label,
         order: Vec<usize>,
-    ) -> impl Iterator<Item = &Polyhedron<F>> + '_ {
+    ) -> impl Iterator<Item = &(Polyhedron<F>, RegionSpec)> + '_ {
         let entries = self.entries(target);
         let pruned = match target {
             Label::Positive => &self.positive_pruned,
             Label::Negative => &self.negative_pruned,
         };
-        order.into_iter().filter(move |&i| !pruned[i]).map(move |i| &entries[i].0)
+        order.into_iter().filter(move |&i| !pruned[i]).map(move |i| &entries[i])
     }
 
     /// Estimated heap bytes of the materialized decomposition (same row
@@ -1025,36 +1012,46 @@ impl<F: Field> QueryRegions<'_, F> {
         self.target
     }
 
-    /// The polyhedra in the query's order, prune decisions applied.
-    pub(crate) fn polyhedra(&self) -> Box<dyn Iterator<Item = SourcedPoly<'_, F>> + '_> {
+    /// The regions in the query's order, prune decisions applied.
+    pub(crate) fn polyhedra(&self) -> Box<dyn Iterator<Item = SourcedRegion<'_, F>> + '_> {
         let target = self.target;
         match &self.order {
             Order::Stream(order) => Box::new(
                 RegionStream::with_order(self.ds, self.k, target, order.clone(), true, None)
-                    .map(|(p, _)| SourcedPoly::Shared(p)),
+                    .map(|(p, spec)| SourcedRegion::Shared(p, spec)),
             ),
             Order::Lazy(lazy, order) => Box::new(
-                lazy.stream_with_order(target, order.clone()).map(|(p, _)| SourcedPoly::Shared(p)),
+                lazy.stream_with_order(target, order.clone())
+                    .map(|(p, spec)| SourcedRegion::Shared(p, spec)),
             ),
             Order::Cache(cache, order) => Box::new(
-                cache.ordered_pruned_with(target, order.clone()).map(SourcedPoly::Borrowed),
+                cache.ordered_pruned_with(target, order.clone()).map(SourcedRegion::Borrowed),
             ),
         }
     }
 }
 
-/// A polyhedron from a [`QueryRegions`]: shared with a stream or memo, or
-/// borrowed from the eager cache.
-pub(crate) enum SourcedPoly<'s, F> {
-    Shared(Arc<Polyhedron<F>>),
-    Borrowed(&'s Polyhedron<F>),
+/// A region from a [`QueryRegions`]: its polyhedron, shared with a stream or
+/// memo or borrowed from the eager cache, together with its spec.
+pub(crate) enum SourcedRegion<'s, F> {
+    Shared(Arc<Polyhedron<F>>, RegionSpec),
+    Borrowed(&'s (Polyhedron<F>, RegionSpec)),
 }
 
-impl<F> std::borrow::Borrow<Polyhedron<F>> for SourcedPoly<'_, F> {
+impl<F> SourcedRegion<'_, F> {
+    /// The region's anchor set `A`, as ascending dataset indices.
+    pub(crate) fn anchors(&self) -> &[usize] {
+        match self {
+            SourcedRegion::Shared(_, spec) | SourcedRegion::Borrowed((_, spec)) => &spec.anchors,
+        }
+    }
+}
+
+impl<F> std::borrow::Borrow<Polyhedron<F>> for SourcedRegion<'_, F> {
     fn borrow(&self) -> &Polyhedron<F> {
         match self {
-            SourcedPoly::Shared(p) => p,
-            SourcedPoly::Borrowed(p) => p,
+            SourcedRegion::Shared(p, _) => p,
+            SourcedRegion::Borrowed((p, _)) => p,
         }
     }
 }

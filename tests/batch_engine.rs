@@ -119,32 +119,13 @@ fn engine_matches_cli_on_l1() {
     }
 }
 
-/// The optimistic ℓ2 label of `y` with the f64 field's tie tolerance:
-/// positive iff the positives' majority-th squared distance exceeds the
-/// negatives' by at most `F64_TOL`. A counterfactual into the closed
-/// positive region is a projection onto its boundary, and f64 rounding can
-/// leave it a rounding error past the bisector, where an exact classifier
-/// would call the tie the other way.
-fn tolerant_l2_label(ds: &ContinuousDataset<f64>, k: OddK, y: &[f64]) -> Label {
-    let stat = |label| {
-        let dists =
-            ds.iter().filter(|&(_, l)| l == label).map(|(p, _)| LpMetric::L2.dist_pow(y, p));
-        knn_space::kth_smallest(dists, k.majority())
-    };
-    match (stat(Label::Positive), stat(Label::Negative)) {
-        (Some(p), Some(n)) if p - n > knn_num::field::F64_TOL => Label::Negative,
-        (Some(_), _) => Label::Positive,
-        (None, _) => Label::Negative,
-    }
-}
-
 /// The region-source oracle: for every ℓ2 abductive / counterfactual query
 /// kind, on both demo datasets, across k ∈ {1, 3, 5}, the engine's answer
 /// (served from its lazy, pruned region view) must equal the core engine's
 /// answer over the eagerly materialized `RegionCache`: the same check
 /// verdict and witness, the same reasons, and the same counterfactual
-/// distance and witness, which must flip the label (see
-/// [`tolerant_l2_label`]).
+/// distance and witness, which must flip the label under the plain `f64`
+/// classifier.
 #[test]
 fn lazy_and_eager_region_engines_are_byte_identical() {
     for text in [BOOL, CONT] {
@@ -165,7 +146,8 @@ fn lazy_and_eager_region_engines_are_byte_identical() {
             let cache = knn_core::regions::RegionCache::build(ds, odd);
             let ab = L2Abductive::with_region_cache(ds, &cache);
             let cf = L2Counterfactual::with_region_cache(ds, &cache);
-            let classify = |y: &[f64]| tolerant_l2_label(ds, odd, y);
+            let knn = knn_core::ContinuousKnn::new(ds, LpMetric::L2, odd);
+            let classify = |y: &[f64]| knn.classify(y);
             for x in &points {
                 let serve = |kind: &str, features: Option<&[usize]>| {
                     engine
