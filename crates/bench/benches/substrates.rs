@@ -1,7 +1,7 @@
 //! Substrate microbenches and the design ablation called out in DESIGN.md:
 //! native guarded-cardinality propagation vs the sequential-counter CNF
 //! encoding (what cardinality-cadical buys the paper's encoding), plus the
-//! classifier, index, LP and QP baselines.
+//! classifier, LP and QP baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use knn_datasets::random::{random_boolean_dataset, random_boolean_point};
@@ -57,7 +57,7 @@ fn cardinality_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn classifier_and_index(c: &mut Criterion) {
+fn classifier_and_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
     group.sample_size(10);
 
@@ -67,15 +67,6 @@ fn classifier_and_index(c: &mut Criterion) {
         let knn = knn_core::BooleanKnn::new(&ds, knn_core::OddK::THREE);
         let x = random_boolean_point(&mut rng, 128);
         b.iter(|| criterion::black_box(knn.classify(&x)));
-    });
-
-    group.bench_function("kdtree_knn_N2000_d8", |b| {
-        let mut rng = StdRng::seed_from_u64(11);
-        let pts: Vec<Vec<f64>> =
-            (0..2000).map(|_| (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
-        let tree = knn_index::KdTree::new(pts, knn_space::LpMetric::L2);
-        let q: Vec<f64> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        b.iter(|| criterion::black_box(tree.knn(&q, 5)));
     });
 
     group.bench_function("lp_simplex_f64_40x60", |b| {
@@ -110,57 +101,6 @@ fn classifier_and_index(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: the three exact NN structures (the FAISS role, DESIGN.md §1) on
-/// one clustered workload — brute scan, KD-tree, VP-tree. KD wins at low
-/// dimension, brute catches up as dimension grows (the §1-cited curse of
-/// dimensionality), VP pays a metric-agnosticity tax.
-fn index_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_index");
-    group.sample_size(20);
-    for &dim in &[4usize, 16, 64] {
-        let mut rng = StdRng::seed_from_u64(14);
-        let n = 4000usize;
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let center = if i % 2 == 0 { 1.0 } else { -1.0 };
-                (0..dim).map(|_| center + rng.gen_range(-0.5..0.5)).collect()
-            })
-            .collect();
-        let queries: Vec<Vec<f64>> =
-            (0..32).map(|_| (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect()).collect();
-
-        let brute = knn_index::BruteForceIndex::new(pts.clone(), knn_space::LpMetric::L2);
-        group.bench_function(BenchmarkId::new("brute", dim), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    criterion::black_box(brute.knn(q, 5));
-                }
-            })
-        });
-
-        let kd = knn_index::KdTree::new(pts.clone(), knn_space::LpMetric::L2);
-        group.bench_function(BenchmarkId::new("kdtree", dim), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    criterion::black_box(kd.knn(q, 5));
-                }
-            })
-        });
-
-        let vp = knn_index::VpTree::new(pts.clone(), |a: &Vec<f64>, b: &Vec<f64>| {
-            knn_space::LpMetric::L2.dist_f64(a, b)
-        });
-        group.bench_function(BenchmarkId::new("vptree", dim), |b| {
-            b.iter(|| {
-                for q in &queries {
-                    criterion::black_box(vp.knn(q, 5));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Ablation: MILP node-order and rounding-heuristic options on the Figure-5a
 /// counterfactual model (the design choices added on top of plain DFS B&B).
 fn milp_ablation(c: &mut Criterion) {
@@ -191,11 +131,5 @@ fn milp_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    cardinality_ablation,
-    classifier_and_index,
-    index_ablation,
-    milp_ablation
-);
+criterion_group!(benches, cardinality_ablation, classifier_and_solvers, milp_ablation);
 criterion_main!(benches);

@@ -718,17 +718,11 @@ impl<F: Field> LazyRegions<F> {
 
     /// A lazy view of the `f^k` decomposition over `ds`.
     pub fn new(ds: &ContinuousDataset<F>, k: OddK) -> Self {
-        Self::with_memo_cap(ds, k, Self::DEFAULT_MEMO_CAP)
-    }
-
-    /// [`LazyRegions::new`] with an explicit memo bound (`0` disables
-    /// memoization entirely).
-    pub fn with_memo_cap(ds: &ContinuousDataset<F>, k: OddK, cap: usize) -> Self {
         LazyRegions {
             ds: ds.clone(),
             k,
-            positive: RegionMemo::new(cap),
-            negative: RegionMemo::new(cap),
+            positive: RegionMemo::new(Self::DEFAULT_MEMO_CAP),
+            negative: RegionMemo::new(Self::DEFAULT_MEMO_CAP),
             counters: Arc::new(RegionCounters::default()),
         }
     }
@@ -806,21 +800,6 @@ impl<F: Field> LazyRegions<F> {
     pub fn approx_bytes(&self) -> usize {
         self.ds.approx_bytes() + self.memo_bytes()
     }
-}
-
-/// Enumerates the Prop 1 polyhedra of the region `{ȳ : f(ȳ) = target}`, in
-/// canonical order, unpruned.
-///
-/// Each yielded [`Polyhedron`] is the *closure*; for `target = Negative` the
-/// true region piece is its strict interior (w.r.t. the inequality rows), and
-/// callers must use strict feasibility / the closure argument of Theorem 2.
-pub fn region_polyhedra<'a, F: Field>(
-    ds: &'a ContinuousDataset<F>,
-    k: OddK,
-    target: Label,
-) -> impl Iterator<Item = Polyhedron<F>> + 'a {
-    RegionStream::canonical(ds, k, target)
-        .map(|(p, _)| Arc::try_unwrap(p).unwrap_or_else(|a| (*a).clone()))
 }
 
 /// The Prop 1 decomposition of **both** decision regions, materialized once.
@@ -1113,9 +1092,9 @@ mod tests {
                 let q = rnd_pt(&mut rng);
                 let label = knn.classify(&q);
                 let in_pos_union =
-                    region_polyhedra(&ds, k, Label::Positive).any(|p| p.contains(&q));
-                let in_neg_union =
-                    region_polyhedra(&ds, k, Label::Negative).any(|p| p.contains_strictly(&q));
+                    RegionStream::canonical(&ds, k, Label::Positive).any(|(p, _)| p.contains(&q));
+                let in_neg_union = RegionStream::canonical(&ds, k, Label::Negative)
+                    .any(|(p, _)| p.contains_strictly(&q));
                 assert_eq!(
                     label == Label::Positive,
                     in_pos_union,

@@ -16,7 +16,7 @@
 //!   keep their names and arguments because the benchmark's per-layer
 //!   decomposer calls them; the route tags `kdtree-class-index` /
 //!   `hamming-index` stay because they are response bytes; and
-//!   `knn_engine_work_total{kind="kd_visit"}` now reads 0 on these routes;
+//!   `knn_engine_work_total{kind="kd_visit"}` reads 0 on every route;
 //! * **lazy Prop 1 region views** — a [`LazyRegions`] per `k`, the region
 //!   source every ℓ2 abductive and counterfactual route is built over.
 //!   Construction is `O(n)`; regions are enumerated nearest-anchor-first per

@@ -301,7 +301,7 @@ pub struct RouteWorkSnapshot {
     pub lp_solves: u64,
     /// QP projections onto Prop 1 polyhedra.
     pub qp_solves: u64,
-    /// KD-tree nodes visited (0 on the classify routes, which scan).
+    /// Always 0; kept because the benchmark's per-layer report reads it.
     pub kd_visits: u64,
     /// Region polyhedra yielded by the lazy enumerator.
     pub region_yields: u64,
@@ -316,7 +316,6 @@ struct RouteWork {
     computes: AtomicU64,
     lp_solves: AtomicU64,
     qp_solves: AtomicU64,
-    kd_visits: AtomicU64,
     region_yields: AtomicU64,
     solve_us: AtomicU64,
 }
@@ -327,7 +326,6 @@ struct RouteWork {
 struct WorkSample {
     lp: u64,
     qp: u64,
-    kd: u64,
     regions: u64,
 }
 
@@ -336,7 +334,6 @@ impl WorkSample {
         WorkSample {
             lp: knn_lp::tally::lp_solves(),
             qp: knn_qp::tally::qp_solves(),
-            kd: knn_index::tally::kd_node_visits(),
             regions: knn_core::tally::region_yields(),
         }
     }
@@ -556,7 +553,7 @@ impl ExplanationEngine {
                 computes: w.computes.load(Ordering::Relaxed),
                 lp_solves: w.lp_solves.load(Ordering::Relaxed),
                 qp_solves: w.qp_solves.load(Ordering::Relaxed),
-                kd_visits: w.kd_visits.load(Ordering::Relaxed),
+                kd_visits: 0,
                 region_yields: w.region_yields.load(Ordering::Relaxed),
                 solve_us: w.solve_us.load(Ordering::Relaxed),
             })
@@ -582,7 +579,6 @@ impl ExplanationEngine {
         w.computes.fetch_add(1, Ordering::Relaxed);
         w.lp_solves.fetch_add(w1.lp.wrapping_sub(w0.lp), Ordering::Relaxed);
         w.qp_solves.fetch_add(w1.qp.wrapping_sub(w0.qp), Ordering::Relaxed);
-        w.kd_visits.fetch_add(w1.kd.wrapping_sub(w0.kd), Ordering::Relaxed);
         w.region_yields.fetch_add(w1.regions.wrapping_sub(w0.regions), Ordering::Relaxed);
         w.solve_us.fetch_add(solve_us, Ordering::Relaxed);
     }
@@ -1626,8 +1622,7 @@ mod tests {
         let work = e.work_stats();
         assert_eq!(work.len(), 1, "one route exercised: {work:?}");
         assert_eq!(work[0].computes, 1, "the hit must not re-count");
-        let solver_work =
-            work[0].lp_solves + work[0].qp_solves + work[0].kd_visits + work[0].region_yields;
+        let solver_work = work[0].lp_solves + work[0].qp_solves + work[0].region_yields;
         assert!(solver_work > 0, "a counterfactual does solver-layer work: {work:?}");
     }
 }

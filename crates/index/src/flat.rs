@@ -9,12 +9,9 @@
 //! appended or removed ([`LpScan::with_row`], [`LpScan::without_row`]), an
 //! exact-size copy instead of a rebuild.
 //!
-//! Keys are computed with the same kernels as every other structure here
-//! ([`LpMetric::dist_pow`], [`hamming_words`]), so a scan's order
-//! statistic is bit-identical to the one a KD-tree or [`HammingIndex`]
-//! reports.
-//!
-//! [`HammingIndex`]: crate::HammingIndex
+//! Keys are computed with the dataset's own kernels ([`LpMetric::dist_pow`],
+//! [`hamming_words`]), so a scan's order statistic is bit-identical to the
+//! `k`-th entry of the sorted per-point distances.
 
 use knn_space::bitvec::hamming_words;
 use knn_space::{kth_smallest, BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, Rows};
@@ -121,12 +118,11 @@ impl HammingScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HammingIndex, KdTree};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
-    fn lp_scan_matches_the_kd_tree_order_statistic() {
+    fn lp_scan_matches_the_sorted_order_statistic() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut ds = ContinuousDataset::new(4);
         for i in 0..120 {
@@ -137,12 +133,16 @@ mod tests {
             let metric = LpMetric::new(p);
             for label in [Label::Positive, Label::Negative] {
                 let scan = LpScan::of_class(&ds, label, metric);
-                let tree = KdTree::new(ds.points_of(label), metric);
-                assert_eq!(scan.len(), tree.len());
+                let points = ds.points_of(label);
+                assert_eq!(scan.len(), points.len());
                 for _ in 0..20 {
                     let q: Vec<f64> = (0..4).map(|_| rng.gen_range(-4.0..4.0)).collect();
+                    // The reference: every key, sorted, indexed at k − 1.
+                    let mut keys: Vec<f64> =
+                        points.iter().map(|p| metric.dist_pow(&q, p)).collect();
+                    keys.sort_by(f64::total_cmp);
                     for k in [1, 3, 7] {
-                        assert_eq!(scan.kth_smallest(&q, k), Some(tree.knn(&q, k)[k - 1].1));
+                        assert_eq!(scan.kth_smallest(&q, k), Some(keys[k - 1]));
                     }
                     assert_eq!(scan.kth_smallest(&q, scan.len() + 1), None);
                 }
@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn hamming_scan_matches_the_index_order_statistic() {
+    fn hamming_scan_matches_the_sorted_order_statistic() {
         let mut rng = StdRng::seed_from_u64(6);
         // 70 dims: two words per row, the second partly padding.
         let mut ds = BooleanDataset::new(70);
@@ -160,12 +160,16 @@ mod tests {
             ds.push(p, if i % 2 == 0 { Label::Positive } else { Label::Negative });
         }
         let scan = HammingScan::of_class(&ds, Label::Negative);
-        let index = HammingIndex::new(ds.points_of(Label::Negative));
+        let points = ds.points_of(Label::Negative);
+        assert_eq!(scan.len(), points.len());
         for _ in 0..20 {
             let q: BitVec = (0..70).map(|_| rng.gen_bool(0.5)).collect();
+            let mut keys: Vec<usize> = points.iter().map(|p| p.hamming(&q)).collect();
+            keys.sort();
             for k in [1, 2, 5] {
-                assert_eq!(scan.kth_smallest(&q, k), Some(index.knn(&q, k)[k - 1].1));
+                assert_eq!(scan.kth_smallest(&q, k), Some(keys[k - 1]));
             }
+            assert_eq!(scan.kth_smallest(&q, scan.len() + 1), None);
         }
     }
 

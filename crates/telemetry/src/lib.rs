@@ -547,19 +547,13 @@ impl Telemetry {
         }
     }
 
-    /// Offers a query to the worst-N ring: admitted while the ring has
-    /// room, else only if slower than the current fastest entry (which it
-    /// replaces). No-op when disabled. Returns whether the entry was
-    /// admitted (the server uses this as its slow-anomaly signal).
-    pub fn record_slow(&self, q: SlowQuery) -> bool {
-        let total_us = q.total_us;
-        self.record_slow_with(total_us, || q)
-    }
-
-    /// [`record_slow`](Telemetry::record_slow), building the entry lazily:
-    /// a query that cannot beat the ring's current floor costs one relaxed
-    /// load — no lock, no string allocation. The serving hot path uses
-    /// this form.
+    /// Offers a query taking `total_us` to the worst-N ring: admitted while
+    /// the ring has room, else only if slower than the current fastest entry
+    /// (which it replaces). No-op when disabled. Returns whether the entry
+    /// was admitted (the server uses this as its slow-anomaly signal).
+    ///
+    /// The entry is built lazily: a query that cannot beat the ring's
+    /// current floor costs one relaxed load — no lock, no string allocation.
     pub fn record_slow_with(&self, total_us: u64, make: impl FnOnce() -> SlowQuery) -> bool {
         if !self.is_enabled() || total_us <= self.slow_floor.load(Ordering::Relaxed) {
             return false;
@@ -784,7 +778,7 @@ mod tests {
         t.record_route("d", "classify", 10);
         t.record_phase("d", "solve", 10);
         t.add("c_total", 3);
-        t.record_slow(SlowQuery { total_us: 99, ..SlowQuery::default() });
+        t.record_slow_with(99, || SlowQuery { total_us: 99, ..SlowQuery::default() });
         assert_eq!(t.render(), "");
         assert!(t.drain_slow().is_empty());
 
@@ -798,7 +792,11 @@ mod tests {
         let t = Telemetry::new();
         t.set_enabled(true);
         for us in 0..(SLOW_RING_CAP as u64 + 8) {
-            t.record_slow(SlowQuery { id: format!("q{us}"), total_us: us, ..SlowQuery::default() });
+            t.record_slow_with(us, || SlowQuery {
+                id: format!("q{us}"),
+                total_us: us,
+                ..SlowQuery::default()
+            });
         }
         let drained = t.drain_slow();
         assert_eq!(drained.len(), SLOW_RING_CAP);

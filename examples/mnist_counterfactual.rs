@@ -29,10 +29,10 @@ fn main() {
     println!("(a) test image — classified {label} ({} = digit 4)\n", Label::Positive);
     println!("{}", ascii_art_binary(&test, side, &[]));
 
-    // Its nearest neighbor (panel b).
-    let hamming_index =
-        explainable_knn::index::HammingIndex::new(ds.iter().map(|(p, _)| p.clone()).collect());
-    let (nn_idx, nn_d) = hamming_index.nearest(&test).unwrap();
+    // Its nearest neighbor (panel b); ties go to the lowest index.
+    let nearest =
+        |q: &BitVec| ds.iter().enumerate().map(|(i, (p, _))| (p.hamming(q), i)).min().unwrap();
+    let (nn_d, nn_idx) = nearest(&test);
     println!("(b) nearest neighbor of (a): point #{nn_idx} at distance {nn_d}\n");
     println!("{}", ascii_art_binary(ds.point(nn_idx), side, &[]));
 
@@ -51,7 +51,7 @@ fn main() {
     println!("{}", ascii_art_binary(&cf, side, &[]));
 
     // Its nearest neighbor (panel d).
-    let (nn2_idx, nn2_d) = hamming_index.nearest(&cf).unwrap();
+    let (nn2_d, nn2_idx) = nearest(&cf);
     println!("(d) nearest neighbor of (c): point #{nn2_idx} at distance {nn2_d}\n");
     println!("{}", ascii_art_binary(ds.point(nn2_idx), side, &[]));
 
