@@ -5,23 +5,42 @@
 //! region, which by Proposition 1 is a union of polynomially many (for fixed
 //! k) polyhedra — closed ones for the positive region (plain LP feasibility),
 //! open ones for the negative region (strict feasibility via the ε-LP).
+//!
+//! Before any LP, a check tries one cheap candidate per polyhedron: the
+//! projection of the region's anchor point onto `U(X, x̄)`, that is `x̄` on
+//! `X` and the centroid of the region's anchors elsewhere. At k = 1 the
+//! anchor is the cell's own data point, so a nearby data instance usually
+//! already is the counterexample. A candidate strictly inside its
+//! polyhedron answers "not sufficient" after an O(rows · d) test. The
+//! regions are taken in windows of `PROJECTION_WINDOW` (at k = 1 one
+//! window usually holds them all): only when no region of a window admits
+//! its candidate do the LPs run over that window, so every "sufficient"
+//! verdict keeps the exact Prop 3 proof.
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource};
+use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource, SourcedRegion};
 use crate::SrCheck;
 use knn_num::Field;
 use knn_qp::Polyhedron;
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
 use std::borrow::Borrow;
 
+/// How many regions a check tests by anchor projection before it runs the
+/// LPs on them. At k = 1 there is one region per point of the other class,
+/// so at serving sizes (a few hundred points) one window holds the whole
+/// decomposition. At k ≥ 3 the stream can run to millions of regions; the
+/// window bounds the regions held at once, and the enumeration done past
+/// the region whose LP would have answered.
+const PROJECTION_WINDOW: usize = 256;
+
 /// Sufficient-reason engine for the ℓ2 setting.
 ///
 /// The constructor fixes where the Prop 1 polyhedra come from; every
 /// operation enumerates them nearest-anchor-first and pruned
 /// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
-/// so a failing check usually terminates after a handful of LPs instead of
-/// scanning the whole decomposition.
+/// so a failing check usually stops at the first few regions, most often
+/// on an anchor projection and without any LP.
 #[derive(Clone, Debug)]
 pub struct L2Abductive<'a, F> {
     ds: &'a ContinuousDataset<F>,
@@ -66,25 +85,47 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     }
 
     /// `k`-Check Sufficient Reason(ℝ, D₂) — polynomial for fixed k (Prop 3).
+    /// A "not sufficient" witness equals `x̄` exactly on `fixed` and
+    /// classifies as the flipped label: the anchor projection of the first
+    /// region that holds it strictly, else the LP point of the first region
+    /// that meets `U(X, x̄)`.
     pub fn check(&self, x: &[F], fixed: &[usize]) -> SrCheck<Vec<F>> {
-        let regions = self.regions_for(x);
-        self.check_over(x, fixed, regions.target(), regions.polyhedra())
+        self.check_over(x, fixed, &self.regions_for(x))
     }
 
-    /// The shared LP loop: first region of `polys` admitting a point of
-    /// `U(X, x̄)` yields the counterexample. The polyhedra are used
-    /// read-only; the affine restriction is applied per-LP.
-    fn check_over<B: Borrow<Polyhedron<F>>>(
+    /// The shared check: over each [`PROJECTION_WINDOW`] of regions, the
+    /// anchor projections first, then the LP loop, where the first region
+    /// admitting a point of `U(X, x̄)` yields the counterexample. The
+    /// polyhedra are used read-only; the affine restriction is applied
+    /// per-LP.
+    fn check_over(
         &self,
         x: &[F],
         fixed: &[usize],
-        target: Label,
-        polys: impl IntoIterator<Item = B>,
+        regions: &QueryRegions<'a, F>,
     ) -> SrCheck<Vec<F>> {
+        let target = regions.target();
+        let knn = self.classifier();
+        // Exact fields satisfy Prop 1 on the nose; a float point can sit a
+        // rounding error on the wrong side of a bisector. Such a point
+        // certifies nothing — keep looking.
+        let flips = |w: &[F]| {
+            let ok = knn.classify(w) == target;
+            debug_assert!(ok || !F::exact(), "exact witness must classify as target");
+            ok
+        };
         let fixed_vals: Vec<(usize, F)> = fixed.iter().map(|&i| (i, x[i].clone())).collect();
-        for poly in polys {
-            let poly = poly.borrow();
-            let witness = match target {
+        let projection = |region: &SourcedRegion<'_, F>| {
+            let mut y = region.anchor_point(self.ds);
+            for &i in fixed {
+                y[i] = x[i].clone();
+            }
+            let poly: &Polyhedron<F> = region.borrow();
+            (poly.contains_strictly(&y) && flips(&y)).then_some(y)
+        };
+        let lp = |region: &SourcedRegion<'_, F>| {
+            let poly: &Polyhedron<F> = region.borrow();
+            match target {
                 // The positive region is closed, so any feasible point works —
                 // but a bisector-boundary point classifies by exact tie-break,
                 // which the float instantiation cannot reproduce reliably.
@@ -94,19 +135,13 @@ impl<'a, F: Field> L2Abductive<'a, F> {
                     .strict_feasible_point_fixed(&fixed_vals)
                     .or_else(|| poly.feasible_point_fixed(&fixed_vals)),
                 Label::Negative => poly.strict_feasible_point_fixed(&fixed_vals),
-            };
-            if let Some(w) = witness {
-                if self.classifier().classify(&w) != target {
-                    // Exact fields satisfy Prop 1 on the nose; a float LP can
-                    // return a point a rounding error onto the wrong side of a
-                    // bisector. Such a point certifies nothing — keep looking.
-                    debug_assert!(!F::exact(), "exact witness must classify as target");
-                    continue;
-                }
-                return SrCheck::NotSufficient { witness: w };
             }
+            .filter(|w| flips(w))
+        };
+        match first_in_windows(regions.polyhedra(), PROJECTION_WINDOW, projection, lp) {
+            Some(witness) => SrCheck::NotSufficient { witness },
+            None => SrCheck::Sufficient,
         }
-        SrCheck::Sufficient
     }
 
     /// Convenience boolean form of [`L2Abductive::check`].
@@ -120,7 +155,7 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     pub fn minimal(&self, x: &[F]) -> Vec<usize> {
         let regions = self.regions_for(x);
         super::greedy_minimal(self.ds.dim(), None, |s| {
-            self.check_over(x, s, regions.target(), regions.polyhedra()).is_sufficient()
+            self.check_over(x, s, &regions).is_sufficient()
         })
     }
 
@@ -138,7 +173,7 @@ impl<'a, F: Field> L2Abductive<'a, F> {
         minimum_sufficient_reason(
             self.ds.dim(),
             mode,
-            |s| self.check_over(x, s, regions.target(), regions.polyhedra()),
+            |s| self.check_over(x, s, &regions),
             |w| Self::deviation(x, w),
         )
     }
@@ -151,6 +186,33 @@ impl<'a, F: Field> L2Abductive<'a, F> {
                 !d.is_zero()
             })
             .collect()
+    }
+}
+
+/// The first answer over `items`, taken in windows of `window`: `cheap`
+/// runs over a whole window, in order, before `exact` runs over the same
+/// window, and the first `Some` ends the walk. At most one window is held.
+fn first_in_windows<T, R>(
+    mut items: impl Iterator<Item = T>,
+    window: usize,
+    mut cheap: impl FnMut(&T) -> Option<R>,
+    mut exact: impl FnMut(&T) -> Option<R>,
+) -> Option<R> {
+    let mut held = Vec::with_capacity(window);
+    loop {
+        held.clear();
+        for item in items.by_ref().take(window) {
+            if let Some(r) = cheap(&item) {
+                return Some(r);
+            }
+            held.push(item);
+        }
+        if held.is_empty() {
+            return None;
+        }
+        if let Some(r) = held.iter().find_map(&mut exact) {
+            return Some(r);
+        }
     }
 }
 
@@ -214,6 +276,85 @@ mod tests {
             }
             SrCheck::Sufficient => panic!("x₂ can push the point into the negative cell"),
         }
+    }
+
+    /// `check` over the eager cache, with the LPs it ran. The cache settles
+    /// its prune decisions when it is built, so every LP counted here is one
+    /// of the check's own.
+    fn check_counting_lps(
+        ds: &ContinuousDataset<Rat>,
+        x: &[Rat],
+        fixed: &[usize],
+    ) -> (SrCheck<Vec<Rat>>, u64) {
+        let cache = RegionCache::build(ds, OddK::ONE);
+        let ab = L2Abductive::with_region_cache(ds, &cache);
+        let before = knn_lp::tally::lp_solves();
+        let verdict = ab.check(x, fixed);
+        (verdict, knn_lp::tally::lp_solves() - before)
+    }
+
+    /// x = (0, 0) next to the negative (4, 6): with x₀ fixed, the anchor's
+    /// projection (0, 6) lies strictly inside the negative cell
+    /// 8y₀ + 12y₁ > 52, so it is the witness and no LP runs.
+    #[test]
+    fn projection_answers_without_lp() {
+        let ds = ContinuousDataset::from_sets(vec![vec![r(0), r(0)]], vec![vec![r(4), r(6)]]);
+        let (verdict, lps) = check_counting_lps(&ds, &[r(0), r(0)], &[0]);
+        assert_eq!(verdict.witness(), Some(&vec![r(0), r(6)]));
+        assert_eq!(lps, 0);
+    }
+
+    /// The negative cell of (4, 1) against (0, 0) is 8y₀ + 2y₁ > 17: the
+    /// anchor's projection (0, 1) onto y₀ = 0 misses it, yet the line meets
+    /// it above y₁ = 8.5, so the LP pass must find the witness.
+    #[test]
+    fn lp_answers_when_projection_misses() {
+        let ds = ContinuousDataset::from_sets(vec![vec![r(0), r(0)]], vec![vec![r(4), r(1)]]);
+        let (verdict, lps) = check_counting_lps(&ds, &[r(0), r(0)], &[0]);
+        let witness = verdict.witness().expect("y₀ = 0 meets the negative cell").clone();
+        assert_eq!(witness[0], r(0));
+        assert_ne!(witness, vec![r(0), r(1)]);
+        let knn = ContinuousKnn::new(&ds, LpMetric::L2, OddK::ONE);
+        assert_eq!(knn.classify(&witness), Label::Negative);
+        assert!(lps > 0);
+    }
+
+    /// Windows of 4 over ten items: every cheap test of a window runs
+    /// before its exact tests, and the first answer wins.
+    #[test]
+    fn windows_run_cheap_tests_first() {
+        let run = |cheap_hit: usize, exact_hit: usize| {
+            let calls = std::cell::RefCell::new(Vec::new());
+            let found = first_in_windows(
+                0..10usize,
+                4,
+                |&i| {
+                    calls.borrow_mut().push(('c', i));
+                    (i == cheap_hit).then_some(('c', i))
+                },
+                |&i| {
+                    calls.borrow_mut().push(('e', i));
+                    (i == exact_hit).then_some(('e', i))
+                },
+            );
+            (found, calls.into_inner())
+        };
+        let seq = |tag, r: std::ops::Range<usize>| r.map(move |i| (tag, i));
+        let (found, calls) = run(9, 99);
+        assert_eq!(found, Some(('c', 9)));
+        let want: Vec<_> = seq('c', 0..4)
+            .chain(seq('e', 0..4))
+            .chain(seq('c', 4..8))
+            .chain(seq('e', 4..8))
+            .chain(seq('c', 8..10))
+            .collect();
+        assert_eq!(calls, want);
+        let (found, calls) = run(6, 2);
+        assert_eq!(found, Some(('e', 2)));
+        assert_eq!(calls, seq('c', 0..4).chain(seq('e', 0..3)).collect::<Vec<_>>());
+        let (found, calls) = run(99, 99);
+        assert_eq!(found, None);
+        assert_eq!(calls.len(), 20);
     }
 
     /// k = 3 with a positive cluster outvoting a single negative.

@@ -107,7 +107,7 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
                     continue;
                 }
             }
-            let anchor = self.anchor_point(region.anchors());
+            let anchor = region.anchor_point(self.ds);
             // The open piece of a negative target contributes only if nonempty.
             if target == Label::Negative && !has_interior(poly, &anchor) {
                 continue;
@@ -140,7 +140,7 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
             if lower_bound_exceeds(x, poly, radius_sq) {
                 continue;
             }
-            let anchor = self.anchor_point(region.anchors());
+            let anchor = region.anchor_point(self.ds);
             if target == Label::Negative && !has_interior(poly, &anchor) {
                 continue;
             }
@@ -175,21 +175,6 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
             }
         }
         None
-    }
-
-    /// The centroid of the anchor set `A`. At k = 1 that is the anchor point
-    /// itself, strictly inside its Voronoi cell unless it duplicates a point
-    /// of the other class; at k ≥ 3 it is only a candidate, which the QP and
-    /// the nudge test before they use it.
-    fn anchor_point(&self, anchors: &[usize]) -> Vec<F> {
-        let mut sum = vec![F::zero(); self.ds.dim()];
-        for &a in anchors {
-            for (s, p) in sum.iter_mut().zip(self.ds.point(a)) {
-                *s = s.clone() + p.clone();
-            }
-        }
-        let count = F::from_i64(anchors.len() as i64);
-        sum.into_iter().map(|s| s / count.clone()).collect()
     }
 }
 

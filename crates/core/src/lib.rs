@@ -5,8 +5,10 @@
 //! * [`classifier`] — the optimistic k-NN classification function `f^k_{S⁺,S⁻}`
 //!   of §2, via the order-statistic characterization derived from Prop 1;
 //! * [`abductive`] — sufficient-reason checking and computation:
-//!   * ℓ2, any odd k: polynomial Check-SR by LP over the Prop 1 polyhedra
-//!     (Prop 3) and minimal SR by greedy deletion (Prop 2 / Cor 1);
+//!   * ℓ2, any odd k: polynomial Check-SR over the Prop 1 polyhedra, each
+//!     region's anchor projected onto `U(X, x̄)` first and an LP per region
+//!     only when no projection is a counterexample (Prop 3), and minimal SR
+//!     by greedy deletion (Prop 2 / Cor 1);
 //!   * ℓ1, k = 1: the witness-substitution algorithm of Prop 4 / Cor 3;
 //!   * Hamming, k = 1: the projected-witness algorithm of Prop 6 / Cor 4;
 //!   * Hamming, any odd k: Check-SR by exact enumeration of the free

@@ -23,7 +23,7 @@
 //! * **nearest-anchor-first**: for a query point `x̄`, anchor sets `A` are
 //!   emitted in ascending `Σ_{ā∈A} d²(x̄, ā)`, so the region actually
 //!   containing (or nearest to) the answer is reached early and feasibility /
-//!   projection loops short-circuit after a handful of LPs;
+//!   projection loops short-circuit after a handful of regions;
 //! * **pruning**: provably-empty polyhedra (anti-parallel contradictory
 //!   bisector pairs, strict-empty degenerate rows) and dominated `(A, B)`
 //!   pairs (a region contained in another region of the same union) are
@@ -1017,12 +1017,23 @@ pub(crate) enum SourcedRegion<'s, F> {
     Borrowed(&'s (Polyhedron<F>, RegionSpec)),
 }
 
-impl<F> SourcedRegion<'_, F> {
-    /// The region's anchor set `A`, as ascending dataset indices.
-    pub(crate) fn anchors(&self) -> &[usize] {
-        match self {
+impl<F: Field> SourcedRegion<'_, F> {
+    /// The centroid of the region's anchor set `A` in `ds`. At k = 1 that is
+    /// the anchor point itself, strictly inside its Voronoi cell unless it
+    /// duplicates a point of the other class; at k ≥ 3 it is only a
+    /// candidate, which every caller tests before it relies on it.
+    pub(crate) fn anchor_point(&self, ds: &ContinuousDataset<F>) -> Vec<F> {
+        let anchors = match self {
             SourcedRegion::Shared(_, spec) | SourcedRegion::Borrowed((_, spec)) => &spec.anchors,
+        };
+        let mut sum = vec![F::zero(); ds.dim()];
+        for &a in anchors {
+            for (s, p) in sum.iter_mut().zip(ds.point(a)) {
+                *s = s.clone() + p.clone();
+            }
         }
+        let count = F::from_i64(anchors.len() as i64);
+        sum.into_iter().map(|s| s / count.clone()).collect()
     }
 }
 

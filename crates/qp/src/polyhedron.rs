@@ -111,24 +111,36 @@ impl<F: Field> Polyhedron<F> {
 
     /// Like [`Polyhedron::feasible_point`] restricted to the affine subspace
     /// `{y : yᵢ = v ∀(i, v) ∈ fixed}`, without mutating (or cloning) the
-    /// polyhedron — the memoized-regions hot path of the batch engine.
+    /// polyhedron — the memoized-regions hot path of the batch engine. The
+    /// returned point carries every fixed `v` exactly.
     pub fn feasible_point_fixed(&self, fixed: &[(usize, F)]) -> Option<Vec<F>> {
         let mut lp = self.to_lp();
         for (i, v) in fixed {
             lp.fix_var(*i, v.clone());
         }
-        lp.feasible_point()
+        lp.feasible_point().map(|y| pin(y, fixed))
     }
 
     /// Like [`Polyhedron::strict_feasible_point`] restricted to an affine
-    /// subspace, without mutating the polyhedron.
+    /// subspace, without mutating the polyhedron; fixed values are exact.
     pub fn strict_feasible_point_fixed(&self, fixed: &[(usize, F)]) -> Option<Vec<F>> {
         let mut lp = self.to_strict_lp();
         for (i, v) in fixed {
             lp.fix_var(*i, v.clone());
         }
-        lp.strict_feasible()
+        lp.strict_feasible().map(|y| pin(y, fixed))
     }
+}
+
+/// Writes the fixed values back into an LP point. The simplex solves for
+/// a pinned coordinate like any other, so in `f64` it returns `v` plus a
+/// rounding error; a point of `U(X, x̄)` must equal `x̄` on `X` bit for bit.
+/// In an exact field this is the identity.
+fn pin<F: Field>(mut y: Vec<F>, fixed: &[(usize, F)]) -> Vec<F> {
+    for (i, v) in fixed {
+        y[*i] = v.clone();
+    }
+    y
 }
 
 #[cfg(test)]
@@ -177,6 +189,24 @@ mod tests {
         p.add_le(vec![r(1, 1)], r(0, 1));
         assert!(p.feasible_point().is_some());
         assert!(p.strict_feasible_point().is_none());
+    }
+
+    /// The `*_fixed` LPs return the fixed values themselves: on this
+    /// instance the simplex solves `y₂ = 2.2` as `2.1999999999999997`.
+    #[test]
+    fn fixed_values_returned_exactly() {
+        let mut p = Polyhedron::whole_space(3);
+        p.add_le(vec![-2.0, -2.7, 1.1], 1.4);
+        p.add_le(vec![-2.6, -2.1, 2.9], 1.3);
+        p.add_le(vec![-2.1, -1.5, -1.2], 2.3);
+        p.add_le(vec![-3.0, -1.4, 0.2], 3.9);
+        let fixed = [(0, 0.2), (2, 2.2)];
+        for y in [p.feasible_point_fixed(&fixed), p.strict_feasible_point_fixed(&fixed)] {
+            let y = y.expect("the rows meet the fixed line");
+            for (i, v) in &fixed {
+                assert_eq!(y[*i].to_bits(), v.to_bits());
+            }
+        }
     }
 
     #[test]
