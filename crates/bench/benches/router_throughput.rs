@@ -7,11 +7,10 @@
 //! Backends are real `xknn serve` **processes** when the binary can be
 //! found (`XKNN_BIN`, or `target/<profile>/xknn` next to this bench —
 //! `cargo build --release` first); otherwise in-process servers stand in
-//! and the JSON records which mode ran. The router runs cache-affinity
-//! routing (the default): repeats of a query land on the replica that
-//! already cached its answer, with `--spread 1` window semantics as the
-//! unkeyed/failover fallback — at 16 clients the interesting regime is
-//! many-clients-per-replica, not one-client-fan-out.
+//! and the JSON records which mode ran. The router routes every query by
+//! cache affinity: repeats of a query land on the replica that already
+//! cached its answer, and the key's other replicas, in the same rendezvous
+//! order, are its failover order.
 //!
 //! Besides QPS the JSON records each topology's **warm hit rate** (cache
 //! hits / lookups over the warm passes, scraped from the router's merged
@@ -120,7 +119,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"points\": {n_points}, \"dim\": {dim}, \"queries_per_client\": {q}, \
-         \"clients\": {clients}, \"tenants\": 1, \"spread\": 1, \"affinity\": true, \
+         \"clients\": {clients}, \"tenants\": 1, \
          \"backend_mode\": \"{mode}\", \"cpus\": {cpus}}},"
     );
 
@@ -151,16 +150,7 @@ fn main() {
     // inherit warm caches), a cold pass, then the identical warm passes.
     // Returns (cold qps, warm qps, warm hit rate).
     let measure = |backends: usize| -> (f64, f64, f64) {
-        let router = Router::bind(
-            "127.0.0.1:0",
-            RouterConfig {
-                replication: 0,
-                probe_interval: Duration::from_millis(500),
-                spread: 1,
-                affinity: true,
-            },
-        )
-        .expect("bind router");
+        let router = Router::bind("127.0.0.1:0", RouterConfig::default()).expect("bind router");
         let mut stand_in = ThreadBackends(Vec::new());
         for _ in 0..backends {
             match &xknn {

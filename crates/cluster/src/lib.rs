@@ -13,7 +13,7 @@
 //!                        ├─ backend pool: spawn-or-attach, health probes,
 //!                        │  mark-down / mark-up                    [`pool`]
 //!                        └─ per-connection scatter-gather:
-//!                           queries round-robin over replicas,
+//!                           queries routed by cache affinity,
 //!                           responses merged in request order   [`scatter`]
 //!                                │
 //!                 ┌──────────────┼──────────────┐
@@ -42,14 +42,16 @@
 //!   to a single server — including under replica failure, when pending
 //!   queries are redispatched to survivors (see [`scatter`] for the failure
 //!   model).
-//! * **Cache-affinity routing + cross-replica fill** (default on) — query
-//!   lines are routed by rendezvous hash of the engine's deterministic
-//!   cache key, so every repeat of a query prefers the replica already
-//!   holding its cached explanation (warm throughput scales with backends
-//!   instead of inverting); the window round-robin remains the path for
-//!   unkeyed lines and the failover fallback. A replica that computes a
-//!   cold answer has it pushed to its peers via the `fill` verb —
-//!   best-effort, deduplicated, epoch-checked on both ends.
+//! * **Cache-affinity routing + cross-replica fill** — every query line is
+//!   routed by rendezvous hash of the engine's deterministic cache key, so
+//!   every repeat of a query prefers the replica already holding its cached
+//!   explanation (warm throughput scales with backends instead of
+//!   inverting), and the key's remaining replicas, in the same rendezvous
+//!   order, are its failover order. Lines the router cannot parse never
+//!   reach a backend: the router answers them itself. A replica that
+//!   computes a cold answer has it pushed to the key's first failover
+//!   replica via the `fill` verb — best-effort, deduplicated,
+//!   epoch-checked on both ends.
 //! * **Cluster stats** — the router's `stats` verb aggregates per-backend
 //!   admission and per-tenant cache counters into one cluster view.
 //!
@@ -79,7 +81,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Router configuration.
+/// Router configuration. Query routing has no setting: every query prefers
+/// its cache-affinity home replica, and every cold answer is offered for a
+/// cross-replica fill.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Default replicas per tenant when a `load` names none
@@ -89,32 +93,11 @@ pub struct RouterConfig {
     /// data-path failures still mark backends down, but nothing marks them
     /// up again).
     pub probe_interval: Duration,
-    /// How many replicas one client connection's batch scatters over
-    /// (`0` = all of them). Full spread maximizes one client's parallelism;
-    /// `--spread 1` gives each connection a single anchored replica (with
-    /// the rest as failover fallback), which minimizes per-backend
-    /// connection fan-in when clients outnumber replicas. Response bytes
-    /// are identical either way.
-    pub spread: usize,
-    /// Cache-affinity routing + cross-replica cache fill (default on).
-    /// Query lines are routed by rendezvous hash of their deterministic
-    /// cache key over the tenant's replicas — every repeat of a query
-    /// prefers the replica already holding its cached explanation — and a
-    /// replica that computes a cold answer has it pushed (best-effort,
-    /// epoch-checked) to its peers. Replica choice never changes response
-    /// bytes, so this is purely a warm-path throughput lever; `false`
-    /// restores the pure window/round-robin scatter.
-    pub affinity: bool,
 }
 
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(500),
-            spread: 0,
-            affinity: true,
-        }
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(500) }
     }
 }
 
@@ -165,9 +148,7 @@ struct RouterShared {
     addr: SocketAddr,
     started: Instant,
     probe_interval: Duration,
-    spread: usize,
-    /// Connection counter, anchoring successive connections on different
-    /// replicas.
+    /// Connection counter, naming router-minted trace ids (`r{conn}-{line}`).
     conn_counter: AtomicUsize,
     /// Retained seed text + mutation log per tenant, so the probe loop can
     /// rebuild a replica that restarted with an empty registry (or missed a
@@ -180,12 +161,9 @@ struct RouterShared {
     /// control-plane operations, so holding a lock across the roundtrips is
     /// fine.
     load_lock: Mutex<()>,
-    /// Cache-affinity routing + cross-replica fill enabled
-    /// ([`RouterConfig::affinity`]).
-    affinity: bool,
-    /// The fill hub (present iff `affinity`): completed keyed answers are
-    /// offered here and a worker thread pushes them to peer replicas.
-    fill: Option<Arc<FillHub>>,
+    /// The fill hub: completed answers are offered here and a worker
+    /// thread pushes them to peer replicas.
+    fill: Arc<FillHub>,
     /// Slow-query entries retained across `slow` scrapes. Backend rings
     /// drain destructively, so the router *merges* each drain into this
     /// bounded, slowest-first list and serves snapshots of it — two
@@ -219,7 +197,7 @@ struct FillJob {
 }
 
 /// Fan-in point for cross-replica cache fill: dispatchers offer completed
-/// keyed answers; a single worker thread drains the queue and pushes each
+/// answers; a single worker thread drains the queue and pushes each
 /// fresh `(tenant, key)`'s answer to the tenant's other replicas over
 /// their control channels. Fire-and-forget by design — a lost push costs
 /// one future cache miss, never a wrong byte.
@@ -236,10 +214,11 @@ pub(crate) struct FillHub {
 const FILL_SEEN_CAP: usize = 65_536;
 
 impl FillHub {
-    /// Queues `q`'s completed answer for propagation unless this
-    /// `(tenant, key)` was already offered. Called off the response path
-    /// (after the client has its bytes); never blocks on I/O.
-    pub(crate) fn offer(&self, q: &scatter::PendingQuery, key: u64, origin: usize, resp: &[u8]) {
+    /// Queues `q`'s completed answer for propagation unless its
+    /// `(tenant, affinity key)` was already offered. Called off the response
+    /// path (after the client has its bytes); never blocks on I/O.
+    pub(crate) fn offer(&self, q: &scatter::PendingQuery, origin: usize, resp: &[u8]) {
+        let key = q.key;
         {
             let mut seen = self.seen.lock().unwrap();
             if seen.len() >= FILL_SEEN_CAP {
@@ -341,16 +320,7 @@ impl Router {
         let addr = listener.local_addr()?;
         let telemetry = Telemetry::new();
         telemetry.set_enabled(true);
-        let (fill, fill_rx) = if config.affinity {
-            let (tx, rx) = mpsc::channel();
-            let hub = Arc::new(FillHub {
-                tx: Mutex::new(tx),
-                seen: Mutex::new(std::collections::HashSet::new()),
-            });
-            (Some(hub), Some(rx))
-        } else {
-            (None, None)
-        };
+        let (fill_tx, fill_rx) = mpsc::channel();
         let shared = Arc::new(RouterShared {
             pool: Arc::new(BackendPool::new()),
             placement: Arc::new(PlacementMap::new(config.replication)),
@@ -359,17 +329,16 @@ impl Router {
             addr,
             started: Instant::now(),
             probe_interval: config.probe_interval,
-            spread: config.spread,
             conn_counter: AtomicUsize::new(0),
             sources: Mutex::new(BTreeMap::new()),
             load_lock: Mutex::new(()),
-            affinity: config.affinity,
-            fill,
+            fill: Arc::new(FillHub {
+                tx: Mutex::new(fill_tx),
+                seen: Mutex::new(std::collections::HashSet::new()),
+            }),
             slow_retained: Mutex::new(Vec::new()),
         });
-        if let Some(rx) = fill_rx {
-            start_fill_worker(&shared, rx);
-        }
+        start_fill_worker(&shared, fill_rx);
         Ok(Router { listener, shared })
     }
 
@@ -833,8 +802,6 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
         shared.pool.clone(),
         shared.placement.clone(),
         out_tx.clone(),
-        conn,
-        shared.spread,
         shared.telemetry.clone(),
         shared.fill.clone(),
     );
@@ -889,19 +856,14 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
                         // artifact, because it is a pure function of the
                         // request. The version snapshot is the epoch a fill
                         // of this answer would be labeled with.
-                        let (affinity, version) = if shared.affinity {
-                            let key = knn_engine::cache::affinity_hash(&request);
-                            let v = shared
-                                .sources
-                                .lock()
-                                .unwrap()
-                                .get(&dataset)
-                                .map(|s| s.version())
-                                .unwrap_or(0);
-                            (Some(key), v)
-                        } else {
-                            (None, 0)
-                        };
+                        let key = knn_engine::cache::affinity_hash(&request);
+                        let version = shared
+                            .sources
+                            .lock()
+                            .unwrap()
+                            .get(&dataset)
+                            .map(|s| s.version())
+                            .unwrap_or(0);
                         disp.dispatch(PendingQuery {
                             seq,
                             id: request.id,
@@ -910,7 +872,7 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
                             attempts: 0,
                             trace,
                             start_us,
-                            affinity,
+                            key,
                             version,
                             not_loaded: None,
                         });
@@ -1696,7 +1658,7 @@ mod tests {
         let handle = router_over(&[&b0, &b1]);
         let mut c = Client::connect(handle.addr()).unwrap();
 
-        // Warm both replicas (the scatter round-robins a batch over them).
+        // Warm both replicas (distinct keys home on both of them).
         let mut input = String::new();
         for i in 0..8 {
             input.push_str(&format!(
@@ -1742,6 +1704,50 @@ mod tests {
         // Reading the merged status sums windows and max-merges burn.
         let status = c.roundtrip(r#"{"id":"g","verb":"slo","name":"toy"}"#).unwrap();
         assert!(status.contains(r#""replicas":2"#) && status.contains(r#""burn":"#), "{status}");
+
+        handle.shutdown();
+        b0.shutdown();
+        b1.shutdown();
+    }
+
+    /// The routing property: every repeat of a query reaches the replica
+    /// that cached it. Two connections (each with its own dispatcher) send
+    /// the same `N` distinct queries through a router over two backends,
+    /// the second in reverse order, so no query keeps its line number or
+    /// its connection; the merged stats must count exactly `N` misses (the
+    /// first pass) and `N` hits (the second). Routing by connection or by
+    /// line would send repeats to the replica that never computed them.
+    /// Cross-replica fills land in `cache_filled`, never in hits or misses.
+    #[test]
+    fn repeats_from_another_connection_hit_the_caching_replica() {
+        const N: u64 = 16;
+        let (b0, b1) = (backend(), backend());
+        let handle = router_over(&[&b0, &b1]);
+        let cmds = ["classify", "minimal-sr", "counterfactual", "minimum-sr"];
+        let lines: Vec<String> = (0..N)
+            .map(|i| {
+                format!(
+                    r#"{{"dataset":"toy","id":"q{i}","cmd":"{}","metric":"hamming","point":[{},{},1]}}"#,
+                    cmds[(i % 4) as usize],
+                    (i / 4) % 2,
+                    (i / 8) % 2,
+                )
+            })
+            .collect();
+        let stream = |lines: &[String]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        let mut first =
+            Client::connect(handle.addr()).unwrap().run_stream(&stream(&lines)).unwrap();
+        let mut second = Client::connect(handle.addr()).unwrap();
+        let reversed: Vec<String> = lines.iter().rev().cloned().collect();
+        first.reverse();
+        assert_eq!(second.run_stream(&stream(&reversed)).unwrap(), first, "repeats change no byte");
+
+        let stats = second.roundtrip(r#"{"id":"st","verb":"stats"}"#).unwrap();
+        let parsed = parse_bytes(stats.as_bytes()).unwrap();
+        let Some(Value::Array(rows)) = parsed.get("tenants") else { panic!("{stats}") };
+        let counter = |name: &str| rows[0].get(name).and_then(Value::as_u64);
+        assert_eq!(counter("cache_misses"), Some(N), "{stats}");
+        assert_eq!(counter("cache_hits"), Some(N), "{stats}");
 
         handle.shutdown();
         b0.shutdown();
@@ -1882,7 +1888,7 @@ mod tests {
         let handle = router.spawn();
 
         let mut c = Client::connect(handle.addr()).unwrap();
-        // Round-robin would alternate replicas; every query must still be
+        // Whichever replica each key homes on, every query must still be
         // answered (by the survivor), bytes intact.
         for i in 0..8 {
             let resp = c
@@ -1898,7 +1904,7 @@ mod tests {
     }
 
     #[test]
-    fn spread_one_anchors_connections_but_still_fails_over() {
+    fn every_connection_answers_with_a_dead_backend_attached() {
         let live = backend();
         let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let dead_addr = dead.local_addr().unwrap();
@@ -1906,17 +1912,16 @@ mod tests {
 
         let router = Router::bind(
             "127.0.0.1:0",
-            RouterConfig { spread: 1, probe_interval: Duration::ZERO, ..RouterConfig::default() },
+            RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() },
         )
         .unwrap();
-        router.attach(dead_addr); // id 0: some connections anchor here
+        router.attach(dead_addr); // id 0
         router.attach(live.addr());
         router.load("toy", LoadSource::Text(BOOL), None).unwrap();
         let handle = router.spawn();
 
-        // Several connections: whichever anchor each one gets, every query
-        // must be answered correctly (dead-anchored connections fall back
-        // beyond their window).
+        // Several connections, each with its own dispatcher and channels:
+        // every query must be answered correctly despite the dead backend.
         for conn in 0..4 {
             let mut c = Client::connect(handle.addr()).unwrap();
             let resp = c
@@ -2112,7 +2117,7 @@ mod tests {
         let ins =
             c.roundtrip(r#"{"verb":"insert","name":"toy","label":"-","point":[0,1,0]}"#).unwrap();
         assert!(ins.contains(r#""version":1"#) && ins.contains(r#""replicas":[0,1]"#), "{ins}");
-        // Distinct keys, so affinity routing spreads them over both replicas.
+        // Distinct keys, so affinity routing sends them to both replicas.
         for i in 0..8 {
             let q = format!(
                 r#"{{"dataset":"toy","id":"q{i}","cmd":"classify","metric":"hamming","point":[{},{},{}]}}"#,

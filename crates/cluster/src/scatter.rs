@@ -60,11 +60,10 @@ pub(crate) struct PendingQuery {
     pub trace: Option<String>,
     /// Recorder timestamp at first dispatch (0 when untraced).
     pub start_us: u64,
-    /// The query's cache-affinity key ([`knn_engine::cache::affinity_hash`])
-    /// when affinity routing is on: equal-key queries prefer the same
-    /// replica, so repeats land where the answer is already cached. `None`
-    /// routes by the per-connection round-robin window.
-    pub affinity: Option<u64>,
+    /// The query's cache-affinity key ([`knn_engine::cache::affinity_hash`]):
+    /// equal-key queries prefer the same replica, so repeats land where the
+    /// answer is already cached.
+    pub key: u64,
     /// The tenant's router-side version at dispatch time — the epoch label a
     /// cross-replica cache fill of this query's answer would carry. The fill
     /// worker re-checks it under the load lock before pushing, so an answer
@@ -209,25 +208,12 @@ pub(crate) struct Dispatcher {
     completed: (Mutex<u64>, Condvar),
     chans: Mutex<HashMap<usize, Arc<Chan>>>,
     receivers: Mutex<Vec<JoinHandle<()>>>,
-    /// Per-tenant round-robin cursor: consecutive queries for a hot tenant
-    /// alternate over the replicas of this connection's window.
-    rr: Mutex<HashMap<String, usize>>,
-    /// This connection's starting offset into every replica list, so
-    /// concurrent connections anchor on different replicas.
-    anchor: usize,
-    /// How many replicas one connection's batch scatters over (`0` = all).
-    /// Small spreads trade per-client parallelism for fewer connections per
-    /// backend — the right side of the trade once client count exceeds
-    /// replica count. Failover ignores the window: every replica is a
-    /// fallback candidate.
-    spread: usize,
     /// Router-side counters: dispatches and failover redispatches (both
     /// out-of-band; never on the response path).
     telemetry: Arc<Telemetry>,
-    /// Cross-replica cache-fill hub (`None` when affinity is off): every
-    /// completed keyed response is offered for a best-effort push to the
-    /// tenant's other replicas.
-    fill: Option<Arc<crate::FillHub>>,
+    /// Cross-replica cache-fill hub: every completed response is offered
+    /// for a best-effort push to the key's first failover replica.
+    fill: Arc<crate::FillHub>,
 }
 
 impl Dispatcher {
@@ -235,10 +221,8 @@ impl Dispatcher {
         pool: Arc<BackendPool>,
         placement: Arc<PlacementMap>,
         out_tx: Sender<(u64, Vec<u8>)>,
-        anchor: usize,
-        spread: usize,
         telemetry: Arc<Telemetry>,
-        fill: Option<Arc<crate::FillHub>>,
+        fill: Arc<crate::FillHub>,
     ) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
             pool,
@@ -247,9 +231,6 @@ impl Dispatcher {
             completed: (Mutex::new(0), Condvar::new()),
             chans: Mutex::new(HashMap::new()),
             receivers: Mutex::new(Vec::new()),
-            rr: Mutex::new(HashMap::new()),
-            anchor,
-            spread,
             telemetry,
             fill,
         })
@@ -352,9 +333,10 @@ impl Dispatcher {
     }
 
     /// Routes one query to a replica of its tenant: healthy replicas first
-    /// (rotated round-robin so a pipelined batch spreads over all of them),
-    /// then marked-down ones as a last resort (the mark may be stale). Emits
-    /// a router-authored error line only when every attempt is exhausted.
+    /// (in the key's affinity order, so repeats land where the answer is
+    /// cached), then marked-down ones as a last resort (the mark may be
+    /// stale). Emits a router-authored error line only when every attempt
+    /// is exhausted.
     pub fn dispatch(self: &Arc<Self>, mut q: PendingQuery) {
         let Some(replicas) = self.placement.get(&q.tenant) else {
             // Unloaded mid-stream (or a redispatch raced an unload).
@@ -369,51 +351,26 @@ impl Dispatcher {
         }
         q.attempts += 1;
 
-        // Candidate order. A keyed query (affinity routing on) ranks *all*
-        // replicas by rendezvous score of its affinity key — the same order
-        // on every connection, so a key's repeats always prefer the replica
-        // that already cached its answer, and its failover order is equally
-        // agreed-on. An unkeyed query keeps the window scheme: `spread`
-        // replicas starting at this connection's anchor, round-robined by
-        // the per-tenant cursor, with the remaining replicas as failover
-        // fallback. Either way, health is snapshotted once per replica —
-        // evaluating it twice could drop a replica flipping down→up from
-        // both the healthy and unhealthy groups — then a stable partition
-        // puts healthy ones first (a marked-down replica is still a last
-        // resort: the mark may be stale).
-        let n = replicas.len();
-        let ordered: Vec<usize> = match q.affinity {
-            Some(key) => affinity_order(key, &replicas),
-            None => {
-                let spread = if self.spread == 0 { n } else { self.spread.min(n) };
-                // Read the cursor without advancing it: it moves only when
-                // the send actually lands (below), so a dead replica in the
-                // window cannot skew the round-robin toward its neighbors.
-                let start =
-                    self.rr.lock().unwrap().get(&q.tenant).copied().unwrap_or(0) % spread.max(1);
-                (0..spread)
-                    .map(|i| replicas[(self.anchor + (start + i) % spread) % n])
-                    .chain((spread..n).map(|i| replicas[(self.anchor + i) % n]))
-                    .collect()
-            }
-        };
-        let mut candidates: Vec<(usize, bool)> = ordered
+        // Candidate order: *all* replicas ranked by rendezvous score of the
+        // query's affinity key — the same order on every connection, so a
+        // key's repeats always prefer the replica that already cached its
+        // answer, and its failover order is equally agreed-on. Health is
+        // snapshotted once per replica — evaluating it twice could drop a
+        // replica flipping down→up from both the healthy and unhealthy
+        // groups — then a stable partition puts healthy ones first (a
+        // marked-down replica is still a last resort: the mark may be
+        // stale).
+        let mut candidates: Vec<(usize, bool)> = affinity_order(q.key, &replicas)
             .into_iter()
             .map(|id| (id, self.pool.get(id).map(|b| b.is_healthy()).unwrap_or(false)))
             .collect();
         // Stable: order kept per group.
         candidates.sort_by_key(|&(id, healthy)| (q.not_loaded == Some(id), !healthy));
 
-        let rr_tenant = q.affinity.is_none().then(|| q.tenant.clone());
         for (id, _) in candidates {
             let Some(chan) = self.chan(id) else { continue };
             match chan.send(q) {
                 SendOutcome::Sent => {
-                    if let Some(tenant) = rr_tenant {
-                        let mut rr = self.rr.lock().unwrap();
-                        let c = rr.entry(tenant).or_insert(0);
-                        *c = c.wrapping_add(1);
-                    }
                     self.telemetry.add("knn_router_dispatches_total", 1);
                     return;
                 }
@@ -497,11 +454,10 @@ fn receiver_loop(disp: Arc<Dispatcher>, chan: Arc<Chan>, reader: TcpStream) {
                         disp.finish(q.seq, buf.clone());
                         // After the client has its bytes: offer the answer
                         // to the fill hub, which pushes it (best-effort,
-                        // deduplicated, epoch-checked) to the tenant's other
-                        // replicas so a future repeat is warm anywhere.
-                        if let (Some(key), Some(hub)) = (q.affinity, disp.fill.as_ref()) {
-                            hub.offer(&q, key, chan.backend.id, &buf);
-                        }
+                        // deduplicated, epoch-checked) to the key's first
+                        // failover replica, so a repeat stays warm through
+                        // the loss of its home replica.
+                        disp.fill.offer(&q, chan.backend.id, &buf);
                     }
                 }
             }

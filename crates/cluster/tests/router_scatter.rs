@@ -1,8 +1,8 @@
 //! The router's acceptance property: a shuffled pipelined batch scattered
 //! over **two replicas of one tenant** merges back byte-identical to a
 //! fresh single-threaded engine answering the same lines in the same order.
-//! Which replica served which query, round-robin phase, channel interleaving
-//! — none of it may show in the bytes.
+//! Which replica served which query, affinity order, channel interleaving —
+//! none of it may show in the bytes.
 
 use knn_cluster::{LoadSource, Router, RouterConfig};
 use knn_engine::{textfmt, EngineConfig, ExplanationEngine, Request};

@@ -10,7 +10,7 @@
 //!  client ──TCP──► connection thread ──► registry (name → Arc<engine>)
 //!                    │ reader: parse line, resolve tenant      [`registry`]
 //!                    │ workers (≤ in-flight cap): ──► admission queue
-//!                    │     tenant.run(req)            (global FIFO budget)
+//!                    │     tenant.serve(req)          (global FIFO budget)
 //!                    ▼                                        [`admission`]
 //!                  writer: reorder by seq, stream responses in order
 //! ```

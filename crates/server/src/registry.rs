@@ -22,9 +22,7 @@
 
 use crate::admission::Admission;
 use knn_engine::bundle::{BundleEntry, ReproBundle};
-use knn_engine::{
-    textfmt, EngineConfig, ExplanationEngine, Mutation, MutationReceipt, Request, Response,
-};
+use knn_engine::{textfmt, EngineConfig, ExplanationEngine, Mutation, MutationReceipt, Request};
 use knn_telemetry::{AuditJob, CaptureEntry, SlowQuery, SpanCtx, SpanEvent, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,14 +86,23 @@ pub struct TenantStats {
 }
 
 impl Tenant {
-    /// Runs one request: waits for a global admission slot (FIFO), executes,
-    /// and maintains the tenant's queue counters. The response bytes are
-    /// independent of admission order per the engine's determinism contract.
+    /// The serving path's one entry: runs one request — waits for a global
+    /// admission slot (FIFO), executes, and maintains the tenant's queue
+    /// counters — then captures it and may elect it for a shadow audit.
+    /// The response bytes are independent of admission order per the
+    /// engine's determinism contract. `(conn, seq)` is the query's capture
+    /// reference (connection number, line number) and `raw` the request
+    /// line exactly as it arrived. Returns the response line to write —
+    /// serialized once, shared by the wire, the capture ring, and any
+    /// audit job. Capture is always on (like the flight recorder); the
+    /// audit enqueue happens 1-in-N and never blocks.
     ///
     /// When the process telemetry is enabled, the end-to-end wall time goes
     /// into the per-(tenant, route) latency histogram, the admission wait
     /// into the phase histograms, and the combined trace is offered to the
     /// slow-query ring — all out-of-band, never touching response bytes.
+    /// Slow-ring entries and forced span details carry `(conn, seq)`, so
+    /// `slow`/`trace` output links to a replayable capture.
     ///
     /// `trace_id` is the client's `"trace"` member (or the router's minted
     /// id): when present, the query is **captured** into the flight
@@ -105,17 +112,6 @@ impl Tenant {
     /// (errors, slow-floor breaches, demotions, guard failures) force the
     /// capture into the anomaly ring. All of it stays out-of-band: the
     /// response bytes never depend on `trace_id` or the recorder.
-    pub fn run(&self, admission: &Admission, req: &Request, trace_id: Option<&str>) -> Response {
-        self.run_impl(admission, req, trace_id, None).0
-    }
-
-    /// The serving path's entry: [`Tenant::run`] plus black-box capture and
-    /// shadow-audit election. `(conn, seq)` is the query's capture
-    /// reference (connection number, line number) and `raw` the request
-    /// line exactly as it arrived. Returns the response line to write —
-    /// serialized once, shared by the wire, the capture ring, and any
-    /// audit job. Capture is always on (like the flight recorder); the
-    /// audit enqueue happens 1-in-N and never blocks.
     pub fn serve(
         &self,
         admission: &Admission,
@@ -125,46 +121,6 @@ impl Tenant {
         seq: u64,
         raw: &str,
     ) -> String {
-        let (resp, epoch) = self.run_impl(admission, req, trace_id, Some((conn, seq)));
-        let line = resp.to_json_line();
-        let telemetry = self.engine.telemetry();
-        telemetry.capture().push(CaptureEntry {
-            tenant: self.name.clone(),
-            epoch,
-            conn,
-            seq,
-            trace: trace_id.map(str::to_string),
-            request: raw.to_string(),
-            response: line.clone(),
-        });
-        let audit = telemetry.audit();
-        if audit.elect() {
-            audit.offer(AuditJob {
-                tenant: self.name.clone(),
-                epoch,
-                id: resp.id.clone(),
-                request: raw.to_string(),
-                response: line.clone(),
-                conn,
-                seq,
-                trace: trace_id.map(str::to_string),
-            });
-        }
-        line
-    }
-
-    /// The body shared by [`Tenant::run`] and [`Tenant::serve`]; returns
-    /// the response and the epoch it answered at. `capture_ref` is the
-    /// `(conn, seq)` reference serving attaches — it flows into slow-ring
-    /// entries and forced span details so `slow`/`trace` output links to a
-    /// replayable capture.
-    fn run_impl(
-        &self,
-        admission: &Admission,
-        req: &Request,
-        trace_id: Option<&str>,
-        capture_ref: Option<(u64, u64)>,
-    ) -> (Response, u64) {
         let telemetry = self.engine.telemetry().clone();
         let recorder = telemetry.recorder();
         let traced = trace_id.is_some();
@@ -188,86 +144,105 @@ impl Tenant {
         if err {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        let (Some(t0), Some(admission_us)) = (started, admission_us) else {
-            return (resp, qt.epoch);
-        };
-        let total_us = t0.elapsed().as_micros() as u64;
-        let (conn, seq) = capture_ref.unwrap_or((0, 0));
-        let mut slow = false;
-        if enabled {
-            telemetry.record_phase(&self.name, "admission", admission_us);
-            telemetry.record_route(&self.name, &resp.route, total_us);
-            slow = telemetry.record_slow_with(total_us, || SlowQuery {
+        if let (Some(t0), Some(admission_us)) = (started, admission_us) {
+            let total_us = t0.elapsed().as_micros() as u64;
+            let mut slow = false;
+            if enabled {
+                telemetry.record_phase(&self.name, "admission", admission_us);
+                telemetry.record_route(&self.name, &resp.route, total_us);
+                slow = telemetry.record_slow_with(total_us, || SlowQuery {
+                    tenant: self.name.clone(),
+                    id: resp.id.clone(),
+                    route: resp.route.clone(),
+                    cache: qt.cache.to_string(),
+                    epoch: qt.epoch,
+                    total_us,
+                    admission_us,
+                    plan_us: qt.plan_us,
+                    artifact_us: qt.artifact_us,
+                    cache_us: qt.cache_us,
+                    solve_us: qt.solve_us,
+                    trace: trace_id.map(str::to_string),
+                    conn,
+                    seq,
+                });
+            }
+            if let Some(ctx) = ctx {
+                let end_us = recorder.now_us();
+                let anomaly = if err {
+                    "error"
+                } else if slow {
+                    "slow"
+                } else if qt.guard_failed {
+                    "guard_failed"
+                } else if qt.demoted {
+                    "demoted"
+                } else {
+                    ""
+                };
+                let forced = traced || !anomaly.is_empty();
+                let start_us = end_us.saturating_sub(total_us);
+                let base = SpanEvent {
+                    trace: ctx.trace.clone(),
+                    tenant: self.name.clone(),
+                    epoch: qt.epoch,
+                    ..SpanEvent::default()
+                };
+                recorder.push(
+                    SpanEvent {
+                        seq: recorder.next_seq(),
+                        parent: ctx.parent,
+                        name: "admission",
+                        start_us,
+                        dur_us: admission_us,
+                        ..base.clone()
+                    },
+                    forced,
+                );
+                // The capture reference makes the span (and through `trace`
+                // output, the operator) one `repro` call away from a
+                // replayable request line.
+                let detail = format!("route={} conn={conn} seq={seq}", resp.route);
+                recorder.push(
+                    SpanEvent {
+                        seq: ctx.parent,
+                        parent: 0,
+                        name: "query",
+                        detail,
+                        start_us,
+                        dur_us: total_us,
+                        anomaly,
+                        ..base
+                    },
+                    forced,
+                );
+            }
+        }
+        let line = resp.to_json_line();
+        let epoch = qt.epoch;
+        telemetry.capture().push(CaptureEntry {
+            tenant: self.name.clone(),
+            epoch,
+            conn,
+            seq,
+            trace: trace_id.map(str::to_string),
+            request: raw.to_string(),
+            response: line.clone(),
+        });
+        let audit = telemetry.audit();
+        if audit.elect() {
+            audit.offer(AuditJob {
                 tenant: self.name.clone(),
+                epoch,
                 id: resp.id.clone(),
-                route: resp.route.clone(),
-                cache: qt.cache.to_string(),
-                epoch: qt.epoch,
-                total_us,
-                admission_us,
-                plan_us: qt.plan_us,
-                artifact_us: qt.artifact_us,
-                cache_us: qt.cache_us,
-                solve_us: qt.solve_us,
-                trace: trace_id.map(str::to_string),
+                request: raw.to_string(),
+                response: line.clone(),
                 conn,
                 seq,
+                trace: trace_id.map(str::to_string),
             });
         }
-        if let Some(ctx) = ctx {
-            let end_us = recorder.now_us();
-            let anomaly = if err {
-                "error"
-            } else if slow {
-                "slow"
-            } else if qt.guard_failed {
-                "guard_failed"
-            } else if qt.demoted {
-                "demoted"
-            } else {
-                ""
-            };
-            let forced = traced || !anomaly.is_empty();
-            let start_us = end_us.saturating_sub(total_us);
-            let base = SpanEvent {
-                trace: ctx.trace.clone(),
-                tenant: self.name.clone(),
-                epoch: qt.epoch,
-                ..SpanEvent::default()
-            };
-            recorder.push(
-                SpanEvent {
-                    seq: recorder.next_seq(),
-                    parent: ctx.parent,
-                    name: "admission",
-                    start_us,
-                    dur_us: admission_us,
-                    ..base.clone()
-                },
-                forced,
-            );
-            // The capture reference makes the span (and through `trace`
-            // output, the operator) one `repro` call away from a
-            // replayable request line.
-            let detail = match capture_ref {
-                Some((conn, seq)) => format!("route={} conn={conn} seq={seq}", resp.route),
-                None => format!("route={}", resp.route),
-            };
-            recorder.push(
-                SpanEvent {
-                    seq: ctx.parent,
-                    parent: 0,
-                    name: "query",
-                    detail,
-                    start_us,
-                    dur_us: total_us,
-                    anomaly,
-                    ..base
-                },
-                forced,
-            );
-        }
-        (resp, qt.epoch)
+        line
     }
 
     /// Applies one mutation through the engine and records it in the
@@ -427,13 +402,10 @@ mod tests {
         assert_eq!(r.list().len(), 1);
 
         let adm = Admission::new(2);
-        let req = Request::from_json_line(
-            r#"{"cmd":"classify","metric":"hamming","point":[1,1,1]}"#,
-            "0",
-        )
-        .unwrap();
-        let resp = r.get("toy").unwrap().run(&adm, &req, None);
-        assert!(resp.result.is_ok());
+        let raw = r#"{"cmd":"classify","metric":"hamming","point":[1,1,1]}"#;
+        let req = Request::from_json_line(raw, "0").unwrap();
+        let line = r.get("toy").unwrap().serve(&adm, &req, None, 0, 0, raw);
+        assert!(line.contains(r#""ok":true"#), "{line}");
         let s = r.get("toy").unwrap().stats();
         assert_eq!((s.requests, s.errors, s.queued, s.active), (1, 0, 0, 0));
 

@@ -73,13 +73,11 @@
 //!   --replicas <r>    default replicas per tenant (default: all backends)
 //!   --data <n=file>   preload a dataset, fanned out to its replicas (repeatable)
 //!   --probe-ms <m>    health-probe interval (default 500; 0 disables)
-//!   --spread <s>      replicas one connection scatters over (default: all)
-//!   --affinity on|off cache-affinity routing + cross-replica cache fill
-//!                     (default on): repeats of a query prefer the replica
-//!                     already holding its cached explanation, and cold
-//!                     answers are pushed to peers; `off` restores pure
-//!                     window round-robin
 //!   --workers / --inflight / --cache / --budget   forwarded to spawned backends
+//!
+//!   Queries always route by cache affinity: repeats of a query prefer the
+//!   replica already holding its cached explanation, and cold answers are
+//!   pushed to the key's failover replica. Any other flag is refused.
 //! ```
 //!
 //! Batch requests look like
@@ -136,7 +134,7 @@ fn main() {
         println!("            [--out <file>] [--watch <secs>]");
         println!("       xknn router [--addr host:port] [--backend host:port ...] [--spawn <n>]");
         println!("            [--replicas <r>] [--data name=<file> ...] [--probe-ms <m>]");
-        println!("            [--spread <s>] [--affinity on|off]");
+        println!("            [--workers <n>] [--inflight <n>] [--budget <c>] [--cache <n>]");
         println!("       xknn replay <bundle.json>");
         std::process::exit(if argv.len() <= 1 { 0 } else { 2 });
     };
@@ -483,9 +481,26 @@ fn router_fail(router: &knn_cluster::Router, msg: &str) -> ! {
     fail(msg)
 }
 
+/// `xknn router`'s own flags; [`FORWARDED_FLAGS`] are accepted too.
+const ROUTER_FLAGS: [&str; 6] =
+    ["--addr", "--backend", "--spawn", "--replicas", "--data", "--probe-ms"];
+
+/// Engine/server tuning flags `xknn router` passes through to every
+/// spawned backend.
+const FORWARDED_FLAGS: [&str; 4] = ["--workers", "--inflight", "--cache", "--budget"];
+
 /// `xknn router`: front N `xknn serve` backends (spawned and/or attached)
 /// with rendezvous-hash tenant placement and batch scatter-gather.
 fn router() {
+    // Refuse unknown flags: `arg` ignores them, so a stale or misspelled
+    // option would otherwise run with different behaviour and no warning.
+    if let Some(flag) = std::env::args().skip(2).find(|a| {
+        a.starts_with("--")
+            && !ROUTER_FLAGS.contains(&a.as_str())
+            && !FORWARDED_FLAGS.contains(&a.as_str())
+    }) {
+        fail(&format!("unknown router flag `{flag}`"));
+    }
     let addr = arg("--addr").unwrap_or_else(|| "127.0.0.1:7979".into());
     let mut config = knn_cluster::RouterConfig::default();
     if let Some(r) = arg("--replicas") {
@@ -494,16 +509,6 @@ fn router() {
     if let Some(m) = arg("--probe-ms") {
         let ms: u64 = m.parse().unwrap_or_else(|_| fail("--probe-ms must be an integer"));
         config.probe_interval = std::time::Duration::from_millis(ms);
-    }
-    if let Some(s) = arg("--spread") {
-        config.spread = s.parse().unwrap_or_else(|_| fail("--spread must be an integer"));
-    }
-    if let Some(a) = arg("--affinity") {
-        config.affinity = match a.as_str() {
-            "on" => true,
-            "off" => false,
-            _ => fail("--affinity must be `on` or `off`"),
-        };
     }
     let router = knn_cluster::Router::bind(&addr, config)
         .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
@@ -524,9 +529,8 @@ fn router() {
         let n: usize = n.parse().unwrap_or_else(|_| fail("--spawn must be an integer"));
         let xknn = std::env::current_exe()
             .unwrap_or_else(|e| fail(&format!("cannot locate own binary: {e}")));
-        // Engine/server tuning flags pass through to every spawned backend.
         let mut extra = Vec::new();
-        for flag in ["--workers", "--inflight", "--cache", "--budget"] {
+        for flag in FORWARDED_FLAGS {
             if let Some(v) = arg(flag) {
                 extra.push(flag.to_string());
                 extra.push(v);

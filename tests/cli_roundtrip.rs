@@ -136,6 +136,23 @@ fn bad_inputs_fail_cleanly() {
     assert!(!xknn(&["explain-everything", "--data", d, "--point", "1,1"]).2);
 }
 
+/// `xknn router` refuses any flag outside its usage list before binding or
+/// spawning anything: a removed option (`--affinity`, `--spread`) or a typo
+/// (`--replica`) must not run silently with different behaviour.
+#[test]
+fn router_refuses_unknown_flags() {
+    for bad in [["--affinity", "off"], ["--spread", "1"], ["--replica", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xknn"))
+            .args(["router", "--addr", "127.0.0.1:0", "--spawn", "1", bad[0], bad[1]])
+            .output()
+            .expect("xknn binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains(&format!("`{}`", bad[0])), "{bad:?} not named: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad:?} must fail before listening");
+    }
+}
+
 #[test]
 fn repo_demo_files_work() {
     // The checked-in demo datasets under data/ must stay valid.

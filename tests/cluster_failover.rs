@@ -65,11 +65,7 @@ fn killing_one_of_two_replicas_mid_stream_keeps_bytes_identical_to_the_oracle() 
 
     let router = Router::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(100),
-            ..RouterConfig::default()
-        },
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(100) },
     )
     .unwrap();
     router.attach(victim_addr);
@@ -144,7 +140,7 @@ fn killing_one_of_two_replicas_mid_stream_keeps_bytes_identical_to_the_oracle() 
 }
 
 /// The same kill-mid-stream property with cache-affinity routing and
-/// cross-replica fill enabled (the default config): a cold pass populates
+/// cross-replica fill (the router's only routing policy): a cold pass populates
 /// caches (and fans fills out to the peer), then the identical warm batch is
 /// pipelined and the victim killed before any response is read — so warm
 /// queries failing over land on a replica whose cache was filled by its dead
@@ -157,14 +153,9 @@ fn affinity_and_fill_survive_a_mid_stream_kill_byte_identically() {
 
     let router = Router::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(100),
-            ..RouterConfig::default()
-        },
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(100) },
     )
     .unwrap();
-    assert!(RouterConfig::default().affinity, "affinity routing should be the default");
     router.attach(victim_addr);
     router.attach(survivor_addr);
     router.load("hot", LoadSource::Text(BOOL), None).unwrap();
@@ -225,16 +216,22 @@ fn affinity_and_fill_survive_a_mid_stream_kill_byte_identically() {
 fn dead_channel_with_pending_query_forces_failover_spans() {
     use std::io::Write as _;
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     // Protocol-shaped impostor: acks control verbs (so load/probes accept
     // it, and its `stats` shows the tenant at the router's version, so the
     // reconciler never demotes it mid-test), then hangs up on the first
-    // query line without answering it.
+    // query line without answering it. It counts the query lines it
+    // receives, so the test can prove its scenario ran.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let fake_addr = listener.local_addr().unwrap();
+    let impostor_queries = Arc::new(AtomicUsize::new(0));
+    let counter = impostor_queries.clone();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
+            let counter = counter.clone();
             std::thread::spawn(move || {
                 let mut reader = BufReader::new(stream.try_clone().unwrap());
                 let mut out = stream;
@@ -251,6 +248,7 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
                             return;
                         }
                     } else {
+                        counter.fetch_add(1, Ordering::SeqCst);
                         return; // query received: die holding it
                     }
                 }
@@ -259,20 +257,16 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
     });
 
     let (mut real, real_addr) = spawn_backend();
-    // Window routing (not affinity) so the two-query batch deterministically
-    // round-robins one query onto the impostor — the scenario under test.
-    let router =
-        Router::bind("127.0.0.1:0", RouterConfig { affinity: false, ..RouterConfig::default() })
-            .unwrap();
-    router.attach(fake_addr);
+    let router = Router::bind("127.0.0.1:0", RouterConfig::default()).unwrap();
+    router.attach(fake_addr); // id 0
     router.attach(real_addr);
     router.load("hot", LoadSource::Text(BOOL), None).unwrap();
     let handle = router.spawn();
 
-    // Two queries, round-robined over the two replicas: exactly one lands
-    // on the impostor and gets drained at its EOF.
+    // Two queries: the first's affinity home is replica 0 (the impostor),
+    // where it is drained at the impostor's EOF; the second's is replica 1.
     let lines = [
-        r#"{"dataset":"hot","id":"a","cmd":"classify","metric":"hamming","k":3,"point":[1,1,1,0,0]}"#,
+        r#"{"dataset":"hot","id":"a","cmd":"classify","metric":"hamming","k":3,"point":[0,0,0,0,0]}"#,
         r#"{"dataset":"hot","id":"b","cmd":"minimal-sr","metric":"hamming","k":1,"point":[0,0,1,1,1]}"#,
     ];
     let engine =
@@ -283,6 +277,10 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
         let got = client.roundtrip(l).unwrap();
         assert_eq!(want, got, "failover changed response bytes");
     }
+    assert!(
+        impostor_queries.load(Ordering::SeqCst) >= 1,
+        "no query reached the impostor: the failover scenario did not run"
+    );
 
     let dump = client.roundtrip(r#"{"id":"du","verb":"dump"}"#).unwrap();
     assert!(

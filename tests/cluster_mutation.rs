@@ -53,11 +53,7 @@ fn killing_a_replica_mid_mutation_stream_keeps_queries_oracle_identical() {
 
     let router = Router::bind(
         "127.0.0.1:0",
-        RouterConfig {
-            replication: 0,
-            probe_interval: Duration::from_millis(100),
-            ..RouterConfig::default()
-        },
+        RouterConfig { replication: 0, probe_interval: Duration::from_millis(100) },
     )
     .unwrap();
     router.attach(victim_addr);
