@@ -1869,71 +1869,96 @@ mod tests {
         b0.shutdown();
     }
 
-    #[test]
-    fn dead_replica_at_dispatch_time_fails_over_to_the_survivor() {
-        let live = backend();
-        // A backend that is gone before the first query: bind-then-drop.
-        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_addr = dead.local_addr().unwrap();
-        drop(dead);
+    /// Eight queries with distinct cache keys, so their affinity homes
+    /// spread over both replicas of a two-backend tenant.
+    fn spread_queries() -> Vec<String> {
+        (0..8)
+            .map(|i| {
+                format!(
+                    r#"{{"dataset":"toy","id":"q{i}","cmd":"classify","metric":"hamming","point":[{},{},{}]}}"#,
+                    i % 2,
+                    (i / 2) % 2,
+                    i / 4
+                )
+            })
+            .collect()
+    }
 
+    /// A router over two live backends, both acknowledging the `toy` load
+    /// (`list` shows both replicas), with health probes off so the router
+    /// learns of a backend's death only by dispatching to it.
+    fn router_over_two_replicas(
+        b0: &knn_server::ServerHandle,
+        b1: &knn_server::ServerHandle,
+    ) -> RouterHandle {
         let router = Router::bind(
             "127.0.0.1:0",
             RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() },
         )
         .unwrap();
-        router.attach(live.addr());
-        router.attach(dead_addr);
-        router.load("toy", LoadSource::Text(BOOL), None).unwrap();
+        router.attach(b0.addr());
+        router.attach(b1.addr());
+        let replicas = router.load("toy", LoadSource::Text(BOOL), None).unwrap();
+        assert_eq!(replicas, vec![0, 1], "both backends acknowledge the load");
         let handle = router.spawn();
+        let list = Client::connect(handle.addr())
+            .unwrap()
+            .roundtrip(r#"{"id":"ls","verb":"list"}"#)
+            .unwrap();
+        assert!(list.contains(r#""replicas":[0,1]"#), "{list}");
+        handle
+    }
+
+    /// The router's own `knn_router_failovers_total`, read through its
+    /// `metrics` verb.
+    fn failovers(router: SocketAddr) -> f64 {
+        let m = Client::connect(router).unwrap().roundtrip(r#"{"id":"m","verb":"metrics"}"#);
+        let m = m.unwrap();
+        let parsed = parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
+        exposition::parse(text).get("knn_router_failovers_total").copied().unwrap_or(0.0)
+    }
+
+    /// One replica of a two-replica tenant dies after the load and before
+    /// the first query. Queries homed on it find it dead at dispatch time
+    /// and fail over to the survivor, which answers with the bytes a lone
+    /// server gives.
+    #[test]
+    fn dead_replica_at_dispatch_time_fails_over_to_the_survivor() {
+        let (live, dead) = (backend(), backend());
+        let handle = router_over_two_replicas(&live, &dead);
+        let queries = spread_queries();
+        let mut direct = Client::connect(live.addr()).unwrap();
+        let want: Vec<String> = queries.iter().map(|q| direct.roundtrip(q).unwrap()).collect();
+        dead.shutdown();
 
         let mut c = Client::connect(handle.addr()).unwrap();
-        // Whichever replica each key homes on, every query must still be
-        // answered (by the survivor), bytes intact.
-        for i in 0..8 {
-            let resp = c
-                .roundtrip(&format!(
-                    r#"{{"dataset":"toy","id":"q{i}","cmd":"classify","metric":"hamming","point":[1,1,{}]}}"#,
-                    i % 2
-                ))
-                .unwrap();
-            assert!(resp.starts_with(&format!("{{\"id\":\"q{i}\",\"ok\":true")), "{resp}");
+        for (q, want) in queries.iter().zip(&want) {
+            assert_eq!(&c.roundtrip(q).unwrap(), want, "{q}");
         }
+        assert!(failovers(handle.addr()) >= 1.0, "no query was dispatched to the dead replica");
         handle.shutdown();
         live.shutdown();
     }
 
+    /// As above, across several connections, each with its own dispatcher
+    /// and channels: every one answers every query with the lone server's
+    /// bytes, whichever replica is the dead one.
     #[test]
     fn every_connection_answers_with_a_dead_backend_attached() {
-        let live = backend();
-        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let dead_addr = dead.local_addr().unwrap();
-        drop(dead);
+        let (dead, live) = (backend(), backend());
+        let handle = router_over_two_replicas(&dead, &live);
+        let queries = spread_queries();
+        let mut direct = Client::connect(live.addr()).unwrap();
+        let want: Vec<String> = queries.iter().map(|q| direct.roundtrip(q).unwrap()).collect();
+        dead.shutdown();
 
-        let router = Router::bind(
-            "127.0.0.1:0",
-            RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() },
-        )
-        .unwrap();
-        router.attach(dead_addr); // id 0
-        router.attach(live.addr());
-        router.load("toy", LoadSource::Text(BOOL), None).unwrap();
-        let handle = router.spawn();
-
-        // Several connections, each with its own dispatcher and channels:
-        // every query must be answered correctly despite the dead backend.
         for conn in 0..4 {
-            let mut c = Client::connect(handle.addr()).unwrap();
-            let resp = c
-                .roundtrip(
-                    r#"{"dataset":"toy","id":"q","cmd":"classify","metric":"hamming","point":[1,1,1]}"#,
-                )
-                .unwrap();
-            assert_eq!(
-                resp, r#"{"id":"q","ok":true,"route":"hamming-index","label":"+"}"#,
-                "connection {conn}"
-            );
+            let stream: String = queries.iter().map(|q| format!("{q}\n")).collect();
+            let got = Client::connect(handle.addr()).unwrap().run_stream(&stream).unwrap();
+            assert_eq!(got, want, "connection {conn}");
         }
+        assert!(failovers(handle.addr()) >= 1.0, "no query was dispatched to the dead replica");
         handle.shutdown();
         live.shutdown();
     }

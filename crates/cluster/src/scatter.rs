@@ -367,14 +367,24 @@ impl Dispatcher {
         // Stable: order kept per group.
         candidates.sort_by_key(|&(id, healthy)| (q.not_loaded == Some(id), !healthy));
 
-        for (id, _) in candidates {
+        for (id, healthy) in candidates {
             let Some(chan) = self.chan(id) else { continue };
             match chan.send(q) {
                 SendOutcome::Sent => {
                     self.telemetry.add("knn_router_dispatches_total", 1);
                     return;
                 }
-                SendOutcome::Rejected(back) => q = back,
+                SendOutcome::Rejected(back) => {
+                    q = back;
+                    // A replica believed healthy whose channel is dead (its
+                    // dial just failed) loses the query to the next one:
+                    // that is a failover as much as a channel dying with
+                    // the query pending.
+                    if healthy {
+                        self.telemetry.add("knn_router_failovers_total", 1);
+                        emit_query_span(self, &q, "failover", id, "failover");
+                    }
+                }
                 SendOutcome::Died(drained) => {
                     chan.backend.mark_down();
                     self.telemetry.add("knn_router_failovers_total", drained.len() as u64);

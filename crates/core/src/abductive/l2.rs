@@ -19,12 +19,12 @@
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource, SourcedRegion};
+use crate::regions::{LazyRegions, QueryRegions, RegionSpec};
 use crate::SrCheck;
 use knn_num::Field;
 use knn_qp::Polyhedron;
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
-use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// How many regions a check tests by anchor projection before it runs the
 /// LPs on them. At k = 1 there is one region per point of the other class,
@@ -36,8 +36,9 @@ const PROJECTION_WINDOW: usize = 256;
 
 /// Sufficient-reason engine for the ℓ2 setting.
 ///
-/// The constructor fixes where the Prop 1 polyhedra come from; every
-/// operation enumerates them nearest-anchor-first and pruned
+/// The constructor fixes whether the Prop 1 polyhedra are memoized in a
+/// shared [`LazyRegions`] view; every operation enumerates them
+/// nearest-anchor-first and pruned
 /// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
 /// so a failing check usually stops at the first few regions, most often
 /// on an anchor projection and without any LP.
@@ -45,33 +46,26 @@ const PROJECTION_WINDOW: usize = 256;
 pub struct L2Abductive<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
-    source: RegionSource<'a, F>,
+    regions: Option<&'a LazyRegions<F>>,
 }
 
 impl<'a, F: Field> L2Abductive<'a, F> {
     /// Builds the engine for `f^k_{S⁺,S⁻}` under ℓ2, enumerating a fresh
     /// region stream per call.
     pub fn new(ds: &'a ContinuousDataset<F>, k: OddK) -> Self {
-        Self::over(ds, k, RegionSource::Stream)
+        Self::over(ds, k, None)
     }
 
     /// The engine over a shared [`LazyRegions`] view of `ds` (the batch
     /// engine's serving path): warm queries replay memoized polyhedra, cold
     /// ones enumerate and memoize.
     pub fn with_lazy_regions(ds: &'a ContinuousDataset<F>, regions: &'a LazyRegions<F>) -> Self {
-        Self::over(ds, regions.k(), RegionSource::Lazy(regions))
+        Self::over(ds, regions.k(), Some(regions))
     }
 
-    /// The engine over the eager [`RegionCache`] of `ds` — the differential
-    /// oracle. The cache is replayed in the stream's order with the
-    /// stream's prune decisions, so the answers equal the other sources'.
-    pub fn with_region_cache(ds: &'a ContinuousDataset<F>, cache: &'a RegionCache<F>) -> Self {
-        Self::over(ds, cache.k(), RegionSource::Cache(cache))
-    }
-
-    fn over(ds: &'a ContinuousDataset<F>, k: OddK, source: RegionSource<'a, F>) -> Self {
+    fn over(ds: &'a ContinuousDataset<F>, k: OddK, regions: Option<&'a LazyRegions<F>>) -> Self {
         assert!(ds.len() >= k.get() as usize);
-        L2Abductive { ds, k, source }
+        L2Abductive { ds, k, regions }
     }
 
     fn classifier(&self) -> ContinuousKnn<'a, F> {
@@ -81,7 +75,7 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     /// The polyhedra a counterexample for `x` must lie in, ordered once for
     /// every check on `x`.
     fn regions_for(&self, x: &[F]) -> QueryRegions<'a, F> {
-        self.source.for_query(self.ds, self.k, x)
+        QueryRegions::new(self.ds, self.k, self.regions, x)
     }
 
     /// `k`-Check Sufficient Reason(ℝ, D₂) — polynomial for fixed k (Prop 3).
@@ -115,16 +109,14 @@ impl<'a, F: Field> L2Abductive<'a, F> {
             ok
         };
         let fixed_vals: Vec<(usize, F)> = fixed.iter().map(|&i| (i, x[i].clone())).collect();
-        let projection = |region: &SourcedRegion<'_, F>| {
-            let mut y = region.anchor_point(self.ds);
+        let projection = |(poly, spec): &(Arc<Polyhedron<F>>, RegionSpec)| {
+            let mut y = spec.anchor_point(self.ds);
             for &i in fixed {
                 y[i] = x[i].clone();
             }
-            let poly: &Polyhedron<F> = region.borrow();
             (poly.contains_strictly(&y) && flips(&y)).then_some(y)
         };
-        let lp = |region: &SourcedRegion<'_, F>| {
-            let poly: &Polyhedron<F> = region.borrow();
+        let lp = |(poly, _): &(Arc<Polyhedron<F>>, RegionSpec)| {
             match target {
                 // The positive region is closed, so any feasible point works —
                 // but a bisector-boundary point classifies by exact tie-break,
@@ -278,16 +270,15 @@ mod tests {
         }
     }
 
-    /// `check` over the eager cache, with the LPs it ran. The cache settles
-    /// its prune decisions when it is built, so every LP counted here is one
-    /// of the check's own.
+    /// `check` with the LPs it ran. The stream's pruner is halfspace
+    /// algebra and runs no LP, so every LP counted here is one of the
+    /// check's own.
     fn check_counting_lps(
         ds: &ContinuousDataset<Rat>,
         x: &[Rat],
         fixed: &[usize],
     ) -> (SrCheck<Vec<Rat>>, u64) {
-        let cache = RegionCache::build(ds, OddK::ONE);
-        let ab = L2Abductive::with_region_cache(ds, &cache);
+        let ab = L2Abductive::new(ds, OddK::ONE);
         let before = knn_lp::tally::lp_solves();
         let verdict = ab.check(x, fixed);
         (verdict, knn_lp::tally::lp_solves() - before)

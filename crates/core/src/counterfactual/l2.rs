@@ -25,13 +25,12 @@
 //!   only under the exact tie rule.
 
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, QueryRegions, RegionCache, RegionSource};
+use crate::regions::{LazyRegions, QueryRegions};
 use knn_lp::{LpProblem, Rel};
 use knn_num::field::{dot, norm_sq};
 use knn_num::Field;
 use knn_qp::{project_onto_polyhedron_from, Polyhedron, QpOutcome};
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
-use std::borrow::Borrow;
 
 /// The infimum of the counterfactual distance and how it is realized.
 #[derive(Clone, Debug)]
@@ -47,8 +46,9 @@ pub struct CfInfimum<F> {
 
 /// Counterfactual engine for the ℓ2 setting.
 ///
-/// The constructor fixes where the Prop 1 polyhedra come from; every
-/// operation enumerates them nearest-anchor-first and pruned
+/// The constructor fixes whether the Prop 1 polyhedra are memoized in a
+/// shared [`LazyRegions`] view; every operation enumerates them
+/// nearest-anchor-first and pruned
 /// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
 /// and runs projection QPs only on regions the cheap halfspace lower bound
 /// cannot rule out.
@@ -56,30 +56,24 @@ pub struct CfInfimum<F> {
 pub struct L2Counterfactual<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
-    source: RegionSource<'a, F>,
+    regions: Option<&'a LazyRegions<F>>,
 }
 
 impl<'a, F: Field> L2Counterfactual<'a, F> {
     /// Builds the engine, enumerating a fresh region stream per call.
     pub fn new(ds: &'a ContinuousDataset<F>, k: OddK) -> Self {
-        Self::over(ds, k, RegionSource::Stream)
+        Self::over(ds, k, None)
     }
 
     /// The engine over a shared [`LazyRegions`] view of `ds`: the batch
     /// engine's serving path.
     pub fn with_lazy_regions(ds: &'a ContinuousDataset<F>, regions: &'a LazyRegions<F>) -> Self {
-        Self::over(ds, regions.k(), RegionSource::Lazy(regions))
+        Self::over(ds, regions.k(), Some(regions))
     }
 
-    /// The engine over the eager [`RegionCache`] of `ds` — the differential
-    /// oracle, replayed in the stream's order with its prune decisions.
-    pub fn with_region_cache(ds: &'a ContinuousDataset<F>, cache: &'a RegionCache<F>) -> Self {
-        Self::over(ds, cache.k(), RegionSource::Cache(cache))
-    }
-
-    fn over(ds: &'a ContinuousDataset<F>, k: OddK, source: RegionSource<'a, F>) -> Self {
+    fn over(ds: &'a ContinuousDataset<F>, k: OddK, regions: Option<&'a LazyRegions<F>>) -> Self {
         assert!(ds.len() >= k.get() as usize);
-        L2Counterfactual { ds, k, source }
+        L2Counterfactual { ds, k, regions }
     }
 
     fn classifier(&self) -> ContinuousKnn<'a, F> {
@@ -88,7 +82,7 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
 
     /// The polyhedra of the region `x` is not in, ordered for `x`.
     fn regions_for(&self, x: &[F]) -> QueryRegions<'a, F> {
-        self.source.for_query(self.ds, self.k, x)
+        QueryRegions::new(self.ds, self.k, self.regions, x)
     }
 
     /// The infimum counterfactual distance (squared), with a closure witness.
@@ -97,23 +91,22 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
         let regions = self.regions_for(x);
         let target = regions.target();
         let mut best: Option<CfInfimum<F>> = None;
-        for region in regions.polyhedra() {
-            let poly: &Polyhedron<F> = region.borrow();
+        for (poly, spec) in regions.polyhedra() {
             // Incumbent pruning: if a single violated halfspace already puts
             // the whole region farther than the best distance found, the QP
             // cannot improve it (ties keep the earlier incumbent anyway).
             if let Some(b) = &best {
-                if lower_bound_exceeds(x, poly, &b.dist_sq) {
+                if lower_bound_exceeds(x, &poly, &b.dist_sq) {
                     continue;
                 }
             }
-            let anchor = region.anchor_point(self.ds);
+            let anchor = spec.anchor_point(self.ds);
             // The open piece of a negative target contributes only if nonempty.
-            if target == Label::Negative && !has_interior(poly, &anchor) {
+            if target == Label::Negative && !has_interior(&poly, &anchor) {
                 continue;
             }
             if let QpOutcome::Optimal { y, dist_sq } =
-                project_onto_polyhedron_from(x, poly, Some(&anchor))
+                project_onto_polyhedron_from(x, &poly, Some(&anchor))
             {
                 if best.as_ref().is_none_or(|b| dist_sq < b.dist_sq) {
                     let attained = target == Label::Positive || poly.contains_strictly(&y);
@@ -133,19 +126,18 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
     pub fn within(&self, x: &[F], radius_sq: &F) -> Option<Vec<F>> {
         let regions = self.regions_for(x);
         let target = regions.target();
-        for region in regions.polyhedra() {
-            let poly: &Polyhedron<F> = region.borrow();
+        for (poly, spec) in regions.polyhedra() {
             // A single violated halfspace farther than the radius rules the
             // region out without a QP.
-            if lower_bound_exceeds(x, poly, radius_sq) {
+            if lower_bound_exceeds(x, &poly, radius_sq) {
                 continue;
             }
-            let anchor = region.anchor_point(self.ds);
-            if target == Label::Negative && !has_interior(poly, &anchor) {
+            let anchor = spec.anchor_point(self.ds);
+            if target == Label::Negative && !has_interior(&poly, &anchor) {
                 continue;
             }
             let QpOutcome::Optimal { y, dist_sq } =
-                project_onto_polyhedron_from(x, poly, Some(&anchor))
+                project_onto_polyhedron_from(x, &poly, Some(&anchor))
             else {
                 continue;
             };
@@ -159,11 +151,11 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
                 // interior the boundary point stands, which the optimistic
                 // rule classifies positively (§2).
                 Label::Positive if room => {
-                    Some(nudge_into_interior(x, poly, &y, &anchor, radius_sq).unwrap_or(y))
+                    Some(nudge_into_interior(x, &poly, &y, &anchor, radius_sq).unwrap_or(y))
                 }
                 Label::Positive if fits => Some(y),
                 // Strictly inside the ball is required (Thm 2 proof).
-                Label::Negative if room => nudge_into_interior(x, poly, &y, &anchor, radius_sq),
+                Label::Negative if room => nudge_into_interior(x, &poly, &y, &anchor, radius_sq),
                 _ => None,
             };
             if let Some(w) = witness {
@@ -189,8 +181,7 @@ fn has_interior<F: Field>(poly: &Polyhedron<F>, anchor: &[F]) -> bool {
 /// `x̄` violates, every point of `P` is at least `(g·x̄ − h)/‖g‖` away, so
 /// `P` can be skipped whenever `(g·x̄ − h)² > bound_sq·‖g‖²` for some row.
 /// The comparison is made through the field's sign test (tolerance-guarded
-/// for `f64`), so the skip is conservative, and it is the same deterministic
-/// decision over every region source.
+/// for `f64`), so the skip is conservative and deterministic.
 fn lower_bound_exceeds<F: Field>(x: &[F], poly: &Polyhedron<F>, bound_sq: &F) -> bool {
     for (g, h) in poly.ineqs() {
         let viol = dot(g, x) - h.clone();

@@ -1,5 +1,5 @@
 //! The Proposition 1 decomposition of the classifier's decision regions into
-//! polyhedra, for the ℓ2 metric — eager and lazy.
+//! polyhedra, for the ℓ2 metric, enumerated lazily.
 //!
 //! Under ℓ2, `d(ȳ, ā) ≤ d(ȳ, c̄)` is the linear inequality
 //! `2(c̄ − ā)·ȳ ≤ c̄·c̄ − ā·ā` (§5, Figure 3), so by Proposition 1:
@@ -15,10 +15,10 @@
 //! polynomial for fixed k, which is where the `n^{O(k)}` running time of
 //! Propositions 3 and Theorem 2 comes from.
 //!
-//! Materializing the whole decomposition up front ([`RegionCache::build`]) is
-//! `O(n^k)` time *and memory* before the first query can be answered, which
-//! is the k ≥ 5 blocker at serving sizes. [`RegionStream`] therefore
-//! enumerates the decomposition lazily:
+//! Materializing the whole decomposition up front is `O(n^k)` time *and
+//! memory* before the first query can be answered, which is the k ≥ 5
+//! blocker at serving sizes. [`RegionStream`] therefore enumerates the
+//! decomposition lazily:
 //!
 //! * **nearest-anchor-first**: for a query point `x̄`, anchor sets `A` are
 //!   emitted in ascending `Σ_{ā∈A} d²(x̄, ā)`, so the region actually
@@ -33,14 +33,11 @@
 //!   [`LazyRegions`] is the `Arc`-shareable bundle the batch engine keeps in
 //!   its artifact store.
 //!
-//! The eager [`RegionCache`] remains as the differential-testing oracle; its
-//! [`RegionCache::ordered_pruned_with`] view applies the *same* ordering and
-//! pruning decisions as the stream, so the two paths are byte-compatible by
-//! construction (property-tested in `tests/prop_regions_lazy.rs`).
-//!
-//! The ℓ2 explanation engines pick one of these sources when they are built
-//! (a fresh stream per call, a shared [`LazyRegions`] view, or the eager
-//! cache) and run every operation through it.
+//! The ℓ2 explanation engines read every polyhedron from one such stream: a
+//! fresh one per call, or one over a shared [`LazyRegions`] memo. Their
+//! answers are property-tested in `tests/prop_regions_lazy.rs` against an
+//! exhaustive pass over [`RegionStream::canonical`], which neither orders
+//! nor prunes.
 
 use knn_num::field::norm_sq;
 use knn_num::Field;
@@ -165,9 +162,26 @@ pub struct RegionSpec {
     pub excluded: Vec<usize>,
 }
 
+impl RegionSpec {
+    /// The centroid of the anchor set `A` in `ds`. At k = 1 that is the
+    /// anchor point itself, strictly inside its Voronoi cell unless it
+    /// duplicates a point of the other class; at k ≥ 3 it is only a
+    /// candidate, which every caller tests before it relies on it.
+    pub(crate) fn anchor_point<F: Field>(&self, ds: &ContinuousDataset<F>) -> Vec<F> {
+        let mut sum = vec![F::zero(); ds.dim()];
+        for &a in &self.anchors {
+            for (s, p) in sum.iter_mut().zip(ds.point(a)) {
+                *s = s.clone() + p.clone();
+            }
+        }
+        let count = F::from_i64(self.anchors.len() as i64);
+        sum.into_iter().map(|s| s / count.clone()).collect()
+    }
+}
+
 /// `Σ_{ā∈A} d²(x̄, ā)`, accumulated in ascending-index order so the float
 /// value is identical however the anchor set was produced — the ordering key
-/// shared by [`RegionStream`] and [`RegionCache::query_order`].
+/// of [`RegionStream`]'s nearest-anchor-first order.
 pub fn anchor_key<F: Field>(ds: &ContinuousDataset<F>, x: &[F], anchors: &[usize]) -> F {
     let mut sum = F::zero();
     for &a in anchors {
@@ -270,7 +284,8 @@ pub enum PruneReason {
 /// The cheap pre-LP emptiness / dominance test for the region
 /// `(anchors, excluded)` of the `target` decision region. `None` means the
 /// region must be kept. Decisions depend only on the dataset and the region
-/// identity — never on the query — so lazy and eager paths agree.
+/// identity — never on the query — so a memoized verdict holds for every
+/// query.
 pub fn prune_region<F: Field>(
     ds: &ContinuousDataset<F>,
     target: Label,
@@ -408,8 +423,8 @@ fn dominated_by<F: Field>(
 /// worker threads. Entries record either the constructed polyhedron or the
 /// prune verdict, so warm enumerations skip both the row construction and
 /// the prune test. Once `cap` entries are stored, further inserts are
-/// dropped (lookups still hit), bounding memory at roughly the cost of an
-/// eager cache over the visited prefix.
+/// dropped (lookups still hit), bounding memory at roughly the cost of
+/// materializing the visited prefix of the decomposition.
 #[derive(Debug)]
 pub struct RegionMemo<F> {
     // RwLock, not Mutex: warm enumerations are lookup-only and every engine
@@ -492,13 +507,12 @@ impl<F: Field> RegionMemo<F> {
 /// ([`RegionStream::for_query`]) the anchor sets are ordered
 /// nearest-anchor-first (ties broken lexicographically, i.e. in canonical
 /// order) and the pruner drops provably-empty and dominated regions before
-/// any LP runs. Without one ([`RegionStream::canonical`]) the order is the
-/// eager cache's lexicographic order and nothing is pruned, which is the
-/// configuration the differential tests compare set-for-set against
-/// [`RegionCache::build`].
+/// any LP runs. Without one ([`RegionStream::canonical`]) the order is
+/// lexicographic and nothing is pruned: the whole decomposition, which the
+/// exhaustive test oracle walks.
 ///
 /// Memory is `O(|A-sets|)` (the ordered anchor list) plus whatever the
-/// optional memo retains — never the `O(n^k)` of the materialized cache.
+/// optional memo retains.
 pub struct RegionStream<'a, F: Field> {
     ds: &'a ContinuousDataset<F>,
     others: Vec<usize>,
@@ -600,8 +614,8 @@ impl<'a, F: Field> RegionStream<'a, F> {
         self
     }
 
-    /// Canonical (lexicographic) order, unpruned: the eager oracle's
-    /// enumeration, streamed.
+    /// Canonical (lexicographic) order, unpruned: every region of the
+    /// decomposition, streamed.
     pub fn canonical(ds: &'a ContinuousDataset<F>, k: OddK, target: Label) -> Self {
         RegionStream::new(ds, k, target, None, false, None)
     }
@@ -700,9 +714,8 @@ impl<F: Field> Iterator for RegionStream<'_, F> {
 
 /// The `Arc`-shareable lazy-region bundle the batch engine memoizes behind
 /// its artifact store: an owned copy of the dataset plus one [`RegionMemo`]
-/// per decision region. Unlike [`RegionCache`], construction is `O(n)`; the
-/// decomposition is enumerated (and selectively retained) only as queries
-/// visit it.
+/// per decision region. Construction is `O(n)`; the decomposition is
+/// enumerated (and selectively retained) only as queries visit it.
 #[derive(Debug)]
 pub struct LazyRegions<F> {
     ds: ContinuousDataset<F>,
@@ -760,13 +773,6 @@ impl<F: Field> LazyRegions<F> {
         RegionStream::for_query(&self.ds, self.k, target, x, Some(memo)).counting(&self.counters)
     }
 
-    /// The nearest-anchor-first [`AnchorOrder`] for `x` — compute once, then
-    /// feed to [`LazyRegions::stream_with_order`] for every re-check of the
-    /// same point (greedy / hitting-set loops).
-    pub fn order_for(&self, target: Label, x: &[F]) -> AnchorOrder {
-        anchor_order(&self.ds, self.k, target, Some(x))
-    }
-
     /// [`LazyRegions::stream`] over a precomputed [`AnchorOrder`].
     pub fn stream_with_order(&self, target: Label, order: AnchorOrder) -> RegionStream<'_, F> {
         let memo = match target {
@@ -802,246 +808,45 @@ impl<F: Field> LazyRegions<F> {
     }
 }
 
-/// The Prop 1 decomposition of **both** decision regions, materialized once.
-///
-/// This is the `O(n^k)`-memory eager construction: every polyhedron is built
-/// before the first query can be answered. The serving path now runs on
-/// [`LazyRegions`]; the cache remains as the differential-testing oracle,
-/// and [`RegionCache::ordered_pruned_with`] replays the lazy path's ordering and
-/// pruning over the materialized entries so the two stay byte-compatible.
-#[derive(Clone, Debug)]
-pub struct RegionCache<F> {
-    k: OddK,
-    positive: Vec<(Polyhedron<F>, RegionSpec)>,
-    negative: Vec<(Polyhedron<F>, RegionSpec)>,
-    /// Per-entry prune verdicts, parallel to `positive` / `negative`.
-    /// Decisions are query-independent, so they are computed once here
-    /// (reusing each entry's already-materialized rows) instead of on every
-    /// [`RegionCache::ordered_pruned_with`] iteration.
-    positive_pruned: Vec<bool>,
-    negative_pruned: Vec<bool>,
-}
-
-impl<F: Field> RegionCache<F> {
-    /// Materializes the decomposition for `f^k` over `ds`.
-    pub fn build(ds: &ContinuousDataset<F>, k: OddK) -> Self {
-        let collect = |target| -> (Vec<(Polyhedron<F>, RegionSpec)>, Vec<bool>) {
-            let others = ds.indices_of(match target {
-                Label::Positive => Label::Negative,
-                Label::Negative => Label::Positive,
-            });
-            let strict = target == Label::Negative;
-            let entries: Vec<(Polyhedron<F>, RegionSpec)> = RegionStream::canonical(ds, k, target)
-                .map(|(p, spec)| (Arc::try_unwrap(p).unwrap_or_else(|a| (*a).clone()), spec))
-                .collect();
-            let pruned = entries
-                .iter()
-                .map(|(poly, spec)| {
-                    if region_rows_infeasible(poly.ineqs(), strict) {
-                        return true;
-                    }
-                    let mut mask = vec![false; others.len()];
-                    for (oj, &o) in others.iter().enumerate() {
-                        if spec.excluded.binary_search(&o).is_ok() {
-                            mask[oj] = true;
-                        }
-                    }
-                    dominated_by(
-                        ds,
-                        &spec.anchors,
-                        &others,
-                        &mask,
-                        &spec.excluded,
-                        strict,
-                        poly.ineqs(),
-                    )
-                    .is_some()
-                })
-                .collect();
-            (entries, pruned)
-        };
-        let (positive, positive_pruned) = collect(Label::Positive);
-        let (negative, negative_pruned) = collect(Label::Negative);
-        RegionCache { k, positive, negative, positive_pruned, negative_pruned }
-    }
-
-    /// The `k` this cache was built for.
-    pub fn k(&self) -> OddK {
-        self.k
-    }
-
-    /// The materialized `(polyhedron, spec)` entries of the `target` region,
-    /// in canonical order.
-    pub fn entries(&self, target: Label) -> &[(Polyhedron<F>, RegionSpec)] {
-        match target {
-            Label::Positive => &self.positive,
-            Label::Negative => &self.negative,
-        }
-    }
-
-    /// The polyhedra whose union (closed for `Positive`, strict interiors for
-    /// `Negative`) is the `target` decision region, in canonical order.
-    pub fn polyhedra(&self, target: Label) -> impl Iterator<Item = &Polyhedron<F>> {
-        self.entries(target).iter().map(|(p, _)| p)
-    }
-
-    /// The permutation that puts the `target` entries nearest-anchor-first
-    /// for `x` — the eager twin of [`anchor_order`]. The ordering key and
-    /// tie-breaking (canonical order within equal keys) are the ones the
-    /// stream uses.
-    pub fn query_order(&self, ds: &ContinuousDataset<F>, target: Label, x: &[F]) -> Vec<usize> {
-        let entries = self.entries(target);
-        let keys: Vec<F> = entries.iter().map(|(_, s)| anchor_key(ds, x, &s.anchors)).collect();
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by(|&i, &j| {
-            keys[i].partial_cmp(&keys[j]).unwrap_or(std::cmp::Ordering::Equal).then(i.cmp(&j))
-        });
-        order
-    }
-
-    /// The `target` entries in a [`RegionCache::query_order`] permutation,
-    /// filtered by [`prune_region`]'s decisions — the eager twin of
-    /// [`RegionStream::for_query`]: iterating it performs the LP sequence
-    /// the lazy path performs.
-    pub fn ordered_pruned_with(
-        &self,
-        target: Label,
-        order: Vec<usize>,
-    ) -> impl Iterator<Item = &(Polyhedron<F>, RegionSpec)> + '_ {
-        let entries = self.entries(target);
-        let pruned = match target {
-            Label::Positive => &self.positive_pruned,
-            Label::Negative => &self.negative_pruned,
-        };
-        order.into_iter().filter(move |&i| !pruned[i]).map(move |i| &entries[i])
-    }
-
-    /// Estimated heap bytes of the materialized decomposition (same row
-    /// estimation rules as [`RegionMemo`]).
-    pub fn approx_bytes(&self) -> usize {
-        let entry = |(p, s): &(Polyhedron<F>, RegionSpec)| {
-            let row = (p.dim() + 1) * std::mem::size_of::<F>() + 24;
-            std::mem::size_of::<(Polyhedron<F>, RegionSpec)>()
-                + (p.ineqs().len() + p.eqs().len()) * row
-                + (s.anchors.len() + s.excluded.len()) * std::mem::size_of::<usize>()
-        };
-        self.positive.iter().map(entry).sum::<usize>()
-            + self.negative.iter().map(entry).sum::<usize>()
-            + self.positive_pruned.len()
-            + self.negative_pruned.len()
-    }
-}
-
-/// Where an ℓ2 explanation engine takes the Prop 1 polyhedra from, fixed
-/// when the engine is built. All three sources emit the same polyhedra in
-/// the same order with the same prune decisions, so every operation gives
-/// the same answer over each (property-tested in
-/// `tests/prop_regions_lazy.rs`).
-#[derive(Clone, Debug)]
-pub(crate) enum RegionSource<'a, F> {
-    /// A fresh pruned, nearest-anchor-first stream per call.
-    Stream,
-    /// A shared [`LazyRegions`] view: the batch engine's serving path.
-    Lazy(&'a LazyRegions<F>),
-    /// The eager [`RegionCache`]: the differential oracle.
-    Cache(&'a RegionCache<F>),
-}
-
-impl<'a, F: Field> RegionSource<'a, F> {
-    /// The polyhedra of the decision region `x` is *not* in, ordered for
-    /// `x`. The order is computed here, once; every
-    /// [`QueryRegions::polyhedra`] call replays it.
-    pub(crate) fn for_query(
-        &self,
-        ds: &'a ContinuousDataset<F>,
-        k: OddK,
-        x: &[F],
-    ) -> QueryRegions<'a, F> {
-        assert_eq!(x.len(), ds.dim());
-        let target = crate::ContinuousKnn::new(ds, knn_space::LpMetric::L2, k).classify(x).flip();
-        let order = match *self {
-            RegionSource::Stream => Order::Stream(anchor_order(ds, k, target, Some(x))),
-            RegionSource::Lazy(lazy) => Order::Lazy(lazy, lazy.order_for(target, x)),
-            RegionSource::Cache(cache) => Order::Cache(cache, cache.query_order(ds, target, x)),
-        };
-        QueryRegions { ds, k, target, order }
-    }
-}
-
-/// One source's emission order for one query point.
-enum Order<'a, F> {
-    Stream(AnchorOrder),
-    Lazy(&'a LazyRegions<F>, AnchorOrder),
-    Cache(&'a RegionCache<F>, Vec<usize>),
-}
-
-/// The target region's polyhedra for one query point (see
-/// [`RegionSource::for_query`]). Greedy-deletion and hitting-set loops
-/// re-check the same point many times and iterate this once per check.
+/// The target region's polyhedra for one query point `x`: the flip of
+/// `f(x)`, its nearest-anchor-first [`AnchorOrder`] computed once, and the
+/// shared [`LazyRegions`] memo when the engine has one. Greedy-deletion and
+/// hitting-set loops re-check the same point many times and iterate
+/// [`QueryRegions::polyhedra`] once per check.
 pub(crate) struct QueryRegions<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
     target: Label,
-    order: Order<'a, F>,
+    order: AnchorOrder,
+    lazy: Option<&'a LazyRegions<F>>,
 }
 
-impl<F: Field> QueryRegions<'_, F> {
+impl<'a, F: Field> QueryRegions<'a, F> {
+    /// The regions a counterexample or counterfactual for `x` lies in,
+    /// read through `lazy`'s memo when given, else streamed afresh per call.
+    pub(crate) fn new(
+        ds: &'a ContinuousDataset<F>,
+        k: OddK,
+        lazy: Option<&'a LazyRegions<F>>,
+        x: &[F],
+    ) -> Self {
+        assert_eq!(x.len(), ds.dim());
+        let target = crate::ContinuousKnn::new(ds, knn_space::LpMetric::L2, k).classify(x).flip();
+        let order = anchor_order(ds, k, target, Some(x));
+        QueryRegions { ds, k, target, order, lazy }
+    }
+
     /// The label every yielded polyhedron's points take: the flip of `f(x)`.
     pub(crate) fn target(&self) -> Label {
         self.target
     }
 
     /// The regions in the query's order, prune decisions applied.
-    pub(crate) fn polyhedra(&self) -> Box<dyn Iterator<Item = SourcedRegion<'_, F>> + '_> {
-        let target = self.target;
-        match &self.order {
-            Order::Stream(order) => Box::new(
-                RegionStream::with_order(self.ds, self.k, target, order.clone(), true, None)
-                    .map(|(p, spec)| SourcedRegion::Shared(p, spec)),
-            ),
-            Order::Lazy(lazy, order) => Box::new(
-                lazy.stream_with_order(target, order.clone())
-                    .map(|(p, spec)| SourcedRegion::Shared(p, spec)),
-            ),
-            Order::Cache(cache, order) => Box::new(
-                cache.ordered_pruned_with(target, order.clone()).map(SourcedRegion::Borrowed),
-            ),
-        }
-    }
-}
-
-/// A region from a [`QueryRegions`]: its polyhedron, shared with a stream or
-/// memo or borrowed from the eager cache, together with its spec.
-pub(crate) enum SourcedRegion<'s, F> {
-    Shared(Arc<Polyhedron<F>>, RegionSpec),
-    Borrowed(&'s (Polyhedron<F>, RegionSpec)),
-}
-
-impl<F: Field> SourcedRegion<'_, F> {
-    /// The centroid of the region's anchor set `A` in `ds`. At k = 1 that is
-    /// the anchor point itself, strictly inside its Voronoi cell unless it
-    /// duplicates a point of the other class; at k ≥ 3 it is only a
-    /// candidate, which every caller tests before it relies on it.
-    pub(crate) fn anchor_point(&self, ds: &ContinuousDataset<F>) -> Vec<F> {
-        let anchors = match self {
-            SourcedRegion::Shared(_, spec) | SourcedRegion::Borrowed((_, spec)) => &spec.anchors,
-        };
-        let mut sum = vec![F::zero(); ds.dim()];
-        for &a in anchors {
-            for (s, p) in sum.iter_mut().zip(ds.point(a)) {
-                *s = s.clone() + p.clone();
-            }
-        }
-        let count = F::from_i64(anchors.len() as i64);
-        sum.into_iter().map(|s| s / count.clone()).collect()
-    }
-}
-
-impl<F> std::borrow::Borrow<Polyhedron<F>> for SourcedRegion<'_, F> {
-    fn borrow(&self) -> &Polyhedron<F> {
-        match self {
-            SourcedRegion::Shared(p, _) => p,
-            SourcedRegion::Borrowed((p, _)) => p,
+    pub(crate) fn polyhedra(&self) -> RegionStream<'a, F> {
+        let order = self.order.clone();
+        match self.lazy {
+            Some(lazy) => lazy.stream_with_order(self.target, order),
+            None => RegionStream::with_order(self.ds, self.k, self.target, order, true, None),
         }
     }
 }

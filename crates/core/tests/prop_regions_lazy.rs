@@ -1,8 +1,9 @@
-//! Differential properties of the lazy Prop 1 region enumerator against the
-//! eager [`RegionCache`] oracle, on random exact-rational instances:
+//! Properties of the lazy Prop 1 region enumerator and of the ℓ2
+//! explanation engines that read it, on random exact-rational instances:
 //!
-//! * the lazy stream (canonical and query-ordered, unpruned) enumerates
-//!   exactly the oracle's region set — same `(A, B)` specs, same rows;
+//! * the stream (canonical and query-ordered, unpruned) enumerates exactly
+//!   the Prop 1 regions built here from bisector rows: same `(A, B)` specs,
+//!   same rows;
 //! * union membership of random points through the *pruned* stream matches
 //!   `ContinuousKnn::classify` (closed semantics for Positive, strict for
 //!   Negative), so pruning never loses a piece of a decision region;
@@ -12,18 +13,23 @@
 //!   dominator. A pruner that drops a feasible, uncovered region fails here;
 //! * [`Combinations`] is exactly the lexicographic `r`-subset enumeration:
 //!   `C(n, r)` items, strictly increasing, no duplicates;
-//! * every ℓ2 explanation operation answers the same over each region
-//!   source an engine can be built on: a fresh stream per call, a shared
-//!   [`LazyRegions`] view (cold and warm), and the [`RegionCache`] oracle.
+//! * every ℓ2 explanation operation answers as the exhaustive oracle of
+//!   `exhaustive/mod.rs` does, which walks every canonical region cold, and
+//!   answers the same over a fresh stream per call and over a shared
+//!   [`LazyRegions`] view, cold and warm.
 
+mod exhaustive;
+
+use exhaustive::Exhaustive;
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::abductive::minimum::HittingSetMode;
 use knn_core::counterfactual::l2::L2Counterfactual;
 use knn_core::regions::{
-    prune_region, Combinations, LazyRegions, PruneReason, RegionCache, RegionSpec, RegionStream,
+    bisector_row, prune_region, Combinations, LazyRegions, PruneReason, RegionSpec, RegionStream,
 };
 use knn_core::{ContinuousKnn, SrCheck};
 use knn_lp::Rel;
+use knn_num::field::norm_sq;
 use knn_num::Rat;
 use knn_qp::Polyhedron;
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
@@ -84,6 +90,30 @@ fn fingerprint<'a>(
     regions.map(|(p, spec)| (spec, (p.ineqs().to_vec(), p.eqs().to_vec()))).collect()
 }
 
+/// The Prop 1 regions of `target`, built directly: for every anchor set
+/// `A` of `maj` target points and excluded set `B` of `min` opposite
+/// points, the rows `d(ȳ, ā) ≤ d(ȳ, c̄)` for `ā ∈ A` and `c̄ ∉ B`, anchor
+/// by anchor.
+fn prop1_regions(ds: &ContinuousDataset<Rat>, k: OddK, target: Label) -> Fingerprint {
+    let same = ds.indices_of(target);
+    let others = ds.indices_of(target.flip());
+    let mut regions = Fingerprint::new();
+    for a in Combinations::new(same.len(), k.majority()) {
+        for b in Combinations::new(others.len(), k.minority().min(others.len())) {
+            let anchors: Vec<usize> = a.iter().map(|&i| same[i]).collect();
+            let excluded: Vec<usize> = b.iter().map(|&j| others[j]).collect();
+            let mut rows = Vec::new();
+            for &ai in &anchors {
+                for &c in others.iter().filter(|c| !excluded.contains(c)) {
+                    rows.push(bisector_row(ds.point(ai), ds.point(c)));
+                }
+            }
+            regions.insert(RegionSpec { anchors, excluded }, (rows, Vec::new()));
+        }
+    }
+    regions
+}
+
 /// `P ⊆ Q` in the region's own semantics, verified by LP. Closed: no point
 /// of `P` strictly violates a row of `Q`. Strict (the Negative region's open
 /// semantics): no interior point of `P` lies on or beyond a row of `Q` —
@@ -97,7 +127,7 @@ fn contained_in(p: &Polyhedron<Rat>, q: &Polyhedron<Rat>, strict: bool) -> bool 
     })
 }
 
-/// Every ℓ2 operation's answer at one query point, over one region source.
+/// Every ℓ2 operation's answer at one query point, over one engine pair.
 #[derive(Debug, PartialEq)]
 struct Answers {
     check: SrCheck<Vec<Rat>>,
@@ -126,63 +156,106 @@ fn answers(
     }
 }
 
+/// `got` against the exhaustive oracle at `x`.
+fn matches_oracle(
+    got: &Answers,
+    oracle: &Exhaustive<'_>,
+    x: &[Rat],
+    fixed: &[usize],
+    radii: &[Rat],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.check.is_sufficient(), oracle.sufficient(fixed), "check-SR verdict");
+    if let SrCheck::NotSufficient { witness } = &got.check {
+        prop_assert!(oracle.is_counterexample(witness, fixed), "counterexample {:?}", witness);
+    }
+    prop_assert_eq!(&got.minimal, &oracle.minimal(), "minimal-SR");
+    let size = oracle.minimum_size();
+    prop_assert_eq!(got.minimum.len(), size, "exact minimum-SR {:?}", got.minimum);
+    prop_assert!(oracle.sufficient(&got.minimum), "exact minimum-SR {:?}", got.minimum);
+    prop_assert!(
+        got.greedy_minimum.len() >= size && oracle.sufficient(&got.greedy_minimum),
+        "greedy minimum-SR {:?}",
+        got.greedy_minimum
+    );
+    match (&got.infimum, oracle.infimum()) {
+        (None, None) => {}
+        (Some((dist_sq, closure_witness, attained)), Some(want)) => {
+            prop_assert_eq!(dist_sq, want, "infimum");
+            prop_assert_eq!(*attained, oracle.target() == Label::Positive, "attainment");
+            prop_assert!(oracle.in_closure(closure_witness), "closure witness off the region");
+            let gap: Vec<Rat> =
+                x.iter().zip(closure_witness).map(|(a, b)| a.clone() - b.clone()).collect();
+            prop_assert_eq!(&norm_sq(&gap), want, "closure witness off the infimum");
+        }
+        (got, want) => prop_assert!(false, "infimum {:?}, oracle {:?}", got, want),
+    }
+    for (r, w) in radii.iter().zip(&got.within) {
+        prop_assert_eq!(w.is_some(), oracle.within(r), "within {}", r);
+        if let Some(w) = w {
+            prop_assert!(oracle.is_counterfactual(w, r), "counterfactual {:?} at {}", w, r);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The three region sources give equal answers to every operation at
-    /// k ∈ {1, 3}: check on a random fixed set, minimal, exact and greedy
-    /// minimum, infimum, and within at radii below, on and past the
-    /// infimum. The lazy view answers twice, cold then warm.
+    /// Every ℓ2 operation at k ∈ {1, 3, 5} answers as the exhaustive
+    /// oracle: the check verdict on a random fixed set, with a valid
+    /// counterexample; the greedy minimal reason; an exact minimum of the
+    /// brute-force size, and a greedy one no smaller; the infimum, attained
+    /// for a positive target, with its closure witness on the region at that
+    /// distance; and `within` at radii below, on and past the infimum, with
+    /// valid witnesses. A shared lazy view answers identically to the fresh
+    /// per-call stream, cold and then warm.
     #[test]
-    fn region_sources_give_equal_answers(inst in instance_strategy(), mask in any::<u8>()) {
+    fn engines_match_the_exhaustive_oracle(inst in instance_strategy(), mask in any::<u8>()) {
         let ds = dataset(&inst);
-        let k = OddK::of(k_of(&inst).get().min(3));
+        let k = k_of(&inst);
         let fixed: Vec<usize> = (0..ds.dim()).filter(|i| mask >> i & 1 == 1).collect();
-        let cache = RegionCache::build(&ds, k);
-        let oracle_ab = L2Abductive::with_region_cache(&ds, &cache);
-        let oracle_cf = L2Counterfactual::with_region_cache(&ds, &cache);
+        let stream_ab = L2Abductive::new(&ds, k);
+        let stream_cf = L2Counterfactual::new(&ds, k);
         for q in &inst.queries {
             let x = to_rat(q);
-            let stream_cf = L2Counterfactual::new(&ds, k);
+            let oracle = Exhaustive::new(&ds, k, &x);
             let mut radii = vec![Rat::frac(1, 4), Rat::from_int(1), Rat::from_int(4)];
-            if let Some(inf) = stream_cf.infimum(&x) {
-                radii.push(inf.dist_sq.clone());
-                radii.push(inf.dist_sq + Rat::frac(1, 64));
+            if let Some(inf) = oracle.infimum() {
+                radii.push(inf.clone());
+                radii.push(inf.clone() + Rat::frac(1, 64));
             }
-            let stream =
-                answers(&L2Abductive::new(&ds, k), &stream_cf, &x, &fixed, &radii);
-            let oracle = answers(&oracle_ab, &oracle_cf, &x, &fixed, &radii);
-            prop_assert_eq!(&stream, &oracle, "stream vs oracle at {:?}, k = {:?}", x, k);
+            let stream = answers(&stream_ab, &stream_cf, &x, &fixed, &radii);
+            matches_oracle(&stream, &oracle, &x, &fixed, &radii).map_err(|e| {
+                TestCaseError::Fail(format!("at {x:?}, X = {fixed:?}, k = {k:?}: {e:?}"))
+            })?;
             let lazy = LazyRegions::new(&ds, k);
             let lazy_ab = L2Abductive::with_lazy_regions(&ds, &lazy);
             let lazy_cf = L2Counterfactual::with_lazy_regions(&ds, &lazy);
             for pass in ["cold", "warm"] {
                 let got = answers(&lazy_ab, &lazy_cf, &x, &fixed, &radii);
-                prop_assert_eq!(&got, &oracle, "{} lazy view vs oracle at {:?}", pass, x);
+                prop_assert_eq!(&got, &stream, "{} lazy view vs stream at {:?}", pass, x);
             }
         }
     }
 
-    /// Lazy enumeration (canonical and query-ordered, unpruned) produces
-    /// exactly the eager oracle's region set, polyhedron for polyhedron.
+    /// The canonical stream enumerates exactly the Prop 1 regions built
+    /// from bisector rows, polyhedron for polyhedron, and the
+    /// query-ordered, unpruned stream permutes that set.
     #[test]
-    fn lazy_region_set_equals_eager_oracle(inst in instance_strategy()) {
+    fn streams_enumerate_every_prop1_region(inst in instance_strategy()) {
         let ds = dataset(&inst);
         let k = k_of(&inst);
-        let cache = RegionCache::build(&ds, k);
         for target in [Label::Positive, Label::Negative] {
-            let eager = fingerprint(
-                cache.entries(target).iter().map(|(p, s)| (p, s.clone())),
-            );
+            let want = prop1_regions(&ds, k, target);
             let canonical: Vec<_> = RegionStream::canonical(&ds, k, target).collect();
             let lazy = fingerprint(canonical.iter().map(|(p, s)| (&**p, s.clone())));
-            prop_assert_eq!(&eager, &lazy, "canonical stream vs oracle ({:?})", target);
+            prop_assert_eq!(&want, &lazy, "canonical stream vs Prop 1 ({:?})", target);
 
             let x = to_rat(&inst.queries[0]);
             let ordered: Vec<_> =
                 RegionStream::new(&ds, k, target, Some(&x), false, None).collect();
             let lazy_ordered = fingerprint(ordered.iter().map(|(p, s)| (&**p, s.clone())));
-            prop_assert_eq!(&eager, &lazy_ordered, "query ordering must permute, not change");
+            prop_assert_eq!(&want, &lazy_ordered, "query ordering must permute, not change");
         }
     }
 

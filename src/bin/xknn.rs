@@ -77,7 +77,9 @@
 //!
 //!   Queries always route by cache affinity: repeats of a query prefer the
 //!   replica already holding its cached explanation, and cold answers are
-//!   pushed to the key's failover replica. Any other flag is refused.
+//!   pushed to the key's failover replica.
+//!
+//! Every command refuses a flag its options above do not list.
 //! ```
 //!
 //! Batch requests look like
@@ -112,6 +114,48 @@ fn args_all(name: &str) -> Vec<String> {
     args.windows(2).filter(|w| w[0] == name).map(|w| w[1].clone()).collect()
 }
 
+/// The one-shot query commands' flags.
+const QUERY_FLAGS: &[&str] = &["--data", "--point", "--metric", "--k", "--features"];
+
+/// `xknn batch`'s flags.
+const BATCH_FLAGS: &[&str] = &["--data", "--requests", "--workers", "--budget", "--cache"];
+
+/// `xknn serve`'s own flags; [`FORWARDED_FLAGS`] are accepted too.
+const SERVE_FLAGS: &[&str] = &["--addr", "--data"];
+
+/// `xknn client`'s flags.
+const CLIENT_FLAGS: &[&str] = &[
+    "--addr",
+    "--requests",
+    "--metrics",
+    "--stats-json",
+    "--trace",
+    "--trace-dump",
+    "--top",
+    "--repro",
+    "--out",
+    "--watch",
+];
+
+/// `xknn router`'s own flags; [`FORWARDED_FLAGS`] are accepted too.
+const ROUTER_FLAGS: &[&str] =
+    &["--addr", "--backend", "--spawn", "--replicas", "--data", "--probe-ms"];
+
+/// Engine/server tuning flags of `xknn serve`, which `xknn router` passes
+/// through to every spawned backend.
+const FORWARDED_FLAGS: &[&str] = &["--workers", "--inflight", "--cache", "--budget"];
+
+/// Exits naming the first `--flag` after the subcommand that `known` does
+/// not list: [`arg`] ignores unknown flags, so a stale or misspelled option
+/// would otherwise run with different behaviour and no warning.
+fn refuse_unknown_flags(command: &str, known: &[&str]) {
+    if let Some(flag) =
+        std::env::args().skip(2).find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        fail(&format!("unknown {command} flag `{flag}`"));
+    }
+}
+
 fn fail(msg: &str) -> ! {
     eprintln!("xknn: {msg}");
     eprintln!("run with no arguments for usage");
@@ -138,6 +182,16 @@ fn main() {
         println!("       xknn replay <bundle.json>");
         std::process::exit(if argv.len() <= 1 { 0 } else { 2 });
     };
+
+    let known = match command.as_str() {
+        "batch" => BATCH_FLAGS.to_vec(),
+        "serve" => [SERVE_FLAGS, FORWARDED_FLAGS].concat(),
+        "client" => CLIENT_FLAGS.to_vec(),
+        "router" => [ROUTER_FLAGS, FORWARDED_FLAGS].concat(),
+        "replay" => Vec::new(),
+        _ => QUERY_FLAGS.to_vec(),
+    };
+    refuse_unknown_flags(&command, &known);
 
     if command == "serve" {
         return serve();
@@ -481,26 +535,9 @@ fn router_fail(router: &knn_cluster::Router, msg: &str) -> ! {
     fail(msg)
 }
 
-/// `xknn router`'s own flags; [`FORWARDED_FLAGS`] are accepted too.
-const ROUTER_FLAGS: [&str; 6] =
-    ["--addr", "--backend", "--spawn", "--replicas", "--data", "--probe-ms"];
-
-/// Engine/server tuning flags `xknn router` passes through to every
-/// spawned backend.
-const FORWARDED_FLAGS: [&str; 4] = ["--workers", "--inflight", "--cache", "--budget"];
-
 /// `xknn router`: front N `xknn serve` backends (spawned and/or attached)
 /// with rendezvous-hash tenant placement and batch scatter-gather.
 fn router() {
-    // Refuse unknown flags: `arg` ignores them, so a stale or misspelled
-    // option would otherwise run with different behaviour and no warning.
-    if let Some(flag) = std::env::args().skip(2).find(|a| {
-        a.starts_with("--")
-            && !ROUTER_FLAGS.contains(&a.as_str())
-            && !FORWARDED_FLAGS.contains(&a.as_str())
-    }) {
-        fail(&format!("unknown router flag `{flag}`"));
-    }
     let addr = arg("--addr").unwrap_or_else(|| "127.0.0.1:7979".into());
     let mut config = knn_cluster::RouterConfig::default();
     if let Some(r) = arg("--replicas") {
@@ -530,7 +567,7 @@ fn router() {
         let xknn = std::env::current_exe()
             .unwrap_or_else(|e| fail(&format!("cannot locate own binary: {e}")));
         let mut extra = Vec::new();
-        for flag in FORWARDED_FLAGS {
+        for &flag in FORWARDED_FLAGS {
             if let Some(v) = arg(flag) {
                 extra.push(flag.to_string());
                 extra.push(v);

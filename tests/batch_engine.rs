@@ -8,6 +8,11 @@ use knn_engine::{EngineConfig, EngineData, Metric, Outcome, QueryKind, Request};
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+// The exact ℓ2 reference of knn-core's tests; this file uses part of it.
+#[allow(dead_code)]
+#[path = "../crates/core/tests/exhaustive/mod.rs"]
+mod exhaustive;
+
 const BOOL: &str = "+ 1 1 1 0 0\n+ 1 1 0 0 0\n+ 1 0 1 0 0\n- 0 0 0 1 1\n- 0 0 1 1 1\n- 0 1 0 1 1\n";
 const CONT: &str = "+ 2.0 2.0\n+ 3.0 1.5\n+ 1.0 2.5\n- -1.0 -1.0\n- 0.0 -2.0\n- -2.0 0.5\n";
 
@@ -119,18 +124,23 @@ fn engine_matches_cli_on_l1() {
     }
 }
 
-/// The region-source oracle: for every ℓ2 abductive / counterfactual query
-/// kind, on both demo datasets, across k ∈ {1, 3, 5}, the engine's answer
-/// (served from its lazy, pruned region view) must equal the core engine's
-/// answer over the eagerly materialized `RegionCache`: the same check
-/// verdict and witness, the same reasons, and the same counterfactual
-/// distance and witness, which must flip the label under the plain `f64`
-/// classifier.
+/// The served ℓ2 answers against the exhaustive oracle: for every ℓ2
+/// abductive / counterfactual query kind, on both demo datasets, across
+/// k ∈ {1, 3, 5}, the engine's `f64` answers (served from its lazy, pruned
+/// region view) must agree with the exact oracle, which walks every
+/// canonical region cold. The check verdict is the oracle's, and its
+/// counterexample equals x̄ on the fixed feature; the minimal reason is the
+/// oracle's greedy one; the minimum reason has the brute-force size; and the
+/// counterfactual distance is the oracle's infimum, with a witness inside
+/// the served radius that flips the label under the exact classifier and
+/// under the plain `f64` one.
 #[test]
-fn lazy_and_eager_region_engines_are_byte_identical() {
+fn served_l2_answers_match_the_exhaustive_oracle() {
+    let exact = |y: &[f64]| -> Vec<Rat> { y.iter().map(|&v| Rat::from_f64(v)).collect() };
     for text in [BOOL, CONT] {
         let data = cli::parse_dataset(text).unwrap();
         let ds = &data.continuous;
+        let exact_ds = ds.map_field(|&v| Rat::from_f64(v));
         let engine = ExplanationEngine::new(
             EngineData::new(ds.clone(), data.boolean.clone()),
             EngineConfig::default(),
@@ -143,42 +153,51 @@ fn lazy_and_eager_region_engines_are_byte_identical() {
         ];
         for k in [1, 3, 5] {
             let odd = OddK::of(k);
-            let cache = knn_core::regions::RegionCache::build(ds, odd);
-            let ab = L2Abductive::with_region_cache(ds, &cache);
-            let cf = L2Counterfactual::with_region_cache(ds, &cache);
             let knn = knn_core::ContinuousKnn::new(ds, LpMetric::L2, odd);
-            let classify = |y: &[f64]| knn.classify(y);
             for x in &points {
+                let oracle = exhaustive::Exhaustive::new(&exact_ds, odd, &exact(x));
+                let flips = |y: &[f64]| knn.classify(y) == oracle.target();
                 let serve = |kind: &str, features: Option<&[usize]>| {
                     engine
                         .run(&request(kind, "l2", k, x, features))
                         .result
                         .unwrap_or_else(|e| panic!("{kind} k={k} at {x:?} must be served: {e}"))
                 };
-                match (serve("check-sr", Some(&[0])), ab.check(x, &[0])) {
-                    (Outcome::Check { sufficient: true, witness: None }, SrCheck::Sufficient) => {}
-                    (
-                        Outcome::Check { sufficient: false, witness: Some(w) },
-                        SrCheck::NotSufficient { witness },
-                    ) => assert_eq!(w, witness, "check-sr witness, k={k} at {x:?}"),
-                    (served, oracle) => panic!("check-sr k={k} at {x:?}: {served:?} vs {oracle:?}"),
-                }
-                for (kind, oracle) in [("minimal-sr", ab.minimal(x)), ("minimum-sr", ab.minimum(x))]
-                {
-                    match serve(kind, None) {
-                        Outcome::Reason { features, optimal: true } => {
-                            assert_eq!(features, oracle, "{kind} k={k} at {x:?}")
+                match serve("check-sr", Some(&[0])) {
+                    Outcome::Check { sufficient, witness } => {
+                        assert_eq!(sufficient, oracle.sufficient(&[0]), "check-sr k={k} at {x:?}");
+                        if let Some(w) = witness {
+                            assert!(oracle.is_counterexample(&exact(&w), &[0]), "{w:?}");
+                            assert!(flips(&w), "check-sr witness {w:?} must flip in f64");
                         }
-                        other => panic!("{kind} k={k} at {x:?}: {other:?}"),
                     }
+                    other => panic!("check-sr k={k} at {x:?}: {other:?}"),
                 }
-                match (serve("counterfactual", None), cf.infimum(x)) {
+                match serve("minimal-sr", None) {
+                    Outcome::Reason { features, optimal: true } => {
+                        assert_eq!(features, oracle.minimal(), "minimal-sr k={k} at {x:?}")
+                    }
+                    other => panic!("minimal-sr k={k} at {x:?}: {other:?}"),
+                }
+                match serve("minimum-sr", None) {
+                    Outcome::Reason { features, optimal: true } => {
+                        assert_eq!(features.len(), oracle.minimum_size(), "{features:?}");
+                        assert!(oracle.sufficient(&features), "minimum-sr {features:?}");
+                    }
+                    other => panic!("minimum-sr k={k} at {x:?}: {other:?}"),
+                }
+                match (serve("counterfactual", None), oracle.infimum()) {
                     (Outcome::NoCounterfactual, None) => {}
                     (Outcome::Counterfactual { point, dist, proven: true }, Some(inf)) => {
-                        assert_eq!(dist, inf.dist_sq.sqrt(), "counterfactual k={k} at {x:?}");
-                        let radius = inf.dist_sq * 1.0001 + 1e-6;
-                        assert_eq!(Some(&point), cf.within(x, &radius).as_ref());
-                        assert_eq!(classify(&point), classify(x).flip(), "witness must flip");
+                        let want = inf.to_f64().sqrt();
+                        assert!(
+                            (dist - want).abs() <= 1e-9 * (1.0 + want),
+                            "counterfactual k={k} at {x:?}: {dist} vs {want}"
+                        );
+                        // The served radius, plus the f64 comparison tolerance.
+                        let radius = Rat::from_f64(dist * dist * 1.0001 + 1e-6 + 1e-9);
+                        assert!(oracle.is_counterfactual(&exact(&point), &radius), "{point:?}");
+                        assert!(flips(&point), "counterfactual {point:?} must flip in f64");
                     }
                     (served, oracle) => {
                         panic!("counterfactual k={k} at {x:?}: {served:?} vs {oracle:?}")
@@ -189,10 +208,11 @@ fn lazy_and_eager_region_engines_are_byte_identical() {
     }
 }
 
-/// k = 5 at a size the eager path never served (2 × C(14,3)·C(14,2) ≈ 66k
-/// polyhedra materialized before the first answer — the bench quantifies the
-/// blowup): the lazy engine must answer counterfactual and check-sr queries
-/// directly, with valid witnesses. Witnesses are verified with the exact
+/// k = 5 at a size where materializing the decomposition cannot serve
+/// (2 × C(14,3)·C(14,2) ≈ 66k polyhedra built before the first answer — the
+/// `region_enumeration` bench quantifies the blowup): the lazy engine must
+/// answer counterfactual and check-sr queries directly, with valid
+/// witnesses. Witnesses are verified with the exact
 /// `Rat` classifier: positive-target witnesses may sit exactly on a bisector
 /// (the closed region's boundary), where f64 tie-breaking is unreliable but
 /// the paper's optimistic rule is well-defined.

@@ -153,6 +153,23 @@ fn router_refuses_unknown_flags() {
     }
 }
 
+/// `xknn batch` refuses a misspelled flag too: `--cahce 0` must not run
+/// with the cache on and exit 0.
+#[test]
+fn batch_refuses_unknown_flags() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let data = format!("{root}/data/demo_boolean.txt");
+    let out = Command::new(env!("CARGO_BIN_EXE_xknn"))
+        .args(["batch", "--data", &data, "--workers", "2", "--cahce", "0"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("xknn binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("`--cahce`"), "flag not named: {stderr}");
+    assert!(out.stdout.is_empty(), "must fail before serving");
+}
+
 #[test]
 fn repo_demo_files_work() {
     // The checked-in demo datasets under data/ must stay valid.
