@@ -69,6 +69,18 @@ fn classifier_and_solvers(c: &mut Criterion) {
         b.iter(|| criterion::black_box(knn.classify(&x)));
     });
 
+    // Hamming k = 1 minimal-SR: greedy deletion over the projected-witness
+    // test, one query point per size.
+    for (points, dim) in [(300, 16), (10_000, 32)] {
+        group.bench_function(format!("hamming_minimal_k1_N{points}_n{dim}"), |b| {
+            let mut rng = StdRng::seed_from_u64(11);
+            let ds = random_boolean_dataset(&mut rng, points, dim, 0.5);
+            let ab = knn_core::abductive::hamming::HammingAbductive::new(&ds, knn_core::OddK::ONE);
+            let x = random_boolean_point(&mut rng, dim);
+            b.iter(|| criterion::black_box(ab.minimal(&x)));
+        });
+    }
+
     group.bench_function("lp_simplex_f64_40x60", |b| {
         let mut rng = StdRng::seed_from_u64(12);
         let n = 60usize;

@@ -1,10 +1,26 @@
 //! Abductive explanations in the discrete setting (Prop 6, Cor 4, Thm 7, Thm 8).
 //!
 //! * k = 1: Check-SR is polynomial — the counterexample, if one exists, can
-//!   always be chosen among the *projections* `ȳ_X` of opposite-class points
-//!   (x̄ on `X`, the data point elsewhere); Proposition 6's proof shows that
+//!   always be chosen among the *projections* `y_b` of opposite-class points
+//!   `b` (x̄ on `X`, `b` elsewhere); Proposition 6's proof shows that
 //!   flipping a counterexample's free coordinates toward its witness point
-//!   only strengthens it.
+//!   only strengthens it. [`HammingAbductive::check_k1`] classifies each
+//!   `y_b` in index order and serves the first that flips as the witness.
+//! * k = 1 minimal-SR (Cor 4) only needs the yes/no of each greedy step, so
+//!   it asks a cheaper question with the same verdict ([`K1Sufficiency`]):
+//!   `X` is insufficient iff some opposite point `b` has, for every
+//!   same-class point `a`,
+//!   `d_X(x̄, a) + d_X̄(a, b) − d_X(x̄, b) ≥ thr`,
+//!   with `thr = 0` when the counterexample label is positive (positives
+//!   win ties) and `thr = 1` when it is negative. The left side is
+//!   `d(y_b, a) − d(y_b, b)`, so the inequality for `b` says `b` beats
+//!   every `a` at `y_b`: `y_b` flips. Conversely, if `y_b` flips
+//!   because of its nearest opposite point `c`, then `d(y_b, c) < d(y_b, a)`
+//!   (`≤` for a positive target) for every `a`; expanding both sides over
+//!   `X` and `X̄` and applying the triangle inequality
+//!   `d_X̄(a, c) ≥ d_X̄(a, b) − d_X̄(b, c)` gives the inequality for `c`.
+//!   Check-SR and minimum-SR keep `check_k1`, because they serve its
+//!   witness, and the `b` this test finds may be a different one.
 //! * k ≥ 3: Check-SR is coNP-complete (Thm 7). A check first enumerates the
 //!   completions of the free coordinates nearest first
 //!   ([`crate::ball::first_flip`]): the first label flip is the closest
@@ -110,10 +126,25 @@ impl<'a> HammingAbductive<'a> {
         }
     }
 
-    /// A minimal sufficient reason: polynomial for k = 1 (Cor 4), coNP-oracle
-    /// greedy for k ≥ 3 (still n oracle calls, each an enumeration or, past
-    /// the cap, a SAT solve).
+    /// A minimal sufficient reason by greedy deletion (Prop 2): polynomial
+    /// for k = 1 (Cor 4), coNP-oracle greedy for k ≥ 3 (still n oracle
+    /// calls, each an enumeration or, past the cap, a SAT solve).
+    ///
+    /// At k = 1 each step asks [`K1Sufficiency`] instead of
+    /// [`HammingAbductive::check_k1`]: `X` is insufficient iff some opposite
+    /// point `b` has `d_X(x̄, a) + d_X̄(a, b) − d_X(x̄, b) ≥ thr` for every
+    /// same-class point `a` (`thr` is 0 for a positive counterexample label,
+    /// which wins ties, and 1 for a negative one). By the triangle
+    /// inequality on `X̄` this holds for some `b` exactly when some
+    /// projection `y_b` flips, so every step gets `check_k1`'s verdict and
+    /// the deletion order and result are unchanged. Check-SR and
+    /// minimum-SR keep `check_k1`, whose witness (the first `b` in index
+    /// order whose `y_b` flips) they serve.
     pub fn minimal(&self, x: &BitVec) -> Vec<usize> {
+        if self.k == OddK::ONE {
+            let mut test = K1Sufficiency::new(self.ds, x);
+            return super::greedy_minimal(self.ds.dim(), None, |s| test.is_sufficient(s));
+        }
         let mut session = self.session(x);
         super::greedy_minimal(self.ds.dim(), None, |s| session.check(s).is_sufficient())
     }
@@ -141,6 +172,64 @@ impl<'a> HammingAbductive<'a> {
     pub fn has_sufficient_reason_of_size(&self, x: &BitVec, l: usize) -> bool {
         self.minimum(x).len() <= l
     }
+}
+
+/// The k = 1 sufficiency test of [`HammingAbductive::minimal`]: the verdict
+/// of [`HammingAbductive::check_k1`] without a witness, from masked popcounts
+/// (see the module docs for why they agree). Built once per `x̄`; each check
+/// scans, for every opposite point `b`, the same-class points nearest `x̄`
+/// first and stops at the first one that beats `b` at `y_b`. Extra memory is
+/// one copy of the dataset's words and the `X` mask.
+pub struct K1Sufficiency<'a> {
+    x: &'a [u64],
+    /// The points labelled like `x̄`, in ascending `d(x̄, a)`, ties by index,
+    /// as many words each as `x`.
+    same: Vec<u64>,
+    /// The other class, in index order, packed like `same`.
+    opposite: Vec<u64>,
+    /// 0 when the counterexample label is positive (it wins ties), else 1.
+    thr: u32,
+    /// The fixed set `X` as a bit mask over [`BitVec::words`].
+    mask: Vec<u64>,
+}
+
+impl<'a> K1Sufficiency<'a> {
+    /// Precomputes the test for `x` under the 1-NN classifier of `ds`.
+    pub fn new(ds: &BooleanDataset, x: &'a BitVec) -> Self {
+        assert_eq!(x.len(), ds.dim());
+        let label = BooleanKnn::new(ds, OddK::ONE).classify(x);
+        let mut same = ds.indices_of(label);
+        same.sort_by_key(|&i| (ds.point(i).hamming(x), i));
+        let flat =
+            |idx: Vec<usize>| idx.iter().flat_map(|&i| ds.point(i).words()).copied().collect();
+        K1Sufficiency {
+            x: x.words(),
+            same: flat(same),
+            opposite: flat(ds.indices_of(label.flip())),
+            thr: u32::from(label.is_positive()),
+            mask: vec![0; x.words().len()],
+        }
+    }
+
+    /// Whether `fixed` is a sufficient reason for `x̄`.
+    pub fn is_sufficient(&mut self, fixed: &[usize]) -> bool {
+        self.mask.fill(0);
+        for &i in fixed {
+            self.mask[i / 64] |= 1 << (i % 64);
+        }
+        // At dimension 0 both lists are empty; `chunks_exact` needs w ≥ 1.
+        let (x, m, w) = (self.x, &self.mask[..], self.x.len().max(1));
+        !self.opposite.chunks_exact(w).any(|b| {
+            let bound = masked(x, b, m, 0) + self.thr;
+            self.same.chunks_exact(w).all(|a| masked(x, a, m, 0) + masked(a, b, m, !0) >= bound)
+        })
+    }
+}
+
+/// `d(u, v)` on the coordinates where `mask ^ invert` is set (`invert` is 0
+/// or `!0`; bits past the dimension are zero in `u ^ v`).
+fn masked(u: &[u64], v: &[u64], mask: &[u64], invert: u64) -> u32 {
+    u.iter().zip(v).zip(mask).map(|((u, v), m)| ((u ^ v) & (m ^ invert)).count_ones()).sum()
 }
 
 /// Incremental Check-SR session bound to one anchor point.

@@ -94,6 +94,8 @@ fn bundle_strategy() -> impl Strategy<Value = ReproBundle> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
     fn serialize_parse_serialize_is_byte_identical(bundle in bundle_strategy()) {
         let first = bundle.to_json();
         let parsed = ReproBundle::from_json(&first)

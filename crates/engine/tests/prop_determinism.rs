@@ -98,6 +98,8 @@ fn by_id(responses: &[knn_engine::Response]) -> HashMap<String, String> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
     fn run_batch_is_worker_count_and_order_invariant(spec in batch_strategy()) {
         let requests = parse_batch(&spec.requests);
 

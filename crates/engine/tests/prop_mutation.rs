@@ -86,6 +86,8 @@ fn stream_strategy() -> impl Strategy<Value = StreamSpec> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
     fn mutated_batches_equal_the_fresh_load_oracle(spec in stream_strategy()) {
         for workers in [1usize, 2, 8] {
             let engine = ExplanationEngine::new(

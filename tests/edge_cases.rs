@@ -164,3 +164,88 @@ fn minimum_sr_agrees_with_brute_force_on_exhaustive_small_cube() {
         }
     }
 }
+
+/// Asserts that `reason` is a sufficient reason for `x` and that dropping any
+/// one of its features is not, both by enumerating completions.
+fn assert_brute_minimal(knn: &BooleanKnn<'_>, x: &BitVec, reason: &[usize]) {
+    assert!(brute::is_sufficient_reason(knn, x, reason), "x {x}: {reason:?} not sufficient");
+    for &i in reason {
+        let smaller: Vec<usize> = reason.iter().copied().filter(|&j| j != i).collect();
+        assert!(
+            !brute::is_sufficient_reason(knn, x, &smaller),
+            "x {x}: {reason:?} not minimal, {i} can go"
+        );
+    }
+}
+
+#[test]
+fn k1_minimal_reason_with_points_in_both_classes() {
+    // Every point of {0,1}⁴, labeled by a majority rule, plus copies of a
+    // few of them with the other label: at distance 0 the copies tie, and
+    // the positive one wins.
+    let dim = 4usize;
+    let mut ds = BooleanDataset::new(dim);
+    for m in 0..(1u8 << dim) {
+        let bits: Vec<u8> = (0..dim).map(|i| (m >> i) & 1).collect();
+        let pos = bits.iter().sum::<u8>() >= 2;
+        let label = if pos { Label::Positive } else { Label::Negative };
+        ds.push(BitVec::from_bits(&bits), label);
+        if m % 3 == 0 {
+            ds.push(BitVec::from_bits(&bits), label.flip());
+        }
+    }
+    let ab = HammingAbductive::new(&ds, OddK::ONE);
+    let knn = BooleanKnn::new(&ds, OddK::ONE);
+    for m in 0..(1u8 << dim) {
+        let x = BitVec::from_bits(&(0..dim).map(|i| (m >> i) & 1).collect::<Vec<_>>());
+        assert_brute_minimal(&knn, &x, &ab.minimal(&x));
+    }
+}
+
+#[test]
+fn k1_minimal_reason_when_the_query_is_a_training_point() {
+    let pos = [[1u8, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1], [1, 0, 0, 0, 1, 0]];
+    let neg = [[0u8, 0, 1, 1, 0, 1], [1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1]];
+    let ds = BooleanDataset::from_sets(
+        pos.iter().map(|b| BitVec::from_bits(b)).collect(),
+        neg.iter().map(|b| BitVec::from_bits(b)).collect(),
+    );
+    let ab = HammingAbductive::new(&ds, OddK::ONE);
+    let knn = BooleanKnn::new(&ds, OddK::ONE);
+    for bits in pos.iter().chain(neg.iter()) {
+        let x = BitVec::from_bits(bits);
+        assert_brute_minimal(&knn, &x, &ab.minimal(&x));
+    }
+}
+
+#[test]
+fn k1_minimal_reason_tie_rule_across_word_boundaries() {
+    // x̄ = 0 sits on a training point; the only other point differs from it
+    // on `support`, which spans three u64 words and the last word's tail
+    // bits. Leaving t support features free lets a completion be t closer to
+    // the other point and t farther from x̄'s own, so it flips when 4 − t < t
+    // for a positive x̄ (ties stay positive) and when 4 − t ≤ t for a
+    // negative one: a minimal reason fixes 2 or 3 of the support features.
+    let dim = 130usize;
+    let support = [5usize, 64, 127, 129];
+    let x = BitVec::zeros(dim);
+    let mut other = BitVec::zeros(dim);
+    for &i in &support {
+        other.set(i, true);
+    }
+    for (x_label, want) in [(Label::Positive, 2usize), (Label::Negative, 3)] {
+        let mut ds = BooleanDataset::new(dim);
+        ds.push(x.clone(), x_label);
+        ds.push(other.clone(), x_label.flip());
+        let ab = HammingAbductive::new(&ds, OddK::ONE);
+        assert_eq!(BooleanKnn::new(&ds, OddK::ONE).classify(&x), x_label);
+        let reason = ab.minimal(&x);
+        assert_eq!(reason.len(), want, "{x_label:?}: {reason:?}");
+        assert!(reason.iter().all(|i| support.contains(i)), "{x_label:?}: {reason:?}");
+        assert!(ab.check_k1(&x, &reason).is_sufficient());
+        for &i in &reason {
+            let smaller: Vec<usize> = reason.iter().copied().filter(|&j| j != i).collect();
+            assert!(!ab.check_k1(&x, &smaller).is_sufficient(), "{x_label:?}: {i} can go");
+        }
+    }
+}
