@@ -1,9 +1,9 @@
 //! Telemetry overhead on the warm serving path: the same cache-hit batch is
 //! timed against telemetry compiled in but idle (the default) and telemetry
-//! fully enabled (route + phase histograms, per-query traces, slow-ring
-//! candidacy), and the enabled run must stay within **5%** of the idle run.
-//! The always-on flight recorder samples span families on *both* sides
-//! (recording is independent of the enabled flag by design), so its cost is
+//! fully enabled (route + phase histograms, per-query traces), and the
+//! enabled run must stay within **5%** of the idle run. The always-on
+//! flight recorder samples span families on *both* sides (one sampler draw
+//! per query, independent of the enabled flag by design), so its cost is
 //! inside the measured baseline, not hidden by it.
 //!
 //! The forensics plane gets two more arms on an enabled engine: **capture**
@@ -138,8 +138,7 @@ fn main() {
 
     // Telemetry compiled in but idle: the construction default.
     let idle_engine = ExplanationEngine::new(data(), config.clone());
-    // Telemetry enabled: every query records route/phase histograms and is a
-    // slow-ring candidate.
+    // Telemetry enabled: every query records its phase timings.
     let telemetry = Telemetry::new();
     telemetry.set_enabled(true);
     // The enabled side also carries an SLO objective so the whole accounting
@@ -231,7 +230,7 @@ fn main() {
     let capture_ns = (cap - hot).max(0.0) / q as f64 * 1e9;
     let audit_overhead = aud / cap - 1.0;
     println!("idle    {idle_qps:>11.1} q/s  (telemetry compiled in, disabled)");
-    println!("enabled {hot_qps:>11.1} q/s  (histograms + traces + slow ring)");
+    println!("enabled {hot_qps:>11.1} q/s  (histograms + traces + sampled spans)");
     println!("capture {cap_qps:>11.1} q/s  (enabled + always-on capture ring)");
     println!("audited {aud_qps:>11.1} q/s  (capture + shadow audit at 1-in-{audit_rate})");
     println!("warm-path overhead {:+.2}%  (budget {:.0}%)", overhead * 100.0, MAX_OVERHEAD * 100.0);

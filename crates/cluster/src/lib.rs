@@ -164,17 +164,7 @@ struct RouterShared {
     /// The fill hub: completed answers are offered here and a worker
     /// thread pushes them to peer replicas.
     fill: Arc<FillHub>,
-    /// Slow-query entries retained across `slow` scrapes. Backend rings
-    /// drain destructively, so the router *merges* each drain into this
-    /// bounded, slowest-first list and serves snapshots of it — two
-    /// concurrent watchers both see every entry instead of racing each
-    /// other for disjoint subsets.
-    slow_retained: Mutex<Vec<Value>>,
 }
-
-/// How many merged slow-query entries the router retains for `slow`
-/// scrapes (the slowest win; backend rings are 32 each).
-const SLOW_RETAINED: usize = 64;
 
 /// One completed keyed answer, queued for best-effort propagation to the
 /// tenant's peer replicas.
@@ -336,7 +326,6 @@ impl Router {
                 tx: Mutex::new(fill_tx),
                 seen: Mutex::new(std::collections::HashSet::new()),
             }),
-            slow_retained: Mutex::new(Vec::new()),
         });
         start_fill_worker(&shared, fill_rx);
         Ok(Router { listener, shared })
@@ -1400,30 +1389,25 @@ fn cluster_dump_line(shared: &Arc<RouterShared>, id: &str) -> String {
     )
 }
 
-/// The cluster `slow` verb: drains every live backend's slow-query ring
-/// (each entry tagged with its backend id) and **merges** the drain into
-/// the router's retained slowest-first list, answering with a snapshot of
-/// it. Backend drains are destructive, so two concurrent watchers racing
-/// raw drains would each see only a random subset; the retained-merge
-/// under one lock serializes the drains and gives every scrape the full
-/// picture (bounded at [`SLOW_RETAINED`], slowest win).
+/// The cluster `slow` verb: a fan-out merge of every live backend's
+/// `slow` read, each entry tagged with its backend id, slowest first and
+/// truncated to the same [`SLOWEST`](knn_telemetry::recorder::SLOWEST).
+/// Backend reads are non-destructive, so concurrent watchers all see the
+/// same entries.
 fn cluster_slow_line(shared: &Arc<RouterShared>, id: &str) -> String {
-    // The retained lock is held across the backend roundtrips on purpose:
-    // it is what serializes concurrent scrapes so each backend entry is
-    // drained by exactly one of them — and then retained for all.
-    let mut retained = shared.slow_retained.lock().unwrap();
+    let mut merged = Vec::new();
     for (backend, v) in fan_out(shared, r#"{"id":"agg","verb":"slow"}"#) {
         for entry in v.get("slow").and_then(Value::as_array).unwrap_or(&[]) {
             let Value::Object(members) = entry else { continue };
             let mut members = members.clone();
             members.push(("backend".into(), Value::Number(backend as f64)));
-            retained.push(Value::Object(members));
+            merged.push(Value::Object(members));
         }
     }
     let total = |e: &Value| e.get("total_us").and_then(Value::as_u64).unwrap_or(0);
-    retained.sort_by_key(|e| std::cmp::Reverse(total(e)));
-    retained.truncate(SLOW_RETAINED);
-    proto::ok_line(id, vec![("slow".into(), Value::Array(retained.clone()))])
+    merged.sort_by_key(|e| std::cmp::Reverse(total(e)));
+    merged.truncate(knn_telemetry::recorder::SLOWEST);
+    proto::ok_line(id, vec![("slow".into(), Value::Array(merged))])
 }
 
 /// The cluster `repro` verb: forwards the selector to every healthy
@@ -2050,16 +2034,17 @@ mod tests {
     /// The router's `metrics` verb merges the backends' expositions
     /// (request counts sum to exactly the queries sent — the bucket sets
     /// are identical, so the key-wise merge is exact) and appends its own
-    /// `knn_router_*` series; `slow` drains every backend's ring into one
-    /// slowest-first list tagged with backend ids.
+    /// `knn_router_*` series; `slow` merges every backend's read into one
+    /// slowest-first list tagged with backend ids, and two router
+    /// connections asking for it see the same entries.
     #[test]
     fn metrics_verb_merges_backends_and_adds_router_series() {
         let (b0, b1) = (backend(), backend());
         let handle = router_over(&[&b0, &b1]);
         let mut c = Client::connect(handle.addr()).unwrap();
         for i in 0..6 {
-            // A counterfactual among them: multi-µs, so the slow rings are
-            // deterministically non-empty below.
+            // A counterfactual among them: multi-µs, so the backends' `slow`
+            // reads are deterministically non-empty below.
             let cmd = if i == 0 { "counterfactual" } else { "classify" };
             let resp = c
                 .roundtrip(&format!(
@@ -2116,7 +2101,18 @@ mod tests {
         assert_eq!(merged_count, direct, "merge equals the backend sum");
 
         let s = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
-        assert!(s.contains(r#""backend":"#) && s.contains(r#""total_us":"#), "{s}");
+        let entries = |line: &str| match parse_bytes(line.as_bytes()).unwrap().get("slow") {
+            Some(Value::Array(entries)) => entries.clone(),
+            _ => panic!("slow member missing: {line}"),
+        };
+        let first = entries(&s);
+        assert!(!first.is_empty(), "{s}");
+        for e in &first {
+            assert!(e.get("backend").is_some() && e.get("total_us").is_some(), "{s}");
+        }
+        let mut other = Client::connect(handle.addr()).unwrap();
+        let s2 = other.roundtrip(r#"{"id":"s2","verb":"slow"}"#).unwrap();
+        assert_eq!(entries(&s2), first, "a second watcher sees the same entries");
 
         handle.shutdown();
         b0.shutdown();

@@ -96,7 +96,7 @@ pub use knn_delta::Mutation;
 
 use cache::LruCache;
 use knn_delta::{AppliedMutation, ClassifyGuard, MutationLog};
-use knn_telemetry::{Histogram, QueryTrace, SpanCtx, SpanEvent, Telemetry};
+use knn_telemetry::{Histogram, QuerySpans, QueryTrace, SpanEvent, Telemetry};
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -754,23 +754,16 @@ impl ExplanationEngine {
     }
 
     /// [`ExplanationEngine::run`], also returning the query's out-of-band
-    /// [`QueryTrace`] (cache outcome, epoch, phase breakdown). The server
-    /// layer combines it with admission wait and end-to-end time for the
-    /// slow-query ring; phase timings are zero when telemetry is disabled.
+    /// [`QueryTrace`] (cache outcome, epoch, phase breakdown, region
+    /// work) — the one traced entry point. It records no spans and draws
+    /// no sampler: the caller decides capture once the query completed and
+    /// hands the trace to the span emitter
+    /// ([`Recorder::record_query`](knn_telemetry::Recorder::record_query)),
+    /// as the server does. Phase timings are zero when telemetry is
+    /// disabled.
     pub fn run_with_trace(&self, req: &Request) -> (Response, QueryTrace) {
-        self.run_traced(req, None)
-    }
-
-    /// [`ExplanationEngine::run_with_trace`] under an explicit flight-
-    /// recorder capture context. With `Some(ctx)` the engine emits
-    /// plan/artifact/cache/solve span events parented under `ctx` (the
-    /// serving layer's root span); with `None` the engine's own sampler
-    /// elects 1-in-N queries for a self-contained sampled span. Span
-    /// emission is strictly out-of-band: the response bytes are identical
-    /// with or without a context — the determinism proptest pins this.
-    pub fn run_traced(&self, req: &Request, ctx: Option<&SpanCtx>) -> (Response, QueryTrace) {
         let mut trace = QueryTrace::default();
-        let resp = self.run_one_at(&self.snapshot(), req, &mut trace, ctx).0;
+        let resp = self.run_one(&self.snapshot(), req, &mut trace).0;
         (resp, trace)
     }
 
@@ -892,9 +885,9 @@ impl ExplanationEngine {
 
     /// Computes a response (no cache involvement), recording plan/solve
     /// phase timings and the artifact build time attributable to this query
-    /// when telemetry is enabled. The attribution is a delta of the store's
-    /// build-time counter around the call: exact when builds don't race,
-    /// approximate when they do.
+    /// when telemetry is enabled, and the region yield/prune deltas always.
+    /// The attributions are deltas of engine-wide counters around the
+    /// call: exact when computes don't race, approximate when they do.
     fn compute_timed(
         &self,
         snap: &Snapshot,
@@ -903,9 +896,17 @@ impl ExplanationEngine {
         trace: &mut QueryTrace,
     ) -> (Response, Option<ClassifyGuard>) {
         let build0 = enabled.then(|| snap.artifacts.metrics().build_nanos());
+        let regions = snap.artifacts.region_counters();
+        let r0 = regions.snapshot();
         let w0 = WorkSample::take();
         let (resp, guard, phases) = self.execute_guarded(snap, req, enabled);
         self.record_work(&resp.route, &w0, phases.solve_us);
+        let r1 = regions.snapshot();
+        let pruned = |r: &knn_core::regions::RegionCountersSnapshot| {
+            r.pruned_empty + r.pruned_dominated + r.memo_pruned
+        };
+        trace.region_yields = r1.yields.saturating_sub(r0.yields);
+        trace.region_pruned = pruned(&r1).saturating_sub(pruned(&r0));
         trace.demoted = phases.demoted;
         if enabled {
             trace.plan_us = phases.plan_us;
@@ -923,151 +924,31 @@ impl ExplanationEngine {
         (resp, guard)
     }
 
-    /// [`run_one_inner`](ExplanationEngine::run_one_inner) plus flight-
-    /// recorder span emission. The capture decision is made up front — an
-    /// explicit context from the serving layer, or the recorder's own
-    /// 1-in-N sampler for context-free callers (batch, bench) — so the
-    /// region-counter delta brackets the run. Unelected queries pay one
-    /// thread-local counter bump and nothing else.
-    fn run_one_at(
-        &self,
-        snap: &Snapshot,
-        req: &Request,
-        trace: &mut QueryTrace,
-        ctx: Option<&SpanCtx>,
-    ) -> (Response, bool) {
+    /// [`run_one`](ExplanationEngine::run_one) on the batch path: one
+    /// sampler draw per query, and the span emitter records the query's
+    /// family when the draw fires or an anomaly occurred. Unelected
+    /// queries pay one thread-local counter bump and nothing else.
+    fn run_sampled(&self, snap: &Snapshot, req: &Request) -> (Response, bool) {
+        let mut trace = QueryTrace::default();
+        let (resp, hit) = self.run_one(snap, req, &mut trace);
         let recorder = self.telemetry.recorder();
-        let capture = ctx.is_some() || recorder.sample();
-        let regions0 = capture.then(|| snap.artifacts.region_counters().snapshot());
-        let (resp, hit) = self.run_one_inner(snap, req, trace);
-        if let Some(r0) = regions0 {
-            self.emit_spans(snap, trace, ctx, &resp, &r0);
+        let q = QuerySpans {
+            trace: "",
+            tenant: &self.tenant,
+            id: &resp.id,
+            route: &resp.route,
+            qt: &trace,
+            err: resp.result.is_err(),
+            slow: false,
+            total_us: trace.cache_us + trace.plan_us + trace.artifact_us + trace.solve_us,
+            admission_us: None,
+            conn: 0,
+            seq: 0,
+        };
+        if recorder.sample() || !q.anomaly().is_empty() {
+            recorder.record_query(&q);
         }
         (resp, hit)
-    }
-
-    /// Records this query's span events (see [`ExplanationEngine::run_traced`]).
-    /// One clock read per captured query: phase starts are reconstructed
-    /// backward from the measured durations (cache → plan → artifact →
-    /// solve ran sequentially), an approximation documented in DESIGN §7b.
-    fn emit_spans(
-        &self,
-        snap: &Snapshot,
-        trace: &QueryTrace,
-        ctx: Option<&SpanCtx>,
-        resp: &Response,
-        regions0: &knn_core::regions::RegionCountersSnapshot,
-    ) {
-        let recorder = self.telemetry.recorder();
-        let end_us = recorder.now_us();
-        let base = SpanEvent {
-            trace: ctx.map(|c| c.trace.clone()).unwrap_or_default(),
-            tenant: self.tenant.clone(),
-            epoch: trace.epoch,
-            ..SpanEvent::default()
-        };
-        let push = |ev: SpanEvent| {
-            let forced = !ev.trace.is_empty() || !ev.anomaly.is_empty();
-            recorder.push(ev, forced);
-        };
-        let computed = matches!(trace.cache, "miss" | "uncached");
-        let err = resp.result.is_err();
-        let Some(ctx) = ctx else {
-            // Context-free (sampler-elected): one self-contained span.
-            let dur = trace.cache_us + trace.plan_us + trace.artifact_us + trace.solve_us;
-            let anomaly = if err {
-                "error"
-            } else if trace.guard_failed {
-                "guard_failed"
-            } else if trace.demoted {
-                "demoted"
-            } else {
-                ""
-            };
-            push(SpanEvent {
-                seq: recorder.next_seq(),
-                name: "query",
-                detail: format!("route={} cache={}", resp.route, trace.cache),
-                start_us: end_us.saturating_sub(dur),
-                dur_us: dur,
-                anomaly,
-                ..base
-            });
-            return;
-        };
-        // Phase children under the serving layer's root span.
-        let total = trace.cache_us
-            + if computed { trace.plan_us + trace.artifact_us + trace.solve_us } else { 0 };
-        let mut t = end_us.saturating_sub(total);
-        if trace.cache != "uncached" {
-            push(SpanEvent {
-                seq: recorder.next_seq(),
-                parent: ctx.parent,
-                name: "cache",
-                detail: format!("outcome={}", trace.cache),
-                start_us: t,
-                dur_us: trace.cache_us,
-                anomaly: if trace.guard_failed { "guard_failed" } else { "" },
-                ..base.clone()
-            });
-            t += trace.cache_us;
-        }
-        if computed {
-            push(SpanEvent {
-                seq: recorder.next_seq(),
-                parent: ctx.parent,
-                name: "plan",
-                detail: format!("route={} demoted={}", resp.route, trace.demoted),
-                start_us: t,
-                dur_us: trace.plan_us,
-                anomaly: if trace.demoted { "demoted" } else { "" },
-                ..base.clone()
-            });
-            t += trace.plan_us;
-            if trace.artifact_us > 0 {
-                push(SpanEvent {
-                    seq: recorder.next_seq(),
-                    parent: ctx.parent,
-                    name: "artifact",
-                    detail: "build".to_string(),
-                    start_us: t,
-                    dur_us: trace.artifact_us,
-                    ..base.clone()
-                });
-                t += trace.artifact_us;
-            }
-            let r1 = snap.artifacts.region_counters().snapshot();
-            let pruned = (r1.pruned_empty + r1.pruned_dominated + r1.memo_pruned).saturating_sub(
-                regions0.pruned_empty + regions0.pruned_dominated + regions0.memo_pruned,
-            );
-            push(SpanEvent {
-                seq: recorder.next_seq(),
-                parent: ctx.parent,
-                name: "solve",
-                detail: format!(
-                    "region_yields={} region_pruned={}",
-                    r1.yields.saturating_sub(regions0.yields),
-                    pruned
-                ),
-                start_us: t,
-                dur_us: trace.solve_us,
-                anomaly: if err { "error" } else { "" },
-                ..base
-            });
-        } else if err {
-            // A cached error response (possible: errors cache too) still
-            // surfaces as an anomaly marker.
-            push(SpanEvent {
-                seq: recorder.next_seq(),
-                parent: ctx.parent,
-                name: "solve",
-                detail: "cached".to_string(),
-                start_us: t,
-                dur_us: 0,
-                anomaly: "error",
-                ..base
-            });
-        }
     }
 
     /// `run` plus whether the response came from the cache (directly,
@@ -1079,12 +960,7 @@ impl ExplanationEngine {
     /// basis (see [`sample_cache_probe`]); all other phases run only on
     /// compute paths, where their cost is amortised over the solve, and
     /// are timed on every query.
-    fn run_one_inner(
-        &self,
-        snap: &Snapshot,
-        req: &Request,
-        trace: &mut QueryTrace,
-    ) -> (Response, bool) {
+    fn run_one(&self, snap: &Snapshot, req: &Request, trace: &mut QueryTrace) -> (Response, bool) {
         trace.epoch = snap.epoch;
         let enabled = self.telemetry.is_enabled();
         if self.config.cache_capacity == 0 {
@@ -1177,7 +1053,7 @@ impl ExplanationEngine {
 
         if workers <= 1 {
             for (i, req) in requests.iter().enumerate() {
-                let (resp, hit) = self.run_one_at(&snap, req, &mut QueryTrace::default(), None);
+                let (resp, hit) = self.run_sampled(&snap, req);
                 if hit {
                     hits.fetch_add(1, Ordering::Relaxed);
                 }
@@ -1196,8 +1072,7 @@ impl ExplanationEngine {
                         if i >= requests.len() {
                             break;
                         }
-                        let (resp, hit) =
-                            self.run_one_at(snap, &requests[i], &mut QueryTrace::default(), None);
+                        let (resp, hit) = self.run_sampled(snap, &requests[i]);
                         if tx.send((i, resp, hit)).is_err() {
                             break;
                         }
@@ -1346,8 +1221,8 @@ mod tests {
         let snap = e.snapshot();
         let mut t1 = QueryTrace::default();
         let mut t2 = QueryTrace::default();
-        let (first, hit1) = e.run_one_at(&snap, &r, &mut t1, None);
-        let (second, hit2) = e.run_one_at(&snap, &r, &mut t2, None);
+        let (first, hit1) = e.run_one(&snap, &r, &mut t1);
+        let (second, hit2) = e.run_one(&snap, &r, &mut t2);
         assert!(!hit1);
         assert!(hit2, "second identical query must hit the cache");
         assert_eq!(first.to_json_line(), second.to_json_line());

@@ -10,7 +10,7 @@
 
 use knn_engine::{EngineConfig, EngineData, ExplanationEngine, Request};
 use knn_space::ContinuousDataset;
-use knn_telemetry::{SloObjective, SpanCtx, Telemetry};
+use knn_telemetry::{QuerySpans, SloObjective, Telemetry};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -168,22 +168,35 @@ proptest! {
                 );
             }
 
-            // A traced pass: every query runs with a forced span context —
-            // the flight recorder captures a full span family per request
-            // (forced path, not the sampler) and must not change a byte.
+            // A traced pass: every query runs through the one traced entry
+            // point and the span emitter records its family under a trace
+            // id (forced path, not the sampler) — without changing a byte.
             let recorder = engine.telemetry().recorder();
             for req in &requests {
-                let ctx =
-                    SpanCtx { trace: format!("t-{}", req.id), parent: recorder.next_seq() };
-                let (resp, _) = engine.run_traced(req, Some(&ctx));
+                let (resp, qt) = engine.run_with_trace(req);
+                let line = resp.to_json_line();
+                let trace = format!("t-{}", req.id);
+                recorder.record_query(&QuerySpans {
+                    trace: &trace,
+                    tenant: "prop",
+                    id: &resp.id,
+                    route: &resp.route,
+                    qt: &qt,
+                    err: resp.result.is_err(),
+                    slow: false,
+                    total_us: qt.plan_us + qt.solve_us,
+                    admission_us: None,
+                    conn: 0,
+                    seq: 0,
+                });
                 prop_assert_eq!(
-                    &resp.to_json_line(),
+                    &line,
                     &oracle[&req.id],
                     "traced, workers={} id={}", workers, req.id
                 );
                 prop_assert!(
-                    !recorder.spans_for(&ctx.trace).is_empty(),
-                    "forced trace {} captured no spans", ctx.trace
+                    !recorder.spans_for(&trace).is_empty(),
+                    "forced trace {} captured no spans", trace
                 );
             }
         }

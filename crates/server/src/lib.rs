@@ -97,15 +97,17 @@ impl Default for ServerConfig {
 struct Shared {
     registry: Registry,
     admission: Admission,
-    /// Process-wide latency histograms, counters and the slow-query ring
-    /// (enabled at bind; shared with every tenant engine).
+    /// Process-wide latency histograms and counters (enabled at bind) and
+    /// the flight recorder the `slow`, `trace` and `dump` verbs read;
+    /// shared with every tenant engine.
     telemetry: Arc<Telemetry>,
     conn_inflight: usize,
     shutdown: AtomicBool,
     addr: SocketAddr,
     /// Monotone connection ids. `(conn, seq)` is the capture reference: it
-    /// names one served response in the black-box ring, the slow ring, and
-    /// forced spans, and is the selector `repro` drills down on.
+    /// names one served response in the black-box ring and in its query
+    /// span's detail (and so in `slow` entries), and is the selector
+    /// `repro` drills down on.
     conn_counter: AtomicU64,
     /// Bind time, for the `uptime_ms` field of `stats` — the cluster
     /// router's health probe wants a cheap liveness answer that never waits
@@ -728,7 +730,8 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
         Command::Slow => {
             let slow: Vec<Value> = shared
                 .telemetry
-                .drain_slow()
+                .recorder()
+                .slowest()
                 .into_iter()
                 .map(|q| {
                     Value::Object(vec![
@@ -1204,8 +1207,8 @@ mod tests {
 
     /// The observability plane: `metrics` answers valid Prometheus text
     /// exposition with non-empty route histograms and the per-tenant engine
-    /// counters; `slow` drains the worst-N ring (and drains it exactly
-    /// once); neither changes the bytes of the queries around them.
+    /// counters; `slow` reads the slowest retained query families without
+    /// draining them; neither changes the bytes of the queries around them.
     #[test]
     fn metrics_and_slow_verbs_expose_telemetry_out_of_band() {
         let handle = spawn_server();
@@ -1247,14 +1250,96 @@ mod tests {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }
 
-        // The ring drains once: the counterfactual (multi-µs) is in it.
+        // `slow` is a read: the counterfactual (multi-µs) is listed, and
+        // asking again answers the same entries.
         let s = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
         assert!(s.contains(r#""total_us":"#) && s.contains(r#""cache":"#), "{s}");
-        let s2 = c.roundtrip(r#"{"id":"s2","verb":"slow"}"#).unwrap();
-        assert!(s2.contains(r#""slow":[]"#), "drained: {s2}");
+        let s2 = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
+        assert_eq!(s2, s, "a second `slow` equals the first");
 
         // Telemetry is out-of-band: the same query answers byte-identically.
         assert_eq!(c.roundtrip(q).unwrap(), before);
+        handle.shutdown();
+    }
+
+    /// A server whose connections run one query at a time, so each
+    /// connection's queries draw the sampler on one fresh worker thread.
+    fn spawn_serial_server() -> ServerHandle {
+        let config = ServerConfig { conn_inflight: 1, ..ServerConfig::default() };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        server.registry().load("toy", BOOL).unwrap();
+        server.spawn()
+    }
+
+    /// The `seq=` of a `query` root's detail (its line on the connection).
+    fn root_seq(root: &SpanEvent) -> Option<u64> {
+        root.detail.split(' ').find_map(|kv| kv.strip_prefix("seq=")?.parse().ok())
+    }
+
+    /// Capture is decided once per query: 256 untraced classify queries on
+    /// one connection draw the sampler 256 times, so exactly the queries at
+    /// draws 0, 64, 128 and 192 are sampled. Each recorded family is a
+    /// served `query` root with `conn=`/`seq=` and an `admission` child;
+    /// any family beyond the sampled four was forced by an anomaly.
+    #[test]
+    fn untraced_queries_draw_the_sampler_once() {
+        let handle = spawn_serial_server();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for i in 0..256 {
+            let line = format!(
+                r#"{{"dataset":"toy","id":"q{i}","cmd":"classify","metric":"hamming","point":[{},{},{}]}}"#,
+                i % 2,
+                (i / 2) % 2,
+                (i / 4) % 2
+            );
+            assert!(c.roundtrip(&line).unwrap().contains(r#""ok":true"#));
+        }
+        let spans = handle.shared.telemetry.recorder().all();
+        let roots: Vec<&SpanEvent> = spans.iter().filter(|e| e.parent == 0).collect();
+        for root in &roots {
+            assert_eq!(root.name, "query", "no lone spans: {root:?}");
+            assert!(root.detail.contains(" conn=1 seq="), "served root: {root:?}");
+            assert!(
+                spans.iter().any(|e| e.parent == root.seq && e.name == "admission"),
+                "admission child under {root:?}"
+            );
+        }
+        let sampled = [0, 64, 128, 192];
+        for seq in sampled {
+            let families = roots.iter().filter(|r| root_seq(r) == Some(seq)).count();
+            assert_eq!(families, 1, "the sampled query at seq {seq} has one family");
+        }
+        for root in &roots {
+            let seq = root_seq(root).unwrap();
+            if !sampled.contains(&seq) {
+                assert_eq!(root.anomaly, "slow", "unsampled family must be forced: {root:?}");
+            }
+        }
+        handle.shutdown();
+    }
+
+    /// Anomalies force a capture whether or not a sampler fired: every one
+    /// of 64 erroring queries leaves a forced `query` root marked `error`.
+    #[test]
+    fn every_error_response_forces_a_capture() {
+        let handle = spawn_serial_server();
+        let mut c = Client::connect(handle.addr()).unwrap();
+        for i in 0..64 {
+            // ℓ1 minimal-SR at k = 3 is a refused Table-1 cell (Thm 5).
+            let line = format!(
+                r#"{{"dataset":"toy","id":"e{i}","cmd":"minimal-sr","metric":"l1","k":3,"point":[{},{},1]}}"#,
+                i % 2,
+                (i / 2) % 2
+            );
+            assert!(c.roundtrip(&line).unwrap().contains(r#""ok":false"#));
+        }
+        let spans = handle.shared.telemetry.recorder().all();
+        let errors: Vec<&SpanEvent> =
+            spans.iter().filter(|e| e.name == "query" && e.anomaly == "error").collect();
+        assert_eq!(errors.len(), 64, "one forced family per error response");
+        let mut seqs: Vec<u64> = errors.iter().filter_map(|r| root_seq(r)).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
         handle.shutdown();
     }
 
@@ -1434,7 +1519,7 @@ mod tests {
     /// The forensics plane: a `"trace"` member never changes response
     /// bytes, `trace <id>` reconstructs the query's span tree (root →
     /// admission + phase children), `dump` exports parseable Chrome
-    /// trace-event JSON, and the slow ring links back to the trace id.
+    /// trace-event JSON, and `slow` entries link back to the trace id.
     #[test]
     fn trace_verb_reconstructs_spans_and_dump_exports_chrome_json() {
         let handle = spawn_server();
@@ -1476,7 +1561,7 @@ mod tests {
         assert!(!events.is_empty(), "dump covers the traced spans");
         assert!(events.iter().any(|e| e.get("ph") == Some(&Value::String("X".into()))));
 
-        // The slow ring links back: the traced counterfactual carries t-7.
+        // `slow` links back: the traced counterfactual carries t-7.
         let s = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
         assert!(s.contains(r#""trace":"t-7""#) || s.contains(r#""trace":null"#), "{s}");
 
@@ -1486,7 +1571,7 @@ mod tests {
     /// The forensics close-out plane, end to end: every served response is
     /// captured, `repro` exports a self-contained bundle (seed plus replay
     /// ops plus captured lines) whose offline replay is byte-identical even
-    /// across a mid-stream mutation, the slow ring's `(conn, seq)`
+    /// across a mid-stream mutation, a `slow` entry's `(conn, seq)`
     /// reference drills down into a single-entry bundle, and the shadow
     /// auditor at sample rate 1 re-checks the traffic with zero
     /// divergences.
@@ -1538,7 +1623,7 @@ mod tests {
         let s = c.roundtrip(r#"{"id":"s","verb":"slow"}"#).unwrap();
         let parsed = knn_engine::json::parse_bytes(s.as_bytes()).unwrap();
         let Some(Value::Array(slow)) = parsed.get("slow") else { panic!("{s}") };
-        let entry = slow.first().expect("the counterfactual is in the slow ring");
+        let entry = slow.first().expect("the counterfactual is a slow entry");
         let conn = entry.get("conn").and_then(Value::as_u64).unwrap();
         let seq = entry.get("seq").and_then(Value::as_u64).unwrap();
         let rs = c

@@ -23,7 +23,7 @@
 use crate::admission::Admission;
 use knn_engine::bundle::{BundleEntry, ReproBundle};
 use knn_engine::{textfmt, EngineConfig, ExplanationEngine, Mutation, MutationReceipt, Request};
-use knn_telemetry::{AuditJob, CaptureEntry, SlowQuery, SpanCtx, SpanEvent, Telemetry};
+use knn_telemetry::{AuditJob, CaptureEntry, QuerySpans, Telemetry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,20 +98,21 @@ impl Tenant {
     /// audit enqueue happens 1-in-N and never blocks.
     ///
     /// When the process telemetry is enabled, the end-to-end wall time goes
-    /// into the per-(tenant, route) latency histogram, the admission wait
-    /// into the phase histograms, and the combined trace is offered to the
-    /// slow-query ring — all out-of-band, never touching response bytes.
-    /// Slow-ring entries and forced span details carry `(conn, seq)`, so
-    /// `slow`/`trace` output links to a replayable capture.
+    /// into the per-(tenant, route) latency histogram and the admission
+    /// wait into the phase histograms — out-of-band, never touching
+    /// response bytes.
     ///
-    /// `trace_id` is the client's `"trace"` member (or the router's minted
-    /// id): when present, the query is **captured** into the flight
-    /// recorder's forced ring under that id — root `query` span, its
-    /// `admission` child, and the engine's phase children. Untraced queries
-    /// are still captured 1-in-N by the recorder's sampler, and anomalies
-    /// (errors, slow-floor breaches, demotions, guard failures) force the
-    /// capture into the anomaly ring. All of it stays out-of-band: the
-    /// response bytes never depend on `trace_id` or the recorder.
+    /// Capture into the flight recorder is decided once, after the
+    /// response line exists: the query's span family (root `query`, its
+    /// `admission` child, and the engine's phase children) is recorded when
+    /// the query is traced, when one sampler draw fires, or when an anomaly
+    /// occurred — an error, a slow query (end-to-end time above the
+    /// recorder's slow floor), a failed guard revalidation or a budget
+    /// demotion. Traced and anomalous families go to the forced ring, the
+    /// `slow` verb's source. `trace_id` is the client's `"trace"` member
+    /// (or the router's minted id); untraced queries draw the sampler once.
+    /// The root's detail carries `(conn, seq)`, so `slow`/`trace` output
+    /// links to a replayable capture.
     pub fn serve(
         &self,
         admission: &Admission,
@@ -122,21 +123,13 @@ impl Tenant {
         raw: &str,
     ) -> String {
         let telemetry = self.engine.telemetry().clone();
-        let recorder = telemetry.recorder();
-        let traced = trace_id.is_some();
-        let capture = traced || recorder.sample();
-        let enabled = telemetry.is_enabled();
-        let started = (enabled || capture).then(Instant::now);
+        let started = Instant::now();
         self.queued.fetch_add(1, Ordering::Relaxed);
         let slot = admission.acquire();
         self.queued.fetch_sub(1, Ordering::Relaxed);
-        let admission_us = started.map(|t0| t0.elapsed().as_micros() as u64);
+        let admission_us = started.elapsed().as_micros() as u64;
         self.active.fetch_add(1, Ordering::Relaxed);
-        let ctx = capture.then(|| SpanCtx {
-            trace: trace_id.unwrap_or("").to_string(),
-            parent: recorder.next_seq(),
-        });
-        let (resp, qt) = self.engine.run_traced(req, ctx.as_ref());
+        let (resp, qt) = self.engine.run_with_trace(req);
         self.active.fetch_sub(1, Ordering::Relaxed);
         drop(slot);
         self.requests.fetch_add(1, Ordering::Relaxed);
@@ -144,81 +137,30 @@ impl Tenant {
         if err {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if let (Some(t0), Some(admission_us)) = (started, admission_us) {
-            let total_us = t0.elapsed().as_micros() as u64;
-            let mut slow = false;
-            if enabled {
-                telemetry.record_phase(&self.name, "admission", admission_us);
-                telemetry.record_route(&self.name, &resp.route, total_us);
-                slow = telemetry.record_slow_with(total_us, || SlowQuery {
-                    tenant: self.name.clone(),
-                    id: resp.id.clone(),
-                    route: resp.route.clone(),
-                    cache: qt.cache.to_string(),
-                    epoch: qt.epoch,
-                    total_us,
-                    admission_us,
-                    plan_us: qt.plan_us,
-                    artifact_us: qt.artifact_us,
-                    cache_us: qt.cache_us,
-                    solve_us: qt.solve_us,
-                    trace: trace_id.map(str::to_string),
-                    conn,
-                    seq,
-                });
-            }
-            if let Some(ctx) = ctx {
-                let end_us = recorder.now_us();
-                let anomaly = if err {
-                    "error"
-                } else if slow {
-                    "slow"
-                } else if qt.guard_failed {
-                    "guard_failed"
-                } else if qt.demoted {
-                    "demoted"
-                } else {
-                    ""
-                };
-                let forced = traced || !anomaly.is_empty();
-                let start_us = end_us.saturating_sub(total_us);
-                let base = SpanEvent {
-                    trace: ctx.trace.clone(),
-                    tenant: self.name.clone(),
-                    epoch: qt.epoch,
-                    ..SpanEvent::default()
-                };
-                recorder.push(
-                    SpanEvent {
-                        seq: recorder.next_seq(),
-                        parent: ctx.parent,
-                        name: "admission",
-                        start_us,
-                        dur_us: admission_us,
-                        ..base.clone()
-                    },
-                    forced,
-                );
-                // The capture reference makes the span (and through `trace`
-                // output, the operator) one `repro` call away from a
-                // replayable request line.
-                let detail = format!("route={} conn={conn} seq={seq}", resp.route);
-                recorder.push(
-                    SpanEvent {
-                        seq: ctx.parent,
-                        parent: 0,
-                        name: "query",
-                        detail,
-                        start_us,
-                        dur_us: total_us,
-                        anomaly,
-                        ..base
-                    },
-                    forced,
-                );
-            }
+        let total_us = started.elapsed().as_micros() as u64;
+        if telemetry.is_enabled() {
+            telemetry.record_phase(&self.name, "admission", admission_us);
+            telemetry.record_route(&self.name, &resp.route, total_us);
         }
+        let recorder = telemetry.recorder();
+        let spans = QuerySpans {
+            trace: trace_id.unwrap_or(""),
+            tenant: &self.name,
+            id: &resp.id,
+            route: &resp.route,
+            qt: &qt,
+            err,
+            slow: total_us > recorder.slow_floor(),
+            total_us,
+            admission_us: Some(admission_us),
+            conn,
+            seq,
+        };
         let line = resp.to_json_line();
+        let sampled = trace_id.is_none() && recorder.sample();
+        if trace_id.is_some() || sampled || !spans.anomaly().is_empty() {
+            recorder.record_query(&spans);
+        }
         let epoch = qt.epoch;
         telemetry.capture().push(CaptureEntry {
             tenant: self.name.clone(),

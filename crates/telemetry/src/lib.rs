@@ -11,9 +11,8 @@
 //!   into, mergeable bucket-wise across processes, and good enough to
 //!   derive p50/p90/p99/max from.
 //! * [`Telemetry`] — the per-process registry: end-to-end latency per
-//!   `(tenant, route)`, phase timings per `(tenant, phase)`, free-form
-//!   named histograms and counters, and a bounded worst-N slow-query ring.
-//!   Recording is gated on an [`enabled`](Telemetry::set_enabled) flag
+//!   `(tenant, route)`, phase timings per `(tenant, phase)`, and
+//!   free-form named histograms and counters. Recording is gated on an [`enabled`](Telemetry::set_enabled) flag
 //!   (default **off**) so library users — `xknn batch`, the benches'
 //!   baseline arms — pay one relaxed atomic load and nothing else.
 //! * [`exposition`] — Prometheus text rendering, a total parser, and the
@@ -22,7 +21,9 @@
 //! * [`recorder`] — the always-on flight recorder: a bounded ring of
 //!   structured [`span`] events (reservoir-sampled traffic plus forced
 //!   anomaly capture) that the `trace` / `dump` control verbs reconstruct
-//!   into span trees and [`chrome`] trace-event dumps.
+//!   into span trees and [`chrome`] trace-event dumps. Its one query span
+//!   emitter ([`QuerySpans`]) runs after each query completes, and the
+//!   `slow` verb is a read of its forced ring ([`Recorder::slowest`]).
 //! * [`capture`] — the always-on black-box ring of raw served
 //!   request/response lines the `repro` verb turns into replayable
 //!   bundles, and the shadow-audit sampler whose background auditor
@@ -45,21 +46,18 @@ pub mod span;
 pub use capture::{AuditJob, AuditSampler, CaptureEntry, CaptureRing};
 pub use recorder::Recorder;
 pub use slo::{SloObjective, SloRegistry, SloStatus};
-pub use span::{SpanCtx, SpanEvent};
+pub use span::{QuerySpans, SlowQuery, SpanEvent};
 
 use exposition::{Family, Merge};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// Number of log2 buckets per histogram. Bucket `i` covers
 /// `[2^i, 2^(i+1))` µs (bucket 0 also absorbs 0; the last bucket absorbs
 /// everything ≥ 2^31 µs ≈ 36 minutes).
 pub const BUCKETS: usize = 32;
-
-/// How many entries the slow-query ring keeps (worst-N by wall time).
-pub const SLOW_RING_CAP: usize = 32;
 
 /// The bucket a microsecond value falls into (see [`BUCKETS`]).
 #[inline]
@@ -268,9 +266,10 @@ impl HistogramSnapshot {
 /// Per-query phase breakdown the engine fills while executing one request.
 ///
 /// The engine returns this next to the response (never inside it); the
-/// server layer adds admission wait and end-to-end wall time, then offers
-/// the combined record to the slow-query ring. All zeros when telemetry is
-/// disabled — the engine skips the clock reads entirely.
+/// serving layer adds admission wait and end-to-end wall time and, when
+/// the query is captured, hands all of it to the span emitter
+/// ([`QuerySpans`]). Timings are zero when telemetry is disabled — the
+/// engine skips the clock reads entirely.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryTrace {
     /// Cache outcome: `hit`, `revalidated`, `miss`, `coalesced`, or
@@ -287,54 +286,19 @@ pub struct QueryTrace {
     pub cache_us: u64,
     /// Solver time, µs.
     pub solve_us: u64,
+    /// Region polyhedra the engine's region streams yielded while this
+    /// query computed (misses only; engine-wide counters, so concurrent
+    /// computes blur it). Always filled.
+    pub region_yields: u64,
+    /// Regions those streams pruned meanwhile, over every rule (see
+    /// `region_yields`). Always filled.
+    pub region_pruned: u64,
     /// Did the effort budget demote the plan to the greedy heuristic?
     /// Always filled (it is a plan property, not a timing).
     pub demoted: bool,
     /// Did a cache hit fail guard revalidation (forcing a recompute)?
     /// Always filled.
     pub guard_failed: bool,
-}
-
-/// One entry of the slow-query ring: where a slow query's time went.
-///
-/// Phases are the server's decomposition of the end-to-end wall time:
-/// admission wait, plan selection, artifact builds this query paid for,
-/// cache lookup + guard revalidation, and the solver itself.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SlowQuery {
-    /// Tenant the query ran against.
-    pub tenant: String,
-    /// Request id (echoed wire id).
-    pub id: String,
-    /// The planner's route decision (the response's `route` member).
-    pub route: String,
-    /// Cache outcome: `hit`, `revalidated`, `miss`, or `coalesced`.
-    pub cache: String,
-    /// Dataset epoch the query answered at.
-    pub epoch: u64,
-    /// End-to-end wall time, µs.
-    pub total_us: u64,
-    /// Time queued for a global admission slot, µs.
-    pub admission_us: u64,
-    /// Planner time, µs.
-    pub plan_us: u64,
-    /// Artifact build time this query paid (builder-side only), µs.
-    pub artifact_us: u64,
-    /// Cache lookup + guard revalidation time, µs (sampled: the engine
-    /// times 1-in-N probes, so this is zero for most warm hits).
-    pub cache_us: u64,
-    /// Solver time, µs.
-    pub solve_us: u64,
-    /// Flight-recorder trace id, if the query was traced or sampled —
-    /// the `slow` → `trace <id>` drill-down link. `None` when the query
-    /// went uncaptured.
-    pub trace: Option<String>,
-    /// Capture reference into the black-box ring ([`capture`]): the
-    /// server connection the query arrived on. Together with `seq` this
-    /// is the `slow` → `repro` drill-down link.
-    pub conn: u64,
-    /// The query's sequence number within its connection (see `conn`).
-    pub seq: u64,
 }
 
 type LabeledHists = RwLock<BTreeMap<String, BTreeMap<String, Arc<Histogram>>>>;
@@ -397,12 +361,6 @@ pub struct Telemetry {
     /// Monotonic counters keyed by full series name (labels, if any,
     /// already rendered into the key).
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    /// Worst-N queries by wall time.
-    slow: Mutex<Vec<SlowQuery>>,
-    /// Admission threshold of the ring: 0 while it has room, else the
-    /// current minimum `total_us` — lets the hot path skip the lock (and
-    /// the entry's string allocations) for queries that cannot get in.
-    slow_floor: AtomicU64,
     /// The always-on flight recorder. Deliberately *not* gated on
     /// `enabled`: anomaly forensics must work on a default-configured
     /// process, and the recorder's unelected-path cost is one thread-local
@@ -545,60 +503,6 @@ impl Telemetry {
         if self.is_enabled() {
             self.counter(series).fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Offers a query taking `total_us` to the worst-N ring: admitted while
-    /// the ring has room, else only if slower than the current fastest entry
-    /// (which it replaces). No-op when disabled. Returns whether the entry
-    /// was admitted (the server uses this as its slow-anomaly signal).
-    ///
-    /// The entry is built lazily: a query that cannot beat the ring's
-    /// current floor costs one relaxed load — no lock, no string allocation.
-    pub fn record_slow_with(&self, total_us: u64, make: impl FnOnce() -> SlowQuery) -> bool {
-        if !self.is_enabled() || total_us <= self.slow_floor.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut ring = self.slow.lock().unwrap();
-        if ring.len() < SLOW_RING_CAP {
-            ring.push(make());
-        } else {
-            let Some((idx, min)) = ring
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.total_us)
-                .map(|(i, e)| (i, e.total_us))
-            else {
-                return false;
-            };
-            if total_us <= min {
-                return false;
-            }
-            ring[idx] = make();
-        }
-        let floor = if ring.len() < SLOW_RING_CAP {
-            0
-        } else {
-            ring.iter().map(|e| e.total_us).min().unwrap_or(0)
-        };
-        self.slow_floor.store(floor, Ordering::Relaxed);
-        true
-    }
-
-    /// Drains the slow-query ring, slowest first (ties broken by tenant
-    /// then id so the output is deterministic for a fixed ring).
-    pub fn drain_slow(&self) -> Vec<SlowQuery> {
-        let mut v = {
-            let mut ring = self.slow.lock().unwrap();
-            self.slow_floor.store(0, Ordering::Relaxed);
-            std::mem::take(&mut *ring)
-        };
-        v.sort_by(|a, b| {
-            b.total_us
-                .cmp(&a.total_us)
-                .then_with(|| a.tenant.cmp(&b.tenant))
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        v
     }
 
     /// Renders everything recorded so far as Prometheus text exposition.
@@ -778,34 +682,11 @@ mod tests {
         t.record_route("d", "classify", 10);
         t.record_phase("d", "solve", 10);
         t.add("c_total", 3);
-        t.record_slow_with(99, || SlowQuery { total_us: 99, ..SlowQuery::default() });
         assert_eq!(t.render(), "");
-        assert!(t.drain_slow().is_empty());
 
         t.set_enabled(true);
         t.record_route("d", "classify", 10);
         assert_eq!(t.route_histogram("d", "classify").snapshot().count, 1);
-    }
-
-    #[test]
-    fn slow_ring_keeps_worst_n() {
-        let t = Telemetry::new();
-        t.set_enabled(true);
-        for us in 0..(SLOW_RING_CAP as u64 + 8) {
-            t.record_slow_with(us, || SlowQuery {
-                id: format!("q{us}"),
-                total_us: us,
-                ..SlowQuery::default()
-            });
-        }
-        let drained = t.drain_slow();
-        assert_eq!(drained.len(), SLOW_RING_CAP);
-        // The 8 fastest were evicted; the slowest survives and sorts first.
-        assert_eq!(drained[0].total_us, SLOW_RING_CAP as u64 + 7);
-        assert!(drained.iter().all(|q| q.total_us >= 8));
-        assert!(drained.windows(2).all(|w| w[0].total_us >= w[1].total_us));
-        // Drain empties the ring.
-        assert!(t.drain_slow().is_empty());
     }
 
     #[test]

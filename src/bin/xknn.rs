@@ -59,8 +59,10 @@
 //!   --repro <sel>     one-shot: export a self-contained repro bundle for a
 //!                     captured query window (the `repro` verb). Selectors:
 //!                     `trace=ID`, `tenant=NAME`, or `conn=C,seq=S` (the
-//!                     reference `slow` entries carry). Replay it offline
-//!                     with `xknn replay`.
+//!                     reference each `slow` entry carries; `slow` reads,
+//!                     without draining, the 32 slowest queries the flight
+//!                     recorder retains). Replay it offline with
+//!                     `xknn replay`.
 //!   --out <file>      write the one-shot payload (`--trace-dump`, `--trace`,
 //!                     `--repro`, ...) to a file instead of stdout
 //!   --watch <secs>    repeat `--top` (or `--metrics`) every <secs>
