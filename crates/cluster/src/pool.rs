@@ -2,8 +2,9 @@
 //!
 //! A backend is either **attached** (a server someone else runs, named by
 //! address) or **spawned** (an `xknn serve` child process the router starts
-//! on an ephemeral port and owns — it is shut down with the router). Each
-//! backend carries:
+//! on an ephemeral port and owns — it is shut down with the router, and on
+//! Linux it is also sent `SIGTERM` when the router process dies, however it
+//! dies). Each backend carries:
 //!
 //! * a **health flag** — consulted at dispatch time. It is cleared the moment
 //!   any router thread sees the backend's TCP fail (connect, send, or
@@ -172,19 +173,32 @@ impl BackendPool {
     /// Spawns `xknn serve --addr 127.0.0.1:0 <extra_args>` as a child
     /// process, reads the `listening on <addr>` banner from its stdout, and
     /// registers it. The child is owned: [`BackendPool::shutdown_spawned`]
-    /// stops it with the router.
+    /// stops it with the router, and on Linux the kernel sends it `SIGTERM`
+    /// when the spawning thread exits (see [`die_with_parent`]) — for the
+    /// `xknn router` binary, which spawns from its main thread, when the
+    /// router process dies, `SIGTERM` and `SIGKILL` included.
     pub fn spawn(
         &self,
         xknn: &std::path::Path,
         extra_args: &[String],
     ) -> std::io::Result<Arc<Backend>> {
-        let mut child = Command::new(xknn)
+        let mut command = Command::new(xknn);
+        command
             .arg("serve")
             .args(["--addr", "127.0.0.1:0"])
             .args(extra_args)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()?;
+            .stderr(Stdio::null());
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::unix::process::CommandExt as _;
+            let router = std::process::id();
+            // SAFETY: the hook runs in the forked child before `exec` and
+            // makes only async-signal-safe calls (`prctl`, `getppid`); it
+            // does not allocate.
+            unsafe { command.pre_exec(move || die_with_parent(router)) };
+        }
+        let mut child = command.spawn()?;
         let mut banner = String::new();
         let read = {
             use std::io::BufRead;
@@ -242,6 +256,30 @@ impl BackendPool {
             }
         }
     }
+}
+
+/// `prctl(PR_SET_PDEATHSIG, SIGTERM)` in a freshly forked child: the
+/// kernel signals the child when the thread that forked it exits, which
+/// covers a router killed by a signal, where no `Drop` runs. A router that
+/// died between the fork and this call would never signal, so the child
+/// checks that it is still `router`'s and otherwise fails the spawn.
+#[cfg(target_os = "linux")]
+fn die_with_parent(router: u32) -> std::io::Result<()> {
+    use std::ffi::{c_int, c_ulong};
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    const PR_SET_PDEATHSIG: c_int = 1;
+    const SIGTERM: c_ulong = 15;
+    const ESRCH: i32 = 3;
+    // SAFETY: PR_SET_PDEATHSIG takes one integer argument, the signal.
+    if unsafe { prctl(PR_SET_PDEATHSIG, SIGTERM) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    if std::os::unix::process::parent_id() != router {
+        return Err(std::io::Error::from_raw_os_error(ESRCH));
+    }
+    Ok(())
 }
 
 impl Drop for BackendPool {

@@ -23,14 +23,45 @@
 //!   the fallback. A positive-target witness is nudged too whenever the
 //!   radius leaves room, so that it flips the label in `f64` as well, not
 //!   only under the exact tie rule.
+//!
+//! **One gated walk.** `infimum`, `within` and `closest` share one loop over
+//! the regions, nearest-anchor-first. Once a bound is in force (the best
+//! distance so far, or the ball's radius), a region is skipped when one of
+//! its rows puts it beyond the bound: `x̄` violates `g·ȳ ≤ h` by more than
+//! `√bound·‖g‖`. The rows of `(A, B)` are the bisector rows `(ā, c̄)` with
+//! `ā ∈ A` and `c̄ ∉ B`, so the test needs no polyhedron: the gate
+//! evaluates the rows of `A` against every opposite point from the points
+//! themselves, nearest opposite points first, before any region of `A` is
+//! fetched. It rules `A` out when more than `|B| = ⌊k/2⌋` opposite points
+//! fire, and otherwise skips every `B` that leaves out a firing one. When a
+//! projection tightens the bound, the rest of `A` is re-gated.
+//!
+//! `closest` returns the infimum and the witness `within(x̄, radius_of(inf))`
+//! answers from one walk: the witness is read off the projections the
+//! infimum walk already solved, in walk order (a QP from the same anchor on
+//! the same polyhedron returns the same bits), as long as every region
+//! passed over before them was ruled out at a bound no smaller than the
+//! radius, which `within` would rule out as well. In the rare case that
+//! does not hold (a failed interior nudge, a radius below an earlier
+//! incumbent), `within`'s own walk decides.
+//!
+//! **Why the answers are unchanged.** The gate computes each row with
+//! [`bisector_row`]'s arithmetic, operation for operation, so a row fires
+//! at the gate iff it fires on the memoized polyhedron, in `f64` too. The
+//! visit order stays nearest-anchor-first and the gate skips exactly the
+//! regions the per-region test would, so the sequence of projections and
+//! incumbents is the same as a walk that tests every region.
+//!
+//! [`bisector_row`]: crate::regions::bisector_row
 
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, QueryRegions};
+use crate::regions::{LazyRegions, QueryRegions, RegionSpec};
 use knn_lp::{LpProblem, Rel};
 use knn_num::field::{dot, norm_sq};
 use knn_num::Field;
 use knn_qp::{project_onto_polyhedron_from, Polyhedron, QpOutcome};
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
+use std::sync::Arc;
 
 /// The infimum of the counterfactual distance and how it is realized.
 #[derive(Clone, Debug)]
@@ -47,11 +78,11 @@ pub struct CfInfimum<F> {
 /// Counterfactual engine for the ℓ2 setting.
 ///
 /// The constructor fixes whether the Prop 1 polyhedra are memoized in a
-/// shared [`LazyRegions`] view; every operation enumerates them
-/// nearest-anchor-first and pruned
-/// ([`RegionStream::for_query`](crate::regions::RegionStream::for_query)),
-/// and runs projection QPs only on regions the cheap halfspace lower bound
-/// cannot rule out.
+/// shared [`LazyRegions`] view. Every operation is one walk over the
+/// regions nearest-anchor-first, pruned, and gated: an anchor set's regions
+/// are fetched only when the halfspace lower bound, evaluated from the
+/// points, cannot rule them out, and projection QPs run only on the regions
+/// it admits.
 #[derive(Clone, Debug)]
 pub struct L2Counterfactual<'a, F> {
     ds: &'a ContinuousDataset<F>,
@@ -80,41 +111,20 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
         ContinuousKnn::new(self.ds, LpMetric::L2, self.k)
     }
 
-    /// The polyhedra of the region `x` is not in, ordered for `x`.
-    fn regions_for(&self, x: &[F]) -> QueryRegions<'a, F> {
-        QueryRegions::new(self.ds, self.k, self.regions, x)
+    /// The polyhedra of the region `x` is not in, ordered for `x`, and the
+    /// gate that rules their anchor sets out.
+    fn regions_for<'x>(&self, x: &'x [F]) -> (QueryRegions<'a, F>, Gate<'a, 'x, F>) {
+        let regions = QueryRegions::new(self.ds, self.k, self.regions, x);
+        let gate = Gate::new(self.ds, self.k, regions.target(), x);
+        (regions, gate)
     }
 
     /// The infimum counterfactual distance (squared), with a closure witness.
     /// `None` if the opposite region is empty.
     pub fn infimum(&self, x: &[F]) -> Option<CfInfimum<F>> {
-        let regions = self.regions_for(x);
-        let target = regions.target();
-        let mut best: Option<CfInfimum<F>> = None;
-        for (poly, spec) in regions.polyhedra() {
-            // Incumbent pruning: if a single violated halfspace already puts
-            // the whole region farther than the best distance found, the QP
-            // cannot improve it (ties keep the earlier incumbent anyway).
-            if let Some(b) = &best {
-                if lower_bound_exceeds(x, &poly, &b.dist_sq) {
-                    continue;
-                }
-            }
-            let anchor = spec.anchor_point(self.ds);
-            // The open piece of a negative target contributes only if nonempty.
-            if target == Label::Negative && !has_interior(&poly, &anchor) {
-                continue;
-            }
-            if let QpOutcome::Optimal { y, dist_sq } =
-                project_onto_polyhedron_from(x, &poly, Some(&anchor))
-            {
-                if best.as_ref().is_none_or(|b| dist_sq < b.dist_sq) {
-                    let attained = target == Label::Positive || poly.contains_strictly(&y);
-                    best = Some(CfInfimum { dist_sq, closure_witness: y, attained });
-                }
-            }
-        }
-        best
+        let (regions, gate) = self.regions_for(x);
+        let solved = self.solve(&regions, &gate, x);
+        infimum_of(&solved, regions.target())
     }
 
     /// `k`-Counterfactual Explanation(ℝ, D₂): is there `ȳ` with
@@ -124,50 +134,216 @@ impl<'a, F: Field> L2Counterfactual<'a, F> {
     ///
     /// `radius_sq` is `ℓ²` (squared, to stay in the field).
     pub fn within(&self, x: &[F], radius_sq: &F) -> Option<Vec<F>> {
-        let regions = self.regions_for(x);
+        let (regions, gate) = self.regions_for(x);
+        self.first_witness(&regions, &gate, x, radius_sq)
+    }
+
+    /// The infimum together with the witness `within(x, radius_of(inf))`
+    /// answers, from one walk: the serving path's closest counterfactual.
+    /// The witness is read off the projections the infimum walk solved, in
+    /// walk order, as long as every region the walk passed over before them
+    /// was ruled out at a bound no smaller than the radius (so `within`
+    /// would rule it out too); otherwise, which takes a failed interior
+    /// nudge or a radius below an earlier incumbent, `within`'s own walk
+    /// decides. `None` if the opposite region is empty; a `None` witness
+    /// means `within` finds none at that radius.
+    pub fn closest(
+        &self,
+        x: &[F],
+        radius_of: impl FnOnce(&F) -> F,
+    ) -> Option<(CfInfimum<F>, Option<Vec<F>>)> {
+        let (regions, gate) = self.regions_for(x);
         let target = regions.target();
-        for (poly, spec) in regions.polyhedra() {
-            // A single violated halfspace farther than the radius rules the
-            // region out without a QP.
-            if lower_bound_exceeds(x, &poly, radius_sq) {
-                continue;
-            }
-            let anchor = spec.anchor_point(self.ds);
-            if target == Label::Negative && !has_interior(&poly, &anchor) {
-                continue;
-            }
-            let QpOutcome::Optimal { y, dist_sq } =
-                project_onto_polyhedron_from(x, &poly, Some(&anchor))
-            else {
-                continue;
-            };
-            let fits = !(dist_sq.clone() - radius_sq.clone()).is_positive();
-            let room = (radius_sq.clone() - dist_sq).is_positive();
-            let witness = match target {
-                // The projection onto the closed region is a witness once it
-                // fits the ball, but it sits on a bisector, where a rounding
-                // error can leave an `f64` point on the wrong side. When the
-                // radius leaves room, step strictly inside; without room or
-                // interior the boundary point stands, which the optimistic
-                // rule classifies positively (§2).
-                Label::Positive if room => {
-                    Some(nudge_into_interior(x, &poly, &y, &anchor, radius_sq).unwrap_or(y))
+        let solved = self.solve(&regions, &gate, x);
+        let inf = infimum_of(&solved, target)?;
+        let radius_sq = radius_of(&inf.dist_sq);
+        let replayed = || {
+            for s in &solved {
+                if s.bound.as_ref().is_some_and(|b| *b < radius_sq) {
+                    return None;
                 }
-                Label::Positive if fits => Some(y),
-                // Strictly inside the ball is required (Thm 2 proof).
-                Label::Negative if room => nudge_into_interior(x, &poly, &y, &anchor, radius_sq),
-                _ => None,
+                if !fits(&s.dist_sq, &radius_sq) || gate.rules_out(&s.spec, &radius_sq) {
+                    continue;
+                }
+                if let Some(w) = self.witness_at(x, s, &radius_sq, target) {
+                    return Some(w);
+                }
+            }
+            None
+        };
+        let witness = replayed().or_else(|| self.first_witness(&regions, &gate, x, &radius_sq));
+        Some((inf, witness))
+    }
+
+    /// The infimum walk: every projection solved, in walk order, the bound
+    /// tightening to each new best distance.
+    fn solve(
+        &self,
+        regions: &QueryRegions<'a, F>,
+        gate: &Gate<'_, '_, F>,
+        x: &[F],
+    ) -> Vec<Solved<F>> {
+        let mut solved: Vec<Solved<F>> = Vec::new();
+        self.walk(regions, gate, x, None, |s| {
+            // Ties keep the earlier incumbent.
+            let step = if s.bound.as_ref().is_none_or(|b| s.dist_sq < *b) {
+                Step::Tighten(s.dist_sq.clone())
+            } else {
+                Step::Next
             };
-            if let Some(w) = witness {
-                debug_assert!(
-                    !F::exact() || self.classifier().classify(&w) == target,
-                    "exact witness must classify as target"
-                );
-                return Some(w);
+            solved.push(s);
+            step
+        });
+        solved
+    }
+
+    /// `within`'s walk: the first region whose projection yields a witness
+    /// inside the ball.
+    fn first_witness(
+        &self,
+        regions: &QueryRegions<'a, F>,
+        gate: &Gate<'_, '_, F>,
+        x: &[F],
+        radius_sq: &F,
+    ) -> Option<Vec<F>> {
+        let target = regions.target();
+        let mut witness = None;
+        self.walk(regions, gate, x, Some(radius_sq.clone()), |s| {
+            witness = self.witness_at(x, &s, radius_sq, target);
+            if witness.is_some() {
+                Step::Stop
+            } else {
+                Step::Next
+            }
+        });
+        witness
+    }
+
+    /// The one region walk. Anchor sets come nearest-anchor-first; once a
+    /// bound is in force, [`Gate::fired`] rules an anchor set out, or names
+    /// the opposite points every admissible `B` must exclude, before any of
+    /// its polyhedra is fetched. Each admitted region with an interior (a
+    /// negative target's regions are open) is projected from its anchor
+    /// point and handed to `visit`, which may tighten the bound for the rest
+    /// of the walk.
+    fn walk(
+        &self,
+        regions: &QueryRegions<'a, F>,
+        gate: &Gate<'_, '_, F>,
+        x: &[F],
+        mut bound: Option<F>,
+        mut visit: impl FnMut(Solved<F>) -> Step<F>,
+    ) {
+        let target = regions.target();
+        let mut stream = regions.polyhedra();
+        for anchors in regions.order().iter() {
+            let mut required = Vec::new();
+            if let Some(b) = &bound {
+                match gate.fired(anchors, b) {
+                    Some(fired) => required = fired,
+                    None => continue,
+                }
+            }
+            let mut set = stream.anchor_set(anchors);
+            while let Some((poly, spec)) = set.next_containing(&required) {
+                let anchor = spec.anchor_point(self.ds);
+                if target == Label::Negative && !has_interior(&poly, &anchor) {
+                    continue;
+                }
+                let QpOutcome::Optimal { y, dist_sq } =
+                    project_onto_polyhedron_from(x, &poly, Some(&anchor))
+                else {
+                    continue;
+                };
+                match visit(Solved { poly, spec, anchor, y, dist_sq, bound: bound.clone() }) {
+                    Step::Next => {}
+                    Step::Stop => return,
+                    // The new bound re-gates the rest of this anchor set;
+                    // at k = 1 (`B = ∅`) the set has no other region.
+                    Step::Tighten(b) if gate.excluded == 0 => bound = Some(b),
+                    Step::Tighten(b) => {
+                        let fired = gate.fired(anchors, &b);
+                        bound = Some(b);
+                        match fired {
+                            Some(fired) => required = fired,
+                            None => break,
+                        }
+                    }
+                }
             }
         }
-        None
     }
+
+    /// The witness a projection `s` yields inside the ball of squared radius
+    /// `radius_sq`, if any.
+    fn witness_at(&self, x: &[F], s: &Solved<F>, radius_sq: &F, target: Label) -> Option<Vec<F>> {
+        let room = (radius_sq.clone() - s.dist_sq.clone()).is_positive();
+        let (poly, y, anchor) = (&*s.poly, &s.y, &s.anchor);
+        let witness = match target {
+            // The projection onto the closed region is a witness once it
+            // fits the ball, but it sits on a bisector, where a rounding
+            // error can leave an `f64` point on the wrong side. When the
+            // radius leaves room, step strictly inside; without room or
+            // interior the boundary point stands, which the optimistic
+            // rule classifies positively (§2).
+            Label::Positive if room => {
+                Some(nudge_into_interior(x, poly, y, anchor, radius_sq).unwrap_or(y.clone()))
+            }
+            Label::Positive if fits(&s.dist_sq, radius_sq) => Some(y.clone()),
+            // Strictly inside the ball is required (Thm 2 proof).
+            Label::Negative if room => nudge_into_interior(x, poly, y, anchor, radius_sq),
+            _ => None,
+        };
+        if let Some(w) = &witness {
+            debug_assert!(
+                !F::exact() || self.classifier().classify(w) == target,
+                "exact witness must classify as target"
+            );
+        }
+        witness
+    }
+}
+
+/// What a walk's visitor asks for after a projection.
+enum Step<F> {
+    /// Go on under the same bound.
+    Next,
+    /// Go on, ruling out every region farther than this squared distance.
+    Tighten(F),
+    /// End the walk.
+    Stop,
+}
+
+/// One projection a walk solved: the region, its anchor point, the
+/// projection `y` of `x̄` and its squared distance, and the bound in force
+/// when the walk reached it (`None` before the first tightening).
+struct Solved<F> {
+    poly: Arc<Polyhedron<F>>,
+    spec: RegionSpec,
+    anchor: Vec<F>,
+    y: Vec<F>,
+    dist_sq: F,
+    bound: Option<F>,
+}
+
+/// The first projection at the least distance, as a [`CfInfimum`].
+fn infimum_of<F: Field>(solved: &[Solved<F>], target: Label) -> Option<CfInfimum<F>> {
+    let mut best: Option<&Solved<F>> = None;
+    for s in solved {
+        if best.is_none_or(|b| s.dist_sq < b.dist_sq) {
+            best = Some(s);
+        }
+    }
+    best.map(|s| CfInfimum {
+        dist_sq: s.dist_sq.clone(),
+        closure_witness: s.y.clone(),
+        attained: target == Label::Positive || s.poly.contains_strictly(&s.y),
+    })
+}
+
+/// `dist_sq ≤ radius_sq` under the field's sign test.
+fn fits<F: Field>(dist_sq: &F, radius_sq: &F) -> bool {
+    !(dist_sq.clone() - radius_sq.clone()).is_positive()
 }
 
 /// Whether the open polyhedron is nonempty: the O(rows) test of the anchor
@@ -177,23 +353,104 @@ fn has_interior<F: Field>(poly: &Polyhedron<F>, anchor: &[F]) -> bool {
     poly.contains_strictly(anchor) || poly.strict_feasible_point().is_some()
 }
 
-/// A cheap lower bound on `d²(x̄, P)`: for any inequality row `g·y ≤ h` that
-/// `x̄` violates, every point of `P` is at least `(g·x̄ − h)/‖g‖` away, so
-/// `P` can be skipped whenever `(g·x̄ − h)² > bound_sq·‖g‖²` for some row.
-/// The comparison is made through the field's sign test (tolerance-guarded
-/// for `f64`), so the skip is conservative and deterministic.
-fn lower_bound_exceeds<F: Field>(x: &[F], poly: &Polyhedron<F>, bound_sq: &F) -> bool {
-    for (g, h) in poly.ineqs() {
-        let viol = dot(g, x) - h.clone();
-        if !viol.is_positive() {
-            continue;
+/// The halfspace lower bound at the level of anchor sets, evaluated from
+/// the points before any polyhedron is fetched.
+///
+/// For any row `g·ȳ ≤ h` that `x̄` violates, every point of the region is at
+/// least `(g·x̄ − h)/‖g‖` away, so a region lies beyond `bound` (a squared
+/// distance) whenever one of its rows *fires*:
+/// `(g·x̄ − h)² − bound·‖g‖²` is positive under [`Field::is_positive`]. The
+/// rows of region `(A, B)` are the bisector rows `(ā, c̄)` for `ā ∈ A` and
+/// `c̄ ∉ B`, so with `C` the opposite points that fire against some anchor,
+/// the region lies beyond `bound` iff `C ⊄ B`: every region of `A` does when
+/// `|C| > |B|`. The rows are evaluated with [`bisector_row`]'s arithmetic,
+/// operation for operation, so a row fires here iff it fires on the
+/// memoized polyhedron. Firing is monotone in `bound`: a row that fires at
+/// a bound fires at every smaller one, in `f64` too.
+///
+/// [`bisector_row`]: crate::regions::bisector_row
+struct Gate<'a, 'x, F> {
+    ds: &'a ContinuousDataset<F>,
+    x: &'x [F],
+    /// The opposite class, in the region stream's positions.
+    others: Vec<usize>,
+    /// Positions into `others`, nearest to `x̄` first (ties by position):
+    /// the rows most violated come first, so the scan usually ends early.
+    scan: Vec<usize>,
+    /// `‖p‖²` for every dataset point, as [`bisector_row`] computes it.
+    ///
+    /// [`bisector_row`]: crate::regions::bisector_row
+    norms: Vec<F>,
+    /// `|B|`.
+    excluded: usize,
+}
+
+impl<'a, 'x, F: Field> Gate<'a, 'x, F> {
+    fn new(ds: &'a ContinuousDataset<F>, k: OddK, target: Label, x: &'x [F]) -> Self {
+        let others = ds.indices_of(target.flip());
+        let dist: Vec<F> = others
+            .iter()
+            .map(|&c| {
+                x.iter().zip(ds.point(c)).fold(F::zero(), |acc, (a, b)| {
+                    let d = a.clone() - b.clone();
+                    acc + d.clone() * d
+                })
+            })
+            .collect();
+        let mut scan: Vec<usize> = (0..others.len()).collect();
+        scan.sort_by(|&i, &j| {
+            dist[i].partial_cmp(&dist[j]).unwrap_or(std::cmp::Ordering::Equal).then(i.cmp(&j))
+        });
+        let norms = (0..ds.len()).map(|i| norm_sq(ds.point(i))).collect();
+        let excluded = k.minority().min(others.len());
+        Gate { ds, x, others, scan, norms, excluded }
+    }
+
+    /// The positions of the opposite points that fire against some anchor
+    /// of `anchors` at `bound`, ascending; `None` when more than `|B|` do,
+    /// i.e. when every region of the anchor set lies beyond `bound`.
+    fn fired(&self, anchors: &[usize], bound: &F) -> Option<Vec<usize>> {
+        let mut fired = Vec::new();
+        for &p in &self.scan {
+            if anchors.iter().any(|&a| self.fires(a, self.others[p], bound)) {
+                if fired.len() == self.excluded {
+                    return None;
+                }
+                fired.push(p);
+            }
         }
-        let g_sq = norm_sq(g);
-        if (viol.clone() * viol - bound_sq.clone() * g_sq).is_positive() {
-            return true;
+        fired.sort_unstable();
+        Some(fired)
+    }
+
+    /// Whether the region lies beyond `bound`: the per-region halfspace
+    /// test, decided from the points.
+    fn rules_out(&self, spec: &RegionSpec, bound: &F) -> bool {
+        match self.fired(&spec.anchors, bound) {
+            None => true,
+            Some(fired) => {
+                fired.iter().any(|&p| spec.excluded.binary_search(&self.others[p]).is_err())
+            }
         }
     }
-    false
+
+    /// Whether the bisector row `(a, c)` fires at `bound`. Computes
+    /// `g = 2(c̄ − ā)`, `h = ‖c̄‖² − ‖ā‖²`, `g·x̄` and `‖g‖²` exactly as
+    /// [`bisector_row`], `dot` and `norm_sq` do, without building the row.
+    ///
+    /// [`bisector_row`]: crate::regions::bisector_row
+    fn fires(&self, a: usize, c: usize, bound: &F) -> bool {
+        let mut gx = F::zero();
+        let mut g_sq = F::zero();
+        for ((ai, ci), xi) in self.ds.point(a).iter().zip(self.ds.point(c)).zip(self.x) {
+            let d = ci.clone() - ai.clone();
+            let g = d.clone() + d;
+            gx = gx + g.clone() * xi.clone();
+            g_sq = g_sq + g.clone() * g;
+        }
+        let viol = gx - (self.norms[c].clone() - self.norms[a].clone());
+        viol.is_positive() && (viol.clone() * viol - bound.clone() * g_sq).is_positive()
+    }
 }
 
 /// Corollary 2's witness construction: from a closure point `y` at distance

@@ -163,9 +163,8 @@ impl MultiLabelContinuous {
         let label = self.classify_1nn(LpMetric::L2, x);
         let merged = self.one_vs_rest(label);
         let cf = L2Counterfactual::new(&merged, OddK::ONE);
-        let inf = cf.infimum(x)?;
-        let witness = cf.within(x, &(inf.dist_sq * 1.0001 + 1e-12))?;
-        Some((witness, inf.dist_sq.sqrt()))
+        let (inf, witness) = cf.closest(x, |d| d * 1.0001 + 1e-12)?;
+        Some((witness?, inf.dist_sq.sqrt()))
     }
 }
 

@@ -111,28 +111,57 @@ impl Iterator for Combinations {
             return None;
         }
         let current = self.idx.clone();
-        let r = self.idx.len();
-        if r == 0 {
-            self.done = true;
-            return Some(current);
-        }
-        // Advance to the next combination.
-        let mut i = r;
-        loop {
-            if i == 0 {
-                self.done = true;
-                break;
-            }
-            i -= 1;
-            if self.idx[i] != i + self.n - r {
-                self.idx[i] += 1;
-                for j in i + 1..r {
-                    self.idx[j] = self.idx[j - 1] + 1;
-                }
-                break;
-            }
-        }
+        self.done = !advance_combination(&mut self.idx, self.n);
         Some(current)
+    }
+}
+
+/// Steps `idx`, an ascending `r`-subset of `0..n`, to its lexicographic
+/// successor in place; `false` (leaving `idx` unspecified) after the last.
+fn advance_combination(idx: &mut [usize], n: usize) -> bool {
+    let r = idx.len();
+    for i in (0..r).rev() {
+        if idx[i] != i + n - r {
+            idx[i] += 1;
+            for j in i + 1..r {
+                idx[j] = idx[j - 1] + 1;
+            }
+            return true;
+        }
+    }
+    false
+}
+
+/// The lexicographic successor of `last` (the first subset when `None`)
+/// among the `r`-subsets of `0..n` that contain every position of
+/// `required` (ascending, `|required| ≤ r`), written into `last`; `false`
+/// once none is left. When `required` already has `r` members it is the
+/// only candidate, reached in one step.
+fn next_superset(last: &mut Option<Vec<usize>>, n: usize, r: usize, required: &[usize]) -> bool {
+    if required.len() == r {
+        if last.as_deref().is_some_and(|b| b >= required) {
+            return false;
+        }
+        *last = Some(required.to_vec());
+        return true;
+    }
+    let b = match last {
+        Some(b) => {
+            if !advance_combination(b, n) {
+                return false;
+            }
+            b
+        }
+        None if r > n => return false,
+        None => last.insert((0..r).collect()),
+    };
+    loop {
+        if required.iter().all(|p| b.binary_search(p).is_ok()) {
+            return true;
+        }
+        if !advance_combination(b, n) {
+            return false;
+        }
     }
 }
 
@@ -520,43 +549,68 @@ pub struct RegionStream<'a, F: Field> {
     strict: bool,
     prune: bool,
     memo: Option<&'a RegionMemo<F>>,
-    a_sets: AnchorOrder,
+    a_sets: Arc<AnchorOrder>,
     a_pos: usize,
-    cur: Option<(Vec<usize>, Combinations)>,
+    /// The last excluded set visited for `a_sets[a_pos]`, as positions into
+    /// `others`; `None` before its first.
+    b: Option<Vec<usize>>,
     scratch_mask: Vec<bool>,
     counters: Option<&'a RegionCounters>,
 }
 
 /// The emission order of anchor sets for one `(dataset, k, target, query)`
-/// tuple, shareable across streams. Greedy-deletion and hitting-set loops
-/// re-check the same point many times; computing this once per query point
-/// (instead of once per check) removes the `Θ(C(n, maj) log C(n, maj))`
-/// floor those loops would otherwise pay on every iteration.
-pub type AnchorOrder = Arc<Vec<Vec<usize>>>;
+/// tuple, the `maj`-sets laid end to end, shareable across streams.
+/// Greedy-deletion and hitting-set loops re-check the same point many times;
+/// computing this once per query point (instead of once per check) removes
+/// the `Θ(C(n, maj) log C(n, maj))` floor those loops would otherwise pay on
+/// every iteration.
+#[derive(Debug)]
+pub(crate) struct AnchorOrder {
+    maj: usize,
+    flat: Vec<usize>,
+}
+
+impl AnchorOrder {
+    /// The anchor sets in emission order, each ascending.
+    pub(crate) fn iter(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.flat.chunks_exact(self.maj)
+    }
+
+    fn get(&self, i: usize) -> Option<&[usize]> {
+        self.flat.get(i * self.maj..(i + 1) * self.maj)
+    }
+}
 
 /// The anchor sets of the `target` region in emission order: canonical
 /// (lexicographic) without a query point, nearest-anchor-first (ascending
 /// [`anchor_key`], canonical ties) with one.
-pub fn anchor_order<F: Field>(
+fn anchor_order<F: Field>(
     ds: &ContinuousDataset<F>,
     k: OddK,
     target: Label,
     query: Option<&[F]>,
-) -> AnchorOrder {
+) -> Arc<AnchorOrder> {
     let same = ds.indices_of(target);
     let maj = k.majority();
-    let mut a_sets: Vec<Vec<usize>> = Combinations::new(same.len(), maj)
-        .map(|positions| positions.iter().map(|&i| same[i]).collect())
-        .collect();
+    let mut flat = Vec::new();
+    let mut positions: Vec<usize> = (0..maj).collect();
+    if maj <= same.len() {
+        loop {
+            flat.extend(positions.iter().map(|&i| same[i]));
+            if !advance_combination(&mut positions, same.len()) {
+                break;
+            }
+        }
+    }
     if let Some(x) = query {
-        let keys: Vec<F> = a_sets.iter().map(|a| anchor_key(ds, x, a)).collect();
-        let mut order: Vec<usize> = (0..a_sets.len()).collect();
-        order.sort_by(|&i, &j| {
+        let keys: Vec<F> = flat.chunks_exact(maj).map(|a| anchor_key(ds, x, a)).collect();
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_unstable_by(|&i, &j| {
             keys[i].partial_cmp(&keys[j]).unwrap_or(std::cmp::Ordering::Equal).then(i.cmp(&j))
         });
-        a_sets = order.into_iter().map(|i| std::mem::take(&mut a_sets[i])).collect();
+        flat = order.iter().flat_map(|&i| flat[i * maj..(i + 1) * maj].iter().copied()).collect();
     }
-    Arc::new(a_sets)
+    Arc::new(AnchorOrder { maj, flat })
 }
 
 impl<'a, F: Field> RegionStream<'a, F> {
@@ -576,11 +630,11 @@ impl<'a, F: Field> RegionStream<'a, F> {
 
     /// [`RegionStream::new`] over a precomputed [`AnchorOrder`] — the repeat
     /// callers' path (greedy / hitting-set loops over one query point).
-    pub fn with_order(
+    fn with_order(
         ds: &'a ContinuousDataset<F>,
         k: OddK,
         target: Label,
-        order: AnchorOrder,
+        order: Arc<AnchorOrder>,
         prune: bool,
         memo: Option<&'a RegionMemo<F>>,
     ) -> Self {
@@ -601,7 +655,7 @@ impl<'a, F: Field> RegionStream<'a, F> {
             memo,
             a_sets: order,
             a_pos: 0,
-            cur: None,
+            b: None,
             scratch_mask,
             counters: None,
         }
@@ -631,6 +685,87 @@ impl<'a, F: Field> RegionStream<'a, F> {
     ) -> Self {
         RegionStream::new(ds, k, target, Some(x), true, memo)
     }
+
+    /// The regions `(anchors, B)` of one anchor set, in the order the
+    /// stream emits them, restricted by the caller as it goes (see
+    /// [`AnchorSetRegions::next_containing`]). The stream's own anchor
+    /// order is not consulted.
+    pub(crate) fn anchor_set<'s>(
+        &'s mut self,
+        anchors: &'s [usize],
+    ) -> AnchorSetRegions<'s, 'a, F> {
+        AnchorSetRegions { stream: self, anchors, b: None, done: false }
+    }
+
+    /// The region `(anchors, B)` with `B` given as positions into
+    /// `others`: the memoized verdict or polyhedron when there is one, else
+    /// the rows built, pruned and memoized. `None` when it is pruned.
+    fn fetch(
+        &mut self,
+        anchors: &[usize],
+        b_positions: &[usize],
+    ) -> Option<(Arc<Polyhedron<F>>, RegionSpec)> {
+        self.scratch_mask.iter_mut().for_each(|m| *m = false);
+        for &bj in b_positions {
+            self.scratch_mask[bj] = true;
+        }
+        let excluded: Vec<usize> = b_positions.iter().map(|&bj| self.others[bj]).collect();
+        let spec = RegionSpec { anchors: anchors.to_vec(), excluded };
+        if let Some(memo) = self.memo {
+            match memo.get(&spec) {
+                Some(MemoEntry::Pruned) => {
+                    if let Some(c) = self.counters {
+                        c.memo_pruned.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return None;
+                }
+                Some(MemoEntry::Poly(p)) => {
+                    if let Some(c) = self.counters {
+                        c.yields.fetch_add(1, Ordering::Relaxed);
+                    }
+                    crate::tally::bump_region_yields();
+                    return Some((p, spec));
+                }
+                None => {}
+            }
+        }
+        // Rows are built once and shared by the pruner and the kept
+        // polyhedron — row construction dominates the cold pass.
+        let rows = region_rows(self.ds, &spec.anchors, &self.others, &self.scratch_mask);
+        if self.prune {
+            if let Some(reason) = prune_region_masked(
+                self.ds,
+                &spec.anchors,
+                &self.others,
+                &self.scratch_mask,
+                &spec.excluded,
+                self.strict,
+                &rows,
+            ) {
+                if let Some(c) = self.counters {
+                    match reason {
+                        PruneReason::Empty => c.pruned_empty.fetch_add(1, Ordering::Relaxed),
+                        PruneReason::Dominated(_) => {
+                            c.pruned_dominated.fetch_add(1, Ordering::Relaxed)
+                        }
+                    };
+                }
+                if let Some(memo) = self.memo {
+                    memo.insert(spec, MemoEntry::Pruned);
+                }
+                return None;
+            }
+        }
+        let poly = Arc::new(polyhedron_from_rows(self.ds.dim(), rows));
+        if let Some(memo) = self.memo {
+            memo.insert(spec.clone(), MemoEntry::Poly(poly.clone()));
+        }
+        if let Some(c) = self.counters {
+            c.yields.fetch_add(1, Ordering::Relaxed);
+        }
+        crate::tally::bump_region_yields();
+        Some((poly, spec))
+    }
 }
 
 impl<F: Field> Iterator for RegionStream<'_, F> {
@@ -638,77 +773,56 @@ impl<F: Field> Iterator for RegionStream<'_, F> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.cur.is_none() {
-                let anchors = self.a_sets.get(self.a_pos)?.clone();
+            let a_sets = self.a_sets.clone();
+            let anchors = a_sets.get(self.a_pos)?;
+            if !next_superset(&mut self.b, self.others.len(), self.min_sz, &[]) {
                 self.a_pos += 1;
-                self.cur = Some((anchors, Combinations::new(self.others.len(), self.min_sz)));
-            }
-            let (anchors, b_iter) = self.cur.as_mut().unwrap();
-            let Some(b_positions) = b_iter.next() else {
-                self.cur = None;
+                self.b = None;
                 continue;
-            };
-            self.scratch_mask.iter_mut().for_each(|m| *m = false);
-            for &bj in &b_positions {
-                self.scratch_mask[bj] = true;
             }
-            let excluded: Vec<usize> = b_positions.iter().map(|&bj| self.others[bj]).collect();
-            let spec = RegionSpec { anchors: anchors.clone(), excluded };
-            if let Some(memo) = self.memo {
-                match memo.get(&spec) {
-                    Some(MemoEntry::Pruned) => {
-                        if let Some(c) = self.counters {
-                            c.memo_pruned.fetch_add(1, Ordering::Relaxed);
-                        }
-                        continue;
-                    }
-                    Some(MemoEntry::Poly(p)) => {
-                        if let Some(c) = self.counters {
-                            c.yields.fetch_add(1, Ordering::Relaxed);
-                        }
-                        crate::tally::bump_region_yields();
-                        return Some((p, spec));
-                    }
-                    None => {}
-                }
+            let b = self.b.take().expect("next_superset wrote a subset");
+            let region = self.fetch(anchors, &b);
+            self.b = Some(b);
+            if region.is_some() {
+                return region;
             }
-            // Rows are built once and shared by the pruner and the kept
-            // polyhedron — row construction dominates the cold pass.
-            let rows = region_rows(self.ds, &spec.anchors, &self.others, &self.scratch_mask);
-            if self.prune {
-                if let Some(reason) = prune_region_masked(
-                    self.ds,
-                    &spec.anchors,
-                    &self.others,
-                    &self.scratch_mask,
-                    &spec.excluded,
-                    self.strict,
-                    &rows,
-                ) {
-                    if let Some(c) = self.counters {
-                        match reason {
-                            PruneReason::Empty => c.pruned_empty.fetch_add(1, Ordering::Relaxed),
-                            PruneReason::Dominated(_) => {
-                                c.pruned_dominated.fetch_add(1, Ordering::Relaxed)
-                            }
-                        };
-                    }
-                    if let Some(memo) = self.memo {
-                        memo.insert(spec, MemoEntry::Pruned);
-                    }
-                    continue;
-                }
-            }
-            let poly = Arc::new(polyhedron_from_rows(self.ds.dim(), rows));
-            if let Some(memo) = self.memo {
-                memo.insert(spec.clone(), MemoEntry::Poly(poly.clone()));
-            }
-            if let Some(c) = self.counters {
-                c.yields.fetch_add(1, Ordering::Relaxed);
-            }
-            crate::tally::bump_region_yields();
-            return Some((poly, spec));
         }
+    }
+}
+
+/// The regions of one anchor set `A`, from [`RegionStream::anchor_set`]:
+/// the excluded sets `B` in the stream's (lexicographic) order, each
+/// fetched only once the caller's filter admits it.
+pub(crate) struct AnchorSetRegions<'s, 'a, F: Field> {
+    stream: &'s mut RegionStream<'a, F>,
+    anchors: &'s [usize],
+    b: Option<Vec<usize>>,
+    done: bool,
+}
+
+impl<F: Field> AnchorSetRegions<'_, '_, F> {
+    /// The next region whose `B` contains every opposite-class point at the
+    /// ascending `required` positions (positions into
+    /// `ds.indices_of(target.flip())`); `None` once no such `B` is left.
+    /// `required` may grow between calls, never shrink: every `B` passed
+    /// over was ruled out for good. Pruned regions are skipped as the full
+    /// stream skips them.
+    pub(crate) fn next_containing(
+        &mut self,
+        required: &[usize],
+    ) -> Option<(Arc<Polyhedron<F>>, RegionSpec)> {
+        while !self.done {
+            let (n, r) = (self.stream.others.len(), self.stream.min_sz);
+            if required.len() > r || !next_superset(&mut self.b, n, r, required) {
+                self.done = true;
+                break;
+            }
+            let b = self.b.as_deref().expect("next_superset wrote a subset");
+            if let Some(region) = self.stream.fetch(self.anchors, b) {
+                return Some(region);
+            }
+        }
+        None
     }
 }
 
@@ -774,7 +888,7 @@ impl<F: Field> LazyRegions<F> {
     }
 
     /// [`LazyRegions::stream`] over a precomputed [`AnchorOrder`].
-    pub fn stream_with_order(&self, target: Label, order: AnchorOrder) -> RegionStream<'_, F> {
+    fn stream_with_order(&self, target: Label, order: Arc<AnchorOrder>) -> RegionStream<'_, F> {
         let memo = match target {
             Label::Positive => &self.positive,
             Label::Negative => &self.negative,
@@ -812,12 +926,14 @@ impl<F: Field> LazyRegions<F> {
 /// `f(x)`, its nearest-anchor-first [`AnchorOrder`] computed once, and the
 /// shared [`LazyRegions`] memo when the engine has one. Greedy-deletion and
 /// hitting-set loops re-check the same point many times and iterate
-/// [`QueryRegions::polyhedra`] once per check.
+/// [`QueryRegions::polyhedra`] once per check; the counterfactual walk goes
+/// through [`QueryRegions::order`] itself and fetches each anchor set's
+/// regions with [`RegionStream::anchor_set`], once its gate admits them.
 pub(crate) struct QueryRegions<'a, F> {
     ds: &'a ContinuousDataset<F>,
     k: OddK,
     target: Label,
-    order: AnchorOrder,
+    order: Arc<AnchorOrder>,
     lazy: Option<&'a LazyRegions<F>>,
 }
 
@@ -839,6 +955,11 @@ impl<'a, F: Field> QueryRegions<'a, F> {
     /// The label every yielded polyhedron's points take: the flip of `f(x)`.
     pub(crate) fn target(&self) -> Label {
         self.target
+    }
+
+    /// The anchor sets in the query's nearest-anchor-first order.
+    pub(crate) fn order(&self) -> &AnchorOrder {
+        &self.order
     }
 
     /// The regions in the query's order, prune decisions applied.

@@ -1,8 +1,9 @@
 //! Validity of served ℓ2 counterfactual witnesses in `f64`: a counterfactual
 //! must change the outcome. On random `f64` data at k = 1, the witness the
-//! serving path returns (the infimum, then `within` just past it, over a
-//! shared `LazyRegions` view) must classify as the opposite of the query
-//! under the plain `f64` classifier and lie inside the served radius. A
+//! serving path returns (`closest` under the engine's radius rule, just past
+//! the infimum, over a shared `LazyRegions` view) must classify as the
+//! opposite of the query under the plain `f64` classifier and lie inside the
+//! served radius. A
 //! projection onto the closed positive region lands on a bisector, where
 //! rounding alone can leave it on the query's side; the interior nudge is
 //! what makes it flip.
@@ -43,10 +44,11 @@ proptest! {
         let cf = L2Counterfactual::with_lazy_regions(&ds, &regions);
         let knn = ContinuousKnn::new(&ds, LpMetric::L2, k);
         for x in &inst.queries {
-            let inf = cf.infimum(x).expect("both classes are nonempty at k = 1");
             // The serving path's radius just past the infimum.
-            let radius = inf.dist_sq * 1.0001 + 1e-6;
-            let w = cf.within(x, &radius).expect("a witness exists just past the infimum");
+            let radius_of = |d: &f64| d * 1.0001 + 1e-6;
+            let (inf, w) = cf.closest(x, radius_of).expect("both classes are nonempty at k = 1");
+            let w = w.expect("a witness exists just past the infimum");
+            let radius = radius_of(&inf.dist_sq);
             let label: Label = knn.classify(x);
             prop_assert_eq!(knn.classify(&w), label.flip(), "witness {:?} for {:?}", w, x);
             let d: f64 = x.iter().zip(&w).map(|(a, b)| (a - b) * (a - b)).sum();

@@ -16,7 +16,11 @@
 //! * every ℓ2 explanation operation answers as the exhaustive oracle of
 //!   `exhaustive/mod.rs` does, which walks every canonical region cold, and
 //!   answers the same over a fresh stream per call and over a shared
-//!   [`LazyRegions`] view, cold and warm.
+//!   [`LazyRegions`] view, cold and warm;
+//! * `closest`, the one-walk counterfactual the engine serves, returns the
+//!   oracle's infimum and exactly the witness `within` answers at its
+//!   radius, under radius rules on, just past, well past and below the
+//!   infimum.
 
 mod exhaustive;
 
@@ -127,6 +131,9 @@ fn contained_in(p: &Polyhedron<Rat>, q: &Polyhedron<Rat>, strict: bool) -> bool 
     })
 }
 
+/// An infimum's squared distance, closure witness and attainment.
+type Infimum = (Rat, Vec<Rat>, bool);
+
 /// Every ℓ2 operation's answer at one query point, over one engine pair.
 #[derive(Debug, PartialEq)]
 struct Answers {
@@ -134,10 +141,22 @@ struct Answers {
     minimal: Vec<usize>,
     minimum: Vec<usize>,
     greedy_minimum: Vec<usize>,
-    /// The infimum's squared distance, closure witness and attainment.
-    infimum: Option<(Rat, Vec<Rat>, bool)>,
+    infimum: Option<Infimum>,
     within: Vec<Option<Vec<Rat>>>,
+    /// Per [`RADIUS_RULES`] entry: `closest`'s infimum and witness, and the
+    /// witness `within` answers at that rule's radius.
+    closest: Vec<Option<(Infimum, Option<Vec<Rat>>, Option<Vec<Rat>>)>>,
 }
+
+/// Radius rules for `closest`: on the infimum (a negative target's open
+/// region has no witness there), just past it, well past it, and below it
+/// (the witness walk cannot be replayed and `within` decides).
+const RADIUS_RULES: [fn(&Rat) -> Rat; 4] = [
+    |d| d.clone(),
+    |d| d.clone() + Rat::frac(1, 64),
+    |d| d.clone() * Rat::from_int(2) + Rat::from_int(1),
+    |d| d.clone() * Rat::frac(1, 2),
+];
 
 fn answers(
     ab: &L2Abductive<'_, Rat>,
@@ -153,6 +172,14 @@ fn answers(
         greedy_minimum: ab.minimum_with(x, HittingSetMode::Greedy),
         infimum: cf.infimum(x).map(|i| (i.dist_sq, i.closure_witness, i.attained)),
         within: radii.iter().map(|r| cf.within(x, r)).collect(),
+        closest: RADIUS_RULES
+            .iter()
+            .map(|rule| {
+                let (inf, witness) = cf.closest(x, rule)?;
+                let within = cf.within(x, &rule(&inf.dist_sq));
+                Some(((inf.dist_sq, inf.closure_witness, inf.attained), witness, within))
+            })
+            .collect(),
     }
 }
 
@@ -195,6 +222,26 @@ fn matches_oracle(
             prop_assert!(oracle.is_counterfactual(w, r), "counterfactual {:?} at {}", w, r);
         }
     }
+    for (rule, closest) in RADIUS_RULES.iter().zip(&got.closest) {
+        match (closest, oracle.infimum()) {
+            (None, None) => {}
+            (Some((inf, witness, within)), Some(want)) => {
+                prop_assert_eq!(Some(inf), got.infimum.as_ref(), "closest's infimum");
+                prop_assert_eq!(&inf.0, want, "closest's infimum");
+                let r = rule(want);
+                prop_assert_eq!(witness, within, "closest's witness vs within at {}", r);
+                if let Some(w) = witness {
+                    prop_assert!(
+                        oracle.is_counterfactual(w, &r),
+                        "counterfactual {:?} at {}",
+                        w,
+                        r
+                    );
+                }
+            }
+            (got, want) => prop_assert!(false, "closest {:?}, oracle {:?}", got, want),
+        }
+    }
     Ok(())
 }
 
@@ -206,8 +253,9 @@ proptest! {
     /// counterexample; the greedy minimal reason; an exact minimum of the
     /// brute-force size, and a greedy one no smaller; the infimum, attained
     /// for a positive target, with its closure witness on the region at that
-    /// distance; and `within` at radii below, on and past the infimum, with
-    /// valid witnesses. A shared lazy view answers identically to the fresh
+    /// distance; `within` at radii below, on and past the infimum, with
+    /// valid witnesses; and `closest`'s infimum and witness under every
+    /// radius rule. A shared lazy view answers identically to the fresh
     /// per-call stream, cold and then warm.
     #[test]
     fn engines_match_the_exhaustive_oracle(inst in instance_strategy(), mask in any::<u8>()) {

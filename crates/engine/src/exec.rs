@@ -197,19 +197,15 @@ fn execute_planned(
         Route::L2Cf => {
             let regions = artifacts.l2_lazy_regions(data, k);
             let cf = L2Counterfactual::with_lazy_regions(&data.continuous, &regions);
-            match cf.infimum(x) {
+            // One gated region walk answers both the infimum and the witness
+            // just past it (Thm 2's closure argument: an unattained infimum
+            // is stepped past). The additive slack must clear the f64
+            // field's 1e-9 comparison tolerance for boundary queries.
+            match cf.closest(x, |d| d * 1.0001 + 1e-6) {
                 None => Ok(Outcome::NoCounterfactual),
-                Some(inf) => {
-                    let dist = inf.dist_sq.sqrt();
-                    // Step just past an unattained infimum (Thm 2's closure
-                    // argument); factor and slack match the CLI's single-query
-                    // path, and the additive slack must clear the f64 field's
-                    // 1e-9 comparison tolerance for boundary queries.
-                    let radius = inf.dist_sq * 1.0001 + 1e-6;
-                    let point = cf
-                        .within(x, &radius)
-                        .ok_or("internal: witness missing just past the infimum")?;
-                    Ok(Outcome::Counterfactual { point, dist, proven: true })
+                Some((inf, witness)) => {
+                    let point = witness.ok_or("internal: witness missing just past the infimum")?;
+                    Ok(Outcome::Counterfactual { point, dist: inf.dist_sq.sqrt(), proven: true })
                 }
             }
         }

@@ -1277,10 +1277,13 @@ mod tests {
     }
 
     /// Capture is decided once per query: 256 untraced classify queries on
-    /// one connection draw the sampler 256 times, so exactly the queries at
-    /// draws 0, 64, 128 and 192 are sampled. Each recorded family is a
-    /// served `query` root with `conn=`/`seq=` and an `admission` child;
-    /// any family beyond the sampled four was forced by an anomaly.
+    /// one connection draw the sampler 256 times on one worker thread, so
+    /// four of them, 64 apart, are sampled, and no query is recorded twice.
+    /// Each recorded family is a served `query` root with `conn=`/`seq=`
+    /// and an `admission` child. A family not forced by an anomaly was
+    /// sampled; the thread's first draw takes its phase from a process-wide
+    /// counter, so which four are sampled is not fixed, but at most four
+    /// are, all congruent mod 64.
     #[test]
     fn untraced_queries_draw_the_sampler_once() {
         let handle = spawn_serial_server();
@@ -1304,17 +1307,51 @@ mod tests {
                 "admission child under {root:?}"
             );
         }
-        let sampled = [0, 64, 128, 192];
-        for seq in sampled {
-            let families = roots.iter().filter(|r| root_seq(r) == Some(seq)).count();
-            assert_eq!(families, 1, "the sampled query at seq {seq} has one family");
-        }
+        let mut seqs: Vec<u64> = roots.iter().map(|r| root_seq(r).unwrap()).collect();
+        seqs.sort_unstable();
+        let families = seqs.len();
+        seqs.dedup();
+        assert_eq!(seqs.len(), families, "a query recorded twice");
+        let mut sampled = Vec::new();
         for root in &roots {
-            let seq = root_seq(root).unwrap();
-            if !sampled.contains(&seq) {
-                assert_eq!(root.anomaly, "slow", "unsampled family must be forced: {root:?}");
+            match root.anomaly {
+                "" => sampled.push(root_seq(root).unwrap()),
+                anomaly => assert_eq!(anomaly, "slow", "forced only as slow: {root:?}"),
             }
         }
+        assert!(sampled.len() <= 4, "sampled {sampled:?}");
+        assert!(sampled.iter().all(|s| s % 64 == sampled[0] % 64), "sampled {sampled:?}");
+        handle.shutdown();
+    }
+
+    /// The samplers draw one query in 64 across connections, not the first
+    /// query of each: 200 one-query connections (fresh worker threads
+    /// each) leave about 200/64 sampled `query` families and shadow audits,
+    /// where drawing from a per-thread count starting at 0 sampled and
+    /// audited every one of them.
+    #[test]
+    fn one_query_connections_sample_one_in_n() {
+        let handle = spawn_serial_server();
+        for i in 0..200 {
+            let mut c = Client::connect(handle.addr()).unwrap();
+            let line = format!(
+                r#"{{"dataset":"toy","id":"c{i}","cmd":"classify","metric":"hamming","point":[{},{},1]}}"#,
+                i % 2,
+                (i / 2) % 2
+            );
+            assert!(c.roundtrip(&line).unwrap().contains(r#""ok":true"#));
+        }
+        let spans = handle.shared.telemetry.recorder().all();
+        let sampled = spans.iter().filter(|e| e.parent == 0 && e.anomaly.is_empty()).count();
+        assert!(sampled <= 8, "{sampled} of 200 one-query connections sampled");
+        let audit = handle.shared.telemetry.audit();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while audit.queued() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let stats = handle.shared.registry.get("toy").unwrap().stats();
+        let audited = stats.engine.audit_checked + audit.dropped() + audit.queued() as u64;
+        assert!(audited <= 8, "{audited} of 200 one-query connections audited");
         handle.shutdown();
     }
 

@@ -219,22 +219,19 @@ impl AuditSampler {
     }
 
     /// Should this served query be shadow-audited? One relaxed load plus a
-    /// thread-local counter bump — the entire per-query warm-path cost for
-    /// the unelected majority. The first call on each thread fires (so
-    /// short test runs audit something), then one in `rate`.
+    /// [`draw`](crate::recorder::draw) at 1-in-`rate` — a thread-local
+    /// counter bump, the entire per-query warm-path cost for the unelected
+    /// majority. Rate 1 audits every query.
     pub fn elect(&self) -> bool {
         let rate = self.rate.load(Ordering::Relaxed);
         if rate == 0 {
             return false;
         }
         thread_local! {
-            static TICK: Cell<u64> = const { Cell::new(0) };
+            static TICK: Cell<Option<u64>> = const { Cell::new(None) };
         }
-        TICK.with(|t| {
-            let v = t.get();
-            t.set(v.wrapping_add(1));
-            v % rate == 0
-        })
+        static PHASES: AtomicU64 = AtomicU64::new(0);
+        crate::recorder::draw(&TICK, &PHASES, rate)
     }
 
     /// Enqueues an elected job. Returns `false` (and counts a drop) when
@@ -365,17 +362,30 @@ mod tests {
         assert_eq!(ring.len(), 16);
     }
 
+    /// One query in `rate` is elected on a long-lived thread and across
+    /// threads that serve one query each (200 of them elect about 200/64,
+    /// not 200); rate 1 elects every query and rate 0 none.
     #[test]
-    fn sampler_elects_first_then_one_in_n() {
-        let s = AuditSampler::new();
-        let s = Arc::new(s);
+    fn sampler_elects_one_in_n_per_thread_and_across_threads() {
+        let s = Arc::new(AuditSampler::new());
         let sc = s.clone();
+        let n = AUDIT_INTERVAL as usize;
         let fired: Vec<bool> =
-            std::thread::spawn(move || (0..(AUDIT_INTERVAL * 2 + 1)).map(|_| sc.elect()).collect())
+            std::thread::spawn(move || (0..2 * n + 1).map(|_| sc.elect()).collect())
                 .join()
                 .unwrap();
-        assert!(fired[0], "first call fires");
-        assert_eq!(fired.iter().filter(|&&f| f).count(), 3);
+        let at: Vec<usize> = (0..fired.len()).filter(|&i| fired[i]).collect();
+        assert!((2..=3).contains(&at.len()), "elected at {at:?}");
+        assert!(at.windows(2).all(|w| w[1] - w[0] == n), "elected at {at:?}");
+        let once = (0..200)
+            .filter(|_| {
+                let sc = s.clone();
+                std::thread::spawn(move || sc.elect()).join().unwrap()
+            })
+            .count();
+        assert!((3..=4).contains(&once), "{once} of 200 one-query threads elected");
+        s.set_rate(1);
+        assert!((0..5).all(|_| s.elect()), "rate 1 elects every query");
         s.set_rate(0);
         assert!(!s.elect(), "rate 0 disables");
     }

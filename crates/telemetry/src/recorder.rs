@@ -20,16 +20,17 @@
 //!
 //! Cost discipline: the recorder is **always on** (no enable flag), so the
 //! unsampled hot path must pay almost nothing — one thread-local counter
-//! bump per query ([`Recorder::sample`]) and one relaxed load of the slow
-//! floor. Only captured queries take a mutex to push their family; at
-//! 1-in-[`SAMPLE_INTERVAL`] the amortized cost sits far inside the
-//! telemetry budget the `telemetry_overhead` bench enforces.
+//! bump per query ([`Recorder::sample`], see [`draw`]) and one relaxed load
+//! of the slow floor. Only captured queries take a mutex to push their
+//! family; at 1-in-[`SAMPLE_INTERVAL`] the amortized cost sits far inside
+//! the telemetry budget the `telemetry_overhead` bench enforces.
 
 use crate::span::{QuerySpans, SlowQuery, SpanEvent};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::LocalKey;
 use std::time::Instant;
 
 /// Capacity of the forced (anomaly + traced) ring; FIFO eviction.
@@ -38,13 +39,27 @@ pub const FORCED_CAP: usize = 2048;
 /// Capacity of the sampled reservoir.
 pub const RESERVOIR_CAP: usize = 4096;
 
-/// The sampler elects one query in this many per thread (the first always
-/// fires, so short-lived test and bench runs still capture).
-pub const SAMPLE_INTERVAL: u32 = 64;
+/// The sampler elects one query in this many, per thread and across the
+/// process (see [`draw`]).
+pub const SAMPLE_INTERVAL: u64 = 64;
 
 /// How many of the slowest retained `query` roots [`Recorder::slowest`]
 /// returns; the slow floor is the duration of the last of them.
 pub const SLOWEST: usize = 32;
+
+/// One draw of a 1-in-`n` sampler: fires when the calling thread's `tick`
+/// is a multiple of `n`, then bumps it. A thread's first draw takes its
+/// starting tick from the process-wide `phases` counter, one step per
+/// thread, so threads that draw once each (a server spawns workers per
+/// connection) fire one in `n` across the process instead of every time,
+/// and a long-lived thread still fires one draw in `n`.
+pub(crate) fn draw(tick: &'static LocalKey<Cell<Option<u64>>>, phases: &AtomicU64, n: u64) -> bool {
+    tick.with(|t| {
+        let v = t.get().unwrap_or_else(|| phases.fetch_add(1, Ordering::Relaxed));
+        t.set(Some(v.wrapping_add(1)));
+        v % n == 0
+    })
+}
 
 /// Is `ev` the root of a query family?
 fn is_query_root(ev: &SpanEvent) -> bool {
@@ -136,18 +151,14 @@ impl Recorder {
     }
 
     /// Should this (untraced, unremarkable) query be captured? One
-    /// thread-local counter bump — the entire per-query cost of the
-    /// recorder on the unelected hot path. The first call on each thread
-    /// fires, so short runs capture something.
+    /// [`draw`] at 1-in-[`SAMPLE_INTERVAL`]: a thread-local counter bump,
+    /// the entire per-query cost of the recorder on the unelected hot path.
     pub fn sample(&self) -> bool {
         thread_local! {
-            static TICK: Cell<u32> = const { Cell::new(0) };
+            static TICK: Cell<Option<u64>> = const { Cell::new(None) };
         }
-        TICK.with(|t| {
-            let v = t.get();
-            t.set(v.wrapping_add(1));
-            v % SAMPLE_INTERVAL == 0
-        })
+        static PHASES: AtomicU64 = AtomicU64::new(0);
+        draw(&TICK, &PHASES, SAMPLE_INTERVAL)
     }
 
     /// The current slow floor: a query whose end-to-end time exceeds it
@@ -300,18 +311,28 @@ mod tests {
         assert!(r.spans_for("missing").is_empty());
     }
 
+    /// One draw in `SAMPLE_INTERVAL` fires on a long-lived thread, and
+    /// across threads that draw once each: 200 one-draw threads fire about
+    /// 200/64 times, not 200 (one per thread's first call).
     #[test]
-    fn sampler_fires_first_then_one_in_n() {
-        let r = Recorder::new();
-        // Run on a fresh thread so this test owns the thread-local tick.
-        let fired: Vec<bool> = std::thread::spawn(move || {
-            (0..(SAMPLE_INTERVAL * 2 + 1)).map(|_| r.sample()).collect()
-        })
-        .join()
-        .unwrap();
-        assert!(fired[0], "first call fires");
-        assert_eq!(fired.iter().filter(|&&f| f).count(), 3);
-        assert!(fired[SAMPLE_INTERVAL as usize]);
+    fn sampler_fires_one_in_n_per_thread_and_across_threads() {
+        let r = std::sync::Arc::new(Recorder::new());
+        let rc = r.clone();
+        let n = SAMPLE_INTERVAL as usize;
+        let fired: Vec<bool> =
+            std::thread::spawn(move || (0..2 * n + 1).map(|_| rc.sample()).collect())
+                .join()
+                .unwrap();
+        let at: Vec<usize> = (0..fired.len()).filter(|&i| fired[i]).collect();
+        assert!((2..=3).contains(&at.len()), "fired at {at:?}");
+        assert!(at.windows(2).all(|w| w[1] - w[0] == n), "fired at {at:?}");
+        let once = (0..200)
+            .filter(|_| {
+                let rc = r.clone();
+                std::thread::spawn(move || rc.sample()).join().unwrap()
+            })
+            .count();
+        assert!((3..=4).contains(&once), "{once} of 200 one-draw threads fired");
     }
 
     /// A served query taking `total_us`, forced as slow.

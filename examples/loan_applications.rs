@@ -63,17 +63,15 @@ fn main() {
 
     // Counterfactual: the smallest ℓ2 change that flips the decision.
     let cf = L2Counterfactual::new(&ds, k);
-    match cf.infimum(&applicant) {
-        Some(inf) => {
+    match cf.closest(&applicant, |d| d * 1.02 + 1e-9) {
+        Some((inf, boundary)) => {
             println!(
                 "\nSmallest decision-flipping change (Thm 2): ℓ2 distance {:.3}{}",
                 inf.dist_sq.sqrt(),
                 if inf.attained { "" } else { " (open boundary — approach arbitrarily closely)" }
             );
-            let boundary = cf
-                .within(&applicant, &(inf.dist_sq * 1.02 + 1e-9))
-                .expect("witness within slightly enlarged ball");
-            // `within` may return a point exactly on the decision boundary
+            let boundary = boundary.expect("witness within slightly enlarged ball");
+            // The witness may sit exactly on the decision boundary
             // (a correct witness under the optimistic tie rule, but an exact
             // tie is rounding-sensitive to re-check in f64) — step a little
             // further along the same direction to land strictly inside.

@@ -28,15 +28,16 @@ fn continuous_demo() {
 
     // Counterfactual: the infimum flip distance (Theorem 2).
     let cf = L2Counterfactual::new(&ds, OddK::ONE);
-    let inf = cf.infimum(&x).expect("both classes present");
+    // One walk gives the infimum and a concrete witness within a slightly
+    // larger ball (Corollary 2).
+    let (inf, witness) = cf.closest(&x, |d| d + 0.01).expect("both classes present");
     println!(
         "closest counterfactual distance = {:.4} (attained: {}), toward {:?}",
         inf.dist_sq.sqrt(),
         inf.attained,
         inf.closure_witness
     );
-    // A concrete witness within a slightly larger ball (Corollary 2).
-    let witness = cf.within(&x, &(inf.dist_sq + 0.01)).expect("witness exists");
+    let witness = witness.expect("witness exists");
     println!("witness {witness:?} classifies as {}", knn.classify(&witness));
     println!();
 }

@@ -92,10 +92,9 @@ fn main() {
 
     // ---- Counterfactual audit --------------------------------------------
     let cf = L2Counterfactual::new(&ds, OddK::ONE);
-    let inf = cf.infimum(&query).expect("both shelves nonempty");
+    let (inf, witness) = cf.closest(&query, |d| d * 1.02 + 1e-9).expect("both shelves nonempty");
     println!("smallest embedding change that flips the routing: ‖Δ‖₂ = {:.4}", inf.dist_sq.sqrt());
-    let witness =
-        cf.within(&query, &(inf.dist_sq * 1.02 + 1e-9)).expect("witness just past the infimum");
+    let witness = witness.expect("witness just past the infimum");
     println!("a concrete re-routed query (changes ≥ 0.02 shown):");
     for i in 0..DIMS.len() {
         let delta = witness[i] - query[i];

@@ -277,6 +277,55 @@ fn lazy_regions_serve_k5_beyond_eager_reach() {
     }
 }
 
+/// ℓ2 counterfactuals at k = 3 on a 300 × 16 set are served by one gated
+/// region walk: every witness flips the label under the exact `Rat`
+/// classifier, and the lazy enumerator yields at most
+/// `MAX_YIELDS_PER_QUERY` regions per query (read from the engine's route
+/// work counters, so the gate is a count, not a clock). A walk that fetched
+/// every region of every anchor set and tested each one did not finish one
+/// such query in two minutes.
+#[test]
+fn l2_counterfactual_k3_serves_at_300_by_16() {
+    use rand::{Rng, SeedableRng};
+    const QUERIES: u64 = 4;
+    const MAX_YIELDS_PER_QUERY: u64 = 1_000;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    let ds = explainable_knn::datasets::random::random_real_dataset(&mut rng, 300, 16, 0.5);
+    let engine =
+        ExplanationEngine::new(EngineData::from_continuous(ds.clone()), EngineConfig::default());
+    let exact_ds = ds.map_field(|&v| Rat::from_f64(v));
+    let exact_knn = ContinuousKnn::new(&exact_ds, LpMetric::L2, OddK::THREE);
+    let classify =
+        |p: &[f64]| exact_knn.classify(&p.iter().map(|&v| Rat::from_f64(v)).collect::<Vec<_>>());
+    for i in 0..QUERIES {
+        let x: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let resp = engine.run(&Request {
+            id: format!("cf{i}"),
+            kind: QueryKind::Counterfactual,
+            metric: Metric::L2,
+            k: 3,
+            point: x.clone(),
+            features: None,
+        });
+        match resp.result.expect("k = 3 counterfactual must be served") {
+            Outcome::Counterfactual { point, dist, proven } => {
+                assert!(proven, "ℓ2 region route is exact");
+                assert!(dist > 0.0);
+                assert_eq!(classify(&point), classify(&x).flip(), "witness must flip the label");
+            }
+            other => panic!("expected a counterfactual, got {other:?}"),
+        }
+    }
+    let work = engine.work_stats();
+    let cf = work.iter().find(|w| w.route == "l2-qp-regions").expect("ℓ2 CF route ran");
+    assert_eq!(cf.computes, QUERIES);
+    assert!(
+        cf.region_yields <= MAX_YIELDS_PER_QUERY * QUERIES,
+        "{} region yields over {QUERIES} queries",
+        cf.region_yields
+    );
+}
+
 /// The full binary: mixed batch over stdin, parallel workers, proven output.
 #[test]
 fn xknn_batch_subcommand_end_to_end() {

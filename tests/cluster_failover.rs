@@ -292,3 +292,48 @@ fn dead_channel_with_pending_query_forces_failover_spans() {
     let _ = real.kill();
     let _ = real.wait();
 }
+
+/// A router killed by `SIGTERM` takes its spawned backends with it: no
+/// `Drop` runs, but every `xknn serve` child was spawned to die with its
+/// parent, so both backend ports refuse connections within a deadline.
+#[cfg(target_os = "linux")]
+#[test]
+fn sigterm_to_the_router_stops_its_spawned_backends() {
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::Instant;
+
+    let mut router = Command::new(env!("CARGO_BIN_EXE_xknn"))
+        .args(["router", "--addr", "127.0.0.1:0", "--spawn", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("xknn router starts");
+    let mut stderr = BufReader::new(router.stderr.take().unwrap());
+    let backends: Vec<SocketAddr> = (0..2)
+        .map(|_| {
+            let mut line = String::new();
+            stderr.read_line(&mut line).unwrap();
+            line.strip_prefix("xknn router: spawned backend ")
+                .and_then(|rest| rest.split_whitespace().next())
+                .and_then(|addr| addr.parse().ok())
+                .unwrap_or_else(|| panic!("unexpected router line: {line:?}"))
+        })
+        .collect();
+    let mut banner = String::new();
+    BufReader::new(router.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("listening on "), "unexpected router banner: {banner:?}");
+    for addr in &backends {
+        assert!(TcpStream::connect(addr).is_ok(), "backend {addr} accepts before the kill");
+    }
+
+    let kill = Command::new("kill").args(["-TERM", &router.id().to_string()]).status().unwrap();
+    assert!(kill.success(), "kill -TERM failed");
+    router.wait().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for addr in &backends {
+        while TcpStream::connect_timeout(addr, Duration::from_millis(200)).is_ok() {
+            assert!(Instant::now() < deadline, "backend {addr} outlived its router");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+}
