@@ -45,9 +45,11 @@
 //! does not hold (a failed interior nudge, a radius below an earlier
 //! incumbent), `within`'s own walk decides.
 //!
-//! **Why the answers are unchanged.** The gate computes each row with
-//! [`bisector_row`]'s arithmetic, operation for operation, so a row fires
-//! at the gate iff it fires on the memoized polyhedron, in `f64` too. The
+//! **Why the answers are unchanged.** The gate takes each coefficient from
+//! the `bisector_coeff` that [`bisector_row`] builds the polyhedra with and
+//! accumulates in `dot`'s order, so a row fires at the gate iff it fires on
+//! the memoized polyhedron, in `f64` too (a unit test pins this against a
+//! scan of the polyhedron's rows). The
 //! visit order stays nearest-anchor-first and the gate skips exactly the
 //! regions the per-region test would, so the sequence of projections and
 //! incumbents is the same as a walk that tests every region.
@@ -55,7 +57,7 @@
 //! [`bisector_row`]: crate::regions::bisector_row
 
 use crate::classifier::ContinuousKnn;
-use crate::regions::{LazyRegions, QueryRegions, RegionSpec};
+use crate::regions::{bisector_coeff, LazyRegions, QueryRegions, RegionSpec};
 use knn_lp::{LpProblem, Rel};
 use knn_num::field::{dot, norm_sq};
 use knn_num::Field;
@@ -363,9 +365,9 @@ fn has_interior<F: Field>(poly: &Polyhedron<F>, anchor: &[F]) -> bool {
 /// rows of region `(A, B)` are the bisector rows `(ā, c̄)` for `ā ∈ A` and
 /// `c̄ ∉ B`, so with `C` the opposite points that fire against some anchor,
 /// the region lies beyond `bound` iff `C ⊄ B`: every region of `A` does when
-/// `|C| > |B|`. The rows are evaluated with [`bisector_row`]'s arithmetic,
-/// operation for operation, so a row fires here iff it fires on the
-/// memoized polyhedron. Firing is monotone in `bound`: a row that fires at
+/// `|C| > |B|`. The rows are evaluated with [`bisector_row`]'s arithmetic
+/// (its `bisector_coeff`, `norm_sq`, `dot`'s order), so a row fires here
+/// iff it fires on the memoized polyhedron. Firing is monotone in `bound`: a row that fires at
 /// a bound fires at every smaller one, in `f64` too.
 ///
 /// [`bisector_row`]: crate::regions::bisector_row
@@ -434,17 +436,18 @@ impl<'a, 'x, F: Field> Gate<'a, 'x, F> {
         }
     }
 
-    /// Whether the bisector row `(a, c)` fires at `bound`. Computes
-    /// `g = 2(c̄ − ā)`, `h = ‖c̄‖² − ‖ā‖²`, `g·x̄` and `‖g‖²` exactly as
-    /// [`bisector_row`], `dot` and `norm_sq` do, without building the row.
+    /// Whether the bisector row `(a, c)` fires at `bound`. The coefficients
+    /// come from [`bisector_coeff`] and `h = ‖c̄‖² − ‖ā‖²` from `norm_sq`, as
+    /// in [`bisector_row`]; `g·x̄` and `‖g‖²` are accumulated in `dot`'s
+    /// order, without building the row. The `gate_fires_like_the_row_scan`
+    /// test pins this to a scan of the memoized polyhedron's rows in `f64`.
     ///
     /// [`bisector_row`]: crate::regions::bisector_row
     fn fires(&self, a: usize, c: usize, bound: &F) -> bool {
         let mut gx = F::zero();
         let mut g_sq = F::zero();
         for ((ai, ci), xi) in self.ds.point(a).iter().zip(self.ds.point(c)).zip(self.x) {
-            let d = ci.clone() - ai.clone();
-            let g = d.clone() + d;
+            let g = bisector_coeff(ai, ci);
             gx = gx + g.clone() * xi.clone();
             g_sq = g_sq + g.clone() * g;
         }
@@ -510,7 +513,10 @@ fn walk_into_interior<F: Field>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regions::RegionStream;
+    use knn_num::field::F64_TOL;
     use knn_num::Rat;
+    use proptest::prelude::*;
 
     fn r(p: i64) -> Rat {
         Rat::from_int(p)
@@ -652,6 +658,80 @@ mod tests {
                 }
                 (None, None) => {}
                 (a, b) => panic!("mismatch: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    /// Whether the row `g·ȳ ≤ h` puts `x̄` beyond `bound`: the per-region
+    /// halfspace test the gate replaces, kept as its reference.
+    fn row_fires(x: &[f64], (g, h): &(Vec<f64>, f64), bound: f64) -> bool {
+        let viol = dot(g, x) - *h;
+        Field::is_positive(&viol) && Field::is_positive(&(viol * viol - bound * norm_sq(g)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// In `f64`, each bisector row `(ā, c̄)` fires at the gate iff the
+        /// same row of the memoized polyhedron fires, and the gate rules a
+        /// region out iff one of its rows does: at a random bound and at
+        /// every row's threshold `(viol² − F64_TOL)/‖g‖²`, where rounding
+        /// decides. The gate's bits are the rows' bits.
+        #[test]
+        fn gate_fires_like_the_row_scan(
+            (pos, neg, x) in (1..=4usize).prop_flat_map(|dim| {
+                let pt = move || prop::collection::vec(-1.0..1.0f64, dim);
+                (
+                    prop::collection::vec(pt(), 1..=5),
+                    prop::collection::vec(pt(), 1..=5),
+                    pt(),
+                )
+            }),
+            three in any::<bool>(),
+            scale in 0.0..4.0f64,
+        ) {
+            let ds = ContinuousDataset::from_sets(pos, neg);
+            let k = if three && ds.len() >= 3 { OddK::THREE } else { OddK::ONE };
+            let target = ContinuousKnn::new(&ds, LpMetric::L2, k).classify(&x).flip();
+            let gate = Gate::new(&ds, k, target, &x);
+            let others = ds.indices_of(target.flip());
+            for (poly, spec) in RegionStream::for_query(&ds, k, target, &x, None) {
+                // The rows in `region_rows`' order: each anchor against the
+                // opposite points outside `B`.
+                let pairs: Vec<(usize, usize)> = spec
+                    .anchors
+                    .iter()
+                    .flat_map(|&a| {
+                        others
+                            .iter()
+                            .filter(|c| spec.excluded.binary_search(c).is_err())
+                            .map(move |&c| (a, c))
+                    })
+                    .collect();
+                let rows = poly.ineqs();
+                prop_assert_eq!(rows.len(), pairs.len());
+                let mut bounds = vec![scale];
+                for (g, h) in rows {
+                    let viol = dot(g, &x) - *h;
+                    let g_sq = norm_sq(g);
+                    if viol > 0.0 && g_sq > 0.0 {
+                        bounds.push((viol * viol - F64_TOL) / g_sq);
+                    }
+                }
+                for b in bounds {
+                    for (row, &(a, c)) in rows.iter().zip(&pairs) {
+                        prop_assert_eq!(
+                            gate.fires(a, c, &b),
+                            row_fires(&x, row, b),
+                            "row ({}, {}) at bound {}", a, c, b
+                        );
+                    }
+                    prop_assert_eq!(
+                        gate.rules_out(&spec, &b),
+                        rows.iter().any(|row| row_fires(&x, row, b)),
+                        "region {:?} at bound {}", spec, b
+                    );
+                }
             }
         }
     }

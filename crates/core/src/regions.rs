@@ -168,16 +168,17 @@ fn next_superset(last: &mut Option<Vec<usize>>, n: usize, r: usize, required: &[
 /// The halfspace row for `d₂(ȳ, ā) (≤ or <) d₂(ȳ, c̄)`:
 /// coefficients `2(c̄ − ā)` and right-hand side `c̄·c̄ − ā·ā`.
 pub fn bisector_row<F: Field>(a: &[F], c: &[F]) -> (Vec<F>, F) {
-    let coeffs: Vec<F> = a
-        .iter()
-        .zip(c)
-        .map(|(ai, ci)| {
-            let d = ci.clone() - ai.clone();
-            d.clone() + d
-        })
-        .collect();
+    let coeffs: Vec<F> = a.iter().zip(c).map(|(ai, ci)| bisector_coeff(ai, ci)).collect();
     let rhs = norm_sq(c) - norm_sq(a);
     (coeffs, rhs)
+}
+
+/// One coefficient of [`bisector_row`], `2(cᵢ − aᵢ)`: the single
+/// definition the ℓ2 counterfactual gate shares, so its rows carry the
+/// polyhedra's bits.
+pub(crate) fn bisector_coeff<F: Field>(ai: &F, ci: &F) -> F {
+    let d = ci.clone() - ai.clone();
+    d.clone() + d
 }
 
 /// The identity of one Proposition 1 region: the witness set `A` and the

@@ -3,10 +3,11 @@
 //! serving path returns (`closest` under the engine's radius rule, just past
 //! the infimum, over a shared `LazyRegions` view) must classify as the
 //! opposite of the query under the plain `f64` classifier and lie inside the
-//! served radius. A
-//! projection onto the closed positive region lands on a bisector, where
-//! rounding alone can leave it on the query's side; the interior nudge is
-//! what makes it flip.
+//! served radius. The infimum and witness must also be bit-identical to
+//! separate `infimum` and `within` walks, which `prop_regions_lazy` checks
+//! only in `Rat`. A projection onto the closed positive region lands on a
+//! bisector, where rounding alone can leave it on the query's side; the
+//! interior nudge is what makes it flip.
 
 use knn_core::counterfactual::l2::L2Counterfactual;
 use knn_core::regions::LazyRegions;
@@ -47,8 +48,13 @@ proptest! {
             // The serving path's radius just past the infimum.
             let radius_of = |d: &f64| d * 1.0001 + 1e-6;
             let (inf, w) = cf.closest(x, radius_of).expect("both classes are nonempty at k = 1");
-            let w = w.expect("a witness exists just past the infimum");
             let radius = radius_of(&inf.dist_sq);
+            // The one walk answers what the two-walk path did, bit for bit.
+            let walked = cf.infimum(x).expect("both classes are nonempty at k = 1");
+            prop_assert_eq!(inf.dist_sq.to_bits(), walked.dist_sq.to_bits());
+            prop_assert_eq!(&inf.closure_witness, &walked.closure_witness);
+            prop_assert_eq!(&w, &cf.within(x, &radius));
+            let w = w.expect("a witness exists just past the infimum");
             let label: Label = knn.classify(x);
             prop_assert_eq!(knn.classify(&w), label.flip(), "witness {:?} for {:?}", w, x);
             let d: f64 = x.iter().zip(&w).map(|(a, b)| (a - b) * (a - b)).sum();
