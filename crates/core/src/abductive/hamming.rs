@@ -89,7 +89,7 @@ impl<'a> HammingAbductive<'a> {
         let candidates = self.ds.indices_of(label.flip());
         for &ci in &candidates {
             let cand = self.ds.point(ci);
-            let mut y = cand.clone();
+            let mut y = cand.to_bitvec();
             for &i in fixed {
                 y.set(i, x.get(i));
             }
@@ -200,8 +200,13 @@ impl<'a> K1Sufficiency<'a> {
         let label = BooleanKnn::new(ds, OddK::ONE).classify(x);
         let mut same = ds.indices_of(label);
         same.sort_by_key(|&i| (ds.point(i).hamming(x), i));
-        let flat =
-            |idx: Vec<usize>| idx.iter().flat_map(|&i| ds.point(i).words()).copied().collect();
+        let flat = |idx: Vec<usize>| {
+            let mut words = Vec::with_capacity(idx.len() * x.words().len());
+            for i in idx {
+                words.extend_from_slice(ds.point(i).words());
+            }
+            words
+        };
         K1Sufficiency {
             x: x.words(),
             same: flat(same),

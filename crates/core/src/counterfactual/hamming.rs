@@ -21,7 +21,7 @@ use crate::classifier::BooleanKnn;
 use crate::satenc::DiscreteModel;
 use knn_lp::Rel;
 use knn_milp::{MilpConfig, MilpOutcome, MilpProblem};
-use knn_space::{BitVec, BooleanDataset, Label, OddK};
+use knn_space::{BitRow, BitVec, BooleanDataset, Label, OddK};
 
 /// The model [`closest_sat`] and friends need for `x`: target = the
 /// opposite of `f(x)`.
@@ -121,7 +121,7 @@ pub fn closest_milp_with(
     }
 
     // dist(y, s) = Σ_{s_i=0} y_i + Σ_{s_i=1} (1 − y_i) = c_s + Σ ±y_i.
-    let dist_expr = |s: &BitVec| -> (Vec<(usize, f64)>, f64) {
+    let dist_expr = |s: BitRow| -> (Vec<(usize, f64)>, f64) {
         let mut coeffs = Vec::with_capacity(n);
         let mut cnst = 0.0;
         for i in 0..n {

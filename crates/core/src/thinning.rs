@@ -32,7 +32,7 @@ pub fn condense_1nn(ds: &BooleanDataset) -> Vec<usize> {
             // Classify i with the current subset.
             let sub = subset(ds, &kept);
             let knn = BooleanKnn::new(&sub, OddK::ONE);
-            if knn.classify(ds.point(i)) != ds.label(i) {
+            if knn.classify(&ds.point(i).to_bitvec()) != ds.label(i) {
                 kept.push(i);
                 changed = true;
             }
@@ -49,7 +49,7 @@ pub fn condense_1nn(ds: &BooleanDataset) -> Vec<usize> {
 pub fn subset(ds: &BooleanDataset, indices: &[usize]) -> BooleanDataset {
     let mut out = BooleanDataset::new(ds.dim());
     for &i in indices {
-        out.push(ds.point(i).clone(), ds.label(i));
+        out.push(ds.point(i).to_bitvec(), ds.label(i));
     }
     out
 }
@@ -129,7 +129,7 @@ mod tests {
         let sub = subset(&ds, &kept);
         let knn = BooleanKnn::new(&sub, OddK::ONE);
         for (p, l) in ds.iter() {
-            assert_eq!(knn.classify(p), l, "consistency violated at {p:?}");
+            assert_eq!(knn.classify(&p.to_bitvec()), l, "consistency violated at {p:?}");
         }
     }
 
@@ -183,7 +183,7 @@ mod tests {
         let sub = subset(&ds, &kept);
         let knn = BooleanKnn::new(&sub, OddK::ONE);
         for (p, l) in ds.iter() {
-            assert_eq!(knn.classify(p), l);
+            assert_eq!(knn.classify(&p.to_bitvec()), l);
         }
     }
 }

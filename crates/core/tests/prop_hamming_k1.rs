@@ -49,7 +49,7 @@ fn tie_heavy_case(dim: usize, seed: u64) -> (BooleanDataset, BitVec) {
         ds.push(p, label);
     }
     let x = match rng.gen_range(0..3) {
-        0 => ds.point(rng.gen_range(0..ds.len())).clone(),
+        0 => ds.point(rng.gen_range(0..ds.len())).to_bitvec(),
         1 => near(&mut rng, &centres, 3),
         _ => random_point(&mut rng, dim),
     };

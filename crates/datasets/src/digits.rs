@@ -270,7 +270,7 @@ mod tests {
         let cfg = DigitsConfig::new(12);
         let ds = binary_digits_dataset(&mut rng, &cfg, &[3, 8], 8, 5);
         assert_eq!(ds.len(), 10);
-        assert!(ds.point(0).weight() > 0);
+        assert!(ds.point(0).to_bitvec().weight() > 0);
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //!   keep their names and arguments because the benchmark's per-layer
 //!   decomposer calls them; the route tags `kdtree-class-index` /
 //!   `hamming-index` stay because they are response bytes; and
-//!   `knn_engine_work_total{kind="kd_visit"}` reads 0 on every route;
+//!   `knn_engine_work_total{kind="kd_visit"}` reads 0 on every route.
+//!   On a binary tenant, ℓp classify of a 0/1 query reads the Hamming scans
+//!   (its ℓp keys are Hamming distances exactly), so no ℓp scan is built or
+//!   patched there. The benchmark's decomposer still builds the ℓp scans for
+//!   `kdtree-class-index` before timing the executor, which then builds the
+//!   Hamming scans inside its solve: on binary tenants that route's traced
+//!   artifact-build and solve numbers measure different work than before;
 //! * **lazy Prop 1 region views** — a [`LazyRegions`] per `k`, the region
 //!   source every ℓ2 abductive and counterfactual route is built over.
 //!   Construction is `O(n)`; regions are enumerated nearest-anchor-first per
@@ -28,7 +34,8 @@
 //!   fresh per-query clone of it (own clauses, counters and search state),
 //!   so nothing learnt on one query reaches another;
 //! * the **boolean view** of a 0/1 continuous dataset, owned by
-//!   [`EngineData`] itself.
+//!   [`EngineData`] itself. Both views are flat buffers, so each epoch's
+//!   data is two exact-size copies ([`EngineData::with_insert`]).
 //!
 //! Each family's map mutex is held only long enough to fetch (or create) the
 //! per-key cell; the build itself runs under the cell's `OnceLock`, so
@@ -148,15 +155,15 @@ impl EngineData {
     /// The boolean view when it is in step with the continuous one (same
     /// dimension and length — always, except for hand-built test data), so
     /// a point's position in one is its position in the other.
-    fn boolean_in_step(&self) -> Option<&BooleanDataset> {
+    pub(crate) fn boolean_in_step(&self) -> Option<&BooleanDataset> {
         self.boolean
             .as_ref()
             .filter(|b| b.dim() == self.continuous.dim() && b.len() == self.continuous.len())
     }
 
-    /// The view after appending one labeled point: an exact-size copy plus
-    /// an `O(d)` update instead of [`EngineData::from_continuous`]'s full
-    /// re-scan — the mutation layer's per-epoch derivation cost. Semantics
+    /// The view after appending one labeled point: one exact-size copy of
+    /// each view's flat buffer instead of [`EngineData::from_continuous`]'s
+    /// full re-scan — the mutation layer's per-epoch derivation cost. Semantics
     /// match a re-derivation exactly: a non-0/1 insert drops the boolean
     /// view (the dataset is no longer binary), and a view inconsistent with
     /// the continuous one (hand-built test data) falls back to re-deriving.
@@ -164,11 +171,7 @@ impl EngineData {
         let binary = is_binary(point);
         let continuous = self.continuous.with_pushed(point, label);
         let boolean = match (self.boolean_in_step(), &self.boolean) {
-            (Some(b), _) if binary => {
-                let mut b = b.clone();
-                b.push(to_bits(point), label);
-                Some(b)
-            }
+            (Some(b), _) if binary => Some(b.with_pushed(&to_bits(point), label)),
             (None, Some(_)) if binary => return EngineData::from_continuous(continuous),
             // A binary insert cannot make a non-binary dataset binary, and
             // a non-binary insert un-binaries any dataset.
@@ -184,21 +187,17 @@ impl EngineData {
     pub fn with_remove(&self, id: usize) -> EngineData {
         let continuous = self.continuous.with_removed(id);
         match self.boolean_in_step() {
-            Some(b) => {
-                let mut b = b.clone();
-                b.remove(id);
-                EngineData { continuous, boolean: Some(b) }
-            }
+            Some(b) => EngineData { continuous, boolean: Some(b.with_removed(id)) },
             None => EngineData::from_continuous(continuous),
         }
     }
 }
 
-fn is_binary(point: &[f64]) -> bool {
+pub(crate) fn is_binary(point: &[f64]) -> bool {
     point.iter().all(|&v| v == 0.0 || v == 1.0)
 }
 
-fn to_bits(point: &[f64]) -> BitVec {
+pub(crate) fn to_bits(point: &[f64]) -> BitVec {
     BitVec::from_bools(&point.iter().map(|&v| v == 1.0).collect::<Vec<_>>())
 }
 
@@ -492,6 +491,46 @@ mod tests {
         let degraded = grown.with_insert(&[0.25, 1.0], Label::Positive);
         assert!(degraded.boolean.is_none());
         assert_eq!(degraded.continuous.len(), 4);
+        // Each derived view equals a re-derivation, removals of the first
+        // and the last point included.
+        for view in [&removed, &grown, &degraded, &grown.with_remove(0), &grown.with_remove(2)] {
+            let fresh = EngineData::from_continuous(view.continuous.clone());
+            assert_eq!(view.boolean, fresh.boolean);
+        }
+    }
+
+    #[test]
+    fn binary_tenants_answer_lp_classify_from_the_hamming_scans() {
+        use crate::request::{Metric, QueryKind, Request};
+        let d = toy();
+        let store = ArtifactStore::new();
+        let classify = |store: &ArtifactStore, d: &EngineData, metric, point: Vec<f64>| {
+            let req = Request {
+                id: "q".into(),
+                kind: QueryKind::Classify,
+                metric,
+                k: 1,
+                point,
+                features: None,
+            };
+            crate::exec::execute(d, store, &req, None).route
+        };
+        for metric in [Metric::L1, Metric::L2, Metric::Lp(3)] {
+            assert_eq!(classify(&store, &d, metric, vec![1.0, 0.0]), "kdtree-class-index");
+        }
+        assert_eq!(store.kd_class.built_count(), 0, "no ℓp scan for 0/1 queries");
+        assert_eq!(store.hamming_class.built_count(), 2);
+
+        // A mutation has no ℓp scan to patch; the Hamming scans carry.
+        let applied = AppliedMutation::Insert { point: vec![0.0, 1.0], label: Label::Positive };
+        let d1 = d.with_insert(applied.point(), applied.label());
+        let next = store.carry_over(&d, &applied);
+        assert_eq!((next.kd_class.built_count(), next.hamming_class.built_count()), (0, 2));
+        assert_eq!(next.metrics().snapshot().carried, 2);
+
+        // A non-0/1 query still reads the ℓp scans.
+        classify(&next, &d1, Metric::L2, vec![0.5, 0.0]);
+        assert_eq!(next.kd_class.built_count(), 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! solely on `(dataset, config, request)` — not on the worker that ran it,
 //! the batch it arrived in, or the cache state.
 
-use crate::artifacts::{ArtifactStore, EngineData};
+use crate::artifacts::{is_binary, to_bits, ArtifactStore, EngineData};
 use crate::plan::{plan, Plan, Route};
 use crate::request::{Outcome, QueryKind, Request, Response};
 use knn_core::abductive::hamming::HammingAbductive;
@@ -140,10 +140,10 @@ fn execute_planned(
     let need_bool = || -> Result<(&knn_space::BooleanDataset, BitVec), String> {
         let ds =
             data.boolean.as_ref().ok_or("the hamming metric needs a 0/1 dataset".to_string())?;
-        if x.iter().any(|&v| v != 0.0 && v != 1.0) {
+        if !is_binary(x) {
             return Err("the hamming metric needs a 0/1 query point".into());
         }
-        Ok((ds, BitVec::from_bools(&x.iter().map(|&v| v == 1.0).collect::<Vec<_>>())))
+        Ok((ds, to_bits(x)))
     };
     // The epoch's SAT model whose solutions are labelled `target`, fetched
     // (and so built) only by a Hamming route whose enumeration hit the cap.
@@ -338,6 +338,10 @@ fn classify_hamming_indexed(
 
 /// Continuous analogue of [`classify_hamming_indexed`], comparing p-th-power
 /// distance keys from the per-class ℓp scans.
+///
+/// On binary data with a 0/1 query every term `|xᵢ − yᵢ|ᵖ` is 0 or 1, so the
+/// key `Σ|xᵢ − yᵢ|ᵖ` is the Hamming distance exactly, in `f64` too: the
+/// Hamming scans answer with bit-identical keys, and no ℓp scan is built.
 fn classify_continuous_indexed(
     data: &EngineData,
     artifacts: &ArtifactStore,
@@ -345,6 +349,10 @@ fn classify_continuous_indexed(
     p: u32,
     k: OddK,
 ) -> (Label, Option<f64>, Option<f64>) {
+    if data.boolean_in_step().is_some() && is_binary(x) {
+        let (label, pos, neg) = classify_hamming_indexed(data, artifacts, &to_bits(x), k);
+        return (label, pos.map(|d| d as f64), neg.map(|d| d as f64));
+    }
     let stat = |label| artifacts.kd_class_index(data, p, label).kth_smallest(x, k.majority());
     let (pos_stat, neg_stat) = (stat(Label::Positive), stat(Label::Negative));
     (optimistic_from_stats(pos_stat, neg_stat), pos_stat, neg_stat)

@@ -611,8 +611,9 @@ impl ExplanationEngine {
         let apply_started = self.telemetry.is_enabled().then(Instant::now);
         let mut st = self.state.lock().unwrap();
         m.validate(&st.data.continuous)?;
-        // Incremental epoch-view derivation (O(n) copy + O(d) update) —
-        // `with_*` semantics are pinned to `from_continuous` re-derivation.
+        // Incremental epoch-view derivation (one exact-size copy of each
+        // view's flat buffer) — `with_*` semantics are pinned to
+        // `from_continuous` re-derivation.
         // Removals capture the departing point *before* the view swings: the
         // log (and through it guard revalidation) needs it afterwards.
         let (data, applied) = match m {

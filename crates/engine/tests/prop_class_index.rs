@@ -6,10 +6,15 @@
 //! include non-0/1 inserts, which drop the Hamming indexes, and the removals
 //! that make the data binary again, after which the Hamming indexes are
 //! built fresh.
+//!
+//! Over the same streams, ℓ1/ℓ2/ℓ3 classify on a binary tenant is answered
+//! from the Hamming scans; its label and guard statistics must equal, bit
+//! for bit, what the per-class ℓp scans give.
 
-use knn_delta::AppliedMutation;
-use knn_engine::{ArtifactStore, EngineData};
-use knn_space::{ContinuousDataset, Label};
+use knn_delta::{AppliedMutation, ClassifyGuard, GuardMetric};
+use knn_engine::exec::execute_phased;
+use knn_engine::{ArtifactStore, EngineData, Metric, Outcome, QueryKind, Request};
+use knn_space::{ContinuousDataset, Label, OddK};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -51,6 +56,72 @@ fn label(positive: bool) -> Label {
     }
 }
 
+fn bits_to_point(bits: &[bool]) -> Vec<f64> {
+    bits.iter().map(|&b| f64::from(u8::from(b))).collect()
+}
+
+fn seed_data(dim: usize, seed: &[(Vec<bool>, bool)]) -> EngineData {
+    let mut ds = ContinuousDataset::new(dim);
+    for (bits, positive) in seed {
+        ds.push(bits_to_point(bits), label(*positive));
+    }
+    EngineData::from_continuous(ds)
+}
+
+/// The mutation `op` makes on `data`, or `None` for a removal that would
+/// empty the dataset.
+fn applied(data: &EngineData, op: Op) -> Option<AppliedMutation> {
+    Some(match op {
+        Op::Insert { bits, positive, non_binary } => {
+            let mut point = bits_to_point(&bits);
+            if non_binary {
+                point[0] = 0.5;
+            }
+            AppliedMutation::Insert { point, label: label(positive) }
+        }
+        Op::Remove { seed } => {
+            if data.continuous.len() <= 1 {
+                return None;
+            }
+            // Half the removals target a non-0/1 point when there is one, so
+            // streams regularly turn binary again.
+            let non_binary = (0..data.continuous.len())
+                .find(|&i| data.continuous.point(i).iter().any(|&v| v != 0.0 && v != 1.0));
+            let id = match non_binary {
+                Some(i) if seed % 2 == 0 => i,
+                _ => seed % data.continuous.len(),
+            };
+            let point = data.continuous.point(id).to_vec();
+            AppliedMutation::Remove { id, point, label: data.continuous.label(id) }
+        }
+    })
+}
+
+/// The next epoch's data.
+fn next_data(data: &EngineData, applied: &AppliedMutation) -> EngineData {
+    match applied {
+        AppliedMutation::Insert { point, label } => data.with_insert(point, *label),
+        AppliedMutation::Remove { id, .. } => data.with_remove(*id),
+    }
+}
+
+/// ℓp classify answered from the per-class ℓp scans: the optimistic rule
+/// over each class's `maj`-th smallest `dist^p`, with those statistics as
+/// the guard.
+fn lp_scan_answer(data: &EngineData, x: &[f64], p: u32, k: OddK) -> (Label, ClassifyGuard) {
+    let store = ArtifactStore::new();
+    let stat = |l| store.kd_class_index(data, p, l).kth_smallest(x, k.majority());
+    let (pos, neg) = (stat(Label::Positive), stat(Label::Negative));
+    let label = match (pos, neg) {
+        (Some(rp), Some(rn)) if rp <= rn => Label::Positive,
+        (Some(_), None) => Label::Positive,
+        _ => Label::Negative,
+    };
+    let guard =
+        ClassifyGuard { point: x.to_vec(), metric: GuardMetric::LpPow(p), k: k.get(), pos, neg };
+    (label, guard)
+}
+
 /// Looks up every class index the data supports: ℓ1 and ℓ2 scans always,
 /// Hamming scans when the boolean view exists.
 fn touch_all(store: &ArtifactStore, data: &EngineData) {
@@ -68,43 +139,18 @@ proptest! {
 
     #[test]
     fn patched_class_indexes_equal_fresh_builds((dim, seed, ops) in stream_strategy()) {
-        let mut ds = ContinuousDataset::new(dim);
-        for (bits, positive) in &seed {
-            ds.push(bits.iter().map(|&b| f64::from(u8::from(b))).collect(), label(*positive));
-        }
-        let mut data = EngineData::from_continuous(ds);
+        let mut data = seed_data(dim, &seed);
         let mut store = ArtifactStore::new();
         touch_all(&store, &data);
 
         for op in ops {
-            let applied = match op {
-                Op::Insert { bits, positive, non_binary } => {
-                    let mut point: Vec<f64> = bits.iter().map(|&b| f64::from(u8::from(b))).collect();
-                    if non_binary {
-                        point[0] = 0.5;
-                    }
-                    AppliedMutation::Insert { point, label: label(positive) }
-                }
-                Op::Remove { seed } => {
-                    if data.continuous.len() <= 1 {
-                        continue;
-                    }
-                    // Half the removals target a non-0/1 point when there is
-                    // one, so streams regularly turn binary again.
-                    let non_binary = (0..data.continuous.len())
-                        .find(|&i| data.continuous.point(i).iter().any(|&v| v != 0.0 && v != 1.0));
-                    let id = match non_binary {
-                        Some(i) if seed % 2 == 0 => i,
-                        _ => seed % data.continuous.len(),
-                    };
-                    let point = data.continuous.point(id).to_vec();
-                    AppliedMutation::Remove { id, point, label: data.continuous.label(id) }
-                }
-            };
-            let next = match &applied {
-                AppliedMutation::Insert { point, label } => data.with_insert(point, *label),
-                AppliedMutation::Remove { id, .. } => data.with_remove(*id),
-            };
+            let Some(applied) = applied(&data, op) else { continue };
+            let next = next_data(&data, &applied);
+            // The exact-size epoch copies equal a fresh derivation.
+            prop_assert_eq!(
+                &next.boolean,
+                &EngineData::from_continuous(next.continuous.clone()).boolean
+            );
             let carried = store.carry_over(&data, &applied);
             let built = carried.metrics().snapshot().built;
             for l in [Label::Positive, Label::Negative] {
@@ -130,6 +176,58 @@ proptest! {
             );
             data = next;
             store = carried;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn lp_classify_on_binary_tenants_matches_the_lp_scans(
+        (dim, seed, ops) in stream_strategy(),
+        queries in prop::collection::vec((prop::collection::vec(any::<bool>(), 70), any::<bool>()), 3),
+    ) {
+        let mut data = seed_data(dim, &seed);
+        let mut store = ArtifactStore::new();
+        let mut steps = vec![None];
+        steps.extend(ops.into_iter().map(Some));
+        for op in steps {
+            if let Some(op) = op {
+                let Some(applied) = applied(&data, op) else { continue };
+                let next = next_data(&data, &applied);
+                store = store.carry_over(&data, &applied);
+                data = next;
+            }
+            for (bits, non_binary) in &queries {
+                let mut x = bits_to_point(&bits[..dim]);
+                if *non_binary {
+                    x[dim - 1] = 0.25;
+                }
+                for (metric, p) in [(Metric::L1, 1), (Metric::L2, 2), (Metric::Lp(3), 3)] {
+                    for k in [1u32, 3, 5] {
+                        if data.continuous.len() < k as usize {
+                            continue;
+                        }
+                        let req = Request {
+                            id: "q".into(),
+                            kind: QueryKind::Classify,
+                            metric,
+                            k,
+                            point: x.clone(),
+                            features: None,
+                        };
+                        let (resp, guard, _) = execute_phased(&data, &store, &req, None, false);
+                        let (label, want) = lp_scan_answer(&data, &x, p, OddK::new(k).unwrap());
+                        prop_assert_eq!(&resp.route, "kdtree-class-index");
+                        prop_assert_eq!(resp.result, Ok(Outcome::Label(label)));
+                        let guard = guard.expect("classify answers carry a guard");
+                        let bits = |s: Option<f64>| s.map(f64::to_bits);
+                        prop_assert_eq!((bits(guard.pos), bits(guard.neg)), (bits(want.pos), bits(want.neg)));
+                        prop_assert_eq!(guard, want);
+                    }
+                }
+            }
         }
     }
 }

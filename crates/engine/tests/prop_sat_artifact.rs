@@ -261,7 +261,7 @@ fn enumerated_counterfactuals_build_no_model() {
     let ds = random_boolean_dataset(&mut rng, n, dim, 0.5);
     let bits = |p: &BitVec| (0..dim).filter(|&j| p.get(j)).map(|j| 1u16 << j).sum::<u16>();
     let points: Vec<(u16, bool)> =
-        ds.iter().map(|(p, l)| (bits(p), l == Label::Positive)).collect();
+        ds.iter().map(|(p, l)| (bits(&p.to_bitvec()), l == Label::Positive)).collect();
     for budget in [None, Some(2)] {
         let served = engine(dim, &points, budget);
         for i in 0..40 {

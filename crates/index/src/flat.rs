@@ -11,7 +11,13 @@
 //!
 //! Keys are computed with the dataset's own kernels ([`LpMetric::dist_pow`],
 //! [`hamming_words`]), so a scan's order statistic is bit-identical to the
-//! `k`-th entry of the sorted per-point distances.
+//! `k`-th entry of the sorted per-point distances. On `{0,1}ⁿ` the two
+//! coincide: every ℓp term is 0 or 1, so an [`LpScan`] key equals the
+//! [`HammingScan`] key as `f64`, and the serving engine answers ℓp classify
+//! of a 0/1 query on binary data from the Hamming scan. The benchmark's
+//! per-layer decomposer still builds the ℓp scan for that route, which the
+//! executor then does not read, so its traced `kdtree-class-index` numbers
+//! on binary data shift.
 
 use knn_space::bitvec::hamming_words;
 use knn_space::{kth_smallest, BitVec, BooleanDataset, ContinuousDataset, Label, LpMetric, Rows};
@@ -73,11 +79,7 @@ pub struct HammingScan {
 impl HammingScan {
     /// The points of class `label` in `ds`, in dataset order.
     pub fn of_class(ds: &BooleanDataset, label: Label) -> Self {
-        let mut rows = Rows::with_capacity(ds.dim().div_ceil(64), ds.count_of(label));
-        for (p, _) in ds.iter().filter(|&(_, l)| l == label) {
-            rows.push(p.words());
-        }
-        HammingScan { dim: ds.dim(), rows }
+        HammingScan { dim: ds.dim(), rows: ds.rows_of(label) }
     }
 
     /// Number of points.

@@ -47,9 +47,21 @@ impl BitVec {
         v
     }
 
+    /// The vector of dimension `len` over packed `words` (see
+    /// [`BitVec::words`]); the caller keeps bits past `len` zero.
+    pub(crate) fn from_words(len: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        BitVec { len, words }
+    }
+
     /// Dimension of the vector.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// A borrowed view of the vector, the type a dataset row is read as.
+    fn as_row(&self) -> BitRow<'_> {
+        BitRow { len: self.len, words: &self.words }
     }
 
     /// Approximate heap footprint in bytes (packed words plus the vector
@@ -71,8 +83,7 @@ impl BitVec {
 
     /// Component `i` (panics if out of range).
     pub fn get(&self, i: usize) -> bool {
-        assert!(i < self.len, "bit index {i} out of range for dimension {}", self.len);
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+        self.as_row().get(i)
     }
 
     /// Sets component `i`.
@@ -105,8 +116,7 @@ impl BitVec {
 
     /// Hamming distance `d_H(self, other)`; panics on dimension mismatch.
     pub fn hamming(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "hamming distance of mismatched dimensions");
-        hamming_words(&self.words, &other.words)
+        self.as_row().hamming(other)
     }
 
     /// Iterator over components as booleans.
@@ -116,8 +126,7 @@ impl BitVec {
 
     /// Indices where `self` and `other` differ (the "diff map" of Figure 1).
     pub fn diff_indices(&self, other: &BitVec) -> Vec<usize> {
-        assert_eq!(self.len, other.len);
-        (0..self.len).filter(|&i| self.get(i) != other.get(i)).collect()
+        self.as_row().diff_indices(other.as_row())
     }
 
     /// Concatenation of two vectors (used by the hardness constructions,
@@ -146,18 +155,92 @@ impl BitVec {
     }
 }
 
+/// A borrowed boolean vector: one row of a packed word buffer, read with
+/// [`BitVec`]'s read API. [`BooleanDataset`](crate::BooleanDataset) stores
+/// its points as flat rows and hands them out as these views.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitRow<'a> {
+    len: usize,
+    words: &'a [u64],
+}
+
+impl<'a> BitRow<'a> {
+    /// The view of dimension `len` over packed `words`, whose bits past
+    /// `len` are zero.
+    #[inline]
+    pub(crate) fn new(len: usize, words: &'a [u64]) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        BitRow { len, words }
+    }
+
+    /// Dimension of the vector.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True iff the dimension is zero.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packed words, laid out as [`BitVec::words`].
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Component `i` (panics if out of range).
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit index {i} out of range for dimension {}", self.len);
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Hamming distance to `other`; panics on dimension mismatch.
+    // Inlined across crates: it is the per-row call of every Hamming scan
+    // loop, and an out-of-line call made classification slower than with
+    // one `BitVec` per point.
+    #[inline]
+    pub fn hamming(&self, other: &BitVec) -> usize {
+        assert_eq!(self.len, other.len, "hamming distance of mismatched dimensions");
+        hamming_words(self.words, &other.words)
+    }
+
+    /// Indices where `self` and `other` differ (see [`BitVec::diff_indices`]).
+    pub fn diff_indices(&self, other: BitRow<'_>) -> Vec<usize> {
+        assert_eq!(self.len, other.len);
+        (0..self.len).filter(|&i| self.get(i) != other.get(i)).collect()
+    }
+
+    /// Iterator over components as booleans.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + 'a {
+        let row = *self;
+        (0..row.len).map(move |i| row.get(i))
+    }
+
+    /// An owned copy.
+    pub fn to_bitvec(&self) -> BitVec {
+        BitVec { len: self.len, words: self.words.to_vec() }
+    }
+}
+
+impl fmt::Debug for BitRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for b in self.iter() {
+            write!(f, "{}", if b { '1' } else { '0' })?;
+        }
+        Ok(())
+    }
+}
+
 /// The XOR/popcount kernel behind [`BitVec::hamming`], over packed words
 /// (see [`BitVec::words`]) — for structures that store points as words.
+#[inline]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
 }
 
 impl fmt::Debug for BitVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.iter() {
-            write!(f, "{}", if b { '1' } else { '0' })?;
-        }
-        Ok(())
+        fmt::Debug::fmt(&self.as_row(), f)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Labeled datasets `(S⁺, S⁻)` in the continuous and discrete settings.
 
-use crate::bitvec::BitVec;
+use crate::bitvec::{BitRow, BitVec};
 use crate::label::Label;
 use crate::rows::Rows;
 use knn_num::Field;
@@ -151,17 +151,22 @@ impl<F: Field> ContinuousDataset<F> {
 }
 
 /// A labeled dataset of boolean vectors (the discrete setting).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Points are packed 64 components per word and stored as flat rows of
+/// `⌈dim/64⌉` words in one buffer ([`Rows`]), like
+/// [`ContinuousDataset`]'s coordinates; [`point`](Self::point) lends a row
+/// out as a [`BitRow`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BooleanDataset {
     dim: usize,
-    points: Vec<BitVec>,
+    points: Rows<u64>,
     labels: Vec<Label>,
 }
 
 impl BooleanDataset {
     /// An empty dataset of the given dimension.
     pub fn new(dim: usize) -> Self {
-        BooleanDataset { dim, points: Vec::new(), labels: Vec::new() }
+        BooleanDataset { dim, points: Rows::with_capacity(dim.div_ceil(64), 0), labels: Vec::new() }
     }
 
     /// Builds a dataset from explicit positive and negative example sets.
@@ -184,7 +189,7 @@ impl BooleanDataset {
     /// Appends a labeled point; panics on dimension mismatch.
     pub fn push(&mut self, point: BitVec, label: Label) {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
-        self.points.push(point);
+        self.points.push(point.words());
         self.labels.push(label);
     }
 
@@ -192,7 +197,27 @@ impl BooleanDataset {
     /// down (order of survivors preserved, mirroring
     /// [`ContinuousDataset::remove`]). Panics when out of range.
     pub fn remove(&mut self, i: usize) -> (BitVec, Label) {
-        (self.points.remove(i), self.labels.remove(i))
+        (BitVec::from_words(self.dim, self.points.remove(i)), self.labels.remove(i))
+    }
+
+    /// A copy with one labeled point appended — [`push`](Self::push) on a
+    /// clone, at its exact final size ([`Rows::with_row`]).
+    pub fn with_pushed(&self, point: &BitVec, label: Label) -> Self {
+        assert_eq!(point.len(), self.dim, "point dimension mismatch");
+        let mut labels = Vec::with_capacity(self.len() + 1);
+        labels.extend_from_slice(&self.labels);
+        labels.push(label);
+        BooleanDataset { dim: self.dim, points: self.points.with_row(point.words()), labels }
+    }
+
+    /// A copy without the `i`-th point — [`remove`](Self::remove) on a
+    /// clone, at its exact final size ([`Rows::without_row`]).
+    pub fn with_removed(&self, i: usize) -> Self {
+        let points = self.points.without_row(i);
+        let mut labels = Vec::with_capacity(self.len() - 1);
+        labels.extend_from_slice(&self.labels[..i]);
+        labels.extend_from_slice(&self.labels[i + 1..]);
+        BooleanDataset { dim: self.dim, points, labels }
     }
 
     /// The feature dimension `n`.
@@ -202,17 +227,17 @@ impl BooleanDataset {
 
     /// Total number of points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.labels.len()
     }
 
     /// True iff the dataset has no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.labels.is_empty()
     }
 
-    /// The `i`-th point.
-    pub fn point(&self, i: usize) -> &BitVec {
-        &self.points[i]
+    /// The `i`-th point, borrowed from the row buffer.
+    pub fn point(&self, i: usize) -> BitRow<'_> {
+        BitRow::new(self.dim, self.points.row(i))
     }
 
     /// The `i`-th label.
@@ -221,8 +246,8 @@ impl BooleanDataset {
     }
 
     /// Iterator over `(point, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&BitVec, Label)> + '_ {
-        self.points.iter().zip(self.labels.iter().copied())
+    pub fn iter(&self) -> impl Iterator<Item = (BitRow<'_>, Label)> + '_ {
+        self.points.iter().map(|w| BitRow::new(self.dim, w)).zip(self.labels.iter().copied())
     }
 
     /// Indices of points with the given label.
@@ -232,7 +257,17 @@ impl BooleanDataset {
 
     /// Points with the given label, cloned.
     pub fn points_of(&self, label: Label) -> Vec<BitVec> {
-        self.iter().filter(|&(_, l)| l == label).map(|(p, _)| p.clone()).collect()
+        self.iter().filter(|&(_, l)| l == label).map(|(p, _)| p.to_bitvec()).collect()
+    }
+
+    /// The packed rows of the points with the given label, in dataset order
+    /// (the counterpart of [`ContinuousDataset::rows_of`]).
+    pub fn rows_of(&self, label: Label) -> Rows<u64> {
+        let mut rows = Rows::with_capacity(self.points.width(), self.count_of(label));
+        for (p, _) in self.iter().filter(|&(_, l)| l == label) {
+            rows.push(p.words());
+        }
+        rows
     }
 
     /// Number of points with the given label.
@@ -240,11 +275,11 @@ impl BooleanDataset {
         self.labels.iter().filter(|&&l| l == label).count()
     }
 
-    /// Approximate heap footprint in bytes (packed bit words plus labels);
-    /// mirrors [`ContinuousDataset::approx_bytes`].
+    /// Approximate heap footprint in bytes: the flat word buffer plus the
+    /// label array, nothing per point; mirrors
+    /// [`ContinuousDataset::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
-        self.points.iter().map(|p| p.approx_bytes()).sum::<usize>()
-            + self.labels.len() * std::mem::size_of::<Label>()
+        self.points.approx_bytes() + self.labels.len() * std::mem::size_of::<Label>()
     }
 
     /// Views the dataset as a continuous one over a field (bits become 0/1),
@@ -317,6 +352,41 @@ mod tests {
         assert_eq!(ds.dim(), 3);
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.points_of(Label::Negative).len(), 2);
+    }
+
+    #[test]
+    fn boolean_exact_size_copies_match_push_and_remove() {
+        // 70 dims: two words per row, the second partly padding.
+        let row = |s: usize| -> BitVec { (0..70).map(|i| (i * 7 + s * 13) % 5 < 2).collect() };
+        let label = |s: usize| if s.is_multiple_of(3) { Label::Positive } else { Label::Negative };
+        let mut ds = BooleanDataset::new(70);
+        for s in 0..4 {
+            ds.push(row(s), label(s));
+        }
+        let grown = ds.with_pushed(&row(4), label(4));
+        let mut pushed = ds.clone();
+        pushed.push(row(4), label(4));
+        assert_eq!(grown, pushed);
+        assert_eq!(grown.point(4).to_bitvec(), row(4));
+        assert!(grown.points.is_exact_size() && grown.labels.capacity() == grown.len());
+
+        // The first row, one in the middle and the last.
+        for i in [0, 2, 4] {
+            let shrunk = grown.with_removed(i);
+            let mut removed = grown.clone();
+            assert_eq!(removed.remove(i), (row(i), label(i)));
+            assert_eq!(shrunk, removed);
+            assert!(shrunk.points.is_exact_size() && shrunk.labels.capacity() == shrunk.len());
+            let survivors: Vec<usize> = (0..5).filter(|&s| s != i).collect();
+            for (at, &s) in survivors.iter().enumerate() {
+                assert_eq!((shrunk.point(at).to_bitvec(), shrunk.label(at)), (row(s), label(s)));
+            }
+        }
+
+        // One flat word buffer and the labels: no per-row header.
+        assert_eq!(grown.approx_bytes(), 5 * 2 * 8 + 5 * std::mem::size_of::<Label>());
+        let rows = grown.rows_of(Label::Positive);
+        assert_eq!(rows.iter().collect::<Vec<_>>(), vec![row(0).words(), row(3).words()]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod oddk;
 pub mod rows;
 pub mod select;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitRow, BitVec};
 pub use dataset::{BooleanDataset, ContinuousDataset};
 pub use label::Label;
 pub use metric::LpMetric;

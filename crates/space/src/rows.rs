@@ -44,7 +44,11 @@ impl<T: Clone> Rows<T> {
 
     /// The rows in order.
     pub fn iter(&self) -> impl Iterator<Item = &[T]> + '_ {
-        (0..self.len).map(|i| &self.data[i * self.width..(i + 1) * self.width])
+        // `chunks_exact` walks the rows without a bounds check per row, which
+        // the scan loops measurably gain from. It needs a nonzero width;
+        // zero-width rows are all the empty slice.
+        let empty = if self.width == 0 { self.len } else { 0 };
+        self.data.chunks_exact(self.width.max(1)).chain(std::iter::repeat_n(&self.data[..0], empty))
     }
 
     /// Appends a row; panics when its width is wrong.
@@ -93,6 +97,12 @@ impl<T: Clone> Rows<T> {
     /// Heap footprint in bytes: the one element buffer, nothing per row.
     pub fn approx_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
+    }
+
+    /// True iff the buffer holds no spare capacity.
+    #[cfg(test)]
+    pub(crate) fn is_exact_size(&self) -> bool {
+        self.data.capacity() == self.data.len()
     }
 }
 

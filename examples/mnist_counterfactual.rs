@@ -34,7 +34,7 @@ fn main() {
         |q: &BitVec| ds.iter().enumerate().map(|(i, (p, _))| (p.hamming(q), i)).min().unwrap();
     let (nn_d, nn_idx) = nearest(&test);
     println!("(b) nearest neighbor of (a): point #{nn_idx} at distance {nn_d}\n");
-    println!("{}", ascii_art_binary(ds.point(nn_idx), side, &[]));
+    println!("{}", ascii_art_binary(&ds.point(nn_idx).to_bitvec(), side, &[]));
 
     // The closest counterfactual via the paper's SAT encoding (panel c). The
     // anytime budget keeps the demo snappy; `proven` reports whether the
@@ -53,7 +53,7 @@ fn main() {
     // Its nearest neighbor (panel d).
     let (nn2_d, nn2_idx) = nearest(&cf);
     println!("(d) nearest neighbor of (c): point #{nn2_idx} at distance {nn2_d}\n");
-    println!("{}", ascii_art_binary(ds.point(nn2_idx), side, &[]));
+    println!("{}", ascii_art_binary(&ds.point(nn2_idx).to_bitvec(), side, &[]));
 
     // Diff maps (panels e–g): changed pixels marked with '*'.
     let diff_ac = test.diff_indices(&cf);
@@ -63,11 +63,11 @@ fn main() {
     );
     println!("{}", ascii_art_binary(&test, side, &diff_ac));
 
-    let diff_ab = test.diff_indices(ds.point(nn_idx));
+    let diff_ab = test.diff_indices(&ds.point(nn_idx).to_bitvec());
     println!("(f) diff map between (a) and (b): {} pixels\n", diff_ab.len());
     println!("{}", ascii_art_binary(&test, side, &diff_ab));
 
-    let diff_cd = cf.diff_indices(ds.point(nn2_idx));
+    let diff_cd = cf.diff_indices(&ds.point(nn2_idx).to_bitvec());
     println!("(g) diff map between (c) and (d): {} pixels\n", diff_cd.len());
     println!("{}", ascii_art_binary(&cf, side, &diff_cd));
 

@@ -170,6 +170,25 @@ fn batch_refuses_unknown_flags() {
     assert!(out.stdout.is_empty(), "must fail before serving");
 }
 
+/// `xknn serve` and `xknn client` refuse a misspelled flag the same way,
+/// before binding or connecting: the server would print its `listening`
+/// banner, and nothing listens on port 1 for the client.
+#[test]
+fn serve_and_client_refuse_unknown_flags() {
+    for args in [["serve", "--addr", "127.0.0.1:0"], ["client", "--addr", "127.0.0.1:1"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_xknn"))
+            .args(args)
+            .args(["--cahce", "0"])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("xknn binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("`--cahce`"), "{args:?}: flag not named: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must fail before binding or connecting");
+    }
+}
+
 #[test]
 fn repo_demo_files_work() {
     // The checked-in demo datasets under data/ must stay valid.
