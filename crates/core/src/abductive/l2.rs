@@ -16,6 +16,8 @@
 //! window usually holds them all): only when no region of a window admits
 //! its candidate do the LPs run over that window, so every "sufficient"
 //! verdict keeps the exact Prop 3 proof.
+//! The LPs have the `|F|` free features as variables, `x̄` substituted on
+//! `X` ([`Polyhedron::restrict`]), so a witness equals `x̄` on `X` exactly.
 
 use crate::abductive::minimum::{minimum_sufficient_reason, HittingSetMode};
 use crate::classifier::ContinuousKnn;
@@ -90,8 +92,8 @@ impl<'a, F: Field> L2Abductive<'a, F> {
     /// The shared check: over each [`PROJECTION_WINDOW`] of regions, the
     /// anchor projections first, then the LP loop, where the first region
     /// admitting a point of `U(X, x̄)` yields the counterexample. The
-    /// polyhedra are used read-only; the affine restriction is applied
-    /// per-LP.
+    /// polyhedra are used read-only; each LP runs on a region's
+    /// restriction to the free features.
     fn check_over(
         &self,
         x: &[F],
@@ -108,7 +110,9 @@ impl<'a, F: Field> L2Abductive<'a, F> {
             debug_assert!(ok || !F::exact(), "exact witness must classify as target");
             ok
         };
-        let fixed_vals: Vec<(usize, F)> = fixed.iter().map(|&i| (i, x[i].clone())).collect();
+        let mut is_free = vec![true; x.len()];
+        fixed.iter().for_each(|&i| is_free[i] = false);
+        let free: Vec<usize> = (0..x.len()).filter(|&i| is_free[i]).collect();
         let projection = |(poly, spec): &(Arc<Polyhedron<F>>, RegionSpec)| {
             let mut y = spec.anchor_point(self.ds);
             for &i in fixed {
@@ -116,18 +120,23 @@ impl<'a, F: Field> L2Abductive<'a, F> {
             }
             (poly.contains_strictly(&y) && flips(&y)).then_some(y)
         };
+        let lift = |z: Vec<F>| {
+            let mut y = x.to_vec();
+            free.iter().zip(z).for_each(|(&i, v)| y[i] = v);
+            y
+        };
         let lp = |(poly, _): &(Arc<Polyhedron<F>>, RegionSpec)| {
+            let trace = poly.restrict(x, &free);
             match target {
                 // The positive region is closed, so any feasible point works —
                 // but a bisector-boundary point classifies by exact tie-break,
                 // which the float instantiation cannot reproduce reliably.
                 // Prefer an interior witness and keep the boundary fallback
                 // for measure-zero cells.
-                Label::Positive => poly
-                    .strict_feasible_point_fixed(&fixed_vals)
-                    .or_else(|| poly.feasible_point_fixed(&fixed_vals)),
-                Label::Negative => poly.strict_feasible_point_fixed(&fixed_vals),
+                Label::Positive => trace.strict_feasible_point().or_else(|| trace.feasible_point()),
+                Label::Negative => trace.strict_feasible_point(),
             }
+            .map(lift)
             .filter(|w| flips(w))
         };
         match first_in_windows(regions.polyhedra(), PROJECTION_WINDOW, projection, lp) {

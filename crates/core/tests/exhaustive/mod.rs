@@ -74,12 +74,20 @@ impl<'a> Exhaustive<'a> {
     }
 
     /// Check-SR (Prop 3): `fixed` is sufficient iff no region meets
-    /// `U(X, x̄)`, in its interior for the open negative region.
+    /// `U(X, x̄)`, in its interior for the open negative region. Each region
+    /// is cut down to `U(X, x̄)` by one equality row per fixed feature, in
+    /// all `d` coordinates, not by the engines' substitution into the free
+    /// ones.
     pub fn sufficient(&self, fixed: &[usize]) -> bool {
-        let vals: Vec<(usize, Rat)> = fixed.iter().map(|&i| (i, self.x[i].clone())).collect();
-        !self.regions.iter().any(|p| match self.target {
-            Label::Positive => p.feasible_point_fixed(&vals).is_some(),
-            Label::Negative => p.strict_feasible_point_fixed(&vals).is_some(),
+        !self.regions.iter().any(|p| {
+            let mut p = (**p).clone();
+            for &i in fixed {
+                p.fix_coord(i, self.x[i].clone());
+            }
+            match self.target {
+                Label::Positive => p.feasible_point().is_some(),
+                Label::Negative => p.strict_feasible_point().is_some(),
+            }
         })
     }
 

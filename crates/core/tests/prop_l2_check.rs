@@ -1,17 +1,20 @@
 //! Properties of ℓ2 Check-SR ([`L2Abductive::check`]) on random instances,
 //! served over a shared [`LazyRegions`] view as the batch engine does:
 //!
-//! * the verdict equals that of an LP-only reference written here from the
-//!   public API: the query's pruned, nearest-anchor-first
-//!   [`RegionStream::for_query`], and per region the `*_fixed` LPs of Prop 3
-//!   (strict, then closed, for the positive region; strict for the negative);
+//! * the verdict equals that of a full-space LP reference written here from
+//!   the public API: the query's pruned, nearest-anchor-first
+//!   [`RegionStream::for_query`], and per region the Prop 3 LPs (strict,
+//!   then closed, for the positive region; strict for the negative) in all
+//!   `d` coordinates, with one equality row per fixed feature — not the
+//!   served substitution of `x̄` into the free coordinates;
 //! * a "not sufficient" witness equals `x̄` exactly on the fixed features
 //!   (bit for bit in `f64`) and [`ContinuousKnn`] gives it the flipped label.
 //!
 //! Data is exact `Rat` on a ½ grid and `f64` on a 0.1 grid, most of whose
 //! values binary floating point cannot represent, at k ∈ {1, 3}, up to 5
 //! dimensions and 8 points per class (5 at k = 3). Every query is checked
-//! with the empty fixed set, the full one, and random ones in between.
+//! with the empty fixed set, the full one, all but one, two and three
+//! features fixed (the greedy-deletion steps), and random ones in between.
 
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::regions::{LazyRegions, RegionStream};
@@ -27,6 +30,8 @@ struct Instance {
     k3: bool,
     queries: Vec<Vec<i64>>,
     masks: Vec<u32>,
+    /// The first of the features left free in the all-but-r fixed sets.
+    offset: usize,
 }
 
 /// Coordinates are integers in `-span..=span`, scaled by the caller. At
@@ -42,13 +47,15 @@ fn instance_strategy(span: i64) -> impl Strategy<Value = Instance> {
             prop::collection::vec(pt(), per_class),
             prop::collection::vec(pt(), 1..=2),
             prop::collection::vec(0u32..(1 << dim), 2),
+            0..dim,
         )
-            .prop_map(move |(pos, neg, queries, masks)| Instance {
+            .prop_map(move |(pos, neg, queries, masks, offset)| Instance {
                 pos,
                 neg,
                 k3,
                 queries,
                 masks,
+                offset,
             })
     })
 }
@@ -68,10 +75,15 @@ fn dataset<F: Field>(inst: &Instance, conv: impl Fn(i64) -> F) -> ContinuousData
     ContinuousDataset::from_sets(set(&inst.pos), set(&inst.neg))
 }
 
-/// The fixed sets every query is checked under: ∅, all features, and the
-/// instance's random masks.
+/// The fixed sets every query is checked under: ∅, all features, all but
+/// r ∈ {1, 2, 3} of them (r consecutive features free, cyclically from the
+/// instance's offset), and the instance's random masks.
 fn fixed_sets(inst: &Instance, dim: usize) -> Vec<Vec<usize>> {
     let mut sets = vec![Vec::new(), (0..dim).collect()];
+    for r in 1..dim.min(4) {
+        let free = |i: usize| (i + dim - inst.offset) % dim < r;
+        sets.push((0..dim).filter(|&i| !free(i)).collect());
+    }
     for &m in &inst.masks {
         sets.push((0..dim).filter(|&i| m >> i & 1 == 1).collect());
     }
@@ -79,8 +91,11 @@ fn fixed_sets(inst: &Instance, dim: usize) -> Vec<Vec<usize>> {
 }
 
 /// Prop 3 by LPs alone: is there a region of the opposite label that meets
-/// `U(X, x̄)`? The same classifier guard as the engine discards a float LP
-/// point a rounding error onto the wrong side of a bisector.
+/// `U(X, x̄)`? Each region is cut down to `U(X, x̄)` by equality rows on a
+/// clone, in all `d` coordinates. The same classifier guard as the engine
+/// discards a float LP point a rounding error onto the wrong side of a
+/// bisector; it reads the point with `x̄` written back on `X`, since the
+/// simplex returns a fixed coordinate with a rounding error of its own.
 fn lp_only_sufficient<F: Field>(
     ds: &ContinuousDataset<F>,
     k: OddK,
@@ -89,15 +104,22 @@ fn lp_only_sufficient<F: Field>(
 ) -> bool {
     let knn = ContinuousKnn::new(ds, LpMetric::L2, k);
     let target = knn.classify(x).flip();
-    let fixed_vals: Vec<(usize, F)> = fixed.iter().map(|&i| (i, x[i].clone())).collect();
     for (poly, _) in RegionStream::for_query(ds, k, target, x, None) {
+        let mut poly = (*poly).clone();
+        for &i in fixed {
+            poly.fix_coord(i, x[i].clone());
+        }
         let witness = match target {
-            Label::Positive => poly
-                .strict_feasible_point_fixed(&fixed_vals)
-                .or_else(|| poly.feasible_point_fixed(&fixed_vals)),
-            Label::Negative => poly.strict_feasible_point_fixed(&fixed_vals),
+            Label::Positive => poly.strict_feasible_point().or_else(|| poly.feasible_point()),
+            Label::Negative => poly.strict_feasible_point(),
         };
-        if witness.is_some_and(|w| knn.classify(&w) == target) {
+        let on_x = |mut w: Vec<F>| {
+            for &i in fixed {
+                w[i] = x[i].clone();
+            }
+            w
+        };
+        if witness.map(on_x).is_some_and(|w| knn.classify(&w) == target) {
             return false;
         }
     }

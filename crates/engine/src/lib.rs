@@ -811,7 +811,7 @@ impl ExplanationEngine {
     /// Tries to serve `key` from the cache at `snap.epoch`: a same-epoch
     /// entry is a plain hit; an older entry with a guard is revalidated
     /// against the mutation window and promoted on success. Returns the
-    /// response body on a hit, plus whether the hit crossed an epoch
+    /// response body on a hit, plus whether this probe promoted the entry
     /// (a revalidation rather than a plain hit). A failed guard
     /// revalidation is reported through `trace.guard_failed` — to the
     /// caller it is a miss, but the flight recorder treats it as an
@@ -873,13 +873,20 @@ impl ExplanationEngine {
                     trace.guard_failed = true;
                     return None;
                 }
-                if let Some(e) = cache.lookup(key) {
-                    if e.epoch == entry_epoch {
+                // Two probes of one stale key can both replay the window;
+                // only the one that promotes the entry counts it as
+                // revalidated, the other is a plain hit.
+                let promoted = cache.lookup(key).is_some_and(|e| {
+                    let stale = e.epoch == entry_epoch;
+                    if stale {
                         e.epoch = snap.epoch;
                     }
+                    stale
+                });
+                if promoted {
+                    self.revalidated.fetch_add(1, Ordering::Relaxed);
                 }
-                self.revalidated.fetch_add(1, Ordering::Relaxed);
-                Some((body, true))
+                Some((body, promoted))
             }
         }
     }
@@ -1424,6 +1431,31 @@ mod tests {
         assert_eq!(near_warm.to_json_line(), oracle.run(&near).to_json_line());
         assert_eq!(far_warm.to_json_line(), oracle.run(&far).to_json_line());
         let _ = near_cold;
+    }
+
+    /// Workers that probe one stale key at once all get the cached answer,
+    /// but only the probe that promotes the entry counts as revalidated:
+    /// each benign mutation adds exactly one. A stress test (16 copies of
+    /// the key over 4 workers per epoch); it forces no interleaving.
+    #[test]
+    fn concurrent_stale_probes_revalidate_once() {
+        use knn_space::Label;
+        let ds = ContinuousDataset::from_sets(
+            vec![vec![5.0, 5.0, 5.0], vec![5.0, 5.0, 4.0]],
+            vec![vec![0.0, 0.0, 0.0], vec![0.0, 0.0, 1.0]],
+        );
+        let config = EngineConfig { workers: 4, ..EngineConfig::default() };
+        let e = ExplanationEngine::new(EngineData::from_continuous(ds), config);
+        let far = req(r#"{"id":"far","cmd":"classify","metric":"l2","point":[5,5,6]}"#);
+        let cold = e.run(&far).to_json_line();
+        let batch = vec![far; 16];
+        for epoch in 1..=20u64 {
+            let z = -(epoch as f64);
+            e.apply(Mutation::Insert { point: vec![0.0, 0.0, z], label: Label::Negative }).unwrap();
+            let out = e.run_batch(&batch);
+            assert!(out.iter().all(|r| r.to_json_line() == cold));
+            assert_eq!(e.stats().revalidated, epoch, "one promotion per epoch");
+        }
     }
 
     /// Invalid mutations are rejected atomically: no epoch bump, no

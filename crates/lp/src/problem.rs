@@ -119,11 +119,6 @@ impl<F: Field> LpProblem<F> {
         self.rows.push(Row { coeffs, rel, rhs });
     }
 
-    /// Fixes `x_j = v` (an equality row; used for the affine subspaces `U(X, x̄)`).
-    pub fn fix_var(&mut self, j: usize, v: F) {
-        self.add_constraint(vec![(j, F::one())], Rel::Eq, v);
-    }
-
     /// Sets a lower bound `x_j ≥ v`.
     pub fn set_lower(&mut self, j: usize, v: F) {
         self.lower[j] = Some(v);

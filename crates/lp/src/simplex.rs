@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn fix_var_equality() {
         let mut lp = LpProblem::<Rat>::new(2);
-        lp.fix_var(0, r(7, 2));
+        lp.add_constraint(vec![(0, r(1, 1))], Rel::Eq, r(7, 2));
         lp.add_dense(&[r(1, 1), r(1, 1)], Rel::Le, r(5, 1));
         match lp.solve(&[r(0, 1), r(1, 1)], Objective::Maximize) {
             LpOutcome::Optimal { x, value } => {
@@ -570,6 +570,23 @@ mod tests {
                 assert_eq!(value, r(3, 2));
             }
             other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    /// With no variables every row reads `0 (rel) b`: the system is
+    /// feasible iff each `0 ≤ b` holds, and strictly feasible iff each
+    /// `0 < b` does (a check with every feature fixed).
+    #[test]
+    fn zero_variable_rows() {
+        for b in [-1, 0, 1] {
+            let mut lp = LpProblem::<Rat>::new(0);
+            lp.add_constraint(vec![], Rel::Le, r(2, 1));
+            lp.add_constraint(vec![], Rel::Le, r(b, 1));
+            assert_eq!(lp.feasible_point(), (b >= 0).then(Vec::new), "0 ≤ {b}");
+            let mut strict = LpProblem::<Rat>::new(0);
+            strict.add_constraint(vec![], Rel::Lt, r(2, 1));
+            strict.add_constraint(vec![], Rel::Lt, r(b, 1));
+            assert_eq!(strict.strict_feasible(), (b > 0).then(Vec::new), "0 < {b}");
         }
     }
 

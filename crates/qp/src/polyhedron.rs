@@ -109,38 +109,23 @@ impl<F: Field> Polyhedron<F> {
         self.to_strict_lp().strict_feasible()
     }
 
-    /// Like [`Polyhedron::feasible_point`] restricted to the affine subspace
-    /// `{y : yᵢ = v ∀(i, v) ∈ fixed}`, without mutating (or cloning) the
-    /// polyhedron — the memoized-regions hot path of the batch engine. The
-    /// returned point carries every fixed `v` exactly.
-    pub fn feasible_point_fixed(&self, fixed: &[(usize, F)]) -> Option<Vec<F>> {
-        let mut lp = self.to_lp();
-        for (i, v) in fixed {
-            lp.fix_var(*i, v.clone());
-        }
-        lp.feasible_point().map(|y| pin(y, fixed))
+    /// The trace on `U = {y : yᵢ = xᵢ ∀i ∉ free}` (Prop 3's `U(X, x̄)`) in
+    /// its own coordinates `z = y_free`: each row `a·y ≤ b` becomes
+    /// `a_F·z ≤ b − Σ_{i∉F} aᵢxᵢ`, fixed terms taken in index order, and
+    /// equalities alike. `free` holds distinct coordinates.
+    pub fn restrict(&self, x: &[F], free: &[usize]) -> Polyhedron<F> {
+        assert_eq!(x.len(), self.n);
+        let mut fixed = vec![true; self.n];
+        free.iter().for_each(|&i| fixed[i] = false);
+        let row = |(a, b): &(Vec<F>, F)| {
+            let b = (0..self.n)
+                .filter(|&i| fixed[i])
+                .fold(b.clone(), |b, i| b - a[i].clone() * x[i].clone());
+            (free.iter().map(|&i| a[i].clone()).collect(), b)
+        };
+        let rows = |rows: &[(Vec<F>, F)]| rows.iter().map(row).collect();
+        Polyhedron { n: free.len(), ineqs: rows(&self.ineqs), eqs: rows(&self.eqs) }
     }
-
-    /// Like [`Polyhedron::strict_feasible_point`] restricted to an affine
-    /// subspace, without mutating the polyhedron; fixed values are exact.
-    pub fn strict_feasible_point_fixed(&self, fixed: &[(usize, F)]) -> Option<Vec<F>> {
-        let mut lp = self.to_strict_lp();
-        for (i, v) in fixed {
-            lp.fix_var(*i, v.clone());
-        }
-        lp.strict_feasible().map(|y| pin(y, fixed))
-    }
-}
-
-/// Writes the fixed values back into an LP point. The simplex solves for
-/// a pinned coordinate like any other, so in `f64` it returns `v` plus a
-/// rounding error; a point of `U(X, x̄)` must equal `x̄` on `X` bit for bit.
-/// In an exact field this is the identity.
-fn pin<F: Field>(mut y: Vec<F>, fixed: &[(usize, F)]) -> Vec<F> {
-    for (i, v) in fixed {
-        y[*i] = v.clone();
-    }
-    y
 }
 
 #[cfg(test)]
@@ -191,22 +176,54 @@ mod tests {
         assert!(p.strict_feasible_point().is_none());
     }
 
-    /// The `*_fixed` LPs return the fixed values themselves: on this
-    /// instance the simplex solves `y₂ = 2.2` as `2.1999999999999997`.
+    /// `restrict` decides what fixing coordinates on a clone decides,
+    /// closed and strict, for |F| = 0, 1 and d − 1 free coordinates, and a
+    /// point it finds lifts (x̄ off F) into the original polyhedron. Small
+    /// integer rows and queries make the fixed subspace touch a
+    /// polyhedron's boundary only (closed but not strict) now and then.
     #[test]
-    fn fixed_values_returned_exactly() {
-        let mut p = Polyhedron::whole_space(3);
-        p.add_le(vec![-2.0, -2.7, 1.1], 1.4);
-        p.add_le(vec![-2.6, -2.1, 2.9], 1.3);
-        p.add_le(vec![-2.1, -1.5, -1.2], 2.3);
-        p.add_le(vec![-3.0, -1.4, 0.2], 3.9);
-        let fixed = [(0, 0.2), (2, 2.2)];
-        for y in [p.feasible_point_fixed(&fixed), p.strict_feasible_point_fixed(&fixed)] {
-            let y = y.expect("the rows meet the fixed line");
-            for (i, v) in &fixed {
-                assert_eq!(y[*i].to_bits(), v.to_bits());
+    fn restriction_decides_like_fixed_coordinates() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut touched = 0;
+        for _ in 0..200 {
+            let d = rng.gen_range(1..=4usize);
+            let mut p = Polyhedron::whole_space(d);
+            for _ in 0..rng.gen_range(1..=6) {
+                let a = (0..d).map(|_| r(rng.gen_range(-2..=2), 1)).collect();
+                p.add_le(a, r(rng.gen_range(-3..=3), 1));
+            }
+            let x: Vec<Rat> = (0..d).map(|_| r(rng.gen_range(-2..=2), 1)).collect();
+            let mut frees = vec![Vec::new(), vec![rng.gen_range(0..d)]];
+            let skip = rng.gen_range(0..d);
+            frees.push((0..d).filter(|&i| i != skip).collect());
+            for free in frees {
+                let mut fixed = p.clone();
+                for i in (0..d).filter(|i| !free.contains(i)) {
+                    fixed.fix_coord(i, x[i].clone());
+                }
+                let sub = p.restrict(&x, &free);
+                assert_eq!(sub.dim(), free.len());
+                let lift = |z: Vec<Rat>| {
+                    let mut y = x.clone();
+                    for (&i, v) in free.iter().zip(z) {
+                        y[i] = v;
+                    }
+                    y
+                };
+                let want_closed = fixed.feasible_point().is_some();
+                let want_strict = fixed.strict_feasible_point().is_some();
+                let closed = sub.feasible_point().map(lift);
+                let strict = sub.strict_feasible_point().map(lift);
+                assert_eq!(closed.is_some(), want_closed);
+                assert_eq!(strict.is_some(), want_strict);
+                assert!(closed.is_none_or(|y| fixed.contains(&y)));
+                assert!(strict.is_none_or(|y| fixed.contains_strictly(&y)));
+                touched += usize::from(want_closed && !want_strict);
             }
         }
+        assert!(touched > 0, "no instance touched a boundary only");
     }
 
     #[test]
