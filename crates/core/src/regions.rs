@@ -29,16 +29,18 @@
 //!   pairs (a region contained in another region of the same union) are
 //!   skipped before any LP sees them — see [`prune_region`];
 //! * **memoization**: visited regions can be recorded in a [`RegionMemo`]
-//!   (bounded, insert-only), so warm queries skip the row construction —
-//!   [`LazyRegions`] is the `Arc`-shareable bundle the batch engine keeps in
-//!   its artifact store.
+//!   (insert-only, bounded in entries and in bytes), so warm queries skip
+//!   the row construction — [`LazyRegions`] is the `Arc`-shareable bundle
+//!   the batch engine keeps in its artifact store.
 //!
 //! The ℓ2 explanation engines read every polyhedron from one such stream: a
 //! fresh one per call, or one over a shared [`LazyRegions`] memo. Their
 //! answers are property-tested in `tests/prop_regions_lazy.rs` against an
 //! exhaustive pass over [`RegionStream::canonical`], which neither orders
-//! nor prunes.
+//! nor prunes. Every yield and prune is recorded in the thread-local
+//! [`crate::tally`], the one count of region work.
 
+use crate::tally;
 use knn_num::field::norm_sq;
 use knn_num::Field;
 use knn_qp::Polyhedron;
@@ -46,48 +48,6 @@ use knn_space::{ContinuousDataset, Label, OddK};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-/// Live counters of lazy-region enumeration activity: how many polyhedra
-/// the streams actually yielded, and how many each prune rule skipped.
-///
-/// Counters are plain relaxed atomics — shareable across every stream of an
-/// engine (and across its artifact-store generations) without this crate
-/// depending on any telemetry machinery. They observe the enumeration and
-/// never influence it: the yielded sequence is identical with or without a
-/// counter attached.
-#[derive(Debug, Default)]
-pub struct RegionCounters {
-    yields: AtomicU64,
-    pruned_empty: AtomicU64,
-    pruned_dominated: AtomicU64,
-    memo_pruned: AtomicU64,
-}
-
-impl RegionCounters {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> RegionCountersSnapshot {
-        RegionCountersSnapshot {
-            yields: self.yields.load(Ordering::Relaxed),
-            pruned_empty: self.pruned_empty.load(Ordering::Relaxed),
-            pruned_dominated: self.pruned_dominated.load(Ordering::Relaxed),
-            memo_pruned: self.memo_pruned.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An owned copy of [`RegionCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegionCountersSnapshot {
-    /// Polyhedra yielded to callers (memoized re-yields included).
-    pub yields: u64,
-    /// Regions skipped as provably empty ([`PruneReason::Empty`]).
-    pub pruned_empty: u64,
-    /// Regions skipped as dominated ([`PruneReason::Dominated`]).
-    pub pruned_dominated: u64,
-    /// Regions skipped via a memoized prune verdict (rule unknown — the
-    /// memo stores the verdict, not the reason).
-    pub memo_pruned: u64,
-}
 
 /// Iterator over all size-`r` index subsets of `0..n` (lexicographic).
 pub struct Combinations {
@@ -452,15 +412,18 @@ fn dominated_by<F: Field>(
 /// A bounded, insert-only memo of visited regions, shared across queries and
 /// worker threads. Entries record either the constructed polyhedron or the
 /// prune verdict, so warm enumerations skip both the row construction and
-/// the prune test. Once `cap` entries are stored, further inserts are
-/// dropped (lookups still hit), bounding memory at roughly the cost of
-/// materializing the visited prefix of the decomposition.
+/// the prune test. An insert is dropped (lookups still hit) once `cap`
+/// entries are stored, or when it would take [`RegionMemo::approx_bytes`]
+/// past `budget`: one entry is a whole polyhedron, `maj·(|S∓| − min)` rows,
+/// so the entry cap alone would let a k = 3 walk over a few hundred points
+/// retain gigabytes. A dropped insert only costs a later visit the rows.
 #[derive(Debug)]
 pub struct RegionMemo<F> {
     // RwLock, not Mutex: warm enumerations are lookup-only and every engine
     // worker shares the per-k memo, so reads must not serialize each other.
     entries: RwLock<HashMap<RegionSpec, MemoEntry<F>>>,
     cap: usize,
+    budget: usize,
     // Estimated heap bytes of the retained entries, maintained under the
     // insert write lock (entries are insert-only, so no decrements). Kept as
     // a running total so the resource gauges never iterate the map.
@@ -474,9 +437,10 @@ enum MemoEntry<F> {
 }
 
 impl<F: Field> RegionMemo<F> {
-    /// An empty memo holding at most `cap` regions.
-    pub fn new(cap: usize) -> Self {
-        RegionMemo { entries: RwLock::new(HashMap::new()), cap, bytes: AtomicU64::new(0) }
+    /// An empty memo holding at most `cap` regions and, by
+    /// [`RegionMemo::approx_bytes`], at most `budget` bytes.
+    pub fn new(cap: usize, budget: usize) -> Self {
+        RegionMemo { entries: RwLock::new(HashMap::new()), cap, budget, bytes: AtomicU64::new(0) }
     }
 
     fn get(&self, spec: &RegionSpec) -> Option<MemoEntry<F>> {
@@ -484,12 +448,11 @@ impl<F: Field> RegionMemo<F> {
     }
 
     fn insert(&self, spec: RegionSpec, entry: MemoEntry<F>) {
+        let b = Self::entry_bytes(&spec, &entry);
         let mut map = self.entries.write().unwrap();
-        if map.len() < self.cap {
-            let b = Self::entry_bytes(&spec, &entry);
-            if map.insert(spec, entry).is_none() {
-                self.bytes.fetch_add(b as u64, Ordering::Relaxed);
-            }
+        let fits = map.len() < self.cap && self.approx_bytes() + b <= self.budget;
+        if fits && map.insert(spec, entry).is_none() {
+            self.bytes.fetch_add(b as u64, Ordering::Relaxed);
         }
     }
 
@@ -503,7 +466,7 @@ impl<F: Field> RegionMemo<F> {
             MemoEntry::Pruned => 0,
             MemoEntry::Poly(p) => {
                 let row = (p.dim() + 1) * std::mem::size_of::<F>() + 24;
-                std::mem::size_of::<Polyhedron<F>>() + (p.ineqs().len() + p.eqs().len()) * row
+                std::mem::size_of::<Polyhedron<F>>() + p.ineqs().len() * row
             }
         };
         spec_b + entry_b + std::mem::size_of::<(RegionSpec, MemoEntry<F>)>() + 16
@@ -556,7 +519,6 @@ pub struct RegionStream<'a, F: Field> {
     /// `others`; `None` before its first.
     b: Option<Vec<usize>>,
     scratch_mask: Vec<bool>,
-    counters: Option<&'a RegionCounters>,
 }
 
 /// The emission order of anchor sets for one `(dataset, k, target, query)`
@@ -658,15 +620,7 @@ impl<'a, F: Field> RegionStream<'a, F> {
             a_pos: 0,
             b: None,
             scratch_mask,
-            counters: None,
         }
-    }
-
-    /// Attaches activity counters (see [`RegionCounters`]); purely
-    /// observational — the yielded sequence is unchanged.
-    pub fn counting(mut self, counters: &'a RegionCounters) -> Self {
-        self.counters = Some(counters);
-        self
     }
 
     /// Canonical (lexicographic) order, unpruned: every region of the
@@ -715,16 +669,11 @@ impl<'a, F: Field> RegionStream<'a, F> {
         if let Some(memo) = self.memo {
             match memo.get(&spec) {
                 Some(MemoEntry::Pruned) => {
-                    if let Some(c) = self.counters {
-                        c.memo_pruned.fetch_add(1, Ordering::Relaxed);
-                    }
+                    tally::bump(|t| &mut t.memo_pruned);
                     return None;
                 }
                 Some(MemoEntry::Poly(p)) => {
-                    if let Some(c) = self.counters {
-                        c.yields.fetch_add(1, Ordering::Relaxed);
-                    }
-                    crate::tally::bump_region_yields();
+                    tally::bump(|t| &mut t.yields);
                     return Some((p, spec));
                 }
                 None => {}
@@ -743,13 +692,9 @@ impl<'a, F: Field> RegionStream<'a, F> {
                 self.strict,
                 &rows,
             ) {
-                if let Some(c) = self.counters {
-                    match reason {
-                        PruneReason::Empty => c.pruned_empty.fetch_add(1, Ordering::Relaxed),
-                        PruneReason::Dominated(_) => {
-                            c.pruned_dominated.fetch_add(1, Ordering::Relaxed)
-                        }
-                    };
+                match reason {
+                    PruneReason::Empty => tally::bump(|t| &mut t.pruned_empty),
+                    PruneReason::Dominated(_) => tally::bump(|t| &mut t.pruned_dominated),
                 }
                 if let Some(memo) = self.memo {
                     memo.insert(spec, MemoEntry::Pruned);
@@ -761,10 +706,7 @@ impl<'a, F: Field> RegionStream<'a, F> {
         if let Some(memo) = self.memo {
             memo.insert(spec.clone(), MemoEntry::Poly(poly.clone()));
         }
-        if let Some(c) = self.counters {
-            c.yields.fetch_add(1, Ordering::Relaxed);
-        }
-        crate::tally::bump_region_yields();
+        tally::bump(|t| &mut t.yields);
         Some((poly, spec))
     }
 }
@@ -837,45 +779,28 @@ pub struct LazyRegions<F> {
     k: OddK,
     positive: RegionMemo<F>,
     negative: RegionMemo<F>,
-    counters: Arc<RegionCounters>,
 }
 
 impl<F: Field> LazyRegions<F> {
     /// Default bound on memoized regions per decision region.
     pub const DEFAULT_MEMO_CAP: usize = 1 << 16;
 
+    /// Bound on a decision region's memo by [`RegionMemo::approx_bytes`].
+    pub const MEMO_BUDGET_BYTES: usize = 64 << 20;
+
     /// A lazy view of the `f^k` decomposition over `ds`.
     pub fn new(ds: &ContinuousDataset<F>, k: OddK) -> Self {
         LazyRegions {
             ds: ds.clone(),
             k,
-            positive: RegionMemo::new(Self::DEFAULT_MEMO_CAP),
-            negative: RegionMemo::new(Self::DEFAULT_MEMO_CAP),
-            counters: Arc::new(RegionCounters::default()),
+            positive: RegionMemo::new(Self::DEFAULT_MEMO_CAP, Self::MEMO_BUDGET_BYTES),
+            negative: RegionMemo::new(Self::DEFAULT_MEMO_CAP, Self::MEMO_BUDGET_BYTES),
         }
-    }
-
-    /// [`LazyRegions::new`], sharing an external [`RegionCounters`] — the
-    /// engine hands every per-`k` view (across artifact-store generations)
-    /// the same counters so prune/yield totals are engine-wide.
-    pub fn with_counters(
-        ds: &ContinuousDataset<F>,
-        k: OddK,
-        counters: Arc<RegionCounters>,
-    ) -> Self {
-        let mut lazy = Self::new(ds, k);
-        lazy.counters = counters;
-        lazy
     }
 
     /// The `k` this view was built for.
     pub fn k(&self) -> OddK {
         self.k
-    }
-
-    /// The activity counters every stream of this view records into.
-    pub fn counters(&self) -> &Arc<RegionCounters> {
-        &self.counters
     }
 
     /// A pruned, nearest-anchor-first, memoized stream of the `target`
@@ -885,7 +810,7 @@ impl<F: Field> LazyRegions<F> {
             Label::Positive => &self.positive,
             Label::Negative => &self.negative,
         };
-        RegionStream::for_query(&self.ds, self.k, target, x, Some(memo)).counting(&self.counters)
+        RegionStream::for_query(&self.ds, self.k, target, x, Some(memo))
     }
 
     /// [`LazyRegions::stream`] over a precomputed [`AnchorOrder`].
@@ -895,7 +820,6 @@ impl<F: Field> LazyRegions<F> {
             Label::Negative => &self.negative,
         };
         RegionStream::with_order(&self.ds, self.k, target, order, true, Some(memo))
-            .counting(&self.counters)
     }
 
     /// Total regions memoized so far (both decision regions, prune verdicts
@@ -1070,7 +994,7 @@ mod tests {
         b.sort();
         assert_eq!(a, b, "query ordering must permute, not change, the set");
 
-        let memo = RegionMemo::new(1024);
+        let memo = RegionMemo::new(1024, usize::MAX);
         let cold: Vec<_> =
             RegionStream::new(&ds, k, Label::Positive, Some(&x), true, Some(&memo)).collect();
         let warm: Vec<_> =
@@ -1080,6 +1004,39 @@ mod tests {
             assert_eq!(s1, s2);
             assert!(Arc::ptr_eq(p1, p2), "warm pass must reuse the memoized polyhedron");
         }
+    }
+
+    /// A memo over its byte budget drops inserts, never regions: on a k = 3
+    /// walk whose polyhedra outweigh a small budget, the memo stays within
+    /// it, and a cold and a warm pass through it yield the unmemoized
+    /// stream's `(spec, rows)` sequence, each recorded once in the tally.
+    #[test]
+    fn memo_budget_bounds_bytes_not_regions() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut pts = |n: usize| -> Vec<Vec<f64>> {
+            (0..n).map(|_| (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect()
+        };
+        let ds = ContinuousDataset::from_sets(pts(8), pts(8));
+        let x = pts(1).remove(0);
+        let walk = |memo: Option<&RegionMemo<f64>>| {
+            let t0 = tally::regions();
+            let out: Vec<_> = RegionStream::for_query(&ds, OddK::THREE, Label::Positive, &x, memo)
+                .map(|(p, spec)| (spec, p.ineqs().to_vec()))
+                .collect();
+            assert_eq!(tally::regions().since(&t0).yields, out.len() as u64);
+            out
+        };
+        let want = walk(None);
+        let unbounded = RegionMemo::new(1 << 16, usize::MAX);
+        assert_eq!(walk(Some(&unbounded)), want);
+        let budget = 4096;
+        let memo = RegionMemo::new(1 << 16, budget);
+        for _ in 0..2 {
+            assert_eq!(walk(Some(&memo)), want);
+            assert!(memo.approx_bytes() <= budget, "{} bytes", memo.approx_bytes());
+        }
+        assert!(unbounded.approx_bytes() > budget, "the budget must bind");
+        assert!(!memo.is_empty() && memo.len() < unbounded.len());
     }
 
     /// Nearest-anchor-first: with k = 1 the first emitted region must be

@@ -11,6 +11,7 @@
 
 use knn_core::regions::RegionStream;
 use knn_core::ContinuousKnn;
+use knn_lp::{LpProblem, Rel};
 use knn_num::field::norm_sq;
 use knn_num::Rat;
 use knn_qp::{project_onto_polyhedron_from, Polyhedron, QpOutcome};
@@ -80,13 +81,15 @@ impl<'a> Exhaustive<'a> {
     /// ones.
     pub fn sufficient(&self, fixed: &[usize]) -> bool {
         !self.regions.iter().any(|p| {
-            let mut p = (**p).clone();
-            for &i in fixed {
-                p.fix_coord(i, self.x[i].clone());
-            }
+            let pinned = |mut lp: LpProblem<Rat>| {
+                for &i in fixed {
+                    lp.add_constraint(vec![(i, Rat::one())], Rel::Eq, self.x[i].clone());
+                }
+                lp
+            };
             match self.target {
-                Label::Positive => p.feasible_point().is_some(),
-                Label::Negative => p.strict_feasible_point().is_some(),
+                Label::Positive => pinned(p.to_lp()).feasible_point().is_some(),
+                Label::Negative => pinned(p.to_strict_lp()).strict_feasible().is_some(),
             }
         })
     }

@@ -19,6 +19,7 @@
 use knn_core::abductive::l2::L2Abductive;
 use knn_core::regions::{LazyRegions, RegionStream};
 use knn_core::{ContinuousKnn, SrCheck};
+use knn_lp::{LpProblem, Rel};
 use knn_num::{Field, Rat};
 use knn_space::{ContinuousDataset, Label, LpMetric, OddK};
 use proptest::prelude::*;
@@ -91,8 +92,8 @@ fn fixed_sets(inst: &Instance, dim: usize) -> Vec<Vec<usize>> {
 }
 
 /// Prop 3 by LPs alone: is there a region of the opposite label that meets
-/// `U(X, x̄)`? Each region is cut down to `U(X, x̄)` by equality rows on a
-/// clone, in all `d` coordinates. The same classifier guard as the engine
+/// `U(X, x̄)`? Each region's LP is cut down to `U(X, x̄)` by one equality
+/// row per fixed feature, in all `d` coordinates. The same classifier guard as the engine
 /// discards a float LP point a rounding error onto the wrong side of a
 /// bisector; it reads the point with `x̄` written back on `X`, since the
 /// simplex returns a fixed coordinate with a rounding error of its own.
@@ -105,13 +106,16 @@ fn lp_only_sufficient<F: Field>(
     let knn = ContinuousKnn::new(ds, LpMetric::L2, k);
     let target = knn.classify(x).flip();
     for (poly, _) in RegionStream::for_query(ds, k, target, x, None) {
-        let mut poly = (*poly).clone();
-        for &i in fixed {
-            poly.fix_coord(i, x[i].clone());
-        }
+        let pinned = |mut lp: LpProblem<F>| {
+            for &i in fixed {
+                lp.add_constraint(vec![(i, F::one())], Rel::Eq, x[i].clone());
+            }
+            lp
+        };
+        let strict = || pinned(poly.to_strict_lp()).strict_feasible();
         let witness = match target {
-            Label::Positive => poly.strict_feasible_point().or_else(|| poly.feasible_point()),
-            Label::Negative => poly.strict_feasible_point(),
+            Label::Positive => strict().or_else(|| pinned(poly.to_lp()).feasible_point()),
+            Label::Negative => strict(),
         };
         let on_x = |mut w: Vec<F>| {
             for &i in fixed {

@@ -86,12 +86,12 @@ fn k_of(inst: &Instance) -> OddK {
 }
 
 /// A comparable fingerprint of one region: its spec plus its rows.
-type Fingerprint = BTreeMap<RegionSpec, (Vec<(Vec<Rat>, Rat)>, Vec<(Vec<Rat>, Rat)>)>;
+type Fingerprint = BTreeMap<RegionSpec, Vec<(Vec<Rat>, Rat)>>;
 
 fn fingerprint<'a>(
     regions: impl Iterator<Item = (&'a Polyhedron<Rat>, RegionSpec)>,
 ) -> Fingerprint {
-    regions.map(|(p, spec)| (spec, (p.ineqs().to_vec(), p.eqs().to_vec()))).collect()
+    regions.map(|(p, spec)| (spec, p.ineqs().to_vec())).collect()
 }
 
 /// The Prop 1 regions of `target`, built directly: for every anchor set
@@ -112,7 +112,7 @@ fn prop1_regions(ds: &ContinuousDataset<Rat>, k: OddK, target: Label) -> Fingerp
                     rows.push(bisector_row(ds.point(ai), ds.point(c)));
                 }
             }
-            regions.insert(RegionSpec { anchors, excluded }, (rows, Vec::new()));
+            regions.insert(RegionSpec { anchors, excluded }, rows);
         }
     }
     regions

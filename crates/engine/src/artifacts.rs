@@ -43,7 +43,7 @@
 //! while distinct artifacts (e.g. region views for k = 1 and k = 3) build
 //! in parallel.
 
-use knn_core::regions::{LazyRegions, RegionCounters};
+use knn_core::regions::LazyRegions;
 use knn_core::satenc::DiscreteModel;
 use knn_delta::AppliedMutation;
 use knn_index::{HammingScan, LpScan};
@@ -261,9 +261,6 @@ pub struct ArtifactStore {
     hamming_sat: Family<(u32, Label), DiscreteModel>,
     /// Build-time accounting, shared across carry-over generations.
     metrics: Arc<StoreMetrics>,
-    /// Region-enumeration counters every lazy view (any `k`, any
-    /// generation) records into, so prune/yield totals are engine-wide.
-    region_counters: Arc<RegionCounters>,
 }
 
 impl ArtifactStore {
@@ -295,11 +292,8 @@ impl ArtifactStore {
     /// regions are memoized inside the view (bounded), so every worker
     /// sharing this artifact also shares the warm enumeration.
     pub fn l2_lazy_regions(&self, data: &EngineData, k: OddK) -> Arc<LazyRegions<f64>> {
-        self.l2_lazy.get_or_build(k.get(), || {
-            self.metrics.time(|| {
-                LazyRegions::with_counters(&data.continuous, k, self.region_counters.clone())
-            })
-        })
+        self.l2_lazy
+            .get_or_build(k.get(), || self.metrics.time(|| LazyRegions::new(&data.continuous, k)))
     }
 
     /// The Hamming SAT model for "classified `target`" at `k`, building it
@@ -322,12 +316,6 @@ impl ArtifactStore {
     /// Build-time accounting (engine-lifetime — survives carry-overs).
     pub fn metrics(&self) -> &Arc<StoreMetrics> {
         &self.metrics
-    }
-
-    /// The engine-wide region-enumeration counters (see
-    /// [`RegionCounters`]).
-    pub fn region_counters(&self) -> &Arc<RegionCounters> {
-        &self.region_counters
     }
 
     /// How many artifacts (across all families) have finished building —
@@ -408,7 +396,6 @@ impl ArtifactStore {
             l2_lazy: Family::default(),
             hamming_sat: Family::default(),
             metrics: self.metrics.clone(),
-            region_counters: self.region_counters.clone(),
         };
         self.metrics.carried.fetch_add(next.built_count() as u64, Ordering::Relaxed);
         next

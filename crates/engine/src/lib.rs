@@ -95,6 +95,7 @@ pub use request::{CacheKey, Metric, Outcome, QueryKind, Request, Response};
 pub use knn_delta::Mutation;
 
 use cache::LruCache;
+use knn_core::tally::RegionTally;
 use knn_delta::{AppliedMutation, ClassifyGuard, MutationLog};
 use knn_telemetry::{Histogram, QuerySpans, QueryTrace, SpanEvent, Telemetry};
 use std::cell::Cell;
@@ -326,7 +327,7 @@ struct RouteWork {
 struct WorkSample {
     lp: u64,
     qp: u64,
-    regions: u64,
+    regions: RegionTally,
 }
 
 impl WorkSample {
@@ -334,7 +335,7 @@ impl WorkSample {
         WorkSample {
             lp: knn_lp::tally::lp_solves(),
             qp: knn_qp::tally::qp_solves(),
-            regions: knn_core::tally::region_yields(),
+            regions: knn_core::tally::regions(),
         }
     }
 }
@@ -372,9 +373,11 @@ pub struct EngineStats {
     /// cross-replica fill. Kept separate from hits/misses so cluster-wide
     /// hit-rate math stays honest once an entry exists on several replicas.
     pub filled: u64,
-    /// Lazy region-enumeration activity: yields and per-rule prune counts,
-    /// engine-lifetime (see [`knn_core::regions::RegionCounters`]).
-    pub regions: knn_core::regions::RegionCountersSnapshot,
+    /// Lazy region-enumeration work of the served computes: yields and
+    /// per-rule prune counts, engine-lifetime. `regions.yields` is the sum
+    /// of [`RouteWorkSnapshot::region_yields`] over every route; audit
+    /// re-executions are not counted.
+    pub regions: RegionTally,
     /// Total wall time spent building shared artifacts, µs
     /// (engine-lifetime — rebuilds after mutations included).
     pub artifact_build_us: u64,
@@ -419,11 +422,14 @@ pub struct ExplanationEngine {
     telemetry: Arc<Telemetry>,
     /// Tenant label span events carry (the `with_telemetry` label).
     tenant: String,
-    /// Per-route monotonic work counters (LP/QP solves, KD node visits,
-    /// region yields, solve µs). Always on: the per-compute cost is four
-    /// thread-local reads and a handful of relaxed adds, paid only on the
-    /// compute path — warm cache hits never touch it.
+    /// Per-route monotonic work counters (LP/QP solves, region yields,
+    /// solve µs). Always on: the per-compute cost is three thread-local
+    /// reads, a handful of relaxed adds and one uncontended lock of
+    /// `regions`, paid only on the compute path — warm cache hits never
+    /// touch it.
     work: RwLock<BTreeMap<String, Arc<RouteWork>>>,
+    /// The region work of every route's computes, summed.
+    regions: Mutex<RegionTally>,
     phase_cache: Arc<Histogram>,
     phase_plan: Arc<Histogram>,
     phase_solve: Arc<Histogram>,
@@ -477,6 +483,7 @@ impl ExplanationEngine {
             telemetry,
             tenant: label.to_string(),
             work: RwLock::new(BTreeMap::new()),
+            regions: Mutex::new(RegionTally::default()),
             phase_cache,
             phase_plan,
             phase_solve,
@@ -495,7 +502,7 @@ impl ExplanationEngine {
     /// per-component memory estimate. Observability only: reading them
     /// never changes a response byte.
     pub fn stats(&self) -> EngineStats {
-        let (epoch, artifacts_built, regions, store, mut resources) = {
+        let (epoch, artifacts_built, store, mut resources) = {
             let st = self.state.lock().unwrap();
             let art = st.artifacts.resources();
             let resources = ResourceStats {
@@ -513,7 +520,6 @@ impl ExplanationEngine {
             (
                 st.log.epoch(),
                 st.artifacts.built_count(),
-                st.artifacts.region_counters().snapshot(),
                 st.artifacts.metrics().snapshot(),
                 resources,
             )
@@ -531,7 +537,7 @@ impl ExplanationEngine {
             revalidated: self.revalidated.load(Ordering::Relaxed),
             revalidation_failed: self.revalidation_failed.load(Ordering::Relaxed),
             filled: self.filled.load(Ordering::Relaxed),
-            regions,
+            regions: *self.regions.lock().unwrap(),
             artifact_build_us: store.build_us,
             artifacts_built_total: store.built,
             artifacts_carried: store.carried,
@@ -570,17 +576,22 @@ impl ExplanationEngine {
         self.work.write().unwrap().entry(route.to_string()).or_default().clone()
     }
 
-    /// Attributes the work done since `w0` to `route`. One query runs on one
-    /// worker thread, so the thread-local tally deltas are exact; wrapping
-    /// subtraction keeps the attribution correct even across tally overflow.
-    fn record_work(&self, route: &str, w0: &WorkSample, solve_us: u64) {
+    /// Attributes the work done since `w0` to `route` and to the engine's
+    /// region total, and returns the query's region work. One query runs on
+    /// one worker thread, so the thread-local tally deltas are exact;
+    /// wrapping subtraction keeps the attribution correct even across tally
+    /// overflow.
+    fn record_work(&self, route: &str, w0: &WorkSample, solve_us: u64) -> RegionTally {
         let w1 = WorkSample::take();
+        let regions = w1.regions.since(&w0.regions);
         let w = self.route_work(route);
         w.computes.fetch_add(1, Ordering::Relaxed);
         w.lp_solves.fetch_add(w1.lp.wrapping_sub(w0.lp), Ordering::Relaxed);
         w.qp_solves.fetch_add(w1.qp.wrapping_sub(w0.qp), Ordering::Relaxed);
-        w.region_yields.fetch_add(w1.regions.wrapping_sub(w0.regions), Ordering::Relaxed);
+        w.region_yields.fetch_add(regions.yields, Ordering::Relaxed);
         w.solve_us.fetch_add(solve_us, Ordering::Relaxed);
+        *self.regions.lock().unwrap() += regions;
+        regions
     }
 
     /// The dataset at the current epoch (a snapshot — a concurrent
@@ -891,11 +902,12 @@ impl ExplanationEngine {
         }
     }
 
-    /// Computes a response (no cache involvement), recording plan/solve
-    /// phase timings and the artifact build time attributable to this query
-    /// when telemetry is enabled, and the region yield/prune deltas always.
-    /// The attributions are deltas of engine-wide counters around the
-    /// call: exact when computes don't race, approximate when they do.
+    /// Computes a response (no cache involvement). Its work is always
+    /// recorded ([`Self::record_work`]) and its region yields and prunes
+    /// go into `trace`; plan/solve phase timings and the artifact build
+    /// time attributable to this query are recorded when telemetry is
+    /// enabled. The build time is a delta of an engine-wide counter around
+    /// the call: exact when computes don't race, approximate when they do.
     fn compute_timed(
         &self,
         snap: &Snapshot,
@@ -904,17 +916,11 @@ impl ExplanationEngine {
         trace: &mut QueryTrace,
     ) -> (Response, Option<ClassifyGuard>) {
         let build0 = enabled.then(|| snap.artifacts.metrics().build_nanos());
-        let regions = snap.artifacts.region_counters();
-        let r0 = regions.snapshot();
         let w0 = WorkSample::take();
         let (resp, guard, phases) = self.execute_guarded(snap, req, enabled);
-        self.record_work(&resp.route, &w0, phases.solve_us);
-        let r1 = regions.snapshot();
-        let pruned = |r: &knn_core::regions::RegionCountersSnapshot| {
-            r.pruned_empty + r.pruned_dominated + r.memo_pruned
-        };
-        trace.region_yields = r1.yields.saturating_sub(r0.yields);
-        trace.region_pruned = pruned(&r1).saturating_sub(pruned(&r0));
+        let regions = self.record_work(&resp.route, &w0, phases.solve_us);
+        trace.region_yields = regions.yields;
+        trace.region_pruned = regions.pruned();
         trace.demoted = phases.demoted;
         if enabled {
             trace.plan_us = phases.plan_us;
@@ -1532,5 +1538,57 @@ mod tests {
         assert_eq!(work[0].computes, 1, "the hit must not re-count");
         let solver_work = work[0].lp_solves + work[0].qp_solves + work[0].region_yields;
         assert!(solver_work > 0, "a counterfactual does solver-layer work: {work:?}");
+    }
+
+    /// Region work is counted once, by the thread-local tally: the traces
+    /// of ℓ2 queries served by two threads at once sum to the engine's
+    /// region totals, `stats().regions.yields` is the routes' summed
+    /// `region_yields`, and auditing every served query counts nothing.
+    #[test]
+    fn region_work_is_counted_once() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        // Grid points repeat across the classes and line up, so the
+        // pruner has empty and dominated regions to skip.
+        let mut pts = |n: usize| -> Vec<Vec<f64>> {
+            (0..n).map(|_| (0..4).map(|_| f64::from(rng.gen_range(0..3u8))).collect()).collect()
+        };
+        let ds = ContinuousDataset::from_sets(pts(12), pts(12));
+        let e = ExplanationEngine::new(EngineData::from_continuous(ds), EngineConfig::default());
+        let reqs: Vec<Request> = pts(24)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let (k, cmd) = (1 + 2 * (i % 2), ["check-sr", "counterfactual"][i / 2 % 2]);
+                req(&format!(
+                    r#"{{"id":"{i}","cmd":"{cmd}","metric":"l2","k":{k},"point":{p:?},"features":[{}]}}"#,
+                    i % 4
+                ))
+            })
+            .collect();
+        let served: Vec<(Response, QueryTrace)> = std::thread::scope(|s| {
+            let halves: Vec<_> = reqs
+                .chunks(reqs.len() / 2)
+                .map(|half| {
+                    let e = &e;
+                    s.spawn(move || half.iter().map(|r| e.run_with_trace(r)).collect::<Vec<_>>())
+                })
+                .collect();
+            halves.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        });
+        let regions = e.stats().regions;
+        assert!(regions.yields > 0 && regions.pruned() > 0, "{regions:?}");
+        let traced = |f: fn(&QueryTrace) -> u64| served.iter().map(|(_, t)| f(t)).sum::<u64>();
+        assert_eq!(traced(|t| t.region_yields), regions.yields);
+        assert_eq!(traced(|t| t.region_pruned), regions.pruned());
+        let routed: u64 = e.work_stats().iter().map(|w| w.region_yields).sum();
+        assert_eq!(routed, regions.yields);
+        for (r, (resp, _)) in reqs.iter().zip(&served) {
+            assert!(resp.result.is_ok(), "{resp:?}");
+            let audit = e.audit_replay(r, 0, &resp.to_json_line());
+            assert!(matches!(audit, AuditOutcome::Match), "{audit:?}");
+        }
+        assert_eq!(e.stats().regions, regions, "an audit must not count as served work");
     }
 }

@@ -1,7 +1,7 @@
 //! Convex quadratic programming for the `explainable-knn` workspace.
 //!
 //! The only QP shape the paper needs (Theorem 2, Corollary 2) is the
-//! *projection problem*: minimize `‖x − y‖²` subject to `Gy ≤ h`, `Ey = e`.
+//! *projection problem*: minimize `‖x − y‖²` subject to `Gy ≤ h`.
 //! Kozlov–Tarasov–Khachiyan polynomial solvability justifies the complexity
 //! claims; operationally we use the textbook active-set method for strictly
 //! convex QPs (Nocedal & Wright, Alg. 16.3), which terminates finitely and —

@@ -1,10 +1,9 @@
-//! Closed polyhedra `{y : Gy ≤ h, Ey = e}` and their LP views.
+//! Closed polyhedra `{y : Gy ≤ h}` and their LP views.
 
 use knn_lp::{LpProblem, Rel};
 use knn_num::Field;
 
-/// A closed polyhedron in `ℝⁿ`, given by inequalities `a·y ≤ b` and
-/// equalities `a·y = b`.
+/// A closed polyhedron in `ℝⁿ`, given by inequalities `a·y ≤ b`.
 ///
 /// The open polyhedra of Proposition 1 (`f = 0` regions) are represented by
 /// the closure here plus strictness handled at the call sites (Theorem 2's
@@ -13,13 +12,12 @@ use knn_num::Field;
 pub struct Polyhedron<F> {
     n: usize,
     ineqs: Vec<(Vec<F>, F)>,
-    eqs: Vec<(Vec<F>, F)>,
 }
 
 impl<F: Field> Polyhedron<F> {
     /// The whole space `ℝⁿ`.
     pub fn whole_space(n: usize) -> Self {
-        Polyhedron { n, ineqs: Vec::new(), eqs: Vec::new() }
+        Polyhedron { n, ineqs: Vec::new() }
     }
 
     /// Ambient dimension.
@@ -38,40 +36,19 @@ impl<F: Field> Polyhedron<F> {
         self.add_le(a.into_iter().map(|c| -c).collect(), -b);
     }
 
-    /// Adds `a·y = b`.
-    pub fn add_eq(&mut self, a: Vec<F>, b: F) {
-        assert_eq!(a.len(), self.n);
-        self.eqs.push((a, b));
-    }
-
-    /// Fixes coordinate `i` to `v` (the affine subspaces `U(X, x̄)` of Prop 3).
-    pub fn fix_coord(&mut self, i: usize, v: F) {
-        let mut a = vec![F::zero(); self.n];
-        a[i] = F::one();
-        self.add_eq(a, v);
-    }
-
     /// The inequality rows `(a, b)` meaning `a·y ≤ b`.
     pub fn ineqs(&self) -> &[(Vec<F>, F)] {
         &self.ineqs
     }
 
-    /// The equality rows.
-    pub fn eqs(&self) -> &[(Vec<F>, F)] {
-        &self.eqs
-    }
-
     /// Evaluates membership of `y` (closed semantics).
     pub fn contains(&self, y: &[F]) -> bool {
         self.ineqs.iter().all(|(a, b)| !(knn_num::field::dot(a, y) - b.clone()).is_positive())
-            && self.eqs.iter().all(|(a, b)| (knn_num::field::dot(a, y) - b.clone()).is_zero())
     }
 
-    /// Evaluates strict membership (all inequalities strictly satisfied;
-    /// equalities still exactly satisfied).
+    /// Evaluates strict membership (all inequalities strictly satisfied).
     pub fn contains_strictly(&self, y: &[F]) -> bool {
         self.ineqs.iter().all(|(a, b)| (knn_num::field::dot(a, y) - b.clone()).is_negative())
-            && self.eqs.iter().all(|(a, b)| (knn_num::field::dot(a, y) - b.clone()).is_zero())
     }
 
     /// Builds the corresponding LP feasibility problem.
@@ -80,21 +57,15 @@ impl<F: Field> Polyhedron<F> {
         for (a, b) in &self.ineqs {
             lp.add_dense(a, Rel::Le, b.clone());
         }
-        for (a, b) in &self.eqs {
-            lp.add_dense(a, Rel::Eq, b.clone());
-        }
         lp
     }
 
-    /// Builds the LP with every inequality made strict (the *interior*, given
-    /// the equalities): used for open-polyhedron nonemptiness (Prop 1 f=0 side).
+    /// Builds the LP with every inequality made strict (the *interior*):
+    /// used for open-polyhedron nonemptiness (Prop 1 f=0 side).
     pub fn to_strict_lp(&self) -> LpProblem<F> {
         let mut lp = LpProblem::new(self.n);
         for (a, b) in &self.ineqs {
             lp.add_dense(a, Rel::Lt, b.clone());
-        }
-        for (a, b) in &self.eqs {
-            lp.add_dense(a, Rel::Eq, b.clone());
         }
         lp
     }
@@ -104,15 +75,15 @@ impl<F: Field> Polyhedron<F> {
         self.to_lp().feasible_point()
     }
 
-    /// Any point satisfying all inequalities strictly (and equalities exactly).
+    /// Any point satisfying all inequalities strictly.
     pub fn strict_feasible_point(&self) -> Option<Vec<F>> {
         self.to_strict_lp().strict_feasible()
     }
 
     /// The trace on `U = {y : yᵢ = xᵢ ∀i ∉ free}` (Prop 3's `U(X, x̄)`) in
     /// its own coordinates `z = y_free`: each row `a·y ≤ b` becomes
-    /// `a_F·z ≤ b − Σ_{i∉F} aᵢxᵢ`, fixed terms taken in index order, and
-    /// equalities alike. `free` holds distinct coordinates.
+    /// `a_F·z ≤ b − Σ_{i∉F} aᵢxᵢ`, fixed terms taken in index order.
+    /// `free` holds distinct coordinates.
     pub fn restrict(&self, x: &[F], free: &[usize]) -> Polyhedron<F> {
         assert_eq!(x.len(), self.n);
         let mut fixed = vec![true; self.n];
@@ -123,8 +94,7 @@ impl<F: Field> Polyhedron<F> {
                 .fold(b.clone(), |b, i| b - a[i].clone() * x[i].clone());
             (free.iter().map(|&i| a[i].clone()).collect(), b)
         };
-        let rows = |rows: &[(Vec<F>, F)]| rows.iter().map(row).collect();
-        Polyhedron { n: free.len(), ineqs: rows(&self.ineqs), eqs: rows(&self.eqs) }
+        Polyhedron { n: free.len(), ineqs: self.ineqs.iter().map(row).collect() }
     }
 }
 
@@ -176,9 +146,10 @@ mod tests {
         assert!(p.strict_feasible_point().is_none());
     }
 
-    /// `restrict` decides what fixing coordinates on a clone decides,
-    /// closed and strict, for |F| = 0, 1 and d − 1 free coordinates, and a
-    /// point it finds lifts (x̄ off F) into the original polyhedron. Small
+    /// `restrict` decides what the full-space LP with one equality row per
+    /// fixed coordinate decides, closed and strict, for |F| = 0, 1 and
+    /// d − 1 free coordinates, and a point it finds lifts (x̄ off F) into
+    /// the original polyhedron. Small
     /// integer rows and queries make the fixed subspace touch a
     /// polyhedron's boundary only (closed but not strict) now and then.
     #[test]
@@ -199,10 +170,12 @@ mod tests {
             let skip = rng.gen_range(0..d);
             frees.push((0..d).filter(|&i| i != skip).collect());
             for free in frees {
-                let mut fixed = p.clone();
-                for i in (0..d).filter(|i| !free.contains(i)) {
-                    fixed.fix_coord(i, x[i].clone());
-                }
+                let pinned = |mut lp: LpProblem<Rat>| {
+                    for i in (0..d).filter(|i| !free.contains(i)) {
+                        lp.add_constraint(vec![(i, Rat::one())], Rel::Eq, x[i].clone());
+                    }
+                    lp
+                };
                 let sub = p.restrict(&x, &free);
                 assert_eq!(sub.dim(), free.len());
                 let lift = |z: Vec<Rat>| {
@@ -212,14 +185,14 @@ mod tests {
                     }
                     y
                 };
-                let want_closed = fixed.feasible_point().is_some();
-                let want_strict = fixed.strict_feasible_point().is_some();
+                let want_closed = pinned(p.to_lp()).feasible_point().is_some();
+                let want_strict = pinned(p.to_strict_lp()).strict_feasible().is_some();
                 let closed = sub.feasible_point().map(lift);
                 let strict = sub.strict_feasible_point().map(lift);
                 assert_eq!(closed.is_some(), want_closed);
                 assert_eq!(strict.is_some(), want_strict);
-                assert!(closed.is_none_or(|y| fixed.contains(&y)));
-                assert!(strict.is_none_or(|y| fixed.contains_strictly(&y)));
+                assert!(closed.is_none_or(|y| p.contains(&y)));
+                assert!(strict.is_none_or(|y| p.contains_strictly(&y)));
                 touched += usize::from(want_closed && !want_strict);
             }
         }
@@ -228,9 +201,11 @@ mod tests {
 
     #[test]
     fn fixed_coordinates() {
-        let mut p = unit_box();
-        p.fix_coord(0, r(1, 4));
-        let y = p.feasible_point().unwrap();
+        let p = unit_box();
+        let mut lp = p.to_lp();
+        lp.add_constraint(vec![(0, r(1, 1))], Rel::Eq, r(1, 4));
+        let y = lp.feasible_point().unwrap();
         assert_eq!(y[0], r(1, 4));
+        assert!(p.contains(&y));
     }
 }

@@ -57,8 +57,8 @@ pub fn project_onto_polyhedron<F: Field>(x: &[F], poly: &Polyhedron<F>) -> QpOut
 ///
 /// The answer does not depend on the start. Once the active set has
 /// converged at `y`, one fixed KKT solve *polishes* it: the rows tight at
-/// `y` (the equalities, then every inequality with `a·y − b` zero under the
-/// field's `is_zero`, in index order) are reduced to an independent subset
+/// `y` (every inequality with `a·y − b` zero under the field's `is_zero`,
+/// in index order) are reduced to an independent subset
 /// `A y = b`, and the result is `y* = x − Aᵀ(AAᵀ)⁻¹(Ax − b)` with `‖x − y*‖²`
 /// computed from `y*` (`y* = x` when nothing is tight). That is a function
 /// of `x`, the polyhedron and the tight set only, so a cold and a warm solve
@@ -88,22 +88,16 @@ fn active_set<F: Field>(x: &[F], poly: &Polyhedron<F>, start: Option<&[F]>) -> O
     let n = poly.dim();
     assert_eq!(x.len(), n);
 
-    // Independent equality rows (also detects inconsistent equalities early).
-    let eqs = poly.eqs();
-    let eq_keep = independent_rows(eqs)?;
-    let eq_rows: Vec<(Vec<F>, F)> = eq_keep.iter().map(|&i| eqs[i].clone()).collect();
-
     let warm = start.filter(|s| poly.contains(s)).map(|s| s.to_vec());
     let mut y = warm.or_else(|| poly.feasible_point())?;
 
     let ineqs = poly.ineqs();
     let mut working: Vec<usize> = Vec::new(); // indices into ineqs
-    let cap = 200 + 20 * (n + ineqs.len() + eq_rows.len());
+    let cap = 200 + 20 * (n + ineqs.len());
 
     for _iter in 0..cap {
-        // Active matrix A: equality rows first, then working inequalities.
-        let active: Vec<&Vec<F>> =
-            eq_rows.iter().map(|(a, _)| a).chain(working.iter().map(|&j| &ineqs[j].0)).collect();
+        // Active matrix A: the working inequalities.
+        let active: Vec<&Vec<F>> = working.iter().map(|&j| &ineqs[j].0).collect();
         let r: Vec<F> = x.iter().zip(&y).map(|(xi, yi)| xi.clone() - yi.clone()).collect();
 
         // Project r onto the null space of A.
@@ -137,11 +131,7 @@ fn active_set<F: Field>(x: &[F], poly: &Polyhedron<F>, start: Option<&[F]>) -> O
             if working.is_empty() {
                 return Some(y);
             }
-            let a_rows: Vec<Vec<F>> = eq_rows
-                .iter()
-                .map(|(a, _)| a.clone())
-                .chain(working.iter().map(|&j| ineqs[j].0.clone()))
-                .collect();
+            let a_rows: Vec<Vec<F>> = working.iter().map(|&j| ineqs[j].0.clone()).collect();
             let g = gram(&a_rows);
             let two_r: Vec<F> = r.iter().map(|v| v.clone() + v.clone()).collect();
             let rhs = mat_vec(&a_rows, &two_r);
@@ -149,17 +139,14 @@ fn active_set<F: Field>(x: &[F], poly: &Polyhedron<F>, start: Option<&[F]>) -> O
                 working.pop();
                 continue;
             };
-            // Multipliers of the working inequalities sit after the equalities.
             let mut worst: Option<(usize, F)> = None;
-            for (pos, &j) in working.iter().enumerate() {
-                let l = &lambda[eq_rows.len() + pos];
+            for (pos, l) in lambda.iter().enumerate() {
                 if l.is_negative() {
                     match &worst {
                         Some((_, w)) if *l >= *w => {}
                         _ => worst = Some((pos, l.clone())),
                     }
                 }
-                let _ = j;
             }
             match worst {
                 None => return Some(y),
@@ -205,12 +192,8 @@ fn active_set<F: Field>(x: &[F], poly: &Polyhedron<F>, start: Option<&[F]>) -> O
 /// hull of the rows tight at `y`, or `None` when that cannot be computed or
 /// is not a point of the polyhedron.
 fn polish<F: Field>(x: &[F], poly: &Polyhedron<F>, y: &[F]) -> Option<Vec<F>> {
-    let tight: Vec<(Vec<F>, F)> = poly
-        .eqs()
-        .iter()
-        .chain(poly.ineqs().iter().filter(|(a, b)| (dot(a, y) - b.clone()).is_zero()))
-        .cloned()
-        .collect();
+    let tight: Vec<(Vec<F>, F)> =
+        poly.ineqs().iter().filter(|(a, b)| (dot(a, y) - b.clone()).is_zero()).cloned().collect();
     let rows: Vec<&(Vec<F>, F)> =
         independent_rows(&tight)?.into_iter().map(|i| &tight[i]).collect();
     let mut out = x.to_vec();
@@ -285,7 +268,8 @@ mod tests {
     fn projection_onto_affine_line() {
         // Project the origin onto {x + y = 1}: closest point (1/2, 1/2).
         let mut p = Polyhedron::whole_space(2);
-        p.add_eq(vec![r(1, 1), r(1, 1)], r(1, 1));
+        p.add_le(vec![r(1, 1), r(1, 1)], r(1, 1));
+        p.add_ge(vec![r(1, 1), r(1, 1)], r(1, 1));
         match project_onto_polyhedron(&[r(0, 1), r(0, 1)], &p) {
             QpOutcome::Optimal { y, dist_sq } => {
                 assert_eq!(y, vec![r(1, 2), r(1, 2)]);
@@ -329,14 +313,6 @@ mod tests {
             QpOutcome::Optimal { y, .. } => assert_eq!(y, vec![r(1, 1), r(1, 2)]),
             _ => panic!("feasible"),
         }
-    }
-
-    #[test]
-    fn inconsistent_equalities() {
-        let mut p = Polyhedron::whole_space(2);
-        p.add_eq(vec![r(1, 1), r(1, 1)], r(1, 1));
-        p.add_eq(vec![r(2, 1), r(2, 1)], r(3, 1));
-        assert_eq!(project_onto_polyhedron(&[r(0, 1), r(0, 1)], &p), QpOutcome::Infeasible);
     }
 
     #[test]

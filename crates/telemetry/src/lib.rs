@@ -286,9 +286,9 @@ pub struct QueryTrace {
     pub cache_us: u64,
     /// Solver time, µs.
     pub solve_us: u64,
-    /// Region polyhedra the engine's region streams yielded while this
-    /// query computed (misses only; engine-wide counters, so concurrent
-    /// computes blur it). Always filled.
+    /// Region polyhedra this query's compute yielded (misses only; read
+    /// from the computing thread's tally, so other queries running at the
+    /// same time do not count). Always filled.
     pub region_yields: u64,
     /// Regions those streams pruned meanwhile, over every rule (see
     /// `region_yields`). Always filled.
