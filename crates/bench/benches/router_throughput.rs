@@ -94,7 +94,7 @@ fn find_xknn() -> Option<std::path::PathBuf> {
 }
 
 /// In-process stand-in backends for when the binary is absent.
-struct ThreadBackends(Vec<knn_server::ServerHandle>);
+struct ThreadBackends(Vec<knn_server::Handle>);
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");

@@ -69,16 +69,16 @@ pub use placement::{PlacementMap, TenantPlacement};
 pub use pool::{Backend, BackendPool, BackendSnapshot};
 
 use knn_engine::json::{parse_bytes, Value};
+use knn_server::frame::{Connection, Endpoint, Listener, Query, Responses, Stop};
 use knn_server::proto::{self, Command};
+use knn_server::Handle;
 use knn_telemetry::exposition::{self, Merge};
 use knn_telemetry::{SloObjective, Telemetry};
 use scatter::{Dispatcher, PendingQuery};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router configuration. Query routing has no setting: every query prefers
@@ -144,8 +144,9 @@ struct RouterShared {
     /// `metrics` verb appends its rendering after the merged backend
     /// expositions (series names are disjoint from the backends').
     telemetry: Arc<Telemetry>,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
+    /// The client listener's stop flag: the probe loop and the fill worker
+    /// end with the accept loop.
+    stop: Arc<Stop>,
     started: Instant,
     probe_interval: Duration,
     /// Connection counter, naming router-minted trace ids (`r{conn}-{line}`).
@@ -233,7 +234,7 @@ fn start_fill_worker(shared: &Arc<RouterShared>, rx: mpsc::Receiver<FillJob>) {
         match rx.recv_timeout(Duration::from_millis(200)) {
             Ok(job) => push_fill(&shared, job),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.stop.is_set() {
                     return;
                 }
             }
@@ -298,7 +299,7 @@ fn push_fill(shared: &Arc<RouterShared>, job: FillJob) {
 /// The router process: bind, attach/spawn backends, preload tenants, then
 /// [`Router::serve`] (blocking) or [`Router::spawn`] (background thread).
 pub struct Router {
-    listener: TcpListener,
+    listener: Listener,
     shared: Arc<RouterShared>,
 }
 
@@ -306,8 +307,7 @@ impl Router {
     /// Binds the client-facing listener to `addr` (`127.0.0.1:0` for an
     /// ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(addr)?;
         let telemetry = Telemetry::new();
         telemetry.set_enabled(true);
         let (fill_tx, fill_rx) = mpsc::channel();
@@ -315,8 +315,7 @@ impl Router {
             pool: Arc::new(BackendPool::new()),
             placement: Arc::new(PlacementMap::new(config.replication)),
             telemetry,
-            shutdown: AtomicBool::new(false),
-            addr,
+            stop: listener.stop().clone(),
             started: Instant::now(),
             probe_interval: config.probe_interval,
             conn_counter: AtomicUsize::new(0),
@@ -333,7 +332,7 @@ impl Router {
 
     /// The bound client-facing address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.listener.addr()
     }
 
     /// The backend pool (attach backends before serving).
@@ -387,50 +386,18 @@ impl Router {
     /// starts the health-probe loop.
     pub fn serve(self) -> std::io::Result<()> {
         start_probe_loop(&self.shared);
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = self.shared.clone();
-            std::thread::spawn(move || {
-                // A client connection's I/O errors must never take the
-                // router down.
-                let _ = route_connection(stream, &shared);
-            });
-        }
+        self.listener.serve(&self.shared);
         // Spawned backends die with the router.
         self.shared.pool.shutdown_spawned();
         Ok(())
     }
 
-    /// Runs [`Router::serve`] on a background thread.
-    pub fn spawn(self) -> RouterHandle {
-        let shared = self.shared.clone();
-        let join = std::thread::spawn(move || {
+    /// Runs [`Router::serve`] on a background thread. Its handle's
+    /// `shutdown` also shuts down spawned backends.
+    pub fn spawn(self) -> Handle {
+        Handle::spawn(self.listener.stop().clone(), move || {
             let _ = self.serve();
-        });
-        RouterHandle { shared, join }
-    }
-}
-
-/// Handle to a router running in the background.
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    join: JoinHandle<()>,
-}
-
-impl RouterHandle {
-    /// The router's client-facing address.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Stops the accept loop, joins it, and shuts down spawned backends.
-    pub fn shutdown(self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.shared.addr);
-        let _ = self.join.join();
+        })
     }
 }
 
@@ -450,7 +417,7 @@ fn start_probe_loop(shared: &Arc<RouterShared>) {
     }
     let shared = shared.clone();
     std::thread::spawn(move || {
-        while !shared.shutdown.load(Ordering::SeqCst) {
+        while !shared.stop.is_set() {
             let round = Instant::now();
             for backend in shared.pool.backends() {
                 if backend.probe().is_some() {
@@ -778,141 +745,76 @@ fn fan_out_mutation(
     Ok((version, acked))
 }
 
-/// One client connection: parse, scatter queries, barrier control verbs —
-/// the same loop shape as `knn_server::serve_connection`, with the worker
-/// pool replaced by the [`scatter::Dispatcher`].
-fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (out_tx, out_rx) = mpsc::channel::<(u64, Vec<u8>)>();
-    let writer = std::thread::spawn(move || scatter::writer_loop(stream, out_rx));
-    let conn = shared.conn_counter.fetch_add(1, Ordering::Relaxed);
-    let disp = Dispatcher::new(
-        shared.pool.clone(),
-        shared.placement.clone(),
-        out_tx.clone(),
-        shared.telemetry.clone(),
-        shared.fill.clone(),
-    );
+/// A router connection's dispatcher: the frame's queries go through the
+/// [`scatter::Dispatcher`].
+struct RouterConn {
+    shared: Arc<RouterShared>,
+    /// Names router-minted trace ids (`r{conn}-{line}`).
+    conn: usize,
+    disp: Arc<Dispatcher>,
+}
 
-    let mut seq = 0u64;
-    let mut lineno = 0u64;
-    let mut dispatched = 0u64;
-    let mut buf = Vec::new();
-    let mut quit = false;
-    let mut shutdown_after_flush = false;
-    while !quit {
-        buf.clear();
-        // A read error mid-connection must still fall through to the
-        // teardown below, or this connection's receiver threads would leak.
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        lineno += 1;
-        let line = buf.trim_ascii();
-        if line.is_empty() {
-            continue; // blank lines get no response, exactly like the server
-        }
-        let default_id = lineno.to_string();
-        match proto::parse_line_value(line, &default_id) {
-            Err(e) => {
-                let msg = format!("line {lineno}: {e}");
-                let _ = out_tx.send((seq, proto::error_line(&default_id, &msg).into_bytes()));
-            }
-            Ok((parsed, value)) => match parsed.command {
-                Command::Query { dataset, request } => {
-                    if shared.placement.get(&dataset).is_some() {
-                        let has_id = value.get("id").is_some();
-                        // Trace propagation: a client's `"trace"` member
-                        // rides the forwarded bytes as-is; for a 1-in-N
-                        // sampled untraced query the router mints an id and
-                        // splices it in-band, so the backend captures the
-                        // same query the router's dispatch span covers.
-                        // Either way the id never reaches response bytes.
-                        let client_trace = match value.get("trace") {
-                            Some(Value::String(s)) if !s.is_empty() => Some(s.clone()),
-                            _ => None,
-                        };
-                        let minted = (value.get("trace").is_none()
-                            && shared.telemetry.recorder().sample())
-                        .then(|| format!("r{conn}-{lineno}"));
-                        let trace = client_trace.or_else(|| minted.clone());
-                        let start_us =
-                            if trace.is_some() { shared.telemetry.recorder().now_us() } else { 0 };
-                        // The affinity key is the engine's own cache-key
-                        // hash — computable here without any dataset or
-                        // artifact, because it is a pure function of the
-                        // request. The version snapshot is the epoch a fill
-                        // of this answer would be labeled with.
-                        let key = knn_engine::cache::affinity_hash(&request);
-                        let version = shared
-                            .sources
-                            .lock()
-                            .unwrap()
-                            .get(&dataset)
-                            .map(|s| s.version())
-                            .unwrap_or(0);
-                        disp.dispatch(PendingQuery {
-                            seq,
-                            id: request.id,
-                            tenant: dataset,
-                            line: forward_query_line(line, &default_id, has_id, minted.as_deref()),
-                            attempts: 0,
-                            trace,
-                            start_us,
-                            key,
-                            version,
-                            not_loaded: None,
-                        });
-                        dispatched += 1;
-                    } else {
-                        // Byte-identical to the single server's answer.
-                        let msg = format!("no dataset named `{dataset}` (try the load verb)");
-                        let _ =
-                            out_tx.send((seq, proto::error_line(&request.id, &msg).into_bytes()));
-                    }
-                }
-                command => {
-                    // Control barrier: every earlier query on this connection
-                    // has a final response before a control verb runs.
-                    disp.wait_completed(dispatched);
-                    if matches!(command, Command::Shutdown) {
-                        shutdown_after_flush = true;
-                    }
-                    // `load` may carry a per-tenant `"replicas":r` member the
-                    // shared proto doesn't model.
-                    let replicas_hint = if matches!(command, Command::Load { .. }) {
-                        value.get("replicas").and_then(Value::as_u64).map(|r| r as usize)
-                    } else {
-                        None
-                    };
-                    let (resp, close) =
-                        run_cluster_control(shared, &parsed.id, command, replicas_hint);
-                    let _ = out_tx.send((seq, resp.into_bytes()));
-                    quit = close;
-                }
-            },
-        }
-        seq += 1;
+impl Endpoint for RouterShared {
+    type Conn = RouterConn;
+
+    fn open(self: &Arc<Self>, responses: Responses) -> RouterConn {
+        let conn = self.conn_counter.fetch_add(1, Ordering::Relaxed);
+        let disp = Dispatcher::new(
+            self.pool.clone(),
+            self.placement.clone(),
+            responses,
+            self.telemetry.clone(),
+            self.fill.clone(),
+        );
+        RouterConn { shared: self.clone(), conn, disp }
     }
 
-    // Teardown: every dispatched query gets its final response, then the
-    // backend channels close gracefully and the writer flushes out. The
-    // dispatcher holds an `out_tx` clone, so it must be dropped (after
-    // `close` joined the receiver threads holding its other references) or
-    // the writer would never see the channel close and the client
-    // connection would never shut.
-    disp.wait_completed(dispatched);
-    disp.close();
-    drop(disp);
-    drop(out_tx);
-    let _ = writer.join();
-    if shutdown_after_flush {
-        shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(shared.addr);
+    fn control(self: &Arc<Self>, id: &str, command: Command, value: &Value) -> String {
+        run_cluster_control(self, id, command, value)
     }
-    Ok(())
+}
+
+impl Connection for RouterConn {
+    fn dispatch(&mut self, q: Query<'_>) -> Result<(), String> {
+        let shared = &self.shared;
+        if shared.placement.get(&q.dataset).is_none() {
+            return Err(q.unknown_tenant());
+        }
+        let has_id = q.value.get("id").is_some();
+        // Trace propagation: a client's `"trace"` member rides the
+        // forwarded bytes as-is; for a 1-in-N sampled untraced query the
+        // router mints an id and splices it in-band, so the backend
+        // captures the same query the router's dispatch span covers.
+        // Either way the id never reaches response bytes.
+        let minted = (q.value.get("trace").is_none() && shared.telemetry.recorder().sample())
+            .then(|| format!("r{}-{}", self.conn, q.lineno));
+        let trace = q.trace.or_else(|| minted.clone());
+        let start_us = if trace.is_some() { shared.telemetry.recorder().now_us() } else { 0 };
+        // The affinity key is the engine's own cache-key hash — computable
+        // here without any dataset or artifact, because it is a pure
+        // function of the request. The version snapshot is the epoch a fill
+        // of this answer would be labeled with.
+        let key = knn_engine::cache::affinity_hash(&q.request);
+        let version =
+            shared.sources.lock().unwrap().get(&q.dataset).map(|s| s.version()).unwrap_or(0);
+        self.disp.dispatch(PendingQuery {
+            seq: q.seq,
+            line: forward_query_line(q.line, q.lineno, has_id, minted.as_deref()),
+            id: q.request.id,
+            tenant: q.dataset,
+            attempts: 0,
+            trace,
+            start_us,
+            key,
+            version,
+            not_loaded: None,
+        });
+        Ok(())
+    }
+
+    fn close(self) {
+        self.disp.close();
+    }
 }
 
 /// The bytes forwarded to a backend for a client's query line: the raw line
@@ -923,22 +825,20 @@ fn route_connection(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::R
 ///
 /// * a line with no `"id"` member (`has_id`, from the caller's
 ///   already-parsed view of the line) gets the client's line number
-///   injected, because the backend's own line counter (the default id)
-///   will not match the client's;
+///   `lineno` injected, because the backend's own line counter (the default
+///   id) will not match the client's;
 /// * a router-minted trace id (`minted_trace`; only for lines with no
 ///   `"trace"` member of their own) rides in-band as a `"trace"` member,
 ///   which the backend reads out-of-band and never echoes.
 fn forward_query_line(
     raw: &[u8],
-    default_id: &str,
+    lineno: u64,
     has_id: bool,
     minted_trace: Option<&str>,
 ) -> Vec<u8> {
     let mut inject = String::new();
     if !has_id {
-        inject.push_str("\"id\":");
-        inject.push_str(&Value::String(default_id.to_string()).to_json());
-        inject.push(',');
+        inject.push_str(&format!("\"id\":\"{lineno}\","));
     }
     if let Some(t) = minted_trace {
         inject.push_str("\"trace\":");
@@ -958,42 +858,43 @@ fn forward_query_line(
     out
 }
 
-/// Executes one control verb at the router. Returns the response line and
-/// whether the connection closes afterwards.
+/// Executes one control verb at the router. `value` is the parsed line.
 fn run_cluster_control(
     shared: &Arc<RouterShared>,
     id: &str,
     command: Command,
-    replicas_hint: Option<usize>,
-) -> (String, bool) {
+    value: &Value,
+) -> String {
     let num = |n: usize| Value::Number(n as f64);
     let ids = |v: &[usize]| Value::Array(v.iter().map(|&i| num(i)).collect());
     match command {
-        Command::Query { .. } => unreachable!("queries are dispatched by the caller"),
+        Command::Query { .. } | Command::Ping | Command::Quit | Command::Shutdown => {
+            unreachable!("the connection frame handles these")
+        }
         Command::Load { name, path, text, replay } => {
             if !replay.is_empty() {
                 // `replay` is the router→backend repair channel; a client
                 // expressing history should send the mutations as verbs.
                 let msg = "`replay` is not accepted through the router (send insert/remove verbs)";
-                return (proto::error_line(id, msg), false);
+                return proto::error_line(id, msg);
             }
             let source = match (&text, &path) {
                 (Some(t), None) => LoadSource::Text(t),
                 (None, Some(p)) => LoadSource::Path(p),
                 _ => unreachable!("parse_line enforces exactly one of path/text"),
             };
-            match fan_out_load(shared, &name, source, Placement::Auto(replicas_hint)) {
-                Err(e) => (proto::error_line(id, &e), false),
-                Ok(replicas) => {
-                    let line = proto::ok_line(
-                        id,
-                        vec![
-                            ("loaded".into(), Value::String(name)),
-                            ("replicas".into(), ids(&replicas)),
-                        ],
-                    );
-                    (line, false)
-                }
+            // `load` may carry a per-tenant `"replicas":r` member the shared
+            // proto doesn't model.
+            let replicas = value.get("replicas").and_then(Value::as_u64).map(|r| r as usize);
+            match fan_out_load(shared, &name, source, Placement::Auto(replicas)) {
+                Err(e) => proto::error_line(id, &e),
+                Ok(replicas) => proto::ok_line(
+                    id,
+                    vec![
+                        ("loaded".into(), Value::String(name)),
+                        ("replicas".into(), ids(&replicas)),
+                    ],
+                ),
             }
         }
         Command::Insert { name, label, point } => {
@@ -1029,17 +930,11 @@ fn run_cluster_control(
             mutation_response(shared, id, &name, "removed", item, line)
         }
         Command::Unload { name } => match fan_out_unload(shared, &name) {
-            Err(e) => (proto::error_line(id, &e), false),
-            Ok(replicas) => {
-                let line = proto::ok_line(
-                    id,
-                    vec![
-                        ("unloaded".into(), Value::String(name)),
-                        ("replicas".into(), ids(&replicas)),
-                    ],
-                );
-                (line, false)
-            }
+            Err(e) => proto::error_line(id, &e),
+            Ok(replicas) => proto::ok_line(
+                id,
+                vec![("unloaded".into(), Value::String(name)), ("replicas".into(), ids(&replicas))],
+            ),
         },
         Command::List => {
             let datasets: Vec<Value> = shared
@@ -1053,31 +948,26 @@ fn run_cluster_control(
                     ])
                 })
                 .collect();
-            (proto::ok_line(id, vec![("datasets".into(), Value::Array(datasets))]), false)
+            proto::ok_line(id, vec![("datasets".into(), Value::Array(datasets))])
         }
         Command::Fill { .. } => {
             // `fill` is the router→backend cache-fill channel; a client has
             // no epoch authority, so the router refuses it the same way it
             // refuses client `replay`.
             let msg = "`fill` is not accepted through the router (cache fill is router-originated)";
-            (proto::error_line(id, msg), false)
+            proto::error_line(id, msg)
         }
-        Command::Stats => (cluster_stats_line(shared, id), false),
-        Command::Metrics => (cluster_metrics_line(shared, id), false),
-        Command::Top => (cluster_top_line(shared, id), false),
-        Command::Slo { name, objective } => (cluster_slo_line(shared, id, &name, objective), false),
-        Command::Slow => (cluster_slow_line(shared, id), false),
-        Command::Trace { trace } => (cluster_trace_line(shared, id, &trace), false),
-        Command::Dump => (cluster_dump_line(shared, id), false),
+        Command::Stats => cluster_stats_line(shared, id),
+        Command::Metrics => cluster_metrics_line(shared, id),
+        Command::Top => cluster_top_line(shared, id),
+        Command::Slo { name, objective } => cluster_slo_line(shared, id, &name, objective),
+        Command::Slow => cluster_slow_line(shared, id),
+        Command::Trace { trace } => cluster_trace_line(shared, id, &trace),
+        Command::Dump => cluster_dump_line(shared, id),
         Command::Repro { trace, conn, seq, name } => {
-            (cluster_repro_line(shared, id, trace.as_deref(), conn, seq, name.as_deref()), false)
+            cluster_repro_line(shared, id, trace.as_deref(), conn, seq, name.as_deref())
         }
-        Command::Audit { sample } => (cluster_audit_line(shared, id, sample), false),
-        Command::Ping => (proto::ok_line(id, vec![("pong".into(), Value::Bool(true))]), false),
-        Command::Quit => (proto::ok_line(id, vec![("bye".into(), Value::Bool(true))]), true),
-        Command::Shutdown => {
-            (proto::ok_line(id, vec![("shutdown".into(), Value::Bool(true))]), true)
-        }
+        Command::Audit { sample } => cluster_audit_line(shared, id, sample),
     }
 }
 
@@ -1090,23 +980,20 @@ fn mutation_response(
     verbed: &str,
     item: Value,
     verb_line: String,
-) -> (String, bool) {
+) -> String {
     match fan_out_mutation(shared, name, item, verb_line) {
-        Err(e) => (proto::error_line(id, &e), false),
-        Ok((version, replicas)) => {
-            let line = proto::ok_line(
-                id,
-                vec![
-                    (verbed.to_string(), Value::String(name.to_string())),
-                    ("version".into(), Value::Number(version as f64)),
-                    (
-                        "replicas".into(),
-                        Value::Array(replicas.iter().map(|&i| Value::Number(i as f64)).collect()),
-                    ),
-                ],
-            );
-            (line, false)
-        }
+        Err(e) => proto::error_line(id, &e),
+        Ok((version, replicas)) => proto::ok_line(
+            id,
+            vec![
+                (verbed.to_string(), Value::String(name.to_string())),
+                ("version".into(), Value::Number(version as f64)),
+                (
+                    "replicas".into(),
+                    Value::Array(replicas.iter().map(|&i| Value::Number(i as f64)).collect()),
+                ),
+            ],
+        ),
     }
 }
 
@@ -1470,8 +1357,7 @@ fn cluster_repro_line(
     };
     let sources = shared.sources.lock().unwrap();
     let Some(src) = sources.get(&tenant) else {
-        let msg = format!("no dataset named `{tenant}` (try the load verb)");
-        return proto::error_line(id, &msg);
+        return proto::no_dataset_line(id, &tenant);
     };
     let version = src.version();
     entries.retain(|e| e.epoch <= version);
@@ -1619,11 +1505,11 @@ mod tests {
 
     const BOOL: &str = "+ 1 1 1\n+ 1 1 0\n- 0 0 0\n- 0 0 1\n";
 
-    fn backend() -> knn_server::ServerHandle {
+    fn backend() -> knn_server::Handle {
         Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap().spawn()
     }
 
-    fn router_over(handles: &[&knn_server::ServerHandle]) -> RouterHandle {
+    fn router_over(handles: &[&knn_server::Handle]) -> Handle {
         let router = Router::bind("127.0.0.1:0", RouterConfig::default()).unwrap();
         for h in handles {
             router.attach(h.addr());
@@ -1871,10 +1757,7 @@ mod tests {
     /// A router over two live backends, both acknowledging the `toy` load
     /// (`list` shows both replicas), with health probes off so the router
     /// learns of a backend's death only by dispatching to it.
-    fn router_over_two_replicas(
-        b0: &knn_server::ServerHandle,
-        b1: &knn_server::ServerHandle,
-    ) -> RouterHandle {
+    fn router_over_two_replicas(b0: &knn_server::Handle, b1: &knn_server::Handle) -> Handle {
         let router = Router::bind(
             "127.0.0.1:0",
             RouterConfig { probe_interval: Duration::ZERO, ..RouterConfig::default() },
@@ -2175,7 +2058,7 @@ mod tests {
     /// verb asked — not just `metrics`.
     #[test]
     fn every_control_verb_counts_failed_scrapes() {
-        use std::io::{BufRead, Write};
+        use std::io::{BufRead, BufReader, Write};
         let garbage = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let garbage_addr = garbage.local_addr().unwrap();
         std::thread::spawn(move || {

@@ -3,10 +3,10 @@
 //! order, and fail over mid-stream without changing a single output byte.
 //!
 //! Every client connection gets its own [`Dispatcher`]: one lazily-dialed
-//! channel per backend it touches, one receiver thread per channel, and one
-//! writer thread that reorders `(seq, bytes)` completions back into request
-//! order — the same merge the single server does, so the client cannot tell
-//! a router from a server by looking at the bytes.
+//! channel per backend it touches and one receiver thread per channel. The
+//! connection frame's writer (`knn_server::frame`, the same one the single
+//! server uses) reorders the `(seq, bytes)` completions back into request
+//! order, so the client cannot tell a router from a server by the bytes.
 //!
 //! Why request-level sharding is *sound*: every query's response is a pure
 //! function of `(dataset, engine config, request)` — the engine's
@@ -29,13 +29,13 @@
 
 use crate::placement::PlacementMap;
 use crate::pool::{Backend, BackendPool, CONNECT_ATTEMPTS, CONNECT_BACKOFF};
+use knn_server::frame::Responses;
 use knn_server::proto;
 use knn_telemetry::{SpanEvent, Telemetry};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// One forwarded-but-unanswered query. Lives in exactly one place at any
@@ -202,10 +202,8 @@ impl Chan {
 pub(crate) struct Dispatcher {
     pool: Arc<BackendPool>,
     placement: Arc<PlacementMap>,
-    out_tx: Sender<(u64, Vec<u8>)>,
-    /// Final responses delivered (backend answers + router error lines).
-    /// The control-verb barrier waits on `completed == dispatched`.
-    completed: (Mutex<u64>, Condvar),
+    /// Final responses (backend answers and router error lines) go here.
+    responses: Responses,
     chans: Mutex<HashMap<usize, Arc<Chan>>>,
     receivers: Mutex<Vec<JoinHandle<()>>>,
     /// Router-side counters: dispatches and failover redispatches (both
@@ -220,40 +218,19 @@ impl Dispatcher {
     pub fn new(
         pool: Arc<BackendPool>,
         placement: Arc<PlacementMap>,
-        out_tx: Sender<(u64, Vec<u8>)>,
+        responses: Responses,
         telemetry: Arc<Telemetry>,
         fill: Arc<crate::FillHub>,
     ) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
             pool,
             placement,
-            out_tx,
-            completed: (Mutex::new(0), Condvar::new()),
+            responses,
             chans: Mutex::new(HashMap::new()),
             receivers: Mutex::new(Vec::new()),
             telemetry,
             fill,
         })
-    }
-
-    /// Delivers the final response bytes for a query slot. A failed send
-    /// means the writer died with the client; the completion count must
-    /// still advance or the barrier (and teardown) would hang.
-    fn finish(&self, seq: u64, bytes: Vec<u8>) {
-        let _ = self.out_tx.send((seq, bytes));
-        let (count, cv) = &self.completed;
-        *count.lock().unwrap() += 1;
-        cv.notify_all();
-    }
-
-    /// Blocks until `dispatched` queries have final responses (the control
-    /// barrier and the teardown barrier).
-    pub fn wait_completed(&self, dispatched: u64) {
-        let (count, cv) = &self.completed;
-        let mut done = count.lock().unwrap();
-        while *done < dispatched {
-            done = cv.wait(done).unwrap();
-        }
     }
 
     /// The channel to backend `id`, dialing it on first use. A failed dial
@@ -340,14 +317,13 @@ impl Dispatcher {
     pub fn dispatch(self: &Arc<Self>, mut q: PendingQuery) {
         let Some(replicas) = self.placement.get(&q.tenant) else {
             // Unloaded mid-stream (or a redispatch raced an unload).
-            let msg = format!("no dataset named `{}` (try the load verb)", q.tenant);
-            let line = proto::error_line(&q.id, &msg).into_bytes();
-            return self.finish(q.seq, line);
+            let line = proto::no_dataset_line(&q.id, &q.tenant).into_bytes();
+            return self.responses.deliver(q.seq, line);
         };
         if q.attempts > replicas.len() + 2 {
             let msg = format!("all replicas of `{}` are unavailable", q.tenant);
             let line = proto::error_line(&q.id, &msg).into_bytes();
-            return self.finish(q.seq, line);
+            return self.responses.deliver(q.seq, line);
         }
         q.attempts += 1;
 
@@ -400,13 +376,12 @@ impl Dispatcher {
         }
         let msg = format!("all replicas of `{}` are unavailable", q.tenant);
         let line = proto::error_line(&q.id, &msg).into_bytes();
-        self.finish(q.seq, line);
+        self.responses.deliver(q.seq, line);
     }
 
-    /// Connection teardown. Callers must run the completion barrier first
-    /// (`wait_completed(dispatched)`) so no channel still holds pending
-    /// queries — then closing is graceful and the receivers drain out on
-    /// EOF.
+    /// Connection teardown, after every dispatched query was delivered: no
+    /// channel still holds pending queries, so closing is graceful and the
+    /// receivers drain out on EOF.
     pub fn close(&self) {
         for chan in self.chans.lock().unwrap().values() {
             chan.close();
@@ -461,7 +436,7 @@ fn receiver_loop(disp: Arc<Dispatcher>, chan: Arc<Chan>, reader: TcpStream) {
                         disp.dispatch(q);
                     } else {
                         emit_query_span(&disp, &q, "dispatch", chan.backend.id, "");
-                        disp.finish(q.seq, buf.clone());
+                        disp.responses.deliver(q.seq, buf.clone());
                         // After the client has its bytes: offer the answer
                         // to the fill hub, which pushes it (best-effort,
                         // deduplicated, epoch-checked) to the key's first
@@ -504,35 +479,7 @@ fn is_not_loaded_error(line: &[u8], q: &PendingQuery) -> bool {
     if !line.ends_with(b"(try the load verb)\"}") {
         return false;
     }
-    let expected =
-        proto::error_line(&q.id, &format!("no dataset named `{}` (try the load verb)", q.tenant));
-    line == expected.as_bytes()
-}
-
-/// The response writer: receives `(seq, bytes)` in completion order, emits
-/// in request order, flushing each line as soon as its turn comes — the same
-/// streamed, order-preserving merge the single server does.
-pub(crate) fn writer_loop(stream: TcpStream, rx: Receiver<(u64, Vec<u8>)>) {
-    let mut out = BufWriter::new(stream);
-    let mut next = 0u64;
-    let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    for (seq, line) in rx {
-        pending.insert(seq, line);
-        let mut wrote = false;
-        while let Some(line) = pending.remove(&next) {
-            if out.write_all(&line).and_then(|()| out.write_all(b"\n")).is_err() {
-                return; // client gone; drop the rest
-            }
-            wrote = true;
-            next += 1;
-        }
-        // One flush per drained burst, not per line: out-of-order arrival
-        // (multi-replica scatter) releases several consecutive seqs at
-        // once, and the client must not wait on a buffered tail.
-        if wrote && out.flush().is_err() {
-            return;
-        }
-    }
+    line == proto::no_dataset_line(&q.id, &q.tenant).as_bytes()
 }
 
 #[cfg(test)]

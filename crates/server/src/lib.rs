@@ -15,6 +15,9 @@
 //!                  writer: reorder by seq, stream responses in order
 //! ```
 //!
+//! The reader, the control barrier and the writer are the [`frame`] the
+//! cluster router shares; this crate supplies the worker pool.
+//!
 //! * **Dataset registry** — the `load` / `unload` / `list` verbs manage named
 //!   tenants at runtime; each owns one lazily-built
 //!   [`ExplanationEngine`](knn_engine::ExplanationEngine) behind an `Arc`,
@@ -52,25 +55,26 @@
 
 pub mod admission;
 pub mod client;
+pub mod frame;
 pub mod proto;
 pub mod registry;
 pub mod series;
 
 pub use admission::{Admission, AdmissionStats};
 pub use client::Client;
+pub use frame::Handle;
 pub use registry::{Registry, Tenant, TenantStats};
 
+use frame::{Connection, Endpoint, Listener, Query, Responses};
 use knn_engine::bundle::BundleEntry;
 use knn_engine::json::Value;
 use knn_engine::{AuditOutcome, EngineConfig, Request};
 use knn_telemetry::{AuditJob, SpanEvent, Telemetry};
 use proto::Command;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -102,8 +106,6 @@ struct Shared {
     /// shared with every tenant engine.
     telemetry: Arc<Telemetry>,
     conn_inflight: usize,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
     /// Monotone connection ids. `(conn, seq)` is the capture reference: it
     /// names one served response in the black-box ring and in its query
     /// span's detail (and so in `slow` entries), and is the selector
@@ -124,7 +126,7 @@ struct Shared {
 /// [`Server::registry`], then [`Server::serve`] (blocking) or
 /// [`Server::spawn`] (background thread).
 pub struct Server {
-    listener: TcpListener,
+    listener: Listener,
     shared: Arc<Shared>,
     /// The shadow auditor (see [`auditor_loop`]): joined when the accept
     /// loop ends, after closing its queue.
@@ -134,8 +136,7 @@ pub struct Server {
 impl Server {
     /// Binds to `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
+        let listener = Listener::bind(addr)?;
         let budget = if config.worker_budget == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -148,8 +149,6 @@ impl Server {
             admission: Admission::new(budget),
             telemetry,
             conn_inflight: config.conn_inflight.max(1),
-            shutdown: AtomicBool::new(false),
-            addr,
             conn_counter: AtomicU64::new(0),
             started: Instant::now(),
             top_baseline: Mutex::new(BTreeMap::new()),
@@ -163,7 +162,7 @@ impl Server {
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.listener.addr()
     }
 
     /// The dataset registry (for preloading before serving).
@@ -174,18 +173,7 @@ impl Server {
     /// Accepts connections until a client sends `shutdown`. Each connection
     /// gets its own reader/worker/writer threads.
     pub fn serve(mut self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = self.shared.clone();
-            std::thread::spawn(move || {
-                // Connection I/O errors (client gone mid-write) just drop the
-                // connection; they must never take the server down.
-                let _ = serve_connection(stream, &shared);
-            });
-        }
+        self.listener.serve(&self.shared);
         // Wake the auditor out of its queue wait and let it drain.
         self.shared.telemetry.audit().close();
         if let Some(auditor) = self.auditor.take() {
@@ -196,170 +184,79 @@ impl Server {
 
     /// Runs [`Server::serve`] on a background thread, returning a handle that
     /// can stop it.
-    pub fn spawn(self) -> ServerHandle {
-        let shared = self.shared.clone();
-        let join = std::thread::spawn(move || {
+    pub fn spawn(self) -> Handle {
+        Handle::spawn(self.listener.stop().clone(), move || {
             let _ = self.serve();
-        });
-        ServerHandle { shared, join }
-    }
-}
-
-/// Handle to a server running in the background (see [`Server::spawn`]).
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    join: JoinHandle<()>,
-}
-
-impl ServerHandle {
-    /// The server's address.
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// Stops the accept loop and joins it. Connections already open finish
-    /// their in-flight work on their own threads.
-    pub fn shutdown(self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Poke the blocking accept so the loop observes the flag.
-        let _ = TcpStream::connect(self.shared.addr);
-        let _ = self.join.join();
+        })
     }
 }
 
 /// One in-flight query job: output slot, tenant, request, trace id (the
 /// client's `"trace"` member — out-of-band, never echoed in the response),
-/// connection id, and the raw request line (kept for the capture ring, so
-/// a repro bundle replays exactly the bytes the client sent).
-type Job = (u64, Arc<Tenant>, Request, Option<String>, u64, String);
+/// and the raw request line (kept for the capture ring, so a repro bundle
+/// replays exactly the bytes the client sent).
+type Job = (u64, Arc<Tenant>, Request, Option<String>, String);
 
-/// The `"trace"` member of a request line, if it is a string. Any other
-/// shape is ignored — the member is an out-of-band diagnostic hint, so it
-/// must never turn a valid query into an error.
-fn trace_member(v: &Value) -> Option<String> {
-    match v.get("trace") {
-        Some(Value::String(s)) if !s.is_empty() => Some(s.clone()),
-        _ => None,
+/// A server connection's dispatcher: a pool of `conn_inflight` workers (the
+/// per-connection in-flight cap) that pull jobs in request order and each
+/// acquire a global admission slot per query.
+struct ServerConn {
+    shared: Arc<Shared>,
+    jobs: mpsc::Sender<Job>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Endpoint for Shared {
+    type Conn = ServerConn;
+
+    fn open(self: &Arc<Self>, responses: Responses) -> ServerConn {
+        // Connection ids start at 1: `(conn:0, seq:0)` stays an impossible
+        // capture reference (what in-process callers without a connection get).
+        let conn = self.conn_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let workers = (0..self.conn_inflight)
+            .map(|_| {
+                let (job_rx, responses, shared) = (job_rx.clone(), responses.clone(), self.clone());
+                std::thread::spawn(move || loop {
+                    let job = job_rx.lock().unwrap().recv();
+                    let Ok((seq, tenant, request, trace, raw)) = job else { break };
+                    let line = tenant.serve(
+                        &shared.admission,
+                        &request,
+                        trace.as_deref(),
+                        conn,
+                        seq,
+                        &raw,
+                    );
+                    responses.deliver(seq, line.into_bytes());
+                })
+            })
+            .collect();
+        ServerConn { shared: self.clone(), jobs, workers }
+    }
+
+    fn control(self: &Arc<Self>, id: &str, command: Command, _value: &Value) -> String {
+        run_control(self, id, command)
     }
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    // Connection ids start at 1: `(conn:0, seq:0)` stays an impossible
-    // capture reference (what in-process callers without a connection get).
-    let conn = shared.conn_counter.fetch_add(1, Ordering::Relaxed) + 1;
-
-    // Writer thread: receives (seq, line) in completion order, emits in
-    // request order, flushing each line as soon as its turn comes (streamed).
-    let (out_tx, out_rx) = mpsc::channel::<(u64, String)>();
-    let writer = std::thread::spawn(move || writer_loop(stream, out_rx));
-
-    // Worker pool: the per-connection in-flight cap. Workers pull jobs in
-    // request order and each acquires a global admission slot per query.
-    // `completed` counts finished queries so control verbs can act as a
-    // connection-level barrier (see below).
-    let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let completed = Arc::new((Mutex::new(0u64), Condvar::new()));
-    let workers: Vec<JoinHandle<()>> = (0..shared.conn_inflight)
-        .map(|_| {
-            let job_rx = job_rx.clone();
-            let out_tx = out_tx.clone();
-            let shared = shared.clone();
-            let completed = completed.clone();
-            std::thread::spawn(move || loop {
-                let job = job_rx.lock().unwrap().recv();
-                let Ok((seq, tenant, request, trace, conn, raw)) = job else { break };
-                let line =
-                    tenant.serve(&shared.admission, &request, trace.as_deref(), conn, seq, &raw);
-                // A failed send just means the writer died with the client;
-                // keep draining jobs anyway — the barrier below counts every
-                // dispatched query, so a worker that stopped early would
-                // strand the reader in `cv.wait` forever (thread + fd leak
-                // per abandoned connection).
-                let _ = out_tx.send((seq, line));
-                let (count, cv) = &*completed;
-                *count.lock().unwrap() += 1;
-                cv.notify_all();
-            })
-        })
-        .collect();
-
-    let mut seq = 0u64;
-    let mut lineno = 0u64;
-    let mut dispatched = 0u64;
-    let mut buf = Vec::new();
-    let mut quit = false;
-    let mut shutdown_after_flush = false;
-    while !quit {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
-            break; // client closed its half
-        }
-        lineno += 1;
-        let line = buf.trim_ascii();
-        if line.is_empty() {
-            continue; // blank lines get no response, like `xknn batch`
-        }
-        let default_id = lineno.to_string();
-        match proto::parse_line_value(line, &default_id) {
-            Err(e) => {
-                let msg = format!("line {lineno}: {e}");
-                let _ = out_tx.send((seq, proto::error_line(&default_id, &msg)));
-            }
-            Ok((parsed, value)) => match parsed.command {
-                Command::Query { dataset, request } => match shared.registry.get(&dataset) {
-                    Some(tenant) => {
-                        let raw = String::from_utf8_lossy(line).into_owned();
-                        let _ =
-                            job_tx.send((seq, tenant, request, trace_member(&value), conn, raw));
-                        dispatched += 1;
-                    }
-                    None => {
-                        let msg = format!("no dataset named `{dataset}` (try the load verb)");
-                        let _ = out_tx.send((seq, proto::error_line(&request.id, &msg)));
-                    }
-                },
-                command => {
-                    // Barrier: a control verb runs only after every earlier
-                    // query on this connection has finished, so pipelined
-                    // `stats` counters, `unload` and `quit` are deterministic
-                    // with respect to the requests before them.
-                    let (count, cv) = &*completed;
-                    let mut done = count.lock().unwrap();
-                    while *done < dispatched {
-                        done = cv.wait(done).unwrap();
-                    }
-                    drop(done);
-                    // Shutdown closes this connection now but stops the
-                    // accept loop only after the response below is flushed
-                    // (see the end of this function) — otherwise the process
-                    // could exit before the requester hears back.
-                    if matches!(command, Command::Shutdown) {
-                        shutdown_after_flush = true;
-                    }
-                    let (line, close) = run_control(shared, &parsed.id, command);
-                    let _ = out_tx.send((seq, line));
-                    quit = close;
-                }
-            },
-        }
-        seq += 1;
+impl Connection for ServerConn {
+    fn dispatch(&mut self, q: Query<'_>) -> Result<(), String> {
+        let Some(tenant) = self.shared.registry.get(&q.dataset) else {
+            return Err(q.unknown_tenant());
+        };
+        let raw = String::from_utf8_lossy(q.line).into_owned();
+        let _ = self.jobs.send((q.seq, tenant, q.request, q.trace, raw));
+        Ok(())
     }
 
-    // Stop reading; let queued queries finish, then flush the writer.
-    drop(job_tx);
-    for w in workers {
-        let _ = w.join();
+    fn close(self) {
+        drop(self.jobs);
+        for w in self.workers {
+            let _ = w.join();
+        }
     }
-    drop(out_tx);
-    let _ = writer.join();
-    if shutdown_after_flush {
-        shared.shutdown.store(true, Ordering::SeqCst);
-        // Poke the blocking accept so the loop observes the flag.
-        let _ = TcpStream::connect(shared.addr);
-    }
-    Ok(())
 }
 
 /// The continuous shadow audit: drains the sampler's queue and re-executes
@@ -441,25 +338,6 @@ fn report_divergence(shared: &Arc<Shared>, tenant: &Tenant, job: &AuditJob, got:
     }
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<(u64, String)>) {
-    let mut out = BufWriter::new(stream);
-    let mut next = 0u64;
-    let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-    for (seq, line) in rx {
-        pending.insert(seq, line);
-        while let Some(line) = pending.remove(&next) {
-            let io = out
-                .write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush());
-            if io.is_err() {
-                return; // client gone; drop the rest
-            }
-            next += 1;
-        }
-    }
-}
-
 /// Applies one mutation to a tenant's shared engine and formats the
 /// response: `{"ok":true,"<verbed>":name,"version":...,"points":...}`.
 /// Runs at the connection's control barrier, so pipelined queries before
@@ -470,24 +348,20 @@ fn run_mutation(
     name: &str,
     mutation: knn_engine::Mutation,
     verbed: &str,
-) -> (String, bool) {
+) -> String {
     let Some(tenant) = shared.registry.get(name) else {
-        let msg = format!("no dataset named `{name}` (try the load verb)");
-        return (proto::error_line(id, &msg), false);
+        return proto::no_dataset_line(id, name);
     };
     match tenant.apply_logged(mutation) {
-        Err(e) => (proto::error_line(id, &e), false),
-        Ok(receipt) => {
-            let line = proto::ok_line(
-                id,
-                vec![
-                    (verbed.to_string(), Value::String(name.to_string())),
-                    ("version".into(), Value::Number(receipt.epoch as f64)),
-                    ("points".into(), Value::Number(receipt.points as f64)),
-                ],
-            );
-            (line, false)
-        }
+        Err(e) => proto::error_line(id, &e),
+        Ok(receipt) => proto::ok_line(
+            id,
+            vec![
+                (verbed.to_string(), Value::String(name.to_string())),
+                ("version".into(), Value::Number(receipt.epoch as f64)),
+                ("points".into(), Value::Number(receipt.points as f64)),
+            ],
+        ),
     }
 }
 
@@ -595,29 +469,28 @@ pub fn span_tree(spans: &[SpanEvent]) -> Vec<Value> {
     roots
 }
 
-/// Executes one control verb, returning the response line and whether the
-/// connection should close afterwards.
-fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, bool) {
+/// Executes one control verb, returning the response line.
+fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> String {
     let num = |n: usize| Value::Number(n as f64);
     let num64 = |n: u64| Value::Number(n as f64);
     match command {
-        Command::Query { .. } => unreachable!("queries are dispatched by the caller"),
+        Command::Query { .. } | Command::Ping | Command::Quit | Command::Shutdown => {
+            unreachable!("the connection frame handles these")
+        }
         Command::Load { name, path, text, replay } => {
             let text = match (text, path) {
                 (Some(t), None) => t,
                 (None, Some(p)) => match std::fs::read_to_string(&p) {
                     Ok(t) => t,
-                    Err(e) => {
-                        return (proto::error_line(id, &format!("cannot read {p}: {e}")), false)
-                    }
+                    Err(e) => return proto::error_line(id, &format!("cannot read {p}: {e}")),
                 },
                 _ => unreachable!("parse_line enforces exactly one of path/text"),
             };
             match shared.registry.load_with_replay(&name, &text, &replay) {
-                Err(e) => (proto::error_line(id, &e), false),
+                Err(e) => proto::error_line(id, &e),
                 Ok(tenant) => {
                     let s = tenant.stats();
-                    let line = proto::ok_line(
+                    proto::ok_line(
                         id,
                         vec![
                             ("loaded".into(), Value::String(name)),
@@ -625,14 +498,13 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                             ("dim".into(), num(s.dim)),
                             ("version".into(), num64(s.engine.epoch)),
                         ],
-                    );
-                    (line, false)
+                    )
                 }
             }
         }
         Command::Unload { name } => match shared.registry.unload(&name) {
-            Err(e) => (proto::error_line(id, &e), false),
-            Ok(()) => (proto::ok_line(id, vec![("unloaded".into(), Value::String(name))]), false),
+            Err(e) => proto::error_line(id, &e),
+            Ok(()) => proto::ok_line(id, vec![("unloaded".into(), Value::String(name))]),
         },
         Command::Insert { name, label, point } => run_mutation(
             shared,
@@ -658,7 +530,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                     ])
                 })
                 .collect();
-            (proto::ok_line(id, vec![("datasets".into(), Value::Array(datasets))]), false)
+            proto::ok_line(id, vec![("datasets".into(), Value::Array(datasets))])
         }
         Command::Stats => {
             let tenants: Vec<TenantStats> =
@@ -668,7 +540,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                 ("uptime_ms".into(), num64(shared.started.elapsed().as_millis() as u64)),
             ];
             members.extend(series::stats_members(&tenants, &shared.admission.stats()));
-            (proto::ok_line(id, members), false)
+            proto::ok_line(id, members)
         }
         Command::Metrics => {
             // Scrapes drive the SLO windows: each `metrics` (or `top`) call
@@ -678,53 +550,45 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
             let tenants: Vec<TenantStats> =
                 shared.registry.list().iter().map(|t| t.stats()).collect();
             text.push_str(&series::render_metrics(&tenants, &shared.admission.stats()));
-            (proto::ok_line(id, vec![("metrics".into(), Value::String(text))]), false)
+            proto::ok_line(id, vec![("metrics".into(), Value::String(text))])
         }
-        Command::Top => {
-            (proto::ok_line(id, vec![("top".into(), Value::Array(top_rows(shared)))]), false)
-        }
+        Command::Top => proto::ok_line(id, vec![("top".into(), Value::Array(top_rows(shared)))]),
         Command::Slo { name, objective } => match objective {
             Some(o) => match shared.telemetry.slo().set(&name, o) {
-                Err(e) => (proto::error_line(id, &e), false),
-                Ok(()) => {
-                    let line = proto::ok_line(
-                        id,
-                        vec![
-                            ("slo".into(), Value::String(name)),
-                            ("quantile".into(), Value::Number(o.quantile)),
-                            ("threshold_us".into(), num64(o.threshold_us)),
-                            ("windows".into(), num(o.windows)),
-                        ],
-                    );
-                    (line, false)
-                }
+                Err(e) => proto::error_line(id, &e),
+                Ok(()) => proto::ok_line(
+                    id,
+                    vec![
+                        ("slo".into(), Value::String(name)),
+                        ("quantile".into(), Value::Number(o.quantile)),
+                        ("threshold_us".into(), num64(o.threshold_us)),
+                        ("windows".into(), num(o.windows)),
+                    ],
+                ),
             },
             None => match shared.telemetry.observe_slo(&name) {
                 None => {
                     let msg =
                         format!("no slo objective for `{name}` (set one with `threshold_us`)");
-                    (proto::error_line(id, &msg), false)
+                    proto::error_line(id, &msg)
                 }
-                Some(s) => {
-                    let line = proto::ok_line(
-                        id,
-                        vec![
-                            ("slo".into(), Value::String(s.tenant)),
-                            ("quantile".into(), Value::Number(s.objective.quantile)),
-                            ("threshold_us".into(), num64(s.objective.threshold_us)),
-                            ("windows".into(), num(s.objective.windows)),
-                            ("windows_held".into(), num(s.windows_held)),
-                            ("good".into(), num64(s.good)),
-                            ("total".into(), num64(s.total)),
-                            ("quantile_us".into(), num64(s.quantile_us)),
-                            ("short_burn".into(), Value::Number(s.short_burn)),
-                            ("long_burn".into(), Value::Number(s.long_burn)),
-                            ("burn".into(), Value::Number(s.burn)),
-                            ("violations".into(), num64(s.violations)),
-                        ],
-                    );
-                    (line, false)
-                }
+                Some(s) => proto::ok_line(
+                    id,
+                    vec![
+                        ("slo".into(), Value::String(s.tenant)),
+                        ("quantile".into(), Value::Number(s.objective.quantile)),
+                        ("threshold_us".into(), num64(s.objective.threshold_us)),
+                        ("windows".into(), num(s.objective.windows)),
+                        ("windows_held".into(), num(s.windows_held)),
+                        ("good".into(), num64(s.good)),
+                        ("total".into(), num64(s.total)),
+                        ("quantile_us".into(), num64(s.quantile_us)),
+                        ("short_burn".into(), Value::Number(s.short_burn)),
+                        ("long_burn".into(), Value::Number(s.long_burn)),
+                        ("burn".into(), Value::Number(s.burn)),
+                        ("violations".into(), num64(s.violations)),
+                    ],
+                ),
             },
         },
         Command::Slow => {
@@ -752,35 +616,32 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                     ])
                 })
                 .collect();
-            (proto::ok_line(id, vec![("slow".into(), Value::Array(slow))]), false)
+            proto::ok_line(id, vec![("slow".into(), Value::Array(slow))])
         }
         Command::Trace { trace } => {
             let spans = shared.telemetry.recorder().spans_for(&trace);
-            let line = proto::ok_line(
+            proto::ok_line(
                 id,
                 vec![
                     ("trace".into(), Value::String(trace)),
                     ("spans".into(), Value::Array(span_tree(&spans))),
                 ],
-            );
-            (line, false)
+            )
         }
         Command::Dump => {
             let events = shared.telemetry.recorder().all();
             let chrome = knn_telemetry::chrome::chrome_trace_json(&events, 0);
-            let line = proto::ok_line(
+            proto::ok_line(
                 id,
                 vec![
                     ("events".into(), num(events.len())),
                     ("chrome".into(), Value::String(chrome)),
                 ],
-            );
-            (line, false)
+            )
         }
         Command::Fill { name, epoch, request, response } => {
             let Some(tenant) = shared.registry.get(&name) else {
-                let msg = format!("no dataset named `{name}` (try the load verb)");
-                return (proto::error_line(id, &msg), false);
+                return proto::no_dataset_line(id, &name);
             };
             // Best-effort by design: a stale epoch or an already-present
             // newer entry answers ok with filled:false rather than an error,
@@ -791,14 +652,13 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                 response.route.clone(),
                 response.result.clone(),
             );
-            let line = proto::ok_line(
+            proto::ok_line(
                 id,
                 vec![
                     ("fill".into(), Value::String(name)),
                     ("filled".into(), Value::Bool(installed)),
                 ],
-            );
-            (line, false)
+            )
         }
         Command::Repro { trace, conn, seq, name } => {
             let capture = shared.telemetry.capture();
@@ -811,14 +671,13 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
             };
             let Some(first) = captures.first() else {
                 let msg = "no captured requests match that selector (the capture ring is bounded and keeps the newest)";
-                return (proto::error_line(id, msg), false);
+                return proto::error_line(id, msg);
             };
             // A bundle replays one tenant's seed; a trace that touched
             // several tenants exports against the first one captured.
             let tenant_name = first.tenant.clone();
             let Some(tenant) = shared.registry.get(&tenant_name) else {
-                let msg = format!("no dataset named `{tenant_name}` (try the load verb)");
-                return (proto::error_line(id, &msg), false);
+                return proto::no_dataset_line(id, &tenant_name);
             };
             let entries: Vec<BundleEntry> = captures
                 .iter()
@@ -834,15 +693,14 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                 })
                 .collect();
             let bundle = tenant.bundle_with(entries);
-            let line = proto::ok_line(
+            proto::ok_line(
                 id,
                 vec![
                     ("repro".into(), Value::String(tenant_name)),
                     ("entries".into(), num(bundle.entries.len())),
                     ("bundle".into(), Value::String(bundle.to_json())),
                 ],
-            );
-            (line, false)
+            )
         }
         Command::Audit { sample } => {
             let audit = shared.telemetry.audit();
@@ -855,7 +713,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                 checked += s.engine.audit_checked;
                 diverged += s.engine.audit_diverged;
             }
-            let line = proto::ok_line(
+            proto::ok_line(
                 id,
                 vec![
                     ("sample".into(), num64(audit.rate())),
@@ -864,14 +722,7 @@ fn run_control(shared: &Arc<Shared>, id: &str, command: Command) -> (String, boo
                     ("queued".into(), num(audit.queued())),
                     ("dropped".into(), num64(audit.dropped())),
                 ],
-            );
-            (line, false)
-        }
-        Command::Ping => (proto::ok_line(id, vec![("pong".into(), Value::Bool(true))]), false),
-        Command::Quit => (proto::ok_line(id, vec![("bye".into(), Value::Bool(true))]), true),
-        Command::Shutdown => {
-            // The caller sets the flag after this connection is flushed.
-            (proto::ok_line(id, vec![("shutdown".into(), Value::Bool(true))]), true)
+            )
         }
     }
 }
@@ -1015,7 +866,7 @@ mod tests {
         }
     }
 
-    fn spawn_server() -> ServerHandle {
+    fn spawn_server() -> Handle {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         server.registry().load("toy", BOOL).unwrap();
         server.spawn()
@@ -1264,11 +1115,12 @@ mod tests {
 
     /// A server whose connections run one query at a time, so each
     /// connection's queries draw the sampler on one fresh worker thread.
-    fn spawn_serial_server() -> ServerHandle {
+    fn spawn_serial_server() -> (Handle, Arc<Shared>) {
         let config = ServerConfig { conn_inflight: 1, ..ServerConfig::default() };
         let server = Server::bind("127.0.0.1:0", config).unwrap();
         server.registry().load("toy", BOOL).unwrap();
-        server.spawn()
+        let shared = server.shared.clone();
+        (server.spawn(), shared)
     }
 
     /// The `seq=` of a `query` root's detail (its line on the connection).
@@ -1286,7 +1138,7 @@ mod tests {
     /// are, all congruent mod 64.
     #[test]
     fn untraced_queries_draw_the_sampler_once() {
-        let handle = spawn_serial_server();
+        let (handle, shared) = spawn_serial_server();
         let mut c = Client::connect(handle.addr()).unwrap();
         for i in 0..256 {
             let line = format!(
@@ -1297,7 +1149,7 @@ mod tests {
             );
             assert!(c.roundtrip(&line).unwrap().contains(r#""ok":true"#));
         }
-        let spans = handle.shared.telemetry.recorder().all();
+        let spans = shared.telemetry.recorder().all();
         let roots: Vec<&SpanEvent> = spans.iter().filter(|e| e.parent == 0).collect();
         for root in &roots {
             assert_eq!(root.name, "query", "no lone spans: {root:?}");
@@ -1340,7 +1192,7 @@ mod tests {
     /// audited every one of them.
     #[test]
     fn one_query_connections_sample_one_in_n() {
-        let handle = spawn_serial_server();
+        let (handle, shared) = spawn_serial_server();
         for i in 0..200 {
             let mut c = Client::connect(handle.addr()).unwrap();
             let line = format!(
@@ -1350,15 +1202,15 @@ mod tests {
             );
             assert!(c.roundtrip(&line).unwrap().contains(r#""ok":true"#));
         }
-        let spans = handle.shared.telemetry.recorder().all();
+        let spans = shared.telemetry.recorder().all();
         let sampled = spans.iter().filter(|e| e.parent == 0 && e.anomaly.is_empty()).count();
         assert!(sampled <= 8, "{sampled} of 200 one-query connections sampled");
-        let audit = handle.shared.telemetry.audit();
+        let audit = shared.telemetry.audit();
         let deadline = Instant::now() + Duration::from_secs(10);
         while audit.queued() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));
         }
-        let stats = handle.shared.registry.get("toy").unwrap().stats();
+        let stats = shared.registry.get("toy").unwrap().stats();
         let audited = stats.engine.audit_checked + audit.dropped() + audit.queued() as u64;
         assert!(audited <= 8, "{audited} of 200 one-query connections audited");
         handle.shutdown();
@@ -1368,7 +1220,7 @@ mod tests {
     /// of 64 erroring queries leaves a forced `query` root marked `error`.
     #[test]
     fn every_error_response_forces_a_capture() {
-        let handle = spawn_serial_server();
+        let (handle, shared) = spawn_serial_server();
         let mut c = Client::connect(handle.addr()).unwrap();
         for i in 0..64 {
             // ℓ1 minimal-SR at k = 3 is a refused Table-1 cell (Thm 5).
@@ -1379,7 +1231,7 @@ mod tests {
             );
             assert!(c.roundtrip(&line).unwrap().contains(r#""ok":false"#));
         }
-        let spans = handle.shared.telemetry.recorder().all();
+        let spans = shared.telemetry.recorder().all();
         let errors: Vec<&SpanEvent> =
             spans.iter().filter(|e| e.name == "query" && e.anomaly == "error").collect();
         assert_eq!(errors.len(), 64, "one forced family per error response");

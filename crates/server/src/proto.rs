@@ -427,6 +427,11 @@ pub fn error_line(id: &str, msg: &str) -> String {
         .to_json_line()
 }
 
+/// The error line answering a request that names no loaded tenant.
+pub fn no_dataset_line(id: &str, name: &str) -> String {
+    error_line(id, &format!("no dataset named `{name}` (try the load verb)"))
+}
+
 /// An `{"id":...,"ok":true,...}` control response with `extra` members in
 /// the given (deterministic) order.
 pub fn ok_line(id: &str, extra: Vec<(String, Value)>) -> String {

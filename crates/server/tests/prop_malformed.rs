@@ -11,7 +11,7 @@ use std::net::TcpStream;
 
 const BOOL: &str = "+ 1 1 1\n+ 1 1 0\n- 0 0 0\n- 0 0 1\n";
 
-fn spawn() -> knn_server::ServerHandle {
+fn spawn() -> knn_server::Handle {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
     server.registry().load("toy", BOOL).unwrap();
     server.spawn()
