@@ -24,6 +24,13 @@
 //!   attach to already-running servers; a probe thread polls each backend's
 //!   `stats` verb (`health`/`uptime_ms`) and marks backends up; any TCP
 //!   failure marks them down.
+//! * **Control plane** — every control line the router sends a backend
+//!   (probes, load/unload and mutation fan-out, rebuilds, fills, the
+//!   cluster verbs' scrapes) is one [`Backend::ask`]: `"ok":true` comes back
+//!   parsed, any other reply is a refusal with the backend's error text, and
+//!   a failed or unparseable exchange is a failure. Replies are read within
+//!   [`pool::CONTROL_DEADLINE`], so a backend that stays silent is marked
+//!   down instead of stalling the probe loop and the control-plane lock.
 //! * **Placement map** — `load` assigns a tenant a replica set by
 //!   deterministic rendezvous hashing (optionally `"replicas":r` per tenant)
 //!   and fans the dataset out to every replica (re-loading an existing name
@@ -33,8 +40,10 @@
 //!   replica that misses a mutation is demoted from the active set before
 //!   the client hears the ack, and the probe loop's reconciler rebuilds it
 //!   atomically from the retained seed text plus the full mutation log
-//!   (`load` + `replay`) before re-admitting it. Per-replica versions are
-//!   visible in the cluster `stats` verb.
+//!   (`load` + `replay`) before re-admitting it. The log is kept as
+//!   [`knn_engine::Mutation`] values and encoded for the wire by
+//!   `knn_engine::bundle::mutation_to_op`, like a lone server's bundles.
+//!   Per-replica versions are visible in the cluster `stats` verb.
 //! * **Batch scatter-gather** — a client's pipelined batch is partitioned
 //!   across its tenant's replicas and merged back in sequence order. Each
 //!   query is a pure function of `(dataset, config, request)`, so
@@ -66,9 +75,11 @@ pub mod pool;
 mod scatter;
 
 pub use placement::{PlacementMap, TenantPlacement};
-pub use pool::{Backend, BackendPool, BackendSnapshot};
+pub use pool::{AskError, Backend, BackendPool, BackendSnapshot};
 
+use knn_engine::bundle::mutation_to_op;
 use knn_engine::json::{parse_bytes, Value};
+use knn_engine::Mutation;
 use knn_server::frame::{Connection, Endpoint, Listener, Query, Responses, Stop};
 use knn_server::proto::{self, Command};
 use knn_server::Handle;
@@ -113,18 +124,19 @@ pub enum LoadSource<'a> {
 
 /// The router's retained state for one placed tenant: everything needed to
 /// rebuild any replica byte-for-byte — the seed text plus the full mutation
-/// log (as wire `replay` items), and the replica set that acknowledged the
-/// seed (`desired`). The *active* replica set (queries route only there)
-/// lives in the placement map and is always a subset of `desired`: a
-/// replica that fails a mutation is demoted from the active set on the
-/// spot and repaired back into it by the reconciler.
+/// log, and the replica set that acknowledged the seed (`desired`). The
+/// *active* replica set (queries route only there) lives in the placement
+/// map and is always a subset of `desired`: a replica that fails a
+/// mutation is demoted from the active set on the spot and repaired back
+/// into it by the reconciler.
 #[derive(Clone)]
 struct TenantSource {
     /// The seed dataset text fanned out at load time.
     seed: Arc<str>,
-    /// Applied mutations since the seed, as `replay` items
-    /// (`{"op":"insert",...}` / `{"op":"remove",...}`), oldest first.
-    muts: Vec<Value>,
+    /// Applied mutations since the seed, oldest first: the fan-out lines,
+    /// the `replay` items of a rebuild and a repro bundle's `replay` are
+    /// all encoded from these.
+    muts: Vec<Mutation>,
     /// The replicas that acknowledged the seed load, in placement order.
     desired: Vec<usize>,
 }
@@ -291,7 +303,7 @@ fn push_fill(shared: &Arc<RouterShared>, job: FillJob) {
         }
         // Best-effort: an error or a `filled:false` answer costs nothing
         // but the miss the peer would have had anyway.
-        let _ = backend.control_roundtrip(&line);
+        let _ = backend.ask(&line);
         shared.telemetry.add("knn_router_fills_total", 1);
     }
 }
@@ -420,7 +432,7 @@ fn start_probe_loop(shared: &Arc<RouterShared>) {
         while !shared.stop.is_set() {
             let round = Instant::now();
             for backend in shared.pool.backends() {
-                if backend.probe().is_some() {
+                if backend.probe() {
                     reconcile_backend(&shared, &backend);
                 }
             }
@@ -456,10 +468,7 @@ fn reconcile_backend(shared: &Arc<RouterShared>, backend: &Backend) {
     if sources.is_empty() {
         return;
     }
-    let Ok(stats) = backend.control_roundtrip(r#"{"id":"reconcile","verb":"stats"}"#) else {
-        return;
-    };
-    let Ok(v) = parse_bytes(stats.as_bytes()) else { return };
+    let Ok(v) = backend.ask(r#"{"id":"reconcile","verb":"stats"}"#) else { return };
     // tenant name → reported version on this backend.
     let held: BTreeMap<&str, u64> = v
         .get("tenants")
@@ -491,8 +500,7 @@ fn reconcile_backend(shared: &Arc<RouterShared>, backend: &Backend) {
                 active.iter().copied().filter(|&id| id != backend.id).collect();
             shared.placement.pin(name, demoted);
         }
-        let line = load_line(name, src);
-        if roundtrip_acked(backend, &line) {
+        if backend.ask(&load_line(name, src)).is_ok() {
             shared.telemetry.add("knn_router_reconciles_total", 1);
             let active = shared.placement.get(name).unwrap_or_default();
             readmit(shared, name, src, &active, backend.id);
@@ -514,15 +522,6 @@ fn readmit(
     shared.placement.pin(name, merged);
 }
 
-/// Did `line` roundtrip on `backend` with an `"ok":true` response?
-fn roundtrip_acked(backend: &Backend, line: &str) -> bool {
-    backend
-        .control_roundtrip(line)
-        .ok()
-        .and_then(|resp| parse_bytes(resp.as_bytes()).ok())
-        .is_some_and(|v| is_ok(&v))
-}
-
 /// The wire line that rebuilds `name` on a backend: the seed text plus the
 /// retained mutation log as `replay` (omitted while empty, which keeps the
 /// initial fan-out line identical to PR 3's).
@@ -534,9 +533,68 @@ fn load_line(name: &str, src: &TenantSource) -> String {
         ("text".into(), Value::String(src.seed.to_string())),
     ];
     if !src.muts.is_empty() {
-        members.push(("replay".into(), Value::Array(src.muts.clone())));
+        members
+            .push(("replay".into(), Value::Array(src.muts.iter().map(mutation_to_op).collect())));
     }
     Value::Object(members).to_json()
+}
+
+/// The wire line that applies `m` to `name` on a backend: `m`'s `replay`
+/// item ([`mutation_to_op`]) with its `op` as the verb, so the fan-out and
+/// a later rebuild encode the same mutation the same way.
+fn mutation_line(name: &str, m: &Mutation) -> String {
+    let Value::Object(mut members) = mutation_to_op(m) else { unreachable!("ops are objects") };
+    members[0].0 = "verb".into();
+    members.insert(0, ("id".into(), Value::String("fanout".into())));
+    members.insert(2, ("name".into(), Value::String(name.to_string())));
+    Value::Object(members).to_json()
+}
+
+/// What one control line sent to a replica set got back.
+struct Sent {
+    /// The replicas that answered `"ok":true`, in the order asked.
+    acked: Vec<usize>,
+    /// Every other replica, in the order asked.
+    failed: Vec<usize>,
+    /// The first refusal's or failure's text.
+    first_err: Option<String>,
+}
+
+/// Sends `line` to each backend in `ids`, one after another, and sorts
+/// them by their answers.
+fn send_to(shared: &RouterShared, ids: &[usize], line: &str) -> Sent {
+    let mut sent = Sent { acked: Vec::new(), failed: Vec::new(), first_err: None };
+    for &id in ids {
+        let reply = match shared.pool.get(id) {
+            Some(backend) => backend.ask(line).map_err(AskError::message),
+            None => Err(format!("no backend with id {id}")),
+        };
+        match reply {
+            Ok(_) => sent.acked.push(id),
+            Err(e) => {
+                sent.failed.push(id);
+                sent.first_err.get_or_insert(e);
+            }
+        }
+    }
+    sent
+}
+
+/// Best-effort `unload` of `name` on each of `ids`: a dead replica has
+/// nothing to unload, and one that refuses is no longer this tenant's
+/// concern.
+fn unload_from(shared: &RouterShared, name: &str, ids: impl IntoIterator<Item = usize>) {
+    let line = Value::Object(vec![
+        ("id".into(), Value::String("fanout".into())),
+        ("verb".into(), Value::String("unload".into())),
+        ("name".into(), Value::String(name.to_string())),
+    ])
+    .to_json();
+    for id in ids {
+        if let Some(backend) = shared.pool.get(id) {
+            let _ = backend.ask(&line);
+        }
+    }
 }
 
 /// How a `load` picks its candidate replica set.
@@ -584,30 +642,7 @@ fn fan_out_load(
     let previous = shared.sources.lock().unwrap().get(name).map(|s| s.desired.clone());
     let src =
         TenantSource { seed: Arc::from(text.as_str()), muts: Vec::new(), desired: Vec::new() };
-    let line = load_line(name, &src);
-
-    let mut acked = Vec::new();
-    let mut first_err = None;
-    for &id in &candidates {
-        let result = match shared.pool.get(id) {
-            Some(backend) => backend.control_roundtrip(&line).and_then(|resp| {
-                match parse_bytes(resp.as_bytes()) {
-                    Ok(v) if matches!(v.get("ok"), Some(Value::Bool(true))) => Ok(()),
-                    Ok(v) => Err(v
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .unwrap_or("backend refused the load")
-                        .to_string()),
-                    Err(e) => Err(format!("unparseable backend response: {e}")),
-                }
-            }),
-            None => Err(format!("no backend with id {id}")),
-        };
-        match result {
-            Ok(()) => acked.push(id),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
+    let Sent { acked, first_err, .. } = send_to(shared, &candidates, &load_line(name, &src));
     if acked.is_empty() {
         // A reload that reached nobody changes nothing: the previous
         // generation (if any) stays placed and retained.
@@ -623,24 +658,9 @@ fn fan_out_load(
     // still hold the old data — drop it (best-effort; an unreachable one is
     // simply no longer this tenant's concern).
     if let Some(old) = previous {
-        let unload = unload_line(name);
-        for id in old.into_iter().filter(|id| !acked.contains(id)) {
-            if let Some(backend) = shared.pool.get(id) {
-                let _ = backend.control_roundtrip(&unload);
-            }
-        }
+        unload_from(shared, name, old.into_iter().filter(|id| !acked.contains(id)));
     }
     Ok(acked)
-}
-
-/// The wire line that drops `name` on a backend.
-fn unload_line(name: &str) -> String {
-    Value::Object(vec![
-        ("id".into(), Value::String("fanout".into())),
-        ("verb".into(), Value::String("unload".into())),
-        ("name".into(), Value::String(name.to_string())),
-    ])
-    .to_json()
 }
 
 /// Fans `unload` out to the tenant's replicas and retracts the placement.
@@ -650,20 +670,15 @@ fn fan_out_unload(shared: &Arc<RouterShared>, name: &str) -> Result<Vec<usize>, 
     let _load_serialized = shared.load_lock.lock().unwrap();
     let replicas = shared.placement.remove(name)?;
     let desired = shared.sources.lock().unwrap().remove(name).map(|s| s.desired);
-    let line = unload_line(name);
     // Every desired replica may hold data (a demoted one holds a stale
     // generation) — unload them all, not just the active set.
-    for &id in desired.as_deref().unwrap_or(&replicas) {
-        if let Some(backend) = shared.pool.get(id) {
-            // Best-effort: a dead replica has nothing to unload.
-            let _ = backend.control_roundtrip(&line);
-        }
-    }
+    unload_from(shared, name, desired.unwrap_or_else(|| replicas.clone()));
     Ok(replicas)
 }
 
 /// Fans one mutation out to every *active* replica of `name` under the
-/// load lock, appends it to the retained log, and reports the new version.
+/// load lock, appends it to the retained log, and answers the client:
+/// `{"ok":true,"<verbed>":name,"version":...,"replicas":[...]}`.
 ///
 /// Failure handling keeps replicas from diverging: a replica that does not
 /// acknowledge the mutation is **demoted** from the active set right here
@@ -677,72 +692,45 @@ fn fan_out_unload(shared: &Arc<RouterShared>, name: &str) -> Result<Vec<usize>, 
 /// replica refused it identically — nothing diverged.
 fn fan_out_mutation(
     shared: &Arc<RouterShared>,
+    id: &str,
     name: &str,
-    item: Value,
-    verb_line: String,
-) -> Result<(u64, Vec<usize>), String> {
+    mutation: Mutation,
+    verbed: &str,
+) -> String {
     let _load_serialized = shared.load_lock.lock().unwrap();
     let Some(active) = shared.placement.get(name) else {
-        return Err(format!("no dataset named `{name}` (try the load verb)"));
+        return proto::no_dataset_line(id, name);
     };
-    let mut acked = Vec::new();
-    let mut failed = Vec::new();
-    let mut first_err = None;
-    for &id in &active {
-        let ok = match shared.pool.get(id) {
-            Some(backend) => match backend.control_roundtrip(&verb_line) {
-                Ok(resp) => match parse_bytes(resp.as_bytes()) {
-                    Ok(v) if matches!(v.get("ok"), Some(Value::Bool(true))) => true,
-                    Ok(v) => {
-                        let msg = v
-                            .get("error")
-                            .and_then(Value::as_str)
-                            .unwrap_or("backend refused the mutation")
-                            .to_string();
-                        first_err = first_err.or(Some(msg));
-                        false
-                    }
-                    Err(e) => {
-                        first_err =
-                            first_err.or(Some(format!("unparseable backend response: {e}")));
-                        false
-                    }
-                },
-                Err(e) => {
-                    first_err = first_err.or(Some(e));
-                    false
-                }
-            },
-            None => false,
-        };
-        if ok {
-            acked.push(id);
-        } else {
-            failed.push(id);
-        }
-    }
+    let Sent { acked, failed, first_err } =
+        send_to(shared, &active, &mutation_line(name, &mutation));
     if acked.is_empty() {
-        return Err(first_err.unwrap_or_else(|| "mutation failed on every replica".into()));
+        let e = first_err.unwrap_or_else(|| "mutation failed on every replica".into());
+        return proto::error_line(id, &e);
     }
     // Partial failure: demote the failures before the client hears the ack,
     // so post-mutation queries can only reach replicas that applied it.
     if !failed.is_empty() {
         shared.telemetry.add("knn_router_demotions_total", failed.len() as u64);
         shared.placement.pin(name, acked.clone());
-        let unload = unload_line(name);
-        for &id in &failed {
-            if let Some(backend) = shared.pool.get(id) {
-                let _ = backend.control_roundtrip(&unload);
-            }
-        }
+        unload_from(shared, name, failed);
     }
     let version = {
         let mut sources = shared.sources.lock().unwrap();
         let src = sources.get_mut(name).expect("placed tenants are retained");
-        src.muts.push(item);
+        src.muts.push(mutation);
         src.version()
     };
-    Ok((version, acked))
+    proto::ok_line(
+        id,
+        vec![
+            (verbed.to_string(), Value::String(name.to_string())),
+            ("version".into(), Value::Number(version as f64)),
+            (
+                "replicas".into(),
+                Value::Array(acked.iter().map(|&i| Value::Number(i as f64)).collect()),
+            ),
+        ],
+    )
 }
 
 /// A router connection's dispatcher: the frame's queries go through the
@@ -898,36 +886,10 @@ fn run_cluster_control(
             }
         }
         Command::Insert { name, label, point } => {
-            let label_s = if label == knn_space::Label::Positive { "+" } else { "-" };
-            let point_v = Value::Array(point.iter().map(|&x| Value::Number(x)).collect());
-            let item = Value::Object(vec![
-                ("op".into(), Value::String("insert".into())),
-                ("label".into(), Value::String(label_s.into())),
-                ("point".into(), point_v.clone()),
-            ]);
-            let line = Value::Object(vec![
-                ("id".into(), Value::String("fanout".into())),
-                ("verb".into(), Value::String("insert".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("label".into(), Value::String(label_s.into())),
-                ("point".into(), point_v),
-            ])
-            .to_json();
-            mutation_response(shared, id, &name, "inserted", item, line)
+            fan_out_mutation(shared, id, &name, Mutation::Insert { point, label }, "inserted")
         }
         Command::Remove { name, index } => {
-            let item = Value::Object(vec![
-                ("op".into(), Value::String("remove".into())),
-                ("index".into(), Value::Number(index as f64)),
-            ]);
-            let line = Value::Object(vec![
-                ("id".into(), Value::String("fanout".into())),
-                ("verb".into(), Value::String("remove".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("index".into(), Value::Number(index as f64)),
-            ])
-            .to_json();
-            mutation_response(shared, id, &name, "removed", item, line)
+            fan_out_mutation(shared, id, &name, Mutation::Remove { id: index }, "removed")
         }
         Command::Unload { name } => match fan_out_unload(shared, &name) {
             Err(e) => proto::error_line(id, &e),
@@ -971,60 +933,29 @@ fn run_cluster_control(
     }
 }
 
-/// Runs one mutation fan-out and formats the router's response:
-/// `{"ok":true,"<verbed>":name,"version":...,"replicas":[...]}`.
-fn mutation_response(
-    shared: &Arc<RouterShared>,
-    id: &str,
-    name: &str,
-    verbed: &str,
-    item: Value,
-    verb_line: String,
-) -> String {
-    match fan_out_mutation(shared, name, item, verb_line) {
-        Err(e) => proto::error_line(id, &e),
-        Ok((version, replicas)) => proto::ok_line(
-            id,
-            vec![
-                (verbed.to_string(), Value::String(name.to_string())),
-                ("version".into(), Value::Number(version as f64)),
-                (
-                    "replicas".into(),
-                    Value::Array(replicas.iter().map(|&i| Value::Number(i as f64)).collect()),
-                ),
-            ],
-        ),
-    }
-}
-
-/// Sends one control line to every healthy backend and returns each parsed
-/// reply with its backend id, in pool order — the one fan-out behind every
-/// cluster control verb. Unhealthy backends are skipped (nothing was
-/// expected of them); a healthy backend whose roundtrip fails or whose
-/// reply does not parse bumps `knn_router_scrape_failures_total`, so a
-/// partial answer never passes silently for a cluster-wide one.
+/// Sends one control line to every healthy backend and returns each
+/// `"ok":true` reply with its backend id, in pool order — the one fan-out
+/// behind every cluster control verb. Unhealthy backends are skipped
+/// (nothing was expected of them), and a refusal is an answer (that
+/// backend has nothing for this request); a healthy backend whose
+/// roundtrip fails or whose reply does not parse bumps
+/// `knn_router_scrape_failures_total`, so a partial answer never passes
+/// silently for a cluster-wide one.
 fn fan_out(shared: &RouterShared, line: &str) -> Vec<(usize, Value)> {
     shared
         .pool
         .backends()
         .iter()
         .filter(|backend| backend.is_healthy())
-        .filter_map(|backend| {
-            let reply = backend
-                .control_roundtrip(line)
-                .ok()
-                .and_then(|resp| parse_bytes(resp.as_bytes()).ok());
-            if reply.is_none() {
+        .filter_map(|backend| match backend.ask(line) {
+            Ok(v) => Some((backend.id, v)),
+            Err(AskError::Refused(_)) => None,
+            Err(AskError::Failed(_)) => {
                 shared.telemetry.add("knn_router_scrape_failures_total", 1);
+                None
             }
-            reply.map(|v| (backend.id, v))
         })
         .collect()
-}
-
-/// Whether a reply answered `"ok":true`.
-fn is_ok(v: &Value) -> bool {
-    v.get("ok") == Some(&Value::Bool(true))
 }
 
 /// Folds `reply`'s numeric members into `acc` by their declared rule
@@ -1050,7 +981,7 @@ fn merged_reply(shared: &RouterShared, line: &str) -> Option<Vec<(String, Value)
     let mut acc = Vec::new();
     let mut replicas = 0usize;
     for (_, v) in fan_out(shared, line) {
-        if let (true, Value::Object(members)) = (is_ok(&v), &v) {
+        if let Value::Object(members) = &v {
             fold_members(&mut acc, members);
             replicas += 1;
         }
@@ -1165,8 +1096,7 @@ fn cluster_slo_line(
         ("name".into(), Value::String(name.to_string())),
     ];
     line.extend(objective.iter().cloned());
-    let acked =
-        fan_out(shared, &Value::Object(line).to_json()).iter().filter(|(_, v)| is_ok(v)).count();
+    let acked = fan_out(shared, &Value::Object(line).to_json()).len();
     if acked == 0 {
         return proto::error_line(id, "no live backend accepted the slo objective");
     }
@@ -1336,9 +1266,6 @@ fn cluster_repro_line(
     let mut config = None;
     let mut entries: Vec<knn_engine::bundle::BundleEntry> = Vec::new();
     for (backend, v) in fan_out(shared, &req) {
-        if !is_ok(&v) {
-            continue; // nothing captured there for this selector
-        }
         let Some(text) = v.get("bundle").and_then(Value::as_str) else { continue };
         let Ok(bundle) = knn_engine::bundle::ReproBundle::from_json(text) else { continue };
         let target = tenant.get_or_insert_with(|| bundle.tenant.clone());
@@ -1364,17 +1291,11 @@ fn cluster_repro_line(
     entries.sort_by(|a, b| {
         (a.epoch, a.backend, a.conn, a.seq).cmp(&(b.epoch, b.backend, b.conn, b.seq))
     });
-    let replay: Result<Vec<_>, String> =
-        src.muts.iter().map(knn_engine::bundle::mutation_from_op).collect();
-    let replay = match replay {
-        Ok(ops) => ops,
-        Err(e) => return proto::error_line(id, &format!("retained mutation log corrupt: {e}")),
-    };
     let bundle = knn_engine::bundle::ReproBundle {
         tenant: tenant.clone(),
         config,
         seed: src.seed.to_string(),
-        replay,
+        replay: src.muts.clone(),
         entries,
     };
     proto::ok_line(
@@ -1412,10 +1333,7 @@ fn cluster_stats_line(shared: &Arc<RouterShared>, id: &str) -> String {
     use knn_server::series::{merge_stats, ADMISSION_ROWS, TENANT_ROWS};
     let num = |n: usize| Value::Number(n as f64);
     let ids = |v: &[usize]| Value::Array(v.iter().map(|&i| num(i)).collect());
-    let replies: Vec<(usize, Value)> = fan_out(shared, r#"{"id":"agg","verb":"stats"}"#)
-        .into_iter()
-        .filter(|(_, v)| is_ok(v))
-        .collect();
+    let replies = fan_out(shared, r#"{"id":"agg","verb":"stats"}"#);
     let admission: Vec<&Value> = replies.iter().filter_map(|(_, v)| v.get("admission")).collect();
     let placed: BTreeMap<String, Vec<usize>> =
         shared.placement.list().into_iter().map(|t| (t.name, t.replicas)).collect();
@@ -2097,6 +2015,125 @@ mod tests {
         assert_eq!(failures, Some(6.0), "{text}");
         handle.shutdown();
         b0.shutdown();
+    }
+
+    /// A backend that answers `"ok":false` has answered: an `slo` read of
+    /// a tenant with no objective and a `repro` with no captures are
+    /// refused by every backend, and neither counts as a failed scrape.
+    #[test]
+    fn refusals_are_not_failed_scrapes() {
+        let (b0, b1) = (backend(), backend());
+        let handle = router_over(&[&b0, &b1]);
+        let mut c = Client::connect(handle.addr()).unwrap();
+        let slo = c.roundtrip(r#"{"id":"s","verb":"slo","name":"toy"}"#).unwrap();
+        assert_eq!(
+            slo,
+            r#"{"id":"s","ok":false,"error":"no slo objective for `toy` on any live backend"}"#
+        );
+        let repro = c.roundtrip(r#"{"id":"r","verb":"repro","trace":"never-sent"}"#).unwrap();
+        assert_eq!(
+            repro,
+            r#"{"id":"r","ok":false,"error":"no captured requests match that selector on any live backend"}"#
+        );
+        let m = c.roundtrip(r#"{"id":"m","verb":"metrics"}"#).unwrap();
+        let parsed = parse_bytes(m.as_bytes()).unwrap();
+        let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
+        let samples = exposition::parse(text);
+        assert_eq!(samples.get("knn_router_backends_scraped"), Some(&2.0), "{text}");
+        assert!(!samples.contains_key("knn_router_scrape_failures_total"), "{text}");
+        handle.shutdown();
+        b0.shutdown();
+        b1.shutdown();
+    }
+
+    /// The rebuild line and the mutation fan-out lines, byte for byte as
+    /// the router sent them when it kept its log as JSON values.
+    #[test]
+    fn load_and_mutation_lines_keep_their_bytes() {
+        let mut src = TenantSource {
+            seed: Arc::from("+ 1 0.5\n- 0 0\n"),
+            muts: Vec::new(),
+            desired: vec![0],
+        };
+        assert_eq!(
+            load_line("toy", &src),
+            r#"{"id":"fanout","verb":"load","name":"toy","text":"+ 1 0.5\n- 0 0\n"}"#
+        );
+        src.muts = vec![
+            Mutation::Insert { point: vec![0.5, -0.0], label: knn_space::Label::Positive },
+            Mutation::Insert { point: vec![1e-9, 3.0000000001], label: knn_space::Label::Negative },
+            Mutation::Remove { id: 2 },
+        ];
+        let lines: Vec<String> = src.muts.iter().map(|m| mutation_line("toy", m)).collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"id":"fanout","verb":"insert","name":"toy","label":"+","point":[0.5,0]}"#,
+                r#"{"id":"fanout","verb":"insert","name":"toy","label":"-","point":[0.000000001,3.0000000001]}"#,
+                r#"{"id":"fanout","verb":"remove","name":"toy","index":2}"#,
+            ]
+        );
+        assert_eq!(
+            load_line("toy", &src),
+            concat!(
+                r#"{"id":"fanout","verb":"load","name":"toy","text":"+ 1 0.5\n- 0 0\n","replay":["#,
+                r#"{"op":"insert","label":"+","point":[0.5,0]},"#,
+                r#"{"op":"insert","label":"-","point":[0.000000001,3.0000000001]},"#,
+                r#"{"op":"remove","index":2}]}"#
+            )
+        );
+    }
+
+    /// The router's retained log is the mutations its clients sent: after
+    /// inserts whose coordinates stress the number encoding and a remove,
+    /// the `repro` bundle's `replay` equals the sent mutations, and equals
+    /// what a lone server records for the same verbs.
+    #[test]
+    fn retained_log_is_the_wire_encoding() {
+        use knn_engine::bundle::ReproBundle;
+        use knn_space::Label;
+        let verbs = [
+            r#"{"verb":"insert","name":"toy","label":"+","point":[0.5,-0.0,1e-9]}"#,
+            r#"{"verb":"insert","name":"toy","label":"-","point":[3.0000000001,0.5,-0.0]}"#,
+            r#"{"verb":"remove","name":"toy","index":1}"#,
+        ];
+        let sent = vec![
+            Mutation::Insert { point: vec![0.5, -0.0, 1e-9], label: Label::Positive },
+            Mutation::Insert { point: vec![3.0000000001, 0.5, -0.0], label: Label::Negative },
+            Mutation::Remove { id: 1 },
+        ];
+        let query =
+            r#"{"dataset":"toy","id":"q","cmd":"classify","metric":"l2","point":[1,0.5,0]}"#;
+        let replay_through = |addr: SocketAddr| {
+            let mut c = Client::connect(addr).unwrap();
+            for verb in verbs {
+                let resp = c.roundtrip(verb).unwrap();
+                assert!(resp.contains(r#""ok":true"#), "{verb}: {resp}");
+            }
+            assert!(c.roundtrip(query).unwrap().contains(r#""ok":true"#));
+            let resp = c.roundtrip(r#"{"id":"r","verb":"repro","name":"toy"}"#).unwrap();
+            let parsed = parse_bytes(resp.as_bytes()).unwrap();
+            let Some(Value::String(text)) = parsed.get("bundle") else { panic!("{resp}") };
+            ReproBundle::from_json(text).unwrap().replay
+        };
+
+        let (b0, b1) = (backend(), backend());
+        let handle = router_over(&[&b0, &b1]);
+        let routed = replay_through(handle.addr());
+        assert_eq!(routed, sent);
+
+        let lone = backend();
+        let mut c = Client::connect(lone.addr()).unwrap();
+        let load = format!(
+            r#"{{"verb":"load","name":"toy","text":{}}}"#,
+            Value::String(BOOL.into()).to_json()
+        );
+        assert!(c.roundtrip(&load).unwrap().contains(r#""ok":true"#));
+        assert_eq!(replay_through(lone.addr()), routed);
+
+        for h in [handle, b0, b1, lone] {
+            h.shutdown();
+        }
     }
 
     /// The distributed forensics plane: a traced query answers

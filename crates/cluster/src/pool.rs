@@ -8,16 +8,21 @@
 //!
 //! * a **health flag** — consulted at dispatch time. It is cleared the moment
 //!   any router thread sees the backend's TCP fail (connect, send, or
-//!   receive), and set again when a health probe gets a well-formed `stats`
-//!   response. Placement never looks at it (see [`crate::placement`]);
+//!   receive, or a control reply later than [`CONTROL_DEADLINE`]), and set
+//!   again when a health probe gets an `"ok":true` `stats` response.
+//!   Placement never looks at it (see [`crate::placement`]);
 //! * a **control connection** — a dedicated client the router uses for
-//!   `load`/`unload` fan-out, `stats` aggregation, and probes, so control
-//!   traffic never interleaves with a client's pipelined query stream;
+//!   `load`/`unload` and mutation fan-out, cache fills, `stats`
+//!   aggregation, and probes, so control traffic never interleaves with a
+//!   client's pipelined query stream. [`Backend::ask`] is the only code that
+//!   talks on it: one line out, one reply in, sorted into ok, refused and
+//!   failed;
 //! * the **probe counters** the cluster `stats` verb reports.
 //!
 //! The probe loop runs on its own thread (started by the router) and is the
 //! mark-*up* path: data-path errors only ever mark a backend down.
 
+use knn_engine::json::{parse_bytes, Value};
 use knn_server::Client;
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -31,6 +36,31 @@ pub const CONNECT_ATTEMPTS: u32 = 5;
 /// First retry backoff for backend dials (doubles per attempt, capped by
 /// [`Client::connect_retry`]).
 pub const CONNECT_BACKOFF: Duration = Duration::from_millis(20);
+/// How long [`Backend::ask`] waits for a backend's reply to one control
+/// line. A backend that accepts and then stays silent fails the exchange
+/// after this long instead of stalling the probe loop and holding the
+/// router's control-plane lock forever. The query data channel has no
+/// such deadline: one Hamming minimum-SR query may run for seconds.
+pub const CONTROL_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Why [`Backend::ask`] got no `"ok":true` reply.
+#[derive(Debug)]
+pub enum AskError {
+    /// The backend answered, but not `"ok":true`: its `error` text.
+    Refused(String),
+    /// No parseable reply: the dial or roundtrip failed (the backend is
+    /// marked down) or the reply was not JSON.
+    Failed(String),
+}
+
+impl AskError {
+    /// The error text, whichever way the exchange failed.
+    pub fn message(self) -> String {
+        match self {
+            AskError::Refused(m) | AskError::Failed(m) => m,
+        }
+    }
+}
 
 /// One backend server (see module docs).
 pub struct Backend {
@@ -91,50 +121,60 @@ impl Backend {
         self.healthy.store(true, Ordering::Relaxed);
     }
 
-    /// One request/response on the control connection, (re)dialing it if
-    /// needed. Any failure drops the connection and marks the backend down,
-    /// so the next caller redials.
-    pub fn control_roundtrip(&self, line: &str) -> Result<String, String> {
+    /// The one control conversation with this backend: sends `line` on the
+    /// control connection, (re)dialing it if needed, and reads the reply
+    /// within [`CONTROL_DEADLINE`]. An `"ok":true` reply comes back parsed;
+    /// any other parsed reply is a [`AskError::Refused`] carrying the
+    /// backend's `error` text. A dial or roundtrip failure (the deadline
+    /// included) drops the connection and marks the backend down, so the
+    /// next caller redials; an unparseable reply is a failure too, but
+    /// leaves the backend's health alone.
+    pub fn ask(&self, line: &str) -> Result<Value, AskError> {
         let mut guard = self.control.lock().unwrap();
         if guard.is_none() {
-            match Client::connect_retry(self.addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF) {
+            let dialed = Client::connect_retry(self.addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)
+                .and_then(|c| c.set_read_timeout(Some(CONTROL_DEADLINE)).map(|()| c));
+            match dialed {
                 Ok(c) => *guard = Some(c),
                 Err(e) => {
                     self.mark_down();
-                    return Err(format!("backend {} unreachable: {e}", self.addr));
+                    return Err(AskError::Failed(format!(
+                        "backend {} unreachable: {e}",
+                        self.addr
+                    )));
                 }
             }
         }
-        let result = guard.as_mut().expect("dialed above").roundtrip(line);
-        match result {
-            Ok(resp) => Ok(resp),
+        let resp = match guard.as_mut().expect("dialed above").roundtrip(line) {
+            Ok(resp) => resp,
             Err(e) => {
                 *guard = None;
                 self.mark_down();
-                Err(format!("backend {} failed: {e}", self.addr))
+                return Err(AskError::Failed(format!("backend {} failed: {e}", self.addr)));
             }
+        };
+        drop(guard);
+        match parse_bytes(resp.as_bytes()) {
+            Ok(v) if v.get("ok") == Some(&Value::Bool(true)) => Ok(v),
+            Ok(v) => Err(AskError::Refused(
+                v.get("error").and_then(Value::as_str).unwrap_or("backend refused").to_string(),
+            )),
+            Err(e) => Err(AskError::Failed(format!("unparseable backend response: {e}"))),
         }
     }
 
-    /// Health probe: a `stats` roundtrip on the control connection. A
-    /// well-formed `"ok":true` response marks the backend up; anything else
-    /// marks it down. Returns the raw response for aggregation.
-    pub fn probe(&self) -> Option<String> {
-        let resp = self.control_roundtrip(r#"{"id":"probe","verb":"stats"}"#);
-        let ok = resp
-            .as_deref()
-            .ok()
-            .and_then(|line| knn_engine::json::parse(line).ok())
-            .is_some_and(|v| matches!(v.get("ok"), Some(knn_engine::json::Value::Bool(true))));
+    /// Health probe: a `stats` [`ask`](Backend::ask). An `"ok":true` reply
+    /// marks the backend up; anything else marks it down.
+    pub fn probe(&self) -> bool {
+        let ok = self.ask(r#"{"id":"probe","verb":"stats"}"#).is_ok();
         if ok {
             self.probes_ok.fetch_add(1, Ordering::Relaxed);
             self.mark_up();
-            resp.ok()
         } else {
             self.probes_failed.fetch_add(1, Ordering::Relaxed);
             self.mark_down();
-            None
         }
+        ok
     }
 
     /// Snapshot for the cluster `stats` verb.
@@ -250,7 +290,7 @@ impl BackendPool {
         for b in self.backends() {
             let mut child = b.child.lock().unwrap();
             if let Some(mut c) = child.take() {
-                let _ = b.control_roundtrip(r#"{"id":"bye","verb":"shutdown"}"#);
+                let _ = b.ask(r#"{"id":"bye","verb":"shutdown"}"#);
                 let _ = c.kill();
                 let _ = c.wait();
             }
@@ -301,12 +341,12 @@ mod tests {
         let b = pool.attach(handle.addr());
         assert_eq!((b.id, pool.len()), (0, 1));
         assert!(b.is_healthy());
-        assert!(b.probe().is_some(), "live server answers the probe");
+        assert!(b.probe(), "live server answers the probe");
         assert_eq!(b.snapshot().probes_ok, 1);
 
         b.mark_down();
         assert!(!b.is_healthy());
-        assert!(b.probe().is_some(), "probe marks a live backend up again");
+        assert!(b.probe(), "probe marks a live backend up again");
         assert!(b.is_healthy());
         handle.shutdown();
     }
@@ -319,8 +359,36 @@ mod tests {
         drop(dead);
         let pool = BackendPool::new();
         let b = pool.attach(addr);
-        assert!(b.probe().is_none());
+        assert!(!b.probe());
         assert!(!b.is_healthy());
         assert_eq!(b.snapshot().probes_failed, 1);
+    }
+
+    /// A backend that accepts the control connection and never answers
+    /// fails the exchange once the deadline passes (not never), and is
+    /// marked down like any other failed roundtrip.
+    #[test]
+    fn silent_backend_fails_ask_within_the_deadline() {
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = silent.local_addr().unwrap();
+        std::thread::spawn(move || {
+            // Hold every accepted socket open without writing a byte.
+            let held: Vec<_> = silent.incoming().map_while(Result::ok).collect();
+            drop(held);
+        });
+        let pool = BackendPool::new();
+        let b = pool.attach(addr);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let asker = b.clone();
+        std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            let reply = asker.ask(r#"{"id":"probe","verb":"stats"}"#);
+            let _ = tx.send((reply, start.elapsed()));
+        });
+        let (reply, waited) =
+            rx.recv_timeout(2 * CONTROL_DEADLINE).expect("ask still blocked at twice the deadline");
+        assert!(matches!(reply, Err(AskError::Failed(_))), "{reply:?}");
+        assert!(waited >= CONTROL_DEADLINE, "gave up before the deadline: {waited:?}");
+        assert!(!b.is_healthy(), "a silent backend is marked down");
     }
 }

@@ -25,8 +25,8 @@ pub enum Mutation {
 impl Mutation {
     /// Is this mutation applicable to `dataset`? Total and deterministic,
     /// so every holder of the same dataset accepts or rejects a mutation
-    /// identically — the single source of truth for [`crate::VersionedDataset`]
-    /// and the engine alike:
+    /// identically — the single source of truth for the engine and every
+    /// replica of it:
     /// * inserts must match the dataset dimension and be finite;
     /// * removals must name an existing index and may not empty the dataset
     ///   (an empty dataset has no serialized form, which would break the
@@ -59,44 +59,6 @@ impl Mutation {
             }
         }
         Ok(())
-    }
-}
-
-impl Mutation {
-    /// Renders this mutation as the canonical replay-op JSON object the
-    /// serving layers' `load` verb accepts in its `"replay"` array and the
-    /// repro bundles embed:
-    /// `{"op":"insert","label":"+","point":[...]}` /
-    /// `{"op":"remove","index":N}`. Coordinates print exactly as the
-    /// engine's JSON writer prints numbers (integers without a fractional
-    /// part, other floats via Rust's shortest-roundtrip `Display`), so a
-    /// bundle that embeds these items re-serializes byte-identically after
-    /// a parse.
-    pub fn op_json(&self) -> String {
-        // Mirrors the engine JSON writer's number rendering (including
-        // `-0.0` → `0`); the two must stay in lockstep or bundle
-        // round-trips stop being byte-identical.
-        fn push_num(out: &mut String, v: f64) {
-            if v.fract() == 0.0 && v.abs() < 9.0e15 {
-                out.push_str(&format!("{}", v as i64));
-            } else {
-                out.push_str(&format!("{v}"));
-            }
-        }
-        match self {
-            Mutation::Insert { point, label } => {
-                let mut out = format!("{{\"op\":\"insert\",\"label\":\"{label}\",\"point\":[");
-                for (i, v) in point.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_num(&mut out, *v);
-                }
-                out.push_str("]}");
-                out
-            }
-            Mutation::Remove { id } => format!("{{\"op\":\"remove\",\"index\":{id}}}"),
-        }
     }
 }
 
@@ -143,23 +105,6 @@ impl AppliedMutation {
     pub fn is_insert(&self) -> bool {
         matches!(self, AppliedMutation::Insert { .. })
     }
-
-    /// The [`Mutation`] that re-applies this log entry to a dataset at the
-    /// epoch it was originally applied at — what a repro bundle replays on
-    /// top of the seed text to reconstruct any epoch.
-    pub fn to_op(&self) -> Mutation {
-        match self {
-            AppliedMutation::Insert { point, label } => {
-                Mutation::Insert { point: point.clone(), label: *label }
-            }
-            AppliedMutation::Remove { id, .. } => Mutation::Remove { id: *id },
-        }
-    }
-
-    /// [`Mutation::op_json`] of [`to_op`](AppliedMutation::to_op).
-    pub fn op_json(&self) -> String {
-        self.to_op().op_json()
-    }
 }
 
 /// The append-only mutation history of one dataset. Entry `i` (counting
@@ -195,12 +140,6 @@ impl MutationLog {
     /// Appends one applied mutation.
     pub fn push(&mut self, m: AppliedMutation) {
         self.entries.push(m);
-    }
-
-    /// The retained entries, oldest first (the first is the `base → base+1`
-    /// transition).
-    pub fn entries(&self) -> &[AppliedMutation] {
-        &self.entries
     }
 
     /// Number of retained (uncompacted) entries.
@@ -258,27 +197,45 @@ mod tests {
         assert!(log.range(2, 2).unwrap().is_empty());
         assert!(log.range(5, 9).unwrap().is_empty(), "past-the-end windows are empty, not a panic");
         assert!(log.range(2, 1).unwrap().is_empty(), "inverted windows are empty");
-        assert!(log.entries()[1].point() == [0.0] && !log.entries()[1].is_insert());
+        let last = &log.range(1, 2).unwrap()[0];
+        assert!(last.point() == [0.0] && !last.is_insert());
+    }
+
+    fn seed() -> ContinuousDataset<f64> {
+        ContinuousDataset::from_sets(
+            vec![vec![1.0, 1.0], vec![1.0, 0.5]],
+            vec![vec![0.0, 0.0], vec![0.0, 0.25]],
+        )
     }
 
     #[test]
-    fn op_json_is_the_wire_replay_format() {
-        let ins =
-            Mutation::Insert { point: vec![1.0, 0.5, 0.30000000000000004], label: Label::Positive };
-        assert_eq!(
-            ins.op_json(),
-            r#"{"op":"insert","label":"+","point":[1,0.5,0.30000000000000004]}"#
-        );
-        assert_eq!(Mutation::Remove { id: 3 }.op_json(), r#"{"op":"remove","index":3}"#);
-        let applied = AppliedMutation::Remove { id: 2, point: vec![9.0], label: Label::Negative };
-        assert_eq!(applied.to_op(), Mutation::Remove { id: 2 });
-        assert_eq!(applied.op_json(), r#"{"op":"remove","index":2}"#);
-        let applied = AppliedMutation::Insert { point: vec![-0.0], label: Label::Negative };
-        assert_eq!(
-            applied.op_json(),
-            r#"{"op":"insert","label":"-","point":[0]}"#,
-            "-0 prints as 0, like the engine JSON writer"
-        );
+    fn validate_accepts_applicable_mutations() {
+        let ds = seed();
+        assert!(Mutation::Insert { point: vec![2.0, -0.0], label: Label::Positive }
+            .validate(&ds)
+            .is_ok());
+        assert!(Mutation::Remove { id: 3 }.validate(&ds).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_inapplicable_mutations() {
+        let ds = seed();
+        let wrong_dim = Mutation::Insert { point: vec![1.0], label: Label::Positive };
+        let err = wrong_dim.validate(&ds).unwrap_err();
+        assert_eq!(err, "insert dimension 1 does not match dataset dimension 2");
+        for bad in [f64::NAN, f64::INFINITY] {
+            let m = Mutation::Insert { point: vec![bad, 0.0], label: Label::Positive };
+            assert_eq!(m.validate(&ds).unwrap_err(), "insert point must be finite");
+        }
+        let err = Mutation::Remove { id: 4 }.validate(&ds).unwrap_err();
+        assert_eq!(err, "remove index 4 out of range (4 points)");
+    }
+
+    #[test]
+    fn cannot_remove_the_last_point() {
+        let one = ContinuousDataset::from_sets(vec![vec![1.0]], vec![]);
+        let err = Mutation::Remove { id: 0 }.validate(&one).unwrap_err();
+        assert!(err.contains("last point"), "{err}");
     }
 
     #[test]
@@ -288,12 +245,12 @@ mod tests {
             log.push(AppliedMutation::Insert { point: vec![i as f64], label: Label::Positive });
         }
         log.compact_before(6);
-        assert_eq!((log.epoch(), log.base(), log.entries().len()), (10, 6, 4));
+        assert_eq!((log.epoch(), log.base(), log.retained()), (10, 6, 4));
         assert!(log.range(5, 10).is_none(), "pre-base windows are unanswerable, not partial");
         assert_eq!(log.range(6, 10).unwrap().len(), 4);
         assert_eq!(log.range(6, 10).unwrap()[0].point(), [6.0]);
         log.compact_before(99);
-        assert_eq!((log.epoch(), log.base(), log.entries().len()), (10, 10, 0));
+        assert_eq!((log.epoch(), log.base(), log.retained()), (10, 10, 0));
         log.push(AppliedMutation::Insert { point: vec![10.0], label: Label::Negative });
         assert_eq!(log.epoch(), 11);
         assert_eq!(log.range(10, 11).unwrap().len(), 1);

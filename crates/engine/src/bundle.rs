@@ -12,8 +12,9 @@
 //! Why this is sound: the stack's load-bearing invariant says every
 //! response line is a pure function of `(dataset at the query's epoch,
 //! config, request)`. The seed plus a prefix of the replay ops
-//! reconstructs the dataset at *any* captured epoch bit-for-bit (the
-//! `VersionedDataset::to_text` contract), so re-executing a captured
+//! reconstructs the dataset at *any* captured epoch bit-for-bit (mutations
+//! keep the survivors' order, and `knn_delta::dataset_text` prints
+//! shortest-roundtrip floats), so re-executing a captured
 //! request in a fresh engine must reproduce the served bytes exactly —
 //! any diff is a real divergence (broken build, corrupted state, or a
 //! violated invariant), never replay noise.
@@ -69,9 +70,10 @@ pub struct ReproBundle {
     pub entries: Vec<BundleEntry>,
 }
 
-/// Builds the canonical `{"op":...}` JSON value for a mutation — the same
-/// shape `knn_delta::Mutation::op_json` renders as text and the `load`
-/// verb's `"replay"` member parses.
+/// Builds the canonical `{"op":...}` JSON value for a mutation — the one
+/// wire encoding of a mutation: the `load` verb's `"replay"` items, a
+/// bundle's `replay`, and (with `op` as the verb) the router's mutation
+/// fan-out lines.
 pub fn mutation_to_op(m: &Mutation) -> Value {
     match m {
         Mutation::Insert { point, label } => Value::Object(vec![
@@ -409,16 +411,20 @@ mod tests {
     }
 
     #[test]
-    fn op_values_match_the_delta_text_rendering() {
-        for m in [
-            Mutation::Insert {
-                point: vec![1.0, 0.5, -0.0, 0.30000000000000004],
-                label: Label::Negative,
-            },
-            Mutation::Remove { id: 7 },
+    fn op_values_round_trip_through_their_wire_text() {
+        for (m, text) in [
+            (
+                Mutation::Insert {
+                    point: vec![1.0, 0.5, -0.0, 0.30000000000000004],
+                    label: Label::Negative,
+                },
+                r#"{"op":"insert","label":"-","point":[1,0.5,0,0.30000000000000004]}"#,
+            ),
+            (Mutation::Remove { id: 7 }, r#"{"op":"remove","index":7}"#),
         ] {
-            assert_eq!(mutation_to_op(&m).to_json(), m.op_json());
-            assert_eq!(mutation_from_op(&mutation_to_op(&m)).unwrap().op_json(), m.op_json());
+            assert_eq!(mutation_to_op(&m).to_json(), text);
+            assert_eq!(mutation_from_op(&mutation_to_op(&m)).unwrap(), m);
+            assert_eq!(mutation_from_op(&parse(text).unwrap()).unwrap(), m);
         }
     }
 

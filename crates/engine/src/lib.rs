@@ -198,11 +198,10 @@ const REVALIDATE_WINDOW: u64 = 64;
 
 /// One epoch's immutable serving view. `run_batch` snapshots this once, so
 /// a mutation racing a batch lands entirely before or after it. Together
-/// `data` + `log` are the engine's versioned dataset (the standalone form
-/// is [`knn_delta::VersionedDataset`]; holding the views directly avoids
-/// storing the point set twice). The log is compacted to the revalidation
-/// window — its only reader — so memory stays bounded under sustained
-/// mutation streams.
+/// `data` + `log` are the engine's versioned dataset: the epoch's views
+/// plus the mutations that produced them. The log is compacted to the
+/// revalidation window — its only reader — so memory stays bounded under
+/// sustained mutation streams.
 struct EpochState {
     /// The epoch's engine view (continuous + boolean), mutated by
     /// structural `with_insert`/`with_remove` clones.

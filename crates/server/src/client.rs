@@ -34,6 +34,14 @@ impl Client {
         Client::from_stream(connect_stream_retry(addr, attempts, backoff)?)
     }
 
+    /// Bounds every later [`recv`](Client::recv) by `timeout` (`None`: wait
+    /// forever, the default). A read that times out fails with
+    /// `WouldBlock`/`TimedOut`; the connection may then hold a late reply,
+    /// so the caller should drop it.
+    pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     /// Sends one request line (the newline is added here).
     pub fn send(&mut self, line: &str) -> std::io::Result<()> {
         self.writer.write_all(line.as_bytes())?;

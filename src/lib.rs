@@ -65,7 +65,7 @@ pub mod prelude {
     pub use knn_core::counterfactual::l1::L1Counterfactual;
     pub use knn_core::counterfactual::l2::L2Counterfactual;
     pub use knn_core::{BooleanKnn, ContinuousKnn, SrCheck};
-    pub use knn_delta::{Mutation, VersionedDataset};
+    pub use knn_delta::Mutation;
     pub use knn_engine::{EngineConfig, EngineData, ExplanationEngine};
     pub use knn_num::{Field, Rat};
     pub use knn_server::{Client, Server, ServerConfig};
