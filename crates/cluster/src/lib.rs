@@ -70,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+mod metrics;
 pub mod placement;
 pub mod pool;
 mod scatter;
@@ -85,6 +86,7 @@ use knn_server::proto::{self, Command};
 use knn_server::Handle;
 use knn_telemetry::exposition::{self, Merge};
 use knn_telemetry::{SloObjective, Telemetry};
+use metrics::RouterMetrics;
 use scatter::{Dispatcher, PendingQuery};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -151,11 +153,10 @@ impl TenantSource {
 struct RouterShared {
     pool: Arc<BackendPool>,
     placement: Arc<PlacementMap>,
-    /// Router-side counters (dispatches, failovers, demotions, reconciles)
-    /// and the probe-round latency histogram. Enabled at bind; the
-    /// `metrics` verb appends its rendering after the merged backend
-    /// expositions (series names are disjoint from the backends').
+    /// The router's flight recorder (dispatch and failover spans).
     telemetry: Arc<Telemetry>,
+    /// The router's own series, appended to the merged `metrics` reply.
+    metrics: Arc<RouterMetrics>,
     /// The client listener's stop flag: the probe loop and the fill worker
     /// end with the accept loop.
     stop: Arc<Stop>,
@@ -282,7 +283,7 @@ fn push_fill(shared: &Arc<RouterShared>, job: FillJob) {
     let _load_serialized = shared.load_lock.lock().unwrap();
     let current = shared.sources.lock().unwrap().get(&job.tenant).map(|s| s.version());
     if current != Some(job.version) {
-        shared.telemetry.add("knn_router_fill_stale_total", 1);
+        shared.metrics.fill_stale.fetch_add(1, Ordering::Relaxed);
         return;
     }
     let Some(active) = shared.placement.get(&job.tenant) else { return };
@@ -304,7 +305,7 @@ fn push_fill(shared: &Arc<RouterShared>, job: FillJob) {
         // Best-effort: an error or a `filled:false` answer costs nothing
         // but the miss the peer would have had anyway.
         let _ = backend.ask(&line);
-        shared.telemetry.add("knn_router_fills_total", 1);
+        shared.metrics.fills.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -320,13 +321,12 @@ impl Router {
     /// ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> std::io::Result<Router> {
         let listener = Listener::bind(addr)?;
-        let telemetry = Telemetry::new();
-        telemetry.set_enabled(true);
         let (fill_tx, fill_rx) = mpsc::channel();
         let shared = Arc::new(RouterShared {
             pool: Arc::new(BackendPool::new()),
             placement: Arc::new(PlacementMap::new(config.replication)),
-            telemetry,
+            telemetry: Telemetry::new(),
+            metrics: Arc::default(),
             stop: listener.stop().clone(),
             started: Instant::now(),
             probe_interval: config.probe_interval,
@@ -436,9 +436,7 @@ fn start_probe_loop(shared: &Arc<RouterShared>) {
                     reconcile_backend(&shared, &backend);
                 }
             }
-            shared
-                .telemetry
-                .record_named("knn_router_probe_round_us", round.elapsed().as_micros() as u64);
+            shared.metrics.probe_round.record(round.elapsed().as_micros() as u64);
             std::thread::sleep(shared.probe_interval);
         }
     });
@@ -501,7 +499,7 @@ fn reconcile_backend(shared: &Arc<RouterShared>, backend: &Backend) {
             shared.placement.pin(name, demoted);
         }
         if backend.ask(&load_line(name, src)).is_ok() {
-            shared.telemetry.add("knn_router_reconciles_total", 1);
+            shared.metrics.reconciles.fetch_add(1, Ordering::Relaxed);
             let active = shared.placement.get(name).unwrap_or_default();
             readmit(shared, name, src, &active, backend.id);
         }
@@ -710,7 +708,7 @@ fn fan_out_mutation(
     // Partial failure: demote the failures before the client hears the ack,
     // so post-mutation queries can only reach replicas that applied it.
     if !failed.is_empty() {
-        shared.telemetry.add("knn_router_demotions_total", failed.len() as u64);
+        shared.metrics.demotions.fetch_add(failed.len() as u64, Ordering::Relaxed);
         shared.placement.pin(name, acked.clone());
         unload_from(shared, name, failed);
     }
@@ -752,6 +750,7 @@ impl Endpoint for RouterShared {
             self.placement.clone(),
             responses,
             self.telemetry.clone(),
+            self.metrics.clone(),
             self.fill.clone(),
         );
         RouterConn { shared: self.clone(), conn, disp }
@@ -951,7 +950,7 @@ fn fan_out(shared: &RouterShared, line: &str) -> Vec<(usize, Value)> {
             Ok(v) => Some((backend.id, v)),
             Err(AskError::Refused(_)) => None,
             Err(AskError::Failed(_)) => {
-                shared.telemetry.add("knn_router_scrape_failures_total", 1);
+                shared.metrics.scrape_failures.fetch_add(1, Ordering::Relaxed);
                 None
             }
         })
@@ -997,10 +996,10 @@ fn merged_reply(shared: &RouterShared, line: &str) -> Option<Vec<(String, Value)
 /// sum, `_max` companions and per-replica gauges such as the epoch and the
 /// SLO burn take the max — exact for the histograms because every backend
 /// emits the identical fixed bucket set), then the router's own series
-/// appended (`knn_router_*`: dispatches, failovers, demotions, reconciles,
-/// scrape failures, the probe-round histogram — names disjoint from
-/// anything a backend emits). The `knn_router_backends_scraped` gauge says
-/// how many expositions this merge actually covers.
+/// appended ([`metrics`]: every `knn_router_*` family, declared once, with
+/// names disjoint from anything a backend emits). The
+/// `knn_router_backends_scraped` gauge says how many expositions this merge
+/// actually covers.
 fn cluster_metrics_line(shared: &Arc<RouterShared>, id: &str) -> String {
     let texts: Vec<String> = fan_out(shared, r#"{"id":"agg","verb":"metrics"}"#)
         .into_iter()
@@ -1008,14 +1007,7 @@ fn cluster_metrics_line(shared: &Arc<RouterShared>, id: &str) -> String {
         .collect();
     let rule = |family: &str| knn_server::series::merge_rule(family).unwrap_or(Merge::Sum);
     let mut text = exposition::merge(&texts, rule);
-    text.push_str(&shared.telemetry.render());
-    exposition::push_header(
-        &mut text,
-        "knn_router_backends_scraped",
-        "gauge",
-        "Backend expositions this merge covers.",
-    );
-    exposition::push_sample(&mut text, "knn_router_backends_scraped", texts.len() as u64);
+    shared.metrics.render(&mut text, texts.len());
     proto::ok_line(id, vec![("metrics".into(), Value::String(text))])
 }
 
@@ -1879,8 +1871,9 @@ mod tests {
             Some(2.0),
             "scrape coverage visible:\n{text}"
         );
-        assert!(
-            !samples.contains_key("knn_router_scrape_failures_total"),
+        assert_eq!(
+            samples.get("knn_router_scrape_failures_total"),
+            Some(&0.0),
             "no scrape failed here:\n{text}"
         );
 
@@ -2040,7 +2033,7 @@ mod tests {
         let Some(Value::String(text)) = parsed.get("metrics") else { panic!("{m}") };
         let samples = exposition::parse(text);
         assert_eq!(samples.get("knn_router_backends_scraped"), Some(&2.0), "{text}");
-        assert!(!samples.contains_key("knn_router_scrape_failures_total"), "{text}");
+        assert_eq!(samples.get("knn_router_scrape_failures_total"), Some(&0.0), "{text}");
         handle.shutdown();
         b0.shutdown();
         b1.shutdown();

@@ -123,7 +123,9 @@ impl Backend {
 
     /// The one control conversation with this backend: sends `line` on the
     /// control connection, (re)dialing it if needed, and reads the reply
-    /// within [`CONTROL_DEADLINE`]. An `"ok":true` reply comes back parsed;
+    /// within [`CONTROL_DEADLINE`]. A backend already marked down is dialed
+    /// once, not [`CONNECT_ATTEMPTS`] times (the probe loop re-admits it).
+    /// An `"ok":true` reply comes back parsed;
     /// any other parsed reply is a [`AskError::Refused`] carrying the
     /// backend's `error` text. A dial or roundtrip failure (the deadline
     /// included) drops the connection and marks the backend down, so the
@@ -132,7 +134,8 @@ impl Backend {
     pub fn ask(&self, line: &str) -> Result<Value, AskError> {
         let mut guard = self.control.lock().unwrap();
         if guard.is_none() {
-            let dialed = Client::connect_retry(self.addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)
+            let attempts = if self.is_healthy() { CONNECT_ATTEMPTS } else { 1 };
+            let dialed = Client::connect_retry(self.addr, attempts, CONNECT_BACKOFF)
                 .and_then(|c| c.set_read_timeout(Some(CONTROL_DEADLINE)).map(|()| c));
             match dialed {
                 Ok(c) => *guard = Some(c),
@@ -362,6 +365,23 @@ mod tests {
         assert!(!b.probe());
         assert!(!b.is_healthy());
         assert_eq!(b.snapshot().probes_failed, 1);
+    }
+
+    /// A backend already marked down is dialed once, not through the
+    /// retry ladder (20 + 40 + 80 + 160 ms of backoff before it fails).
+    #[test]
+    fn down_backend_is_dialed_once() {
+        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = dead.local_addr().unwrap();
+        drop(dead);
+        let pool = BackendPool::new();
+        let b = pool.attach(addr);
+        b.mark_down();
+        let start = std::time::Instant::now();
+        let reply = b.ask(r#"{"id":"probe","verb":"stats"}"#);
+        let waited = start.elapsed();
+        assert!(matches!(reply, Err(AskError::Failed(_))), "{reply:?}");
+        assert!(waited < Duration::from_millis(250), "retried a down backend: {waited:?}");
     }
 
     /// A backend that accepts the control connection and never answers

@@ -27,6 +27,7 @@
 //! byzantine-slow, is the contract, the same one the single server has with
 //! its own worker pool.
 
+use crate::metrics::RouterMetrics;
 use crate::placement::PlacementMap;
 use crate::pool::{Backend, BackendPool, CONNECT_ATTEMPTS, CONNECT_BACKOFF};
 use knn_server::frame::Responses;
@@ -35,6 +36,7 @@ use knn_telemetry::{SpanEvent, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -206,9 +208,10 @@ pub(crate) struct Dispatcher {
     responses: Responses,
     chans: Mutex<HashMap<usize, Arc<Chan>>>,
     receivers: Mutex<Vec<JoinHandle<()>>>,
-    /// Router-side counters: dispatches and failover redispatches (both
-    /// out-of-band; never on the response path).
+    /// The router's flight recorder (dispatch and failover spans).
     telemetry: Arc<Telemetry>,
+    /// Counts dispatches and failover redispatches (never response bytes).
+    metrics: Arc<RouterMetrics>,
     /// Cross-replica cache-fill hub: every completed response is offered
     /// for a best-effort push to the key's first failover replica.
     fill: Arc<crate::FillHub>,
@@ -220,6 +223,7 @@ impl Dispatcher {
         placement: Arc<PlacementMap>,
         responses: Responses,
         telemetry: Arc<Telemetry>,
+        metrics: Arc<RouterMetrics>,
         fill: Arc<crate::FillHub>,
     ) -> Arc<Dispatcher> {
         Arc::new(Dispatcher {
@@ -229,6 +233,7 @@ impl Dispatcher {
             chans: Mutex::new(HashMap::new()),
             receivers: Mutex::new(Vec::new()),
             telemetry,
+            metrics,
             fill,
         })
     }
@@ -347,7 +352,7 @@ impl Dispatcher {
             let Some(chan) = self.chan(id) else { continue };
             match chan.send(q) {
                 SendOutcome::Sent => {
-                    self.telemetry.add("knn_router_dispatches_total", 1);
+                    self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
                 SendOutcome::Rejected(back) => {
@@ -357,13 +362,13 @@ impl Dispatcher {
                     // that is a failover as much as a channel dying with
                     // the query pending.
                     if healthy {
-                        self.telemetry.add("knn_router_failovers_total", 1);
+                        self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
                         emit_query_span(self, &q, "failover", id, "failover");
                     }
                 }
                 SendOutcome::Died(drained) => {
                     chan.backend.mark_down();
-                    self.telemetry.add("knn_router_failovers_total", drained.len() as u64);
+                    self.metrics.failovers.fetch_add(drained.len() as u64, Ordering::Relaxed);
                     // Everything the dead channel was holding — the query we
                     // just tried included — goes back through dispatch.
                     for p in drained {
@@ -431,7 +436,7 @@ fn receiver_loop(disp: Arc<Dispatcher>, chan: Arc<Chan>, reader: TcpStream) {
                     if is_not_loaded_error(&buf, &q) {
                         let mut q = q;
                         q.not_loaded = Some(chan.backend.id);
-                        disp.telemetry.add("knn_router_failovers_total", 1);
+                        disp.metrics.failovers.fetch_add(1, Ordering::Relaxed);
                         emit_query_span(&disp, &q, "failover", chan.backend.id, "failover");
                         disp.dispatch(q);
                     } else {
@@ -464,7 +469,7 @@ fn receiver_loop(disp: Arc<Dispatcher>, chan: Arc<Chan>, reader: TcpStream) {
             st.pending.drain(..).collect()
         }
     };
-    disp.telemetry.add("knn_router_failovers_total", drained.len() as u64);
+    disp.metrics.failovers.fetch_add(drained.len() as u64, Ordering::Relaxed);
     for q in drained {
         emit_query_span(&disp, &q, "failover", chan.backend.id, "failover");
         disp.dispatch(q);

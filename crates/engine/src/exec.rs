@@ -23,6 +23,7 @@ use knn_core::counterfactual::lp_general::LpGeneralCounterfactual;
 use knn_core::SrCheck;
 use knn_delta::{ClassifyGuard, GuardMetric};
 use knn_space::{BitVec, Label, LpMetric, OddK};
+use knn_telemetry::QueryTrace;
 
 /// Runs `req` to completion. `effort_budget` is the engine-level logical
 /// budget (`None` = exact everywhere). The ℓ2 region routes run on the
@@ -33,24 +34,7 @@ pub fn execute(
     req: &Request,
     effort_budget: Option<u64>,
 ) -> Response {
-    execute_phased(data, artifacts, req, effort_budget, false).0
-}
-
-/// Where one execution's time went, as measured by [`execute_phased`].
-/// Purely observational — the response is byte-identical whether or not
-/// the clock ran.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseTimes {
-    /// Time inside the planner, µs.
-    pub plan_us: u64,
-    /// Time inside the routed algorithm (artifact builds it triggered
-    /// included — the engine subtracts those out via the store's build
-    /// accounting), µs.
-    pub solve_us: u64,
-    /// The planner's demotion verdict: did the effort budget demote this
-    /// request's route to its greedy/anytime variant? A plan property,
-    /// filled whether or not the clock ran.
-    pub demoted: bool,
+    execute_phased(data, artifacts, req, effort_budget, false, &mut QueryTrace::default()).0
 }
 
 /// [`execute`] with the cache-survival guard and the phase clock.
@@ -60,39 +44,39 @@ pub struct PhaseTimes {
 /// decided by — see [`knn_delta::guard`]); the engine's cache stores it next
 /// to the response so a later epoch can revalidate instead of recomputing.
 ///
-/// When `timed`, the returned [`PhaseTimes`] carries the planner and solver
-/// wall times (zeros otherwise — the untimed path never reads the clock,
-/// keeping disabled telemetry free).
+/// Writes the planner's demotion verdict into `trace.demoted`, and when
+/// `timed` the planner and solver wall times (artifact builds included;
+/// the engine subtracts those) into `trace.plan_us` / `trace.solve_us` —
+/// untimed, the clock is never read. The response bytes never depend on it.
 pub fn execute_phased(
     data: &EngineData,
     artifacts: &ArtifactStore,
     req: &Request,
     effort_budget: Option<u64>,
     timed: bool,
-) -> (Response, Option<ClassifyGuard>, PhaseTimes) {
-    let mut phases = PhaseTimes::default();
+    trace: &mut QueryTrace,
+) -> (Response, Option<ClassifyGuard>) {
     let plan_started = timed.then(std::time::Instant::now);
     let planned = match plan(req, effort_budget.is_some()) {
         Ok(p) => p,
-        Err(e) => return (error_response(req, e), None, phases),
+        Err(e) => return (error_response(req, e), None),
     };
     if let Some(t0) = plan_started {
-        phases.plan_us = t0.elapsed().as_micros() as u64;
+        trace.plan_us = t0.elapsed().as_micros() as u64;
     }
-    phases.demoted = planned.budgeted;
+    trace.demoted = planned.budgeted;
     let mut guard = None;
     let solve_started = timed.then(std::time::Instant::now);
     let outcome = execute_planned(data, artifacts, req, &planned, effort_budget, &mut guard);
     if let Some(t0) = solve_started {
-        phases.solve_us = t0.elapsed().as_micros() as u64;
+        trace.solve_us = t0.elapsed().as_micros() as u64;
     }
     match outcome {
         Ok(outcome) => (
             Response { id: req.id.clone(), route: planned.tag.to_string(), result: Ok(outcome) },
             guard,
-            phases,
         ),
-        Err(e) => (error_response(req, e), None, phases),
+        Err(e) => (error_response(req, e), None),
     }
 }
 

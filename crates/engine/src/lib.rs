@@ -748,7 +748,7 @@ impl ExplanationEngine {
         if snap.epoch != epoch {
             return AuditOutcome::Stale;
         }
-        let (resp, _, _) = self.execute_guarded(&snap, req, false);
+        let (resp, _) = self.execute_guarded(&snap, req, false, &mut QueryTrace::default());
         self.audit_checked.fetch_add(1, Ordering::Relaxed);
         let got = resp.to_json_line();
         if got == expected {
@@ -790,19 +790,24 @@ impl ExplanationEngine {
     /// *response* for that request instead of killing the whole batch — the
     /// same per-request isolation malformed and refused requests get. The
     /// panic message is itself deterministic for a given input, so the
-    /// determinism contract holds for these lines too.
+    /// determinism contract holds for these lines too. A panicked execution
+    /// leaves `trace` as it was.
     fn execute_guarded(
         &self,
         snap: &Snapshot,
         req: &Request,
         timed: bool,
-    ) -> (Response, Option<ClassifyGuard>, exec::PhaseTimes) {
+        trace: &mut QueryTrace,
+    ) -> (Response, Option<ClassifyGuard>) {
+        let before = *trace;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec::execute_phased(&snap.data, &snap.artifacts, req, self.config.effort_budget, timed)
+            let budget = self.config.effort_budget;
+            exec::execute_phased(&snap.data, &snap.artifacts, req, budget, timed, trace)
         }));
         match outcome {
-            Ok(traced) => traced,
+            Ok(done) => done,
             Err(payload) => {
+                *trace = before;
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -813,7 +818,7 @@ impl ExplanationEngine {
                     route: "error".to_string(),
                     result: Err(format!("internal panic: {msg}")),
                 };
-                (resp, None, exec::PhaseTimes::default())
+                (resp, None)
             }
         }
     }
@@ -916,16 +921,13 @@ impl ExplanationEngine {
     ) -> (Response, Option<ClassifyGuard>) {
         let build0 = enabled.then(|| snap.artifacts.metrics().build_nanos());
         let w0 = WorkSample::take();
-        let (resp, guard, phases) = self.execute_guarded(snap, req, enabled);
-        let regions = self.record_work(&resp.route, &w0, phases.solve_us);
+        let (resp, guard) = self.execute_guarded(snap, req, enabled, trace);
+        let regions = self.record_work(&resp.route, &w0, trace.solve_us);
         trace.region_yields = regions.yields;
         trace.region_pruned = regions.pruned();
-        trace.demoted = phases.demoted;
         if enabled {
-            trace.plan_us = phases.plan_us;
-            trace.solve_us = phases.solve_us;
-            self.phase_plan.record(phases.plan_us);
-            self.phase_solve.record(phases.solve_us);
+            self.phase_plan.record(trace.plan_us);
+            self.phase_solve.record(trace.solve_us);
             if let Some(b0) = build0 {
                 let delta_us = snap.artifacts.metrics().build_nanos().saturating_sub(b0) / 1_000;
                 trace.artifact_us = delta_us;

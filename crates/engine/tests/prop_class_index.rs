@@ -15,6 +15,7 @@ use knn_delta::{AppliedMutation, ClassifyGuard, GuardMetric};
 use knn_engine::exec::execute_phased;
 use knn_engine::{ArtifactStore, EngineData, Metric, Outcome, QueryKind, Request};
 use knn_space::{ContinuousDataset, Label, OddK};
+use knn_telemetry::QueryTrace;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -217,7 +218,9 @@ proptest! {
                             point: x.clone(),
                             features: None,
                         };
-                        let (resp, guard, _) = execute_phased(&data, &store, &req, None, false);
+                        let mut trace = QueryTrace::default();
+                        let (resp, guard) =
+                            execute_phased(&data, &store, &req, None, false, &mut trace);
                         let (label, want) = lp_scan_answer(&data, &x, p, OddK::new(k).unwrap());
                         prop_assert_eq!(&resp.route, "kdtree-class-index");
                         prop_assert_eq!(resp.result, Ok(Outcome::Label(label)));

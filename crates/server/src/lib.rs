@@ -101,7 +101,7 @@ impl Default for ServerConfig {
 struct Shared {
     registry: Registry,
     admission: Admission,
-    /// Process-wide latency histograms and counters (enabled at bind) and
+    /// Process-wide latency histograms and SLO status (enabled at bind) and
     /// the flight recorder the `slow`, `trace` and `dump` verbs read;
     /// shared with every tenant engine.
     telemetry: Arc<Telemetry>,

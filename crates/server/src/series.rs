@@ -36,7 +36,7 @@ impl<T> Row<T> {
 }
 
 /// A row with an exposition series (merged by its family's rule).
-const fn series<T>(
+pub const fn series<T>(
     family: &'static Family,
     labels: &'static [(&'static str, &'static str)],
     path: &'static [&'static str],
@@ -218,20 +218,26 @@ pub static ADMISSION_ROWS: &[Row<AdmissionStats>] = &[
     series(&GRANTED, &[], &["granted"], |a| a.granted),
 ];
 
-/// Every family the tables declare, each once, in first-appearance order.
-fn families() -> Vec<&'static Family> {
+/// `all`'s families, each once, in first-appearance order.
+fn distinct(all: impl Iterator<Item = &'static Family>) -> Vec<&'static Family> {
     let mut out: Vec<&'static Family> = Vec::new();
-    let all = TENANT_ROWS
-        .iter()
-        .filter_map(Row::family)
-        .chain(ROUTE_ROWS.iter().filter_map(Row::family))
-        .chain(ADMISSION_ROWS.iter().filter_map(Row::family));
     for family in all {
         if !out.iter().any(|f| f.name == family.name) {
             out.push(family);
         }
     }
     out
+}
+
+/// Every family the tables declare, each once, in first-appearance order.
+fn families() -> Vec<&'static Family> {
+    distinct(
+        TENANT_ROWS
+            .iter()
+            .filter_map(Row::family)
+            .chain(ROUTE_ROWS.iter().filter_map(Row::family))
+            .chain(ADMISSION_ROWS.iter().filter_map(Row::family)),
+    )
 }
 
 /// The declared merge rule of any family a server's `metrics` carries —
@@ -286,6 +292,15 @@ pub(crate) fn render_metrics(tenants: &[TenantStats], admission: &AdmissionStats
         push_rows(&mut out, ADMISSION_ROWS, family, &[], admission);
     }
     out
+}
+
+/// Appends `rows` off one unlabeled snapshot (the cluster router's own
+/// counters): each family's headers, then its samples.
+pub fn render_rows<T>(out: &mut String, rows: &[Row<T>], v: &T) {
+    for family in distinct(rows.iter().filter_map(Row::family)) {
+        family.push_header(out);
+        push_rows(out, rows, family, &[], v);
+    }
 }
 
 /// Inserts `v` at `path` in an object's members, creating intermediate

@@ -11,10 +11,13 @@
 //!   into, mergeable bucket-wise across processes, and good enough to
 //!   derive p50/p90/p99/max from.
 //! * [`Telemetry`] — the per-process registry: end-to-end latency per
-//!   `(tenant, route)`, phase timings per `(tenant, phase)`, and
-//!   free-form named histograms and counters. Recording is gated on an [`enabled`](Telemetry::set_enabled) flag
-//!   (default **off**) so library users — `xknn batch`, the benches'
-//!   baseline arms — pay one relaxed atomic load and nothing else.
+//!   `(tenant, route)` and phase timings per `(tenant, phase)`, every
+//!   family it renders declared in [`FAMILIES`]. Recording is gated on an
+//!   [`enabled`](Telemetry::set_enabled) flag (default **off**) so library
+//!   users — `xknn batch`, the benches' baseline arms — pay one relaxed
+//!   atomic load and nothing else. A server's counters are declared in
+//!   `knn_server::series`, the cluster router's in its own `metrics`
+//!   module; this registry mints no series from a string.
 //! * [`exposition`] — Prometheus text rendering, a total parser, and the
 //!   bucket-wise merge the cluster router uses to aggregate backend
 //!   expositions into one scrape surface.
@@ -312,7 +315,7 @@ pub const REQUEST_DURATION: Family = Family::histogram(
 pub const PHASE_DURATION: Family =
     Family::histogram("knn_phase_duration_us", "Per-phase execution time by tenant, microseconds.");
 /// Help text of every histogram's `_max` companion gauge.
-const MAX_HELP: &str = "Exact maximum of the observations in the sibling histogram.";
+pub const MAX_HELP: &str = "Exact maximum of the observations in the sibling histogram.";
 /// The exact-max companion of [`REQUEST_DURATION`]: a maximum merges by max.
 pub const REQUEST_DURATION_MAX: Family =
     Family::gauge("knn_request_duration_us_max", MAX_HELP, Merge::Max);
@@ -332,8 +335,9 @@ pub const SLO_VIOLATIONS: Family = Family::counter(
     "knn_slo_violations_total",
     "Observation windows whose attained quantile broke the objective.",
 );
-/// Every family a serving process's [`Telemetry::render`] can emit (the
-/// free-form histograms and counters are the router's own, never merged).
+/// Every family [`Telemetry::render`] can emit. A server's `metrics` verb
+/// renders these and the `knn_server::series` tables; the cluster router
+/// merges them across backends by the rules declared here.
 pub const FAMILIES: &[Family] = &[
     REQUEST_DURATION,
     REQUEST_DURATION_MAX,
@@ -355,12 +359,6 @@ pub struct Telemetry {
     routes: LabeledHists,
     /// Phase timings per tenant → phase.
     phases: LabeledHists,
-    /// Free-form histograms keyed by full metric name (no labels), e.g.
-    /// the router's probe-round latency.
-    named: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    /// Monotonic counters keyed by full series name (labels, if any,
-    /// already rendered into the key).
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     /// The always-on flight recorder. Deliberately *not* gated on
     /// `enabled`: anomaly forensics must work on a default-configured
     /// process, and the recorder's unelected-path cost is one thread-local
@@ -460,23 +458,6 @@ impl Telemetry {
         labeled(&self.phases, tenant, phase)
     }
 
-    /// The free-form histogram named `name`, creating it if needed.
-    pub fn named_histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.named.read().unwrap().get(name) {
-            return h.clone();
-        }
-        self.named.write().unwrap().entry(name.to_string()).or_default().clone()
-    }
-
-    /// The counter for the full series name `series`, creating it if
-    /// needed.
-    pub fn counter(&self, series: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().unwrap().get(series) {
-            return c.clone();
-        }
-        self.counters.write().unwrap().entry(series.to_string()).or_default().clone()
-    }
-
     /// Records one end-to-end observation (no-op when disabled).
     pub fn record_route(&self, tenant: &str, route: &str, us: u64) {
         if self.is_enabled() {
@@ -491,24 +472,10 @@ impl Telemetry {
         }
     }
 
-    /// Records into a free-form named histogram (no-op when disabled).
-    pub fn record_named(&self, name: &str, us: u64) {
-        if self.is_enabled() {
-            self.named_histogram(name).record(us);
-        }
-    }
-
-    /// Bumps a counter by `n` (no-op when disabled).
-    pub fn add(&self, series: &str, n: u64) {
-        if self.is_enabled() {
-            self.counter(series).fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Renders everything recorded so far as Prometheus text exposition.
     ///
-    /// Families in fixed order (request histograms, phase histograms,
-    /// free-form histograms, counters/gauges, SLO status), series sorted
+    /// Families in fixed order (request histograms, phase histograms, SLO
+    /// status), series sorted
     /// within each — the output is deterministic for a fixed state. Every
     /// non-empty family gets its `# HELP` / `# TYPE` headers before its
     /// first sample (the `_max` companion of each histogram is its own
@@ -534,41 +501,6 @@ impl Telemetry {
         let mut out = String::new();
         labeled(&mut out, &self.routes, (&REQUEST_DURATION, &REQUEST_DURATION_MAX), "route");
         labeled(&mut out, &self.phases, (&PHASE_DURATION, &PHASE_DURATION_MAX), "phase");
-        for (name, h) in self.named.read().unwrap().iter() {
-            exposition::push_header(
-                &mut out,
-                name,
-                "histogram",
-                "Free-form latency histogram, microseconds.",
-            );
-            exposition::push_header(&mut out, &format!("{name}_max"), "gauge", MAX_HELP);
-            exposition::render_histogram(&mut out, name, &[], &h.snapshot());
-        }
-        {
-            // Counters/gauges grouped by family so each family's headers
-            // go out once, before its first series. `_total` names are
-            // monotonic counters per Prometheus convention; anything else
-            // registered here is a point-in-time gauge.
-            let counters = self.counters.read().unwrap();
-            let mut families: BTreeMap<&str, Vec<(&String, u64)>> = BTreeMap::new();
-            for (series, c) in counters.iter() {
-                families
-                    .entry(exposition::family_of(series))
-                    .or_default()
-                    .push((series, c.load(Ordering::Relaxed)));
-            }
-            for (family, series) in families {
-                let (kind, help) = if family.ends_with("_total") {
-                    ("counter", "Monotonic event counter.")
-                } else {
-                    ("gauge", "Point-in-time gauge.")
-                };
-                exposition::push_header(&mut out, family, kind, help);
-                for (key, v) in series {
-                    exposition::push_sample(&mut out, key, v);
-                }
-            }
-        }
         {
             let statuses = self.slo.all_status();
             if !statuses.is_empty() {
@@ -681,7 +613,6 @@ mod tests {
         let t = Telemetry::new();
         t.record_route("d", "classify", 10);
         t.record_phase("d", "solve", 10);
-        t.add("c_total", 3);
         assert_eq!(t.render(), "");
 
         t.set_enabled(true);
@@ -695,9 +626,6 @@ mod tests {
         t.set_enabled(true);
         t.record_route("demo", "classify_hamming", 42);
         t.record_phase("demo", "solve", 17);
-        t.record_named("knn_router_probe_round_us", 5);
-        t.add("knn_router_dispatches_total", 2);
-        t.add("knn_test_queue_depth", 3);
         t.slo().set("demo", SloObjective { quantile: 0.5, threshold_us: 1, windows: 2 }).unwrap();
         t.observe_slo("demo").unwrap();
         let text = t.render();
@@ -706,23 +634,17 @@ mod tests {
         assert!(text.contains(
             "knn_request_duration_us_count{tenant=\"demo\",route=\"classify_hamming\"} 1"
         ));
-        assert!(text.contains("knn_router_dispatches_total 2"));
         // Every family carries its HELP/TYPE headers exactly once.
         for family in [
             "knn_request_duration_us",
             "knn_request_duration_us_max",
             "knn_phase_duration_us",
-            "knn_router_probe_round_us",
-            "knn_router_dispatches_total",
-            "knn_test_queue_depth",
             "knn_slo_burn",
             "knn_slo_violations_total",
         ] {
             assert_eq!(text.matches(&format!("# HELP {family} ")).count(), 1, "{family}");
             assert_eq!(text.matches(&format!("# TYPE {family} ")).count(), 1, "{family}");
         }
-        assert!(text.contains("# TYPE knn_router_dispatches_total counter"));
-        assert!(text.contains("# TYPE knn_test_queue_depth gauge"));
         // The 42µs observation broke the 1µs p50 objective.
         assert!(text.contains("knn_slo_violations_total{tenant=\"demo\"} 1"));
         assert!(text.contains("knn_slo_burn{tenant=\"demo\"} 2.0000"));
